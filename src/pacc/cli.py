@@ -251,7 +251,7 @@ def _read_dataset(method: str, config: dict):
                 return ObsDataset.from_json_obj(json.loads(text))
             return ObsDataset.from_csv(text)
         return IvDataset.from_csv(text)
-    except (json.JSONDecodeError, PaccError, KeyError, ValueError) as exc:
+    except (json.JSONDecodeError, PaccError, KeyError, TypeError, ValueError) as exc:
         raise CliError(_EXIT_RUNTIME, f"cannot parse input {path}: {exc}") from exc
 
 

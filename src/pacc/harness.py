@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -35,13 +36,13 @@ from pacc.core import (
     split_stream,
 )
 from pacc.iv2sls import IvParams, generate_iv, iv_analytic_variances, iv_decide, iv_sample_size
-from pacc.propensity import PsParams, generate_obs, ps_decide, ps_sample_sizes
+from pacc.propensity import PsParams, ps_decide_drawn, ps_sample_sizes
 from pacc.sccs import (
     PointLaw,
     SccsDesign,
     SccsParams,
     TwoPointLaw,
-    generate_sccs,
+    draw_sccs_counts,
     law_from_dict,
     sccs_decide,
     sccs_sample_size,
@@ -307,11 +308,14 @@ class TrialOutcome:
 
 
 def run_trial(spec: TrialSpec, index: int, sample_size: int | None = None) -> TrialOutcome:
-    """Generate one dataset from the truth model and apply the method's rule.
+    """Draw one sample from the truth model and apply the method's rule.
 
-    A pipeline halt (too few rejection survivors, generation retry
-    exhaustion, degenerate estimators) counts as an incorrect trial with
-    the failure recorded, preserving the union-bound accounting.
+    SCCS and propensity trials draw only what their decisions read (the
+    event totals; the fitting slice's cell tallies), with the law of the
+    record-level generators. A pipeline halt (too few rejection
+    survivors, generation retry exhaustion, degenerate estimators) counts
+    as an incorrect trial with the failure recorded, preserving the
+    union-bound accounting.
     """
     size = resolve_sample_size(spec) if sample_size is None else sample_size
     stream_id = spec.stream_base + index
@@ -320,11 +324,10 @@ def run_trial(spec: TrialSpec, index: int, sample_size: int | None = None) -> Tr
     delta = spec.concept.delta
     try:
         if spec.method is Method.SCCS:
-            dataset = generate_sccs(spec.generator_params.design, params, size, gen)
-            decision = sccs_decide(dataset, delta)
+            counts = draw_sccs_counts(spec.generator_params.design, params, size, gen)
+            decision = sccs_decide(counts, delta)
         elif spec.method is Method.PROPENSITY:
-            dataset = generate_obs(params, size, gen)
-            decision = ps_decide(dataset, delta, gen, epsilon=spec.epsilon)
+            decision = ps_decide_drawn(params, size, delta, gen, epsilon=spec.epsilon)
         else:
             dataset = generate_iv(params, size, gen)
             decision = iv_decide(dataset, delta)
@@ -400,10 +403,12 @@ def verify(
 
     Passing means the one-sided Wilson upper bound (at ``confidence``
     0.95) on the error probability does not exceed epsilon. Output is
-    identical for identical specs regardless of ``workers``.
+    identical for identical specs regardless of ``workers``, which is
+    clamped to the trial count and the CPU count.
     """
     if workers < 1:
         raise InvalidArgumentError("workers must be at least 1")
+    workers = _clamp_workers(workers, spec.trials)
     size = resolve_sample_size(spec)
     indices = range(spec.trials)
     if workers == 1:
@@ -423,6 +428,11 @@ def verify(
         passed=upper <= spec.epsilon,
         per_trial=tuple(outcomes) if keep_trials else None,
     )
+
+
+def _clamp_workers(workers: int, trials: int) -> int:
+    """Threads worth starting: no more than the trials or the CPUs."""
+    return min(workers, trials, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)

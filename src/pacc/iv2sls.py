@@ -165,8 +165,13 @@ class IvDataset:
             raise InvalidArgumentError("expected header d,z,y[,u_hidden]")
         has_hidden = len(header) > 3 and header[3] == "u_hidden"
         data = np.array([[float(v) for v in row] for row in rows[1:]])
-        u = data[:, 3] if has_hidden else np.zeros(data.shape[0])
-        return cls(data[:, 0], data[:, 1], data[:, 2], u)
+        if not np.all(np.isfinite(data)):
+            raise InvalidArgumentError("CSV values must be finite numbers")
+        # Contiguous columns: the 2SLS dot products then sum in the same
+        # order as on generated data, so decisions match bit for bit.
+        columns = np.ascontiguousarray(data.T)
+        u = columns[3] if has_hidden else np.zeros(data.shape[0])
+        return cls(columns[0], columns[1], columns[2], u)
 
 
 def as_iv_dataset(data) -> IvDataset:

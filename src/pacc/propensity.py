@@ -35,13 +35,17 @@ __all__ = [
     "ObsDataset",
     "PropensityModel",
     "PsSampleSizes",
+    "CellCounts",
     "generate_obs",
+    "tally_cells",
+    "draw_cells",
     "fit_logistic",
     "l1_propensity_error",
     "rejection_sample",
     "ate",
     "ps_sample_sizes",
     "ps_decide",
+    "ps_decide_drawn",
     "ps_pipeline",
     "ate_decision",
     "lemma1_bound",
@@ -171,22 +175,25 @@ class ObsDataset:
     """Columnar sequence of observational records.
 
     Behaves as a sequence of ObsRecord but stores (N, n) covariate, z and
-    y arrays so that bound-scale batches stay fast to fit and slice.
+    y arrays so that bound-scale batches stay fast to fit and slice. Every
+    value must be 0 or 1: the cell tallies read covariate rows as bit
+    codes.
     """
 
     __slots__ = ("x", "z", "y")
 
     def __init__(self, x: np.ndarray, z: np.ndarray, y: np.ndarray):
-        x = np.asarray(x, dtype=np.uint8)
-        z = np.asarray(z, dtype=np.uint8)
-        y = np.asarray(y, dtype=np.uint8)
+        x, z, y = np.asarray(x), np.asarray(z), np.asarray(y)
         if x.ndim != 2:
             raise InvalidArgumentError("x must be a 2-D 0/1 matrix")
         if z.shape != (x.shape[0],) or y.shape != (x.shape[0],):
             raise InvalidArgumentError("z and y must be vectors matching x rows")
-        self.x = x
-        self.z = z
-        self.y = y
+        for name, values in (("x", x), ("z", z), ("y", y)):
+            if np.any((values != 0) & (values != 1)):
+                raise InvalidArgumentError(f"{name} values must be 0 or 1")
+        self.x = x.astype(np.uint8, copy=False)
+        self.z = z.astype(np.uint8, copy=False)
+        self.y = y.astype(np.uint8, copy=False)
 
     @property
     def n_covariates(self) -> int:
@@ -210,10 +217,11 @@ class ObsDataset:
         records = list(records)
         if not records:
             raise InvalidArgumentError("cannot build a dataset from zero records")
-        x = np.array([r.x for r in records], dtype=np.uint8)
-        z = np.array([r.z for r in records], dtype=np.uint8)
-        y = np.array([r.y for r in records], dtype=np.uint8)
-        return cls(x, z, y)
+        return cls(
+            np.array([r.x for r in records]),
+            np.array([r.z for r in records]),
+            np.array([r.y for r in records]),
+        )
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -231,7 +239,7 @@ class ObsDataset:
         header = rows[0]
         if len(header) < 3 or header[-2:] != ["z", "y"]:
             raise InvalidArgumentError("expected header x0..x{n-1},z,y")
-        data = np.array([[int(v) for v in row] for row in rows[1:]], dtype=np.uint8)
+        data = np.array([[int(v) for v in row] for row in rows[1:]])
         return cls(data[:, :-2], data[:, -2], data[:, -1])
 
     def to_json_obj(self) -> list:
@@ -242,9 +250,12 @@ class ObsDataset:
 
     @classmethod
     def from_json_obj(cls, obj: list) -> "ObsDataset":
-        return cls.from_records(
-            ObsRecord(x=tuple(int(v) for v in r["x"]), z=int(r["z"]), y=int(r["y"]))
-            for r in obj
+        if not obj:
+            raise InvalidArgumentError("cannot build a dataset from zero records")
+        return cls(
+            np.array([r["x"] for r in obj]),
+            np.array([r["z"] for r in obj]),
+            np.array([r["y"] for r in obj]),
         )
 
 
@@ -331,6 +342,54 @@ def generate_obs(
     return ObsDataset(x, z, y)
 
 
+@dataclass(frozen=True, eq=False)
+class CellCounts:
+    """Records tallied by covariate configuration.
+
+    Row k of ``configs`` is a 0/1 covariate vector, ``totals[k]`` the
+    number of records carrying it and ``treated[k]`` how many of those
+    have z = 1. The logistic likelihood depends on records only through
+    these counts.
+    """
+
+    configs: np.ndarray
+    totals: np.ndarray
+    treated: np.ndarray
+
+
+def tally_cells(data) -> CellCounts:
+    """Count records per (covariate configuration, treatment arm) cell."""
+    ds = as_obs_dataset(data)
+    n = ds.n_covariates
+    if n <= _ENUM_LIMIT:
+        configs = _enumerate_support(n)
+        codes = ds.x @ (1 << np.arange(n, dtype=np.int64))
+    else:
+        configs, codes = np.unique(ds.x, axis=0, return_inverse=True)
+    totals = np.bincount(codes, minlength=configs.shape[0])
+    treated = np.bincount(codes, weights=ds.z, minlength=configs.shape[0])
+    return CellCounts(configs, totals, treated)
+
+
+def draw_cells(
+    params: PsParams, count: int, rng: RngStream | np.random.Generator
+) -> CellCounts:
+    """Draw the cell tallies of ``count`` records from Q * P directly.
+
+    Same law as ``tally_cells(generate_obs(params, count, rng))``:
+    configuration counts are Multinomial(count, Q) and each cell's treated
+    count is Binomial(total, P(Z=1 | x)). Outcomes are not drawn. Past
+    the enumeration limit the records are drawn and tallied instead.
+    """
+    gen = as_generator(rng)
+    if params.n_covariates > _ENUM_LIMIT:
+        return tally_cells(generate_obs(params, count, gen))
+    configs, q = config_probabilities(params)
+    totals = gen.multinomial(count, q)
+    treated = gen.binomial(totals, params.propensity(configs))
+    return CellCounts(configs, totals, treated)
+
+
 def fit_logistic(
     data, max_iters: int = 200, tol: float = 1e-8
 ) -> PropensityModel:
@@ -340,29 +399,40 @@ def fit_logistic(
     ``max_iters`` updates. Data with a single treatment arm cannot
     identify the model and raises DegenerateFitError; a weight walking
     past the cap (separation) stops the fit and flags the model instead
-    of diverging.
+    of diverging. The Newton steps run on the cell tallies, one row per
+    covariate configuration present, which gives the per-record MLE.
     """
-    ds = as_obs_dataset(data)
+    return _fit_cells(tally_cells(data), max_iters, tol)
+
+
+def _fit_cells(cells: CellCounts, max_iters: int = 200, tol: float = 1e-8) -> PropensityModel:
+    """Grouped Newton fit of ``fit_logistic`` on cell tallies weighted by their totals."""
     if max_iters < 1:
         raise InvalidArgumentError("max_iters must be at least 1")
     if not tol > 0:
         raise InvalidArgumentError("tol must be positive")
-    z = ds.z.astype(np.float64)
-    n_treated = int(ds.z.sum())
-    if n_treated == 0 or n_treated == len(ds):
+    present = cells.totals > 0
+    totals = cells.totals[present].astype(np.float64)
+    treated = cells.treated[present].astype(np.float64)
+    n_records = float(totals.sum())
+    n_treated = float(treated.sum())
+    if n_treated == 0 or n_treated == n_records:
         raise DegenerateFitError(
-            f"all {len(ds)} records share one treatment arm; propensity not identifiable"
+            f"all {int(n_records)} records share one treatment arm; "
+            "propensity not identifiable"
         )
-    design = np.column_stack([ds.x.astype(np.float64), np.ones(len(ds))])
+    design = np.column_stack(
+        [cells.configs[present].astype(np.float64), np.ones(totals.size)]
+    )
     coefs = np.zeros(design.shape[1])
     capped = False
     for _ in range(max_iters):
         p = _sigmoid(design @ coefs)
-        score = design.T @ (z - p) / len(ds)
+        score = design.T @ (treated - totals * p) / n_records
         if np.max(np.abs(score)) < tol:
             break
-        w = p * (1.0 - p)
-        hess = design.T @ (design * w[:, None]) / len(ds)
+        w = totals * p * (1.0 - p)
+        hess = design.T @ (design * w[:, None]) / n_records
         hess[np.diag_indices_from(hess)] += 1e-12
         coefs = coefs + np.linalg.solve(hess, score)
         if np.max(np.abs(coefs)) > _WEIGHT_CAP:
@@ -486,13 +556,31 @@ def ps_pipeline(
     PipelineFailureError.
     """
     ds = as_obs_dataset(data)
-    sizes = ps_sample_sizes(epsilon, delta, ds.n_covariates)
-    if len(ds) < sizes.total:
+    sizes = _pipeline_sizes(len(ds), delta, epsilon, ds.n_covariates)
+    return _pipeline_from_cells(
+        tally_cells(ds[: sizes.n1]), ds[sizes.n1 : sizes.total], sizes, rng
+    )
+
+
+def _pipeline_sizes(
+    count: int, delta: float, epsilon: float, n_covariates: int
+) -> PsSampleSizes:
+    sizes = ps_sample_sizes(epsilon, delta, n_covariates)
+    if count < sizes.total:
         raise InvalidArgumentError(
-            f"pipeline needs N1 + N2 = {sizes.total} records, got {len(ds)}"
+            f"pipeline needs N1 + N2 = {sizes.total} records, got {count}"
         )
-    model = fit_logistic(ds[: sizes.n1])
-    adjusted = rejection_sample(ds[sizes.n1 : sizes.n1 + sizes.n2], model, rng)
+    return sizes
+
+
+def _pipeline_from_cells(
+    cells: CellCounts,
+    tail: ObsDataset,
+    sizes: PsSampleSizes,
+    rng: RngStream | np.random.Generator,
+) -> PsPipelineResult:
+    model = _fit_cells(cells)
+    adjusted = rejection_sample(tail, model, rng)
     if len(adjusted) < sizes.n3:
         raise PipelineFailureError(
             f"rejection sampling kept {len(adjusted)} records, fewer than N3 = {sizes.n3}"
@@ -515,6 +603,27 @@ def ps_decide(
     """Choose M1 when the adjusted-sample ATE reaches delta / 2 (ties to M1)."""
     result = ps_pipeline(data, delta, rng, epsilon)
     return ate_decision(result.ate, delta)
+
+
+def ps_decide_drawn(
+    params: PsParams,
+    count: int,
+    delta: float,
+    rng: RngStream | np.random.Generator,
+    epsilon: float,
+) -> Decision:
+    """``ps_decide`` on ``count`` records drawn from ``params``, drawing
+    only what the pipeline reads.
+
+    The N1 fitting slice is drawn as cell tallies (``draw_cells``), the
+    N2 slice as records, then rejection sampling uses the same stream.
+    Records beyond N1 + N2 would never be read, so they are not drawn.
+    """
+    gen = as_generator(rng)
+    sizes = _pipeline_sizes(count, delta, epsilon, params.n_covariates)
+    cells = draw_cells(params, sizes.n1, gen)
+    tail = generate_obs(params, sizes.n2, gen)
+    return ate_decision(_pipeline_from_cells(cells, tail, sizes, gen).ate, delta)
 
 
 def lemma1_bound(epsilon: float, gamma: float, delta_marginal: float, m: float) -> float:

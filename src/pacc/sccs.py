@@ -35,7 +35,9 @@ __all__ = [
     "SccsParams",
     "PatientTimeline",
     "SccsDataset",
+    "SccsCounts",
     "generate_sccs",
+    "draw_sccs_counts",
     "sccs_loglik",
     "sccs_mle_closed",
     "sccs_mle_numeric",
@@ -317,12 +319,37 @@ class SccsDataset:
         design = SccsDesign.from_dict(d["design"])
         patients = [
             PatientTimeline(
-                exposure_start=int(p["exposure_start"]),
-                event_days=np.asarray(p["event_days"], dtype=np.int64),
+                exposure_start=int(
+                    _whole_days(p["exposure_start"], 0, f"patient {i} exposure_start")
+                ),
+                event_days=_whole_days(p["event_days"], 1, f"patient {i} event_days"),
             )
-            for p in d["patients"]
+            for i, p in enumerate(d["patients"])
         ]
         return cls.from_patients(design, patients)
+
+
+def _whole_days(value, ndim: int, where: str) -> np.ndarray:
+    """``value`` as an ``ndim``-dimensional int64 array of day numbers;
+    fractional, non-finite or non-numeric values raise instead of being
+    truncated."""
+    days = np.asarray(value)
+    whole = days.dtype.kind in "iu" or (
+        days.dtype.kind == "f" and bool(np.all(np.isfinite(days) & (days == np.round(days))))
+    )
+    if not whole or days.ndim != ndim:
+        raise InvalidArgumentError(f"{where} must hold whole day numbers")
+    return days.astype(np.int64)
+
+
+@dataclass(frozen=True)
+class SccsCounts:
+    """Sufficient statistics of a case series for the closed-form estimator:
+    the design and the exposed (``nu1``) and unexposed (``nu2``) event totals."""
+
+    design: SccsDesign
+    nu1: int
+    nu2: int
 
 
 def _count_exposed(event_days: np.ndarray, starts_per_event: np.ndarray, design: SccsDesign) -> int:
@@ -411,6 +438,46 @@ def generate_sccs(
     )
 
 
+def draw_sccs_counts(
+    design: SccsDesign,
+    params: SccsParams,
+    cases: int,
+    rng: RngStream | np.random.Generator,
+    max_attempts_per_case: int = 1_000_000,
+) -> SccsCounts:
+    """Draw the event totals of a ``cases``-patient case series directly.
+
+    Same law as summing ``generate_sccs`` output: a patient's exposed and
+    unexposed event counts are Binomial(exposure_days, exp(phi + beta))
+    and Binomial(control_days, exp(phi)) given its phi, whatever the
+    exposure start. Zero-event patients are redrawn under the same
+    ``cases * max_attempts_per_case`` budget, and GenerationFailureError
+    is raised when it runs out.
+    """
+    if cases < 1:
+        raise InvalidArgumentError("cases must be at least 1")
+    gen = as_generator(rng)
+    attempts = 0
+    budget = cases * max_attempts_per_case
+    accepted = nu1 = nu2 = 0
+    while accepted < cases:
+        batch = min(cases - accepted, budget - attempts)
+        if batch <= 0:
+            raise GenerationFailureError(
+                f"accepted only {accepted}/{cases} case series after "
+                f"{attempts} attempts; baseline rate too small"
+            )
+        attempts += batch
+        phi = params.phi_law.sample(gen, batch)
+        exposed = gen.binomial(design.exposure_days, np.exp(phi + params.beta))
+        control = gen.binomial(design.control_days, np.exp(phi))
+        keep = (exposed + control) > 0
+        nu1 += int(exposed[keep].sum())
+        nu2 += int(control[keep].sum())
+        accepted += int(np.count_nonzero(keep))
+    return SccsCounts(design, nu1, nu2)
+
+
 def sccs_loglik(dataset: SccsDataset, beta: float) -> float:
     """Conditional log-likelihood of the observed event placement at ``beta``.
 
@@ -444,13 +511,14 @@ def sccs_loglik(dataset: SccsDataset, beta: float) -> float:
     return ll
 
 
-def sccs_mle_closed(dataset: SccsDataset) -> float:
+def sccs_mle_closed(dataset: SccsDataset | SccsCounts) -> float:
     """Closed-form maximum-likelihood estimate of the log relative incidence.
 
     Equals log(nu1 / exposure_days) - log(nu2 / control_days). With events
     in only one period the estimate is a signed-infinity sentinel (+inf if
     all events are exposed, -inf if none are), which the decision rule
-    consumes directly.
+    consumes directly. Only ``design``, ``nu1`` and ``nu2`` are read, so
+    the totals ``draw_sccs_counts`` returns serve as well as a case series.
     """
     nu1, nu2 = dataset.nu1, dataset.nu2
     if nu1 == 0 and nu2 == 0:
@@ -504,7 +572,7 @@ def sccs_sample_size(epsilon: float, delta: float, lambda_floor: float) -> int:
     return math.ceil(bound)
 
 
-def sccs_decide(dataset: SccsDataset, delta: float) -> Decision:
+def sccs_decide(dataset: SccsDataset | SccsCounts, delta: float) -> Decision:
     """Choose M1 when the estimated log relative incidence reaches log(delta)/2.
 
     Ties at the threshold go to M1; the infinity sentinels decide in the

@@ -6,6 +6,7 @@ import pytest
 
 from pacc.cli import main
 from pacc.core import split_stream
+from pacc.iv2sls import IvParams, generate_iv, iv_decide
 from pacc.propensity import ObsDataset, generate_obs, ps_decide, PsParams
 from pacc.sccs import PointLaw
 
@@ -247,6 +248,55 @@ class TestEstimateDecide:
         })
         code, _, _ = run_cli(capsys, "estimate", "--config", cfg)
         assert code == 3
+
+
+    def test_iv_file_chain_reproduces_in_process_statistic(self, capsys, tmp_path):
+        generator = {"alpha": 1.0, "beta": 0.5, "conf_z": 1.0, "conf_y": 1.0,
+                     "noise_z_sd": 1.0, "noise_y_sd": 1.0}
+        gen_cfg = write_json(tmp_path / "gen.json", {
+            "method": "iv2sls", "count": 1280, "master_seed": 7, "generator": generator,
+        })
+        data_path = tmp_path / "iv.csv"
+        code, _, _ = run_cli(capsys, "generate", "--config", gen_cfg, "--out", str(data_path))
+        assert code == 0
+        cfg = write_json(tmp_path / "dec.json", {
+            "method": "iv2sls", "input": str(data_path), "delta": 0.5,
+        })
+        code, out, _ = run_cli(capsys, "decide", "--config", cfg)
+        assert code == 0
+        data = generate_iv(IvParams.from_dict(generator), 1280, split_stream(7, 0))
+        expected = iv_decide(data, 0.5).statistic
+        assert float(json.loads(out)["decision"]["statistic"]).hex() == expected.hex()
+
+    @pytest.mark.parametrize("method, name, text", [
+        ("propensity", "obs.csv", "x0,z,y\n2,1,0\n0,0,1\n"),
+        ("propensity", "obs.csv", "x0,z,y\n256,1,0\n0,0,1\n"),
+        ("propensity", "obs.json", '[{"x": [0], "z": 1, "y": 0.5}]'),
+        ("iv2sls", "iv.csv", "d,z,y\n1,1,nan\n-1,0,0\n"),
+        ("iv2sls", "iv.csv", "d,z,y\n1,inf,1\n-1,0,0\n"),
+        ("sccs", "cases.json", json.dumps({
+            "design": {"total_days": 250, "exposure_days": 21},
+            "patients": [{"exposure_start": 121, "event_days": [2.7]}],
+        })),
+        ("sccs", "cases.json", json.dumps({
+            "design": {"total_days": 250, "exposure_days": 21},
+            "patients": [{"exposure_start": 121.5, "event_days": [2]}],
+        })),
+        ("sccs", "cases.json", json.dumps({
+            "design": {"total_days": 250, "exposure_days": 21}, "patients": 5,
+        })),
+    ])
+    def test_invalid_data_values_exit_3(self, capsys, tmp_path, method, name, text):
+        data = tmp_path / name
+        data.write_text(text)
+        cfg = write_json(tmp_path / "dec.json", {
+            "method": method, "input": str(data), "epsilon": 0.2, "master_seed": 1,
+            "delta": 2.0 if method == "sccs" else 0.5,
+        })
+        code, out, err = run_cli(capsys, "decide", "--config", cfg)
+        assert code == 3
+        assert out == ""
+        assert "cannot parse input" in json.loads(err)["message"]
 
 
 class TestVerify:

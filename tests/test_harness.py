@@ -206,13 +206,24 @@ class TestVerify:
         def exploding_generate(*args, **kwargs):
             raise GenerationFailureError("retry budget exhausted")
 
-        monkeypatch.setattr(harness_mod, "generate_sccs", exploding_generate)
+        monkeypatch.setattr(harness_mod, "draw_sccs_counts", exploding_generate)
         report = verify(sccs_spec(trials=3))
         assert report.errors == 3
         assert all(not t.correct for t in report.per_trial)
         assert all(t.decision is None for t in report.per_trial)
         assert all("GenerationFailureError" in t.failure for t in report.per_trial)
         assert all(math.isnan(t.statistic) for t in report.per_trial)
+
+
+    def test_workers_clamped_to_trials_and_cpus(self, monkeypatch):
+        import pacc.harness as harness_mod
+
+        monkeypatch.setattr(harness_mod.os, "cpu_count", lambda: 4)
+        assert harness_mod._clamp_workers(1000, 50) == 4
+        assert harness_mod._clamp_workers(8, 3) == 3
+        assert harness_mod._clamp_workers(2, 50) == 2
+        monkeypatch.setattr(harness_mod.os, "cpu_count", lambda: None)
+        assert harness_mod._clamp_workers(8, 50) == 1
 
 
 class TestSweep:

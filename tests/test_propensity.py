@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import ks_2samp
 
 from pacc.core import (
     DegenerateFitError,
@@ -17,15 +18,20 @@ from pacc.propensity import (
     PropensityModel,
     PsParams,
     ate,
+    _fit_cells,
+    _sigmoid,
     config_probabilities,
+    draw_cells,
     fit_logistic,
     generate_obs,
     l1_propensity_error,
     lemma1_bound,
     ps_decide,
+    ps_decide_drawn,
     ps_pipeline,
     ps_sample_sizes,
     rejection_sample,
+    tally_cells,
 )
 
 
@@ -131,6 +137,74 @@ class TestFitLogistic:
         records = [ObsRecord(x=(1, 0), z=1, y=0), ObsRecord(x=(0, 1), z=0, y=1)] * 30
         model = fit_logistic(records)
         assert len(model.weights) == 2
+
+
+def per_record_newton(ds, max_iters=200, tol=1e-8):
+    """Reference fit: the Newton iteration run on every record."""
+    z = ds.z.astype(np.float64)
+    design = np.column_stack([ds.x.astype(np.float64), np.ones(len(ds))])
+    coefs = np.zeros(design.shape[1])
+    for _ in range(max_iters):
+        p = _sigmoid(design @ coefs)
+        score = design.T @ (z - p) / len(ds)
+        if np.max(np.abs(score)) < tol:
+            break
+        hess = design.T @ (design * (p * (1.0 - p))[:, None]) / len(ds)
+        hess[np.diag_indices_from(hess)] += 1e-12
+        coefs = coefs + np.linalg.solve(hess, score)
+    return coefs
+
+
+class TestGroupedFit:
+    @pytest.mark.parametrize(
+        "params, count, seed",
+        [(confounded_params(), 50_000, 18), (flat_params(n=3), 2_000, 19),
+         (confounded_params(n=1), 300, 20)],
+    )
+    def test_matches_per_record_newton(self, params, count, seed):
+        data = generate_obs(params, count, split_stream(seed, 0))
+        model = fit_logistic(data)
+        fitted = np.array(model.weights + (model.bias,))
+        assert np.max(np.abs(fitted - per_record_newton(data))) <= 1e-10
+
+    def test_tally_counts_every_record(self):
+        data = generate_obs(confounded_params(n=3), 1_000, split_stream(21, 0))
+        cells = tally_cells(data)
+        assert cells.totals.sum() == 1_000 and cells.treated.sum() == data.z.sum()
+        for config, total, treated in zip(cells.configs, cells.totals, cells.treated):
+            rows = np.all(data.x == config, axis=1)
+            assert total == rows.sum() and treated == data.z[rows].sum()
+
+
+class TestCellDraw:
+    def test_cells_and_coefficients_match_record_level_law(self):
+        # Two-sample tests over 300 streams each: drawn cell tallies vs
+        # tallies of generated records, per cell, and the fits on them.
+        params = confounded_params(n=3)
+        tallied, drawn, fit_tallied, fit_drawn = [], [], [], []
+        for i in range(300):
+            data = generate_obs(params, 2_000, split_stream(33, i))
+            cells = tally_cells(data)
+            tallied.append(np.concatenate([cells.totals, cells.treated]))
+            model = fit_logistic(data)
+            fit_tallied.append(model.weights + (model.bias,))
+            cells = draw_cells(params, 2_000, split_stream(34, i))
+            drawn.append(np.concatenate([cells.totals, cells.treated]))
+            model = _fit_cells(cells)
+            fit_drawn.append(model.weights + (model.bias,))
+        for a, b in ((tallied, drawn), (fit_tallied, fit_drawn)):
+            a, b = np.array(a, dtype=np.float64), np.array(b, dtype=np.float64)
+            for column in range(a.shape[1]):
+                assert ks_2samp(a[:, column], b[:, column]).pvalue >= 1e-3
+
+    def test_beyond_enumeration_limit_tallies_records(self):
+        cells = draw_cells(flat_params(n=21), 50, split_stream(35, 0))
+        assert cells.totals.sum() == 50 and cells.configs.shape[1] == 21
+
+    def test_drawn_pipeline_needs_n1_plus_n2(self):
+        total = ps_sample_sizes(0.2, 0.8, 5).total
+        with pytest.raises(InvalidArgumentError):
+            ps_decide_drawn(flat_params(), total - 1, 0.8, split_stream(36, 0), 0.2)
 
 
 class TestL1Error:
@@ -453,6 +527,21 @@ class TestSerialization:
     def test_model_round_trip(self):
         model = PropensityModel(weights=(0.25, -0.5), bias=0.125)
         assert PropensityModel.from_dict(model.to_dict()) == model
+
+    @pytest.mark.parametrize("column", ["x", "z", "y"])
+    def test_values_other_than_zero_one_rejected(self, column):
+        arrays = {
+            "x": np.array([[1, 0]]),
+            "z": np.array([1]),
+            "y": np.array([1]),
+        }
+        arrays[column] = arrays[column] * 2
+        with pytest.raises(InvalidArgumentError, match=column):
+            ObsDataset(arrays["x"], arrays["z"], arrays["y"])
+
+    def test_csv_out_of_range_value_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            ObsDataset.from_csv("x0,z,y\n256,1,0\n0,0,1\n")
 
     def test_record_view(self):
         data = ObsDataset(

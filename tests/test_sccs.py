@@ -3,15 +3,18 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import ks_2samp
 
 from pacc.core import GenerationFailureError, InvalidArgumentError, ModelChoice, split_stream
 from pacc.sccs import (
     PatientTimeline,
     PointLaw,
+    SccsCounts,
     SccsDataset,
     SccsDesign,
     SccsParams,
     TwoPointLaw,
+    draw_sccs_counts,
     generate_sccs,
     law_from_dict,
     sccs_decide,
@@ -222,6 +225,40 @@ class TestGeneration:
         ds = generate_sccs(DESIGN, params, 300, split_stream(16, 0))
         starts = [pt.exposure_start for pt in ds]
         assert min(starts) >= 1 and max(starts) <= DESIGN.max_start
+
+
+class TestCountDraw:
+    # Low baselines make about 30% of draws event-free, so the redraw
+    # conditioning shapes the law being compared.
+    LAWS = {
+        "point": PointLaw(math.log(0.005)),
+        "two_point": TwoPointLaw(math.log(0.005), math.log(0.1)),
+    }
+
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    @pytest.mark.parametrize("beta", [0.0, math.log(2.0)])
+    def test_totals_match_record_level_law(self, law, beta):
+        params = SccsParams(phi_law=self.LAWS[law], beta=beta, lambda_floor=0.005)
+        records, counts = [], []
+        for i in range(300):
+            ds = generate_sccs(DESIGN, params, 100, split_stream(31, i))
+            records.append((ds.nu1, ds.nu2))
+            drawn = draw_sccs_counts(DESIGN, params, 100, split_stream(32, i))
+            counts.append((drawn.nu1, drawn.nu2))
+        records, counts = np.array(records), np.array(counts)
+        for column in (0, 1):
+            assert ks_2samp(records[:, column], counts[:, column]).pvalue >= 1e-3
+
+    def test_budget_exhaustion_raises(self):
+        params = SccsParams(phi_law=PointLaw(-30.0), beta=0.0, lambda_floor=1e-14)
+        with pytest.raises(GenerationFailureError):
+            draw_sccs_counts(DESIGN, params, 3, split_stream(15, 0), max_attempts_per_case=50)
+
+    def test_decision_reads_only_the_totals(self):
+        ds = random_dataset(22)
+        counts = SccsCounts(ds.design, ds.nu1, ds.nu2)
+        assert sccs_mle_closed(counts) == sccs_mle_closed(ds)
+        assert sccs_decide(counts, 2.0) == sccs_decide(ds, 2.0)
 
 
 class TestSampleSize:

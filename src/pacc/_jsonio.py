@@ -24,8 +24,6 @@ def format_float(value: float) -> str:
 
 
 def float_from_json(value: Any) -> float:
-    if isinstance(value, str):
-        return float(value)
     return float(value)
 
 

@@ -23,40 +23,19 @@ import sys
 from pathlib import Path
 
 from pacc import _jsonio
-from pacc.core import InvalidArgumentError, PaccError, split_stream
+from pacc.core import InvalidArgumentError, Method, PaccError, split_stream
 from pacc.harness import (
-    AUTO,
+    METHODS,
+    MethodSpec,
     TrialSpec,
     adversarial_sweep,
     generator_params_from_dict,
     verify,
     write_report,
 )
-from pacc.iv2sls import (
-    IvDataset,
-    IvParams,
-    generate_iv,
-    iv_decide,
-    iv_sample_size,
-    two_sls,
-)
-from pacc.propensity import (
-    ObsDataset,
-    PsParams,
-    generate_obs,
-    ps_decide,
-    ps_pipeline,
-    ps_sample_sizes,
-)
-from pacc.sccs import (
-    SccsDataset,
-    SccsDesign,
-    SccsParams,
-    generate_sccs,
-    sccs_decide,
-    sccs_mle_closed,
-    sccs_sample_size,
-)
+from pacc.iv2sls import iv_sample_size
+from pacc.propensity import ps_sample_sizes
+from pacc.sccs import sccs_sample_size
 
 GENERATE_STREAM_ID = 0
 DECIDE_STREAM_ID = 1
@@ -183,60 +162,41 @@ def cmd_samplesize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _generator_objects(method: str, config: dict):
-    block = config.get("generator")
-    if not isinstance(block, dict):
-        raise CliError(_EXIT_USAGE, "config needs a 'generator' object")
-    if method == "sccs":
-        design = _build(lambda: SccsDesign.from_dict(block["design"]), "design")
-        params = _build(lambda: SccsParams.from_dict(block["params"]), "generator params")
-        return design, params
-    if method == "propensity":
-        return _build(lambda: PsParams.from_dict(block), "generator params")
-    return _build(lambda: IvParams.from_dict(block), "generator params")
+def _method(config: dict) -> tuple[str, MethodSpec]:
+    name = _config_value(config, "method", str)
+    try:
+        return name, METHODS[Method(name)]
+    except ValueError:
+        raise CliError(_EXIT_USAGE, f"unknown method {name!r}") from None
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    method = _config_value(config, "method", str)
+    name, method = _method(config)
     count = _config_value(config, "count", int)
     seed = _config_value(config, "master_seed", int)
     if count < 1:
         raise CliError(_EXIT_USAGE, "count must be at least 1")
-    rng = split_stream(seed, GENERATE_STREAM_ID)
-
-    if method == "sccs":
-        design, params = _generator_objects(method, config)
-        if args.format == "csv":
-            raise CliError(_EXIT_USAGE, "case-series datasets serialise to JSON only")
-        dataset = generate_sccs(design, params, count, rng)
-        text = _jsonio.dumps(dataset.to_dict())
-    elif method == "propensity":
-        params = _generator_objects(method, config)
-        dataset = generate_obs(params, count, rng)
-        text = (
-            _jsonio.dumps(dataset.to_json_obj())
-            if args.format == "json"
-            else dataset.to_csv()
+    block = config.get("generator")
+    if not isinstance(block, dict):
+        raise CliError(_EXIT_USAGE, "config needs a 'generator' object")
+    params = _build(lambda: method.parse_generator(block), "generator params")
+    fmt = args.format or method.formats[0]
+    if fmt not in method.formats:
+        raise CliError(
+            _EXIT_USAGE, f"{name} datasets serialise to {method.formats[0].upper()} only"
         )
-    elif method == "iv2sls":
-        params = _generator_objects(method, config)
-        if args.format == "json":
-            raise CliError(_EXIT_USAGE, "instrument datasets serialise to CSV only")
-        dataset = generate_iv(params, count, rng)
-        text = dataset.to_csv(include_hidden=args.include_hidden)
-    else:
-        raise CliError(_EXIT_USAGE, f"unknown method {method!r}")
-
+    dataset = method.generate(params, count, split_stream(seed, GENERATE_STREAM_ID))
+    text = method.write(dataset, fmt, args.include_hidden)
     if args.out:
         Path(args.out).write_text(text)
-        _emit({"method": method, "count": count, "written": args.out})
+        _emit({"method": name, "count": count, "written": args.out})
     else:
         sys.stdout.write(text)
     return 0
 
 
-def _read_dataset(method: str, config: dict):
+def _read_dataset(method: MethodSpec, config: dict):
     path = _config_value(config, "input", str)
     try:
         text = Path(path).read_text()
@@ -244,48 +204,27 @@ def _read_dataset(method: str, config: dict):
         raise CliError(_EXIT_RUNTIME, f"cannot read input {path}: {exc}") from exc
     fmt = config.get("input_format") or ("json" if path.endswith(".json") else "csv")
     try:
-        if method == "sccs":
-            return SccsDataset.from_dict(json.loads(text))
-        if method == "propensity":
-            if fmt == "json":
-                return ObsDataset.from_json_obj(json.loads(text))
-            return ObsDataset.from_csv(text)
-        return IvDataset.from_csv(text)
+        return method.read(text, fmt)
     except (json.JSONDecodeError, PaccError, KeyError, TypeError, ValueError) as exc:
         raise CliError(_EXIT_RUNTIME, f"cannot parse input {path}: {exc}") from exc
 
 
-def _estimate_payload(args: argparse.Namespace, config: dict, method: str) -> dict:
-    dataset = _read_dataset(method, config)
-    if method == "sccs":
-        return {
-            "method": "sccs",
-            "estimator": "closed_form",
-            "statistic": sccs_mle_closed(dataset),
-            "nu1": dataset.nu1,
-            "nu2": dataset.nu2,
-        }
-    if method == "iv2sls":
-        est = two_sls(dataset)
-        return {"method": "iv2sls", "statistic": est.beta_hat, **est.to_dict()}
-    delta = _config_value(config, "delta", float)
-    epsilon = _config_value(config, "epsilon", float)
-    seed = _config_value(config, "master_seed", int)
-    rng = split_stream(seed, DECIDE_STREAM_ID)
-    result = ps_pipeline(dataset, delta, rng, epsilon)
-    return {
-        "method": "propensity",
-        "statistic": result.ate,
-        "survivors": result.survivors,
-        "sizes": result.sizes.to_dict(),
-        "model": result.model.to_dict(),
-    }
+def _dataset_task(method: MethodSpec, config: dict, needs_delta: bool) -> tuple:
+    """(dataset, delta, epsilon, decide stream) for ``estimate``/``decide``;
+    config fields the method's rule does not read are None."""
+    delta = epsilon = rng = None
+    if needs_delta or method.decide_stream:
+        delta = _config_value(config, "delta", float)
+    if method.decide_stream:
+        epsilon = _config_value(config, "epsilon", float)
+        rng = split_stream(_config_value(config, "master_seed", int), DECIDE_STREAM_ID)
+    return _read_dataset(method, config), delta, epsilon, rng
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    method = _config_value(config, "method", str)
-    payload = _estimate_payload(args, config, method)
+    _, method = _method(config)
+    payload = method.estimate(*_dataset_task(method, config, needs_delta=False))
     _emit(payload)
     if args.out:
         Path(args.out).write_text(_jsonio.dumps(payload))
@@ -294,21 +233,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 def cmd_decide(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    method = _config_value(config, "method", str)
-    delta = _config_value(config, "delta", float)
-    dataset = _read_dataset(method, config)
-    if method == "sccs":
-        decision = sccs_decide(dataset, delta)
-    elif method == "iv2sls":
-        decision = iv_decide(dataset, delta)
-    elif method == "propensity":
-        epsilon = _config_value(config, "epsilon", float)
-        seed = _config_value(config, "master_seed", int)
-        rng = split_stream(seed, DECIDE_STREAM_ID)
-        decision = ps_decide(dataset, delta, rng, epsilon)
-    else:
-        raise CliError(_EXIT_USAGE, f"unknown method {method!r}")
-    payload = {"method": method, "decision": decision.to_dict()}
+    name, method = _method(config)
+    decision = method.decide(*_dataset_task(method, config, needs_delta=True))
+    payload = {"method": name, "decision": decision.to_dict()}
     _emit(payload)
     if args.out:
         Path(args.out).write_text(_jsonio.dumps(payload))

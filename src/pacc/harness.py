@@ -18,11 +18,14 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Any, Callable, Sequence, Union
+
+import numpy as np
 
 from pacc import _jsonio
 from pacc.core import (
     ConceptSpec,
+    Decision,
     DegenerateFitError,
     GenerationFailureError,
     InvalidArgumentError,
@@ -30,26 +33,48 @@ from pacc.core import (
     ModelChoice,
     PaccError,
     PipelineFailureError,
+    RngStream,
     UndefinedAteError,
     WeakInstrumentError,
     rate_upper_bound,
     split_stream,
 )
-from pacc.iv2sls import IvParams, generate_iv, iv_analytic_variances, iv_decide, iv_sample_size
-from pacc.propensity import PsParams, ps_decide_drawn, ps_sample_sizes
+from pacc.iv2sls import (
+    IvDataset,
+    IvParams,
+    generate_iv,
+    iv_analytic_variances,
+    iv_decide,
+    iv_sample_size,
+    two_sls,
+)
+from pacc.propensity import (
+    ObsDataset,
+    PsParams,
+    generate_obs,
+    ps_decide,
+    ps_decide_drawn,
+    ps_pipeline,
+    ps_sample_sizes,
+)
 from pacc.sccs import (
     PointLaw,
+    SccsDataset,
     SccsDesign,
     SccsParams,
     TwoPointLaw,
     draw_sccs_counts,
+    generate_sccs,
     law_from_dict,
     sccs_decide,
+    sccs_mle_closed,
     sccs_sample_size,
 )
 
 __all__ = [
     "AUTO",
+    "METHODS",
+    "MethodSpec",
     "SccsScenario",
     "GeneratorParams",
     "TrialSpec",
@@ -112,28 +137,196 @@ class SccsScenario:
 GeneratorParams = Union[SccsScenario, PsParams, IvParams]
 
 
-def generator_params_from_dict(method: Method, d: dict) -> GeneratorParams:
-    """Parse a generator block for ``method``; the effect field must be absent."""
-    if method is Method.SCCS:
-        if "beta" in d:
-            raise InvalidArgumentError(
-                "the SCCS effect is derived from truth and concept delta; "
-                "remove 'beta' from the generator block"
-            )
-        return SccsScenario.from_dict(d)
-    if method is Method.PROPENSITY:
-        if d.get("effect", 0.0) != 0.0:
-            raise InvalidArgumentError(
-                "the treatment effect is derived from truth and concept delta; "
-                "remove 'effect' from the generator block"
-            )
-        return PsParams.from_dict({**d, "effect": 0.0})
-    if d.get("beta", 0.0) != 0.0:
+def _sccs_scenario(d: dict) -> SccsScenario:
+    if "beta" in d:
         raise InvalidArgumentError(
-            "the treatment effect is derived from truth and concept delta; "
+            "the SCCS effect is derived from truth and concept delta; "
             "remove 'beta' from the generator block"
         )
-    return IvParams.from_dict({**d, "beta": 0.0})
+    return SccsScenario.from_dict(d)
+
+
+def _effect_free(parse: Callable[[dict], GeneratorParams], field: str):
+    """Parser of a generator block whose effect ``field`` is absent or zero."""
+
+    def parse_effect_free(d: dict) -> GeneratorParams:
+        if d.get(field, 0.0) != 0.0:
+            raise InvalidArgumentError(
+                "the treatment effect is derived from truth and concept delta; "
+                f"remove {field!r} from the generator block"
+            )
+        return parse({**d, field: 0.0})
+
+    return parse_effect_free
+
+
+def _sccs_truth(scenario: SccsScenario, delta: float, is_m1: bool) -> SccsParams:
+    return SccsParams(
+        phi_law=scenario.phi_law,
+        beta=math.log(delta) if is_m1 else 0.0,
+        lambda_floor=scenario.lambda_floor,
+    )
+
+
+def _iv_auto_size(spec: TrialSpec) -> int:
+    """The IV bound at the analytic variances of the worse of the two truths."""
+    sizes = []
+    for truth in (ModelChoice.M1, ModelChoice.M2):
+        params = params_for_truth(replace(spec, truth=truth))
+        sigma_dy2, sigma_dz2 = iv_analytic_variances(params)
+        if sigma_dy2 <= 0.0 or sigma_dz2 <= 0.0:
+            raise InvalidArgumentError(
+                "noiseless generators have degenerate analytic variances; "
+                "set sample_size explicitly"
+            )
+        sizes.append(
+            iv_sample_size(
+                spec.epsilon, spec.concept.delta, sigma_dy2, sigma_dz2, params.alpha, 1.0
+            )
+        )
+    return max(sizes)
+
+
+def _sccs_generator(block: dict) -> tuple[SccsDesign, SccsParams]:
+    return SccsDesign.from_dict(block["design"]), SccsParams.from_dict(block["params"])
+
+
+def _ps_estimate(
+    data: ObsDataset, delta: float, epsilon: float, rng: RngStream
+) -> dict:
+    result = ps_pipeline(data, delta, rng, epsilon)
+    return {
+        "method": "propensity",
+        "statistic": result.ate,
+        "survivors": result.survivors,
+        "sizes": result.sizes.to_dict(),
+        "model": result.model.to_dict(),
+    }
+
+
+def _iv_estimate(data: IvDataset, delta, epsilon, rng) -> dict:
+    est = two_sls(data)
+    return {"method": "iv2sls", "statistic": est.beta_hat, **est.to_dict()}
+
+
+@dataclass(frozen=True)
+class MethodSpec:
+    """The parts of one procedure that ``verify`` and the CLI dispatch on.
+
+    Each procedure is a model pair that differs in one effect, a
+    sample-size bound, a generator and a decision rule. Entries reach
+    layer functions through module globals, so a function rebound at run
+    time (a profiler's wrapper, a test's stub) is the one called.
+    """
+
+    # The effect-free generator block of verify/sweep: its type, the name
+    # of its effect field (None when it has none) and its parser.
+    params_type: type
+    effect_field: str | None
+    parse_params: Callable[[dict], GeneratorParams]
+    # (effect-free params, delta, truth is M1) -> generation parameters.
+    truth_params: Callable[[GeneratorParams, float, bool], Any]
+    # The sample-size bound that AUTO resolves to.
+    auto_size: Callable[[TrialSpec], int]
+    # One trial: (spec, truth params, sample size, generator) -> decision.
+    trial: Callable[[TrialSpec, Any, int, np.random.Generator], Decision]
+    # `generate`: its generator block, effect included, and the draw.
+    parse_generator: Callable[[dict], Any]
+    generate: Callable[[Any, int, RngStream], Any]
+    # Dataset files: formats (the default first), write(dataset, format,
+    # include_hidden) and read(text, format).
+    formats: tuple[str, ...]
+    write: Callable[[Any, str, bool], str]
+    read: Callable[[str, str], Any]
+    # `estimate` and `decide` on a dataset: (dataset, delta, epsilon,
+    # decide stream); epsilon and the stream are None unless decide_stream.
+    decide_stream: bool
+    estimate: Callable[[Any, float | None, float | None, RngStream | None], dict]
+    decide: Callable[[Any, float, float | None, RngStream | None], Decision]
+
+
+METHODS: dict[Method, MethodSpec] = {
+    Method.SCCS: MethodSpec(
+        params_type=SccsScenario,
+        effect_field=None,
+        parse_params=_sccs_scenario,
+        truth_params=_sccs_truth,
+        auto_size=lambda spec: sccs_sample_size(
+            spec.epsilon, spec.concept.delta, spec.generator_params.lambda_floor
+        ),
+        trial=lambda spec, params, size, gen: sccs_decide(
+            draw_sccs_counts(spec.generator_params.design, params, size, gen),
+            spec.concept.delta,
+        ),
+        parse_generator=_sccs_generator,
+        generate=lambda design_params, count, rng: generate_sccs(*design_params, count, rng),
+        formats=("json",),
+        write=lambda data, fmt, hidden: _jsonio.dumps(data.to_dict()),
+        read=lambda text, fmt: SccsDataset.from_dict(json.loads(text)),
+        decide_stream=False,
+        estimate=lambda data, delta, epsilon, rng: {
+            "method": "sccs",
+            "estimator": "closed_form",
+            "statistic": sccs_mle_closed(data),
+            "nu1": data.nu1,
+            "nu2": data.nu2,
+        },
+        decide=lambda data, delta, epsilon, rng: sccs_decide(data, delta),
+    ),
+    Method.PROPENSITY: MethodSpec(
+        params_type=PsParams,
+        effect_field="effect",
+        parse_params=_effect_free(PsParams.from_dict, "effect"),
+        truth_params=lambda params, delta, is_m1: replace(
+            params, effect=delta if is_m1 else 0.0
+        ),
+        auto_size=lambda spec: ps_sample_sizes(
+            spec.epsilon, spec.concept.delta, spec.generator_params.n_covariates
+        ).total,
+        trial=lambda spec, params, size, gen: ps_decide_drawn(
+            params, size, spec.concept.delta, gen, epsilon=spec.epsilon
+        ),
+        parse_generator=PsParams.from_dict,
+        generate=lambda params, count, rng: generate_obs(params, count, rng),
+        formats=("csv", "json"),
+        write=lambda data, fmt, hidden: (
+            _jsonio.dumps(data.to_json_obj()) if fmt == "json" else data.to_csv()
+        ),
+        read=lambda text, fmt: (
+            ObsDataset.from_json_obj(json.loads(text))
+            if fmt == "json"
+            else ObsDataset.from_csv(text)
+        ),
+        decide_stream=True,
+        estimate=_ps_estimate,
+        decide=lambda data, delta, epsilon, rng: ps_decide(data, delta, rng, epsilon),
+    ),
+    Method.IV2SLS: MethodSpec(
+        params_type=IvParams,
+        effect_field="beta",
+        parse_params=_effect_free(IvParams.from_dict, "beta"),
+        truth_params=lambda params, delta, is_m1: replace(
+            params, beta=delta if is_m1 else 0.0
+        ),
+        auto_size=_iv_auto_size,
+        trial=lambda spec, params, size, gen: iv_decide(
+            generate_iv(params, size, gen), spec.concept.delta
+        ),
+        parse_generator=IvParams.from_dict,
+        generate=lambda params, count, rng: generate_iv(params, count, rng),
+        formats=("csv",),
+        write=lambda data, fmt, hidden: data.to_csv(include_hidden=hidden),
+        read=lambda text, fmt: IvDataset.from_csv(text),
+        decide_stream=False,
+        estimate=_iv_estimate,
+        decide=lambda data, delta, epsilon, rng: iv_decide(data, delta),
+    ),
+}
+
+
+def generator_params_from_dict(method: Method, d: dict) -> GeneratorParams:
+    """Parse a generator block for ``method``; the effect field must be absent."""
+    return METHODS[method].parse_params(d)
 
 
 @dataclass(frozen=True)
@@ -161,25 +354,17 @@ class TrialSpec:
             raise InvalidArgumentError(
                 f"concept is for {self.concept.method.value}, spec runs {self.method.value}"
             )
-        expected = {
-            Method.SCCS: SccsScenario,
-            Method.PROPENSITY: PsParams,
-            Method.IV2SLS: IvParams,
-        }[self.method]
-        if not isinstance(self.generator_params, expected):
+        entry = METHODS[self.method]
+        if not isinstance(self.generator_params, entry.params_type):
             raise InvalidArgumentError(
-                f"{self.method.value} needs {expected.__name__} generator params, "
+                f"{self.method.value} needs {entry.params_type.__name__} generator params, "
                 f"got {type(self.generator_params).__name__}"
             )
-        if self.method is Method.PROPENSITY and self.generator_params.effect != 0.0:
+        field = entry.effect_field
+        if field is not None and getattr(self.generator_params, field) != 0.0:
             raise InvalidArgumentError(
                 "generator_params must describe the effect-free pair member "
-                "(effect == 0); the harness applies the concept delta under M1"
-            )
-        if self.method is Method.IV2SLS and self.generator_params.beta != 0.0:
-            raise InvalidArgumentError(
-                "generator_params must describe the effect-free pair member "
-                "(beta == 0); the harness applies the concept delta under M1"
+                f"({field} == 0); the harness applies the concept delta under M1"
             )
         if self.trials < 1:
             raise InvalidArgumentError("trials must be at least 1")
@@ -236,42 +421,16 @@ class TrialSpec:
 
 def params_for_truth(spec: TrialSpec) -> SccsParams | PsParams | IvParams:
     """Generation parameters for the model the trial's truth selects."""
-    delta = spec.concept.delta
-    is_m1 = spec.truth is ModelChoice.M1
-    if spec.method is Method.SCCS:
-        scenario = spec.generator_params
-        return SccsParams(
-            phi_law=scenario.phi_law,
-            beta=math.log(delta) if is_m1 else 0.0,
-            lambda_floor=scenario.lambda_floor,
-        )
-    if spec.method is Method.PROPENSITY:
-        return replace(spec.generator_params, effect=delta if is_m1 else 0.0)
-    return replace(spec.generator_params, beta=delta if is_m1 else 0.0)
+    return METHODS[spec.method].truth_params(
+        spec.generator_params, spec.concept.delta, spec.truth is ModelChoice.M1
+    )
 
 
 def resolve_sample_size(spec: TrialSpec) -> int:
     """The explicit sample size, or the method's sample-size bound under AUTO."""
     if spec.sample_size != AUTO:
         return spec.sample_size
-    delta = spec.concept.delta
-    if spec.method is Method.SCCS:
-        return sccs_sample_size(spec.epsilon, delta, spec.generator_params.lambda_floor)
-    if spec.method is Method.PROPENSITY:
-        return ps_sample_sizes(spec.epsilon, delta, spec.generator_params.n_covariates).total
-    sizes = []
-    for truth in (ModelChoice.M1, ModelChoice.M2):
-        params = params_for_truth(replace(spec, truth=truth))
-        sigma_dy2, sigma_dz2 = iv_analytic_variances(params)
-        if sigma_dy2 <= 0.0 or sigma_dz2 <= 0.0:
-            raise InvalidArgumentError(
-                "noiseless generators have degenerate analytic variances; "
-                "set sample_size explicitly"
-            )
-        sizes.append(
-            iv_sample_size(spec.epsilon, delta, sigma_dy2, sigma_dz2, params.alpha, 1.0)
-        )
-    return max(sizes)
+    return METHODS[spec.method].auto_size(spec)
 
 
 @dataclass(frozen=True)
@@ -320,17 +479,12 @@ def run_trial(spec: TrialSpec, index: int, sample_size: int | None = None) -> Tr
     size = resolve_sample_size(spec) if sample_size is None else sample_size
     stream_id = spec.stream_base + index
     gen = split_stream(spec.master_seed, stream_id).generator()
-    params = params_for_truth(spec)
-    delta = spec.concept.delta
+    entry = METHODS[spec.method]
+    params = entry.truth_params(
+        spec.generator_params, spec.concept.delta, spec.truth is ModelChoice.M1
+    )
     try:
-        if spec.method is Method.SCCS:
-            counts = draw_sccs_counts(spec.generator_params.design, params, size, gen)
-            decision = sccs_decide(counts, delta)
-        elif spec.method is Method.PROPENSITY:
-            decision = ps_decide_drawn(params, size, delta, gen, epsilon=spec.epsilon)
-        else:
-            dataset = generate_iv(params, size, gen)
-            decision = iv_decide(dataset, delta)
+        decision = entry.trial(spec, params, size, gen)
     except _TRIAL_FAILURES as exc:
         return TrialOutcome(
             seed=stream_id,

@@ -12,7 +12,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from pacc.core import (
 
 __all__ = [
     "IvParams",
-    "IvRecord",
     "IvDataset",
     "IvEstimate",
     "generate_iv",
@@ -50,17 +48,12 @@ class IvParams:
     conf_y: float = 0.0
     noise_z_sd: float = 0.0
     noise_y_sd: float = 0.0
-    instrument_law: str = "rademacher"
 
     def __post_init__(self) -> None:
         if self.alpha == 0.0 or not math.isfinite(self.alpha):
             raise InvalidArgumentError("alpha must be nonzero and finite (relevance)")
         if self.noise_z_sd < 0 or self.noise_y_sd < 0:
             raise InvalidArgumentError("noise scales must be nonnegative")
-        if self.instrument_law != "rademacher":
-            raise InvalidArgumentError(
-                f"unsupported instrument_law {self.instrument_law!r}"
-            )
 
     def to_dict(self) -> dict:
         return {
@@ -84,18 +77,8 @@ class IvParams:
         )
 
 
-@dataclass(frozen=True)
-class IvRecord:
-    """One draw; estimators read (d, z, y) only, u_hidden is diagnostic."""
-
-    d: float
-    z: float
-    y: float
-    u_hidden: float = 0.0
-
-
 class IvDataset:
-    """Columnar sequence of IV records."""
+    """IV records as columns; estimators read (d, z, y) only, u_hidden is diagnostic."""
 
     __slots__ = ("d", "z", "y", "u_hidden")
 
@@ -113,31 +96,6 @@ class IvDataset:
 
     def __len__(self) -> int:
         return self.d.size
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return IvDataset(self.d[i], self.z[i], self.y[i], self.u_hidden[i])
-        return IvRecord(
-            d=float(self.d[i]),
-            z=float(self.z[i]),
-            y=float(self.y[i]),
-            u_hidden=float(self.u_hidden[i]),
-        )
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
-    @classmethod
-    def from_records(cls, records: Iterable[IvRecord]) -> "IvDataset":
-        records = list(records)
-        if not records:
-            raise InvalidArgumentError("cannot build a dataset from zero records")
-        return cls(
-            np.array([r.d for r in records]),
-            np.array([r.z for r in records]),
-            np.array([r.y for r in records]),
-            np.array([r.u_hidden for r in records]),
-        )
 
     def to_csv(self, include_hidden: bool = False) -> str:
         buf = io.StringIO()
@@ -161,23 +119,18 @@ class IvDataset:
         if len(rows) < 2:
             raise InvalidArgumentError("CSV must contain a header and at least one record")
         header = rows[0]
-        if header[:3] != ["d", "z", "y"]:
+        if header not in (["d", "z", "y"], ["d", "z", "y", "u_hidden"]):
             raise InvalidArgumentError("expected header d,z,y[,u_hidden]")
-        has_hidden = len(header) > 3 and header[3] == "u_hidden"
+        if any(len(row) != len(header) for row in rows[1:]):
+            raise InvalidArgumentError(f"every CSV record must have {len(header)} values")
         data = np.array([[float(v) for v in row] for row in rows[1:]])
         if not np.all(np.isfinite(data)):
             raise InvalidArgumentError("CSV values must be finite numbers")
         # Contiguous columns: the 2SLS dot products then sum in the same
         # order as on generated data, so decisions match bit for bit.
         columns = np.ascontiguousarray(data.T)
-        u = columns[3] if has_hidden else np.zeros(data.shape[0])
+        u = columns[3] if len(header) == 4 else np.zeros(data.shape[0])
         return cls(columns[0], columns[1], columns[2], u)
-
-
-def as_iv_dataset(data) -> IvDataset:
-    if isinstance(data, IvDataset):
-        return data
-    return IvDataset.from_records(data)
 
 
 @dataclass(frozen=True)
@@ -207,18 +160,17 @@ def generate_iv(
     return IvDataset(d, z, y, u)
 
 
-def two_sls(data) -> IvEstimate:
+def two_sls(data: IvDataset) -> IvEstimate:
     """Just-identified 2SLS: alpha_hat = sum(dz)/sum(d^2), beta_hat = sum(dy)/sum(dz)."""
-    ds = as_iv_dataset(data)
-    sum_dd = float(ds.d @ ds.d)
+    sum_dd = float(data.d @ data.d)
     if sum_dd == 0.0:
         raise InvalidArgumentError("sum of d^2 must be positive")
-    sum_dz = float(ds.d @ ds.z)
+    sum_dz = float(data.d @ data.z)
     if sum_dz == 0.0:
         raise WeakInstrumentError(
             "sum(d * z) is exactly zero; the stage-II ratio is undefined"
         )
-    sum_dy = float(ds.d @ ds.y)
+    sum_dy = float(data.d @ data.y)
     return IvEstimate(alpha_hat=sum_dz / sum_dd, beta_hat=sum_dy / sum_dz)
 
 
@@ -263,7 +215,7 @@ def iv_analytic_variances(params: IvParams) -> tuple[float, float]:
     return sigma_dy2, sigma_dz2
 
 
-def iv_decide(data, delta: float) -> Decision:
+def iv_decide(data: IvDataset, delta: float) -> Decision:
     """Two-sided rule: choose M1 when |beta_hat| strictly exceeds delta / 2."""
     if not 0.0 < delta < 1.0:
         raise InvalidArgumentError(f"delta must lie in (0, 1), got {delta}")
@@ -273,11 +225,10 @@ def iv_decide(data, delta: float) -> Decision:
     return Decision(chosen=chosen, statistic=est.beta_hat, threshold=threshold)
 
 
-def ols_slope(data) -> float:
+def ols_slope(data: IvDataset) -> float:
     """Ordinary least-squares slope of y on z, the naive confounded estimate."""
-    ds = as_iv_dataset(data)
-    z = ds.z - ds.z.mean()
+    z = data.z - data.z.mean()
     denom = float(z @ z)
     if denom == 0.0:
         raise InvalidArgumentError("z has zero variance")
-    return float(z @ (ds.y - ds.y.mean())) / denom
+    return float(z @ (data.y - data.y.mean())) / denom

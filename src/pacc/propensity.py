@@ -14,7 +14,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -31,7 +30,6 @@ from pacc.core import (
 
 __all__ = [
     "PsParams",
-    "ObsRecord",
     "ObsDataset",
     "PropensityModel",
     "PsSampleSizes",
@@ -162,22 +160,12 @@ class PsParams:
         )
 
 
-@dataclass(frozen=True)
-class ObsRecord:
-    """One observational draw: covariates, treatment, outcome (all 0/1)."""
-
-    x: tuple[int, ...]
-    z: int
-    y: int
-
-
 class ObsDataset:
-    """Columnar sequence of observational records.
+    """Observational records as (N, n) covariate, z and y arrays.
 
-    Behaves as a sequence of ObsRecord but stores (N, n) covariate, z and
-    y arrays so that bound-scale batches stay fast to fit and slice. Every
-    value must be 0 or 1: the cell tallies read covariate rows as bit
-    codes.
+    Slicing gives the records of a range, so that bound-scale batches stay
+    fast to fit and split. Every value must be 0 or 1: the cell tallies
+    read covariate rows as bit codes.
     """
 
     __slots__ = ("x", "z", "y")
@@ -202,26 +190,8 @@ class ObsDataset:
     def __len__(self) -> int:
         return self.x.shape[0]
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return ObsDataset(self.x[i], self.z[i], self.y[i])
-        return ObsRecord(
-            x=tuple(int(v) for v in self.x[i]), z=int(self.z[i]), y=int(self.y[i])
-        )
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
-    @classmethod
-    def from_records(cls, records: Iterable[ObsRecord]) -> "ObsDataset":
-        records = list(records)
-        if not records:
-            raise InvalidArgumentError("cannot build a dataset from zero records")
-        return cls(
-            np.array([r.x for r in records]),
-            np.array([r.z for r in records]),
-            np.array([r.y for r in records]),
-        )
+    def __getitem__(self, i: slice) -> "ObsDataset":
+        return ObsDataset(self.x[i], self.z[i], self.y[i])
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -239,6 +209,8 @@ class ObsDataset:
         header = rows[0]
         if len(header) < 3 or header[-2:] != ["z", "y"]:
             raise InvalidArgumentError("expected header x0..x{n-1},z,y")
+        if any(len(row) != len(header) for row in rows[1:]):
+            raise InvalidArgumentError(f"every CSV record must have {len(header)} values")
         data = np.array([[int(v) for v in row] for row in rows[1:]])
         return cls(data[:, :-2], data[:, -2], data[:, -1])
 
@@ -257,12 +229,6 @@ class ObsDataset:
             np.array([r["z"] for r in obj]),
             np.array([r["y"] for r in obj]),
         )
-
-
-def as_obs_dataset(data) -> ObsDataset:
-    if isinstance(data, ObsDataset):
-        return data
-    return ObsDataset.from_records(data)
 
 
 @dataclass(frozen=True)
@@ -357,17 +323,16 @@ class CellCounts:
     treated: np.ndarray
 
 
-def tally_cells(data) -> CellCounts:
+def tally_cells(data: ObsDataset) -> CellCounts:
     """Count records per (covariate configuration, treatment arm) cell."""
-    ds = as_obs_dataset(data)
-    n = ds.n_covariates
+    n = data.n_covariates
     if n <= _ENUM_LIMIT:
         configs = _enumerate_support(n)
-        codes = ds.x @ (1 << np.arange(n, dtype=np.int64))
+        codes = data.x @ (1 << np.arange(n, dtype=np.int64))
     else:
-        configs, codes = np.unique(ds.x, axis=0, return_inverse=True)
+        configs, codes = np.unique(data.x, axis=0, return_inverse=True)
     totals = np.bincount(codes, minlength=configs.shape[0])
-    treated = np.bincount(codes, weights=ds.z, minlength=configs.shape[0])
+    treated = np.bincount(codes, weights=data.z, minlength=configs.shape[0])
     return CellCounts(configs, totals, treated)
 
 
@@ -391,7 +356,7 @@ def draw_cells(
 
 
 def fit_logistic(
-    data, max_iters: int = 200, tol: float = 1e-8
+    data: ObsDataset, max_iters: int = 200, tol: float = 1e-8
 ) -> PropensityModel:
     """Fit P(Z=1 | x) by full-batch Newton ascent on the Bernoulli likelihood.
 
@@ -468,7 +433,7 @@ def l1_propensity_error(model: PropensityModel, params: PsParams) -> float:
 
 
 def rejection_sample(
-    data, model: PropensityModel, rng: RngStream | np.random.Generator
+    data: ObsDataset, model: PropensityModel, rng: RngStream | np.random.Generator
 ) -> ObsDataset:
     """Keep each record with probability min(median(p_arm) / p_arm, 1).
 
@@ -477,31 +442,29 @@ def rejection_sample(
     taken per arm over the input batch. An empty output is a legal
     outcome, reported by length, not an error.
     """
-    ds = as_obs_dataset(data)
     gen = as_generator(rng)
-    p1 = model.predict(ds.x)
-    treated = ds.z == 1
+    p1 = model.predict(data.x)
+    treated = data.z == 1
     p_arm = np.where(treated, p1, 1.0 - p1)
-    accept = np.ones(len(ds))
+    accept = np.ones(len(data))
     for arm_mask in (treated, ~treated):
         if arm_mask.any():
             med = float(np.median(p_arm[arm_mask]))
             accept[arm_mask] = np.minimum(med / p_arm[arm_mask], 1.0)
-    keep = gen.random(len(ds)) < accept
-    return ObsDataset(ds.x[keep], ds.z[keep], ds.y[keep])
+    keep = gen.random(len(data)) < accept
+    return ObsDataset(data.x[keep], data.z[keep], data.y[keep])
 
 
-def ate(data) -> float:
+def ate(data: ObsDataset) -> float:
     """Difference of arm-wise outcome means, E[Y | Z=1] - E[Y | Z=0]."""
-    ds = as_obs_dataset(data)
-    n1 = int(ds.z.sum())
-    n0 = len(ds) - n1
+    n1 = int(data.z.sum())
+    n0 = len(data) - n1
     if n1 == 0 or n0 == 0:
         raise UndefinedAteError(
             f"both arms are required for an ATE (treated={n1}, control={n0})"
         )
-    y1 = int(ds.y[ds.z == 1].sum())
-    y0 = int(ds.y[ds.z == 0].sum())
+    y1 = int(data.y[data.z == 1].sum())
+    y0 = int(data.y[data.z == 0].sum())
     return y1 / n1 - y0 / n0
 
 
@@ -546,7 +509,7 @@ class PsPipelineResult:
 
 
 def ps_pipeline(
-    data, delta: float, rng: RngStream | np.random.Generator, epsilon: float
+    data: ObsDataset, delta: float, rng: RngStream | np.random.Generator, epsilon: float
 ) -> PsPipelineResult:
     """Run fit / rejection-sample / ATE at the sizes implied by (epsilon, delta).
 
@@ -555,10 +518,9 @@ def ps_pipeline(
     than N3 survivors is the halting branch and raises
     PipelineFailureError.
     """
-    ds = as_obs_dataset(data)
-    sizes = _pipeline_sizes(len(ds), delta, epsilon, ds.n_covariates)
+    sizes = _pipeline_sizes(len(data), delta, epsilon, data.n_covariates)
     return _pipeline_from_cells(
-        tally_cells(ds[: sizes.n1]), ds[sizes.n1 : sizes.total], sizes, rng
+        tally_cells(data[: sizes.n1]), data[sizes.n1 : sizes.total], sizes, rng
     )
 
 
@@ -598,7 +560,7 @@ def ate_decision(statistic: float, delta: float) -> Decision:
 
 
 def ps_decide(
-    data, delta: float, rng: RngStream | np.random.Generator, epsilon: float
+    data: ObsDataset, delta: float, rng: RngStream | np.random.Generator, epsilon: float
 ) -> Decision:
     """Choose M1 when the adjusted-sample ATE reaches delta / 2 (ties to M1)."""
     result = ps_pipeline(data, delta, rng, epsilon)

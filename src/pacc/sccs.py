@@ -119,7 +119,6 @@ class SccsDesign:
 
     total_days: int
     exposure_days: int
-    exposure_start_law: str = "uniform"
 
     def __post_init__(self) -> None:
         if self.total_days < 2:
@@ -130,10 +129,6 @@ class SccsDesign:
             raise InvalidArgumentError(
                 f"exposure_days ({self.exposure_days}) must be smaller than "
                 f"total_days ({self.total_days})"
-            )
-        if self.exposure_start_law != "uniform":
-            raise InvalidArgumentError(
-                f"unsupported exposure_start_law {self.exposure_start_law!r}"
             )
 
     @property

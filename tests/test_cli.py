@@ -242,6 +242,27 @@ class TestEstimateDecide:
         assert code == 3
         assert json.loads(err)["error"] == "WeakInstrumentError"
 
+    def test_unknown_method_estimate_exits_2(self, capsys, tmp_path):
+        data = tmp_path / "iv.csv"
+        data.write_text("d,z,y\n1,1,1\n-1,0,0\n")
+        cfg = write_json(tmp_path / "est.json", {
+            "method": "bogus", "input": str(data), "delta": 0.5,
+            "epsilon": 0.2, "master_seed": 1,
+        })
+        code, out, err = run_cli(capsys, "estimate", "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert "unknown method 'bogus'" in json.loads(err)["message"]
+
+    def test_unknown_method_decide_exits_2_before_reading_input(self, capsys, tmp_path):
+        cfg = write_json(tmp_path / "dec.json", {
+            "method": "bogus", "input": str(tmp_path / "nope.csv"), "delta": 0.5,
+        })
+        code, out, err = run_cli(capsys, "decide", "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert "unknown method 'bogus'" in json.loads(err)["message"]
+
     def test_missing_input_file_exits_3(self, capsys, tmp_path):
         cfg = write_json(tmp_path / "est.json", {
             "method": "iv2sls", "input": str(tmp_path / "nope.csv"), "delta": 0.5,
@@ -274,6 +295,10 @@ class TestEstimateDecide:
         ("propensity", "obs.json", '[{"x": [0], "z": 1, "y": 0.5}]'),
         ("iv2sls", "iv.csv", "d,z,y\n1,1,nan\n-1,0,0\n"),
         ("iv2sls", "iv.csv", "d,z,y\n1,inf,1\n-1,0,0\n"),
+        ("propensity", "obs.csv", "x0,z,y\n1,1,0,1\n0,0,1,0\n"),
+        ("iv2sls", "iv.csv", "d,z,y\n1,1,1,7\n-1,0,0,7\n"),
+        ("iv2sls", "iv.csv", "d,z,y\n1,1\n-1,0\n"),
+        ("iv2sls", "iv.csv", "d,z,y,w\n1,1,1,7\n-1,0,0,7\n"),
         ("sccs", "cases.json", json.dumps({
             "design": {"total_days": 250, "exposure_days": 21},
             "patients": [{"exposure_start": 121, "event_days": [2.7]}],

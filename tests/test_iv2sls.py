@@ -8,7 +8,6 @@ from pacc.core import InvalidArgumentError, ModelChoice, WeakInstrumentError, sp
 from pacc.iv2sls import (
     IvDataset,
     IvParams,
-    IvRecord,
     generate_iv,
     iv_analytic_variances,
     iv_decide,
@@ -93,10 +92,6 @@ class TestTwoSls:
         params = IvParams(alpha=1.5, beta=0.7)
         data = generate_iv(params, 3_000, split_stream(5, 0))
         assert two_sls(data).beta_hat == pytest.approx(ols_slope(data), abs=1e-9)
-
-    def test_accepts_record_iterables(self):
-        recs = [IvRecord(d=1.0, z=1.0, y=2.0), IvRecord(d=-1.0, z=-1.0, y=-2.0)]
-        assert two_sls(recs).beta_hat == 2.0
 
 
 class TestSampleSize:

@@ -14,7 +14,6 @@ from pacc.core import (
 )
 from pacc.propensity import (
     ObsDataset,
-    ObsRecord,
     PropensityModel,
     PsParams,
     ate,
@@ -132,11 +131,6 @@ class TestFitLogistic:
         model = fit_logistic(ObsDataset(x, z, y))
         assert model.capped
         assert all(math.isfinite(w) for w in model.weights)
-
-    def test_accepts_record_iterables(self):
-        records = [ObsRecord(x=(1, 0), z=1, y=0), ObsRecord(x=(0, 1), z=0, y=1)] * 30
-        model = fit_logistic(records)
-        assert len(model.weights) == 2
 
 
 def per_record_newton(ds, max_iters=200, tol=1e-8):
@@ -333,12 +327,10 @@ class TestAte:
         assert ate(ObsDataset(x, z, z.copy())) == 1.0
 
     def test_three_record_hand_value(self):
-        recs = [
-            ObsRecord(x=(0,), z=1, y=1),
-            ObsRecord(x=(0,), z=1, y=0),
-            ObsRecord(x=(0,), z=0, y=0),
-        ]
-        assert ate(recs) == 0.5
+        x = np.zeros((3, 1), dtype=np.uint8)
+        z = np.array([1, 1, 0], dtype=np.uint8)
+        y = np.array([1, 0, 0], dtype=np.uint8)
+        assert ate(ObsDataset(x, z, y)) == 0.5
 
     def test_null_is_small(self):
         gen = split_stream(11, 0).generator()
@@ -542,11 +534,3 @@ class TestSerialization:
     def test_csv_out_of_range_value_rejected(self):
         with pytest.raises(InvalidArgumentError):
             ObsDataset.from_csv("x0,z,y\n256,1,0\n0,0,1\n")
-
-    def test_record_view(self):
-        data = ObsDataset(
-            np.array([[1, 0]], dtype=np.uint8),
-            np.array([1], dtype=np.uint8),
-            np.array([0], dtype=np.uint8),
-        )
-        assert data[0] == ObsRecord(x=(1, 0), z=1, y=0)

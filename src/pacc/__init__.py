@@ -11,6 +11,7 @@ from pacc.core import (
     Decision,
     DegenerateFitError,
     GenerationFailureError,
+    InsufficientDataError,
     InvalidArgumentError,
     Method,
     ModelChoice,
@@ -30,6 +31,7 @@ __all__ = [
     "Decision",
     "DegenerateFitError",
     "GenerationFailureError",
+    "InsufficientDataError",
     "InvalidArgumentError",
     "Method",
     "ModelChoice",

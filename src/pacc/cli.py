@@ -23,10 +23,17 @@ import sys
 from pathlib import Path
 
 from pacc import _jsonio
-from pacc.core import InvalidArgumentError, Method, PaccError, split_stream
+from pacc.core import (
+    InsufficientDataError,
+    InvalidArgumentError,
+    Method,
+    PaccError,
+    split_stream,
+)
 from pacc.harness import (
     METHODS,
     MethodSpec,
+    Report,
     TrialSpec,
     adversarial_sweep,
     generator_params_from_dict,
@@ -209,22 +216,29 @@ def _read_dataset(method: MethodSpec, config: dict):
         raise CliError(_EXIT_RUNTIME, f"cannot parse input {path}: {exc}") from exc
 
 
-def _dataset_task(method: MethodSpec, config: dict, needs_delta: bool) -> tuple:
-    """(dataset, delta, epsilon, decide stream) for ``estimate``/``decide``;
-    config fields the method's rule does not read are None."""
+def _apply_rule(method: MethodSpec, config: dict, decide: bool):
+    """Run the method's ``decide`` (or ``estimate``) on the input dataset,
+    the delta, the epsilon and the decide stream; config fields the rule
+    does not read are None. An input too short for the rule is a data
+    error."""
     delta = epsilon = rng = None
-    if needs_delta or method.decide_stream:
+    if decide or method.decide_stream:
         delta = _config_value(config, "delta", float)
     if method.decide_stream:
         epsilon = _config_value(config, "epsilon", float)
         rng = split_stream(_config_value(config, "master_seed", int), DECIDE_STREAM_ID)
-    return _read_dataset(method, config), delta, epsilon, rng
+    dataset = _read_dataset(method, config)
+    rule = method.decide if decide else method.estimate
+    try:
+        return rule(dataset, delta, epsilon, rng)
+    except InsufficientDataError as exc:
+        raise CliError(_EXIT_RUNTIME, f"cannot use input {config['input']}: {exc}") from exc
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     config = _load_config(args)
     _, method = _method(config)
-    payload = method.estimate(*_dataset_task(method, config, needs_delta=False))
+    payload = _apply_rule(method, config, decide=False)
     _emit(payload)
     if args.out:
         Path(args.out).write_text(_jsonio.dumps(payload))
@@ -234,7 +248,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 def cmd_decide(args: argparse.Namespace) -> int:
     config = _load_config(args)
     name, method = _method(config)
-    decision = method.decide(*_dataset_task(method, config, needs_delta=True))
+    decision = _apply_rule(method, config, decide=True)
     payload = {"method": name, "decision": decision.to_dict()}
     _emit(payload)
     if args.out:
@@ -242,14 +256,22 @@ def cmd_decide(args: argparse.Namespace) -> int:
     return 0
 
 
+def _emit_report(report: Report, args: argparse.Namespace) -> int:
+    """Print the JSON report; with ``--out`` also write it, reusing the
+    printed text for JSON. Returns the exit code."""
+    text = _jsonio.dumps(report.to_dict())
+    sys.stdout.write(text)
+    if args.out and args.format == "csv":
+        write_report(report, args.out, format="csv")
+    elif args.out:
+        Path(args.out).write_text(text)
+    return 0 if report.passed else _EXIT_VERIFY_FAIL
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     config = _load_config(args)
     spec = _build(lambda: TrialSpec.from_dict(config), "trial spec")
-    report = verify(spec, workers=args.threads)
-    _emit(report.to_dict())
-    if args.out:
-        write_report(report, args.out, format=args.format or "json")
-    return 0 if report.passed else _EXIT_VERIFY_FAIL
+    return _emit_report(verify(spec, workers=args.threads), args)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -266,11 +288,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         ),
         "sweep grid",
     )
-    report = adversarial_sweep(base, grid, workers=args.threads)
-    _emit(report.to_dict())
-    if args.out:
-        write_report(report, args.out, format=args.format or "json")
-    return 0 if report.passed else _EXIT_VERIFY_FAIL
+    return _emit_report(adversarial_sweep(base, grid, workers=args.threads), args)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,9 +13,14 @@ from statistics import NormalDist
 
 import numpy as np
 
+# numpy loads its submodules on first use; load random here so that the
+# first trial stream does not pay for it.
+import numpy.random  # noqa: F401
+
 __all__ = [
     "PaccError",
     "InvalidArgumentError",
+    "InsufficientDataError",
     "GenerationFailureError",
     "DegenerateFitError",
     "WeakInstrumentError",
@@ -40,6 +45,10 @@ class PaccError(Exception):
 
 class InvalidArgumentError(PaccError, ValueError):
     """An argument violates a documented precondition."""
+
+
+class InsufficientDataError(InvalidArgumentError):
+    """A dataset holds fewer records than the procedure needs."""
 
 
 class GenerationFailureError(PaccError, RuntimeError):

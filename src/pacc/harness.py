@@ -564,12 +564,18 @@ def verify(
         raise InvalidArgumentError("workers must be at least 1")
     workers = _clamp_workers(workers, spec.trials)
     size = resolve_sample_size(spec)
-    indices = range(spec.trials)
+
+    def run_block(block: range) -> list[TrialOutcome]:
+        return [run_trial(spec, i, size) for i in block]
+
+    n = spec.trials
     if workers == 1:
-        outcomes = [run_trial(spec, i, size) for i in indices]
+        outcomes = run_block(range(n))
     else:
+        # One contiguous block of trial indices per worker, joined in index order.
+        blocks = [range(k * n // workers, (k + 1) * n // workers) for k in range(workers)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda i: run_trial(spec, i, size), indices))
+            outcomes = [o for block in pool.map(run_block, blocks) for o in block]
     errors = sum(1 for o in outcomes if not o.correct)
     upper = rate_upper_bound(errors, spec.trials, 0.95)
     return VerificationReport(

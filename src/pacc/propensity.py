@@ -17,9 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# np.median checks for NaN through numpy.ma, which numpy loads on first
+# use; load it here so that the first rejection sample does not pay for it.
+import numpy.ma  # noqa: F401
+
 from pacc.core import (
     Decision,
     DegenerateFitError,
+    InsufficientDataError,
     InvalidArgumentError,
     ModelChoice,
     PipelineFailureError,
@@ -515,8 +520,8 @@ def ps_pipeline(
 
     The first N1 records fit the propensity model, the next N2 go through
     rejection sampling, and the ATE is taken over the survivors. Fewer
-    than N3 survivors is the halting branch and raises
-    PipelineFailureError.
+    than N1 + N2 records raises InsufficientDataError; fewer than N3
+    survivors is the halting branch and raises PipelineFailureError.
     """
     sizes = _pipeline_sizes(len(data), delta, epsilon, data.n_covariates)
     return _pipeline_from_cells(
@@ -529,7 +534,7 @@ def _pipeline_sizes(
 ) -> PsSampleSizes:
     sizes = ps_sample_sizes(epsilon, delta, n_covariates)
     if count < sizes.total:
-        raise InvalidArgumentError(
+        raise InsufficientDataError(
             f"pipeline needs N1 + N2 = {sizes.total} records, got {count}"
         )
     return sizes

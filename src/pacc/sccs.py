@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from pacc.core import (
     Decision,
@@ -530,8 +529,11 @@ def sccs_mle_numeric(dataset: SccsDataset, tolerance: float = 1e-8) -> float:
     """Numeric oracle for the closed form: maximise the likelihood directly.
 
     Derivative-free bounded search over a bracket wide enough to contain
-    any finite maximiser; requires events in both periods.
+    any finite maximiser; requires events in both periods. scipy is
+    imported here, so that only this oracle pays for it.
     """
+    from scipy.optimize import minimize_scalar
+
     if not tolerance > 0:
         raise InvalidArgumentError("tolerance must be positive")
     if dataset.nu1 == 0 or dataset.nu2 == 0:

@@ -310,6 +310,8 @@ class TestEstimateDecide:
         ("sccs", "cases.json", json.dumps({
             "design": {"total_days": 250, "exposure_days": 21}, "patients": 5,
         })),
+        # Well-formed, but far fewer records than N1 + N2 = 305,240.
+        ("propensity", "obs.csv", "x0,z,y\n1,1,0\n0,0,1\n"),
     ])
     def test_invalid_data_values_exit_3(self, capsys, tmp_path, method, name, text):
         data = tmp_path / name
@@ -321,7 +323,34 @@ class TestEstimateDecide:
         code, out, err = run_cli(capsys, "decide", "--config", cfg)
         assert code == 3
         assert out == ""
-        assert "cannot parse input" in json.loads(err)["message"]
+        message = json.loads(err)["message"]
+        assert message.startswith("cannot ") and f" input {data}: " in message
+
+    def test_short_propensity_file_diagnostic(self, capsys, tmp_path):
+        data = tmp_path / "obs.csv"
+        data.write_text("x0,z,y\n1,1,0\n0,0,1\n")
+        cfg = write_json(tmp_path / "est.json", {
+            "method": "propensity", "input": str(data), "delta": 0.5,
+            "epsilon": 0.2, "master_seed": 1,
+        })
+        code, out, err = run_cli(capsys, "estimate", "--config", cfg)
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["message"] == (
+            f"cannot use input {data}: pipeline needs N1 + N2 = 305240 records, got 2"
+        )
+
+    def test_bad_epsilon_on_a_short_propensity_file_exits_2(self, capsys, tmp_path):
+        # The config error is reported before the data is measured against it.
+        data = tmp_path / "obs.csv"
+        data.write_text("x0,z,y\n1,1,0\n0,0,1\n")
+        cfg = write_json(tmp_path / "dec.json", {
+            "method": "propensity", "input": str(data), "delta": 0.5,
+            "epsilon": 1.5, "master_seed": 1,
+        })
+        code, _, err = run_cli(capsys, "decide", "--config", cfg)
+        assert code == 2
+        assert "epsilon must lie in (0, 1)" in json.loads(err)["message"]
 
 
 class TestVerify:
@@ -379,6 +408,18 @@ class TestVerify:
         )
         assert code == 0
         assert len(out_path.read_text().splitlines()) == 31
+
+    def test_propensity_sample_size_below_n1_plus_n2_exits_2(self, capsys, tmp_path):
+        cfg = write_json(tmp_path / "verify.json", {
+            "method": "propensity", "truth": "M2", "epsilon": 0.2,
+            "concept": {"delta": 0.8},
+            "generator": {k: v for k, v in PS_GENERATOR.items() if k != "effect"},
+            "sample_size": 100, "trials": 2, "master_seed": 1,
+        })
+        code, out, err = run_cli(capsys, "verify", "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert "pipeline needs N1 + N2" in json.loads(err)["message"]
 
     def test_generator_with_effect_rejected(self, capsys, tmp_path):
         cfg = dict(IV_VERIFY_CONFIG)

@@ -197,6 +197,18 @@ class TestVerify:
         reports = [verify(spec, workers=w).to_dict() for w in (1, 4, 8)]
         assert reports[0] == reports[1] == reports[2]
 
+    def test_uneven_worker_blocks_keep_trial_order(self, monkeypatch):
+        # 7 trials over 3 or 4 workers split into blocks of unequal length.
+        import pacc.harness as harness_mod
+
+        monkeypatch.setattr(harness_mod.os, "cpu_count", lambda: 4)
+        spec = iv_spec(trials=7)
+        reports = [verify(spec, workers=w) for w in (1, 3, 4)]
+        assert [t.seed for t in reports[0].per_trial] == [
+            spec.stream_base + i for i in range(7)
+        ]
+        assert reports[0].to_dict() == reports[1].to_dict() == reports[2].to_dict()
+
     def test_failed_trials_count_as_errors(self, monkeypatch):
         # A pipeline halt must become an incorrect trial with the reason
         # recorded, never a discarded one.

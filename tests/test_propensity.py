@@ -6,6 +6,7 @@ from scipy.stats import ks_2samp
 
 from pacc.core import (
     DegenerateFitError,
+    InsufficientDataError,
     InvalidArgumentError,
     ModelChoice,
     PipelineFailureError,
@@ -197,7 +198,7 @@ class TestCellDraw:
 
     def test_drawn_pipeline_needs_n1_plus_n2(self):
         total = ps_sample_sizes(0.2, 0.8, 5).total
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(InsufficientDataError):
             ps_decide_drawn(flat_params(), total - 1, 0.8, split_stream(36, 0), 0.2)
 
 
@@ -488,7 +489,7 @@ class TestPipeline:
         params = flat_params()
         sizes = ps_sample_sizes(0.2, 0.8, 5)
         data = generate_obs(params, sizes.total - 1, split_stream(14, 0))
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(InsufficientDataError):
             ps_pipeline(data, 0.8, split_stream(14, 1), 0.2)
 
     def test_pipeline_reports_sizes_and_survivors(self):

@@ -3,7 +3,7 @@
 Floats are written with 17 significant digits so that re-parsing
 reproduces the exact double and reports are byte-identical across runs.
 Non-finite floats become the strings "inf", "-inf" and "nan", which plain
-JSON cannot carry as numbers; ``float_from_json`` reverses that mapping.
+JSON cannot carry as numbers; ``float`` reads them back.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import json
 import math
 from typing import Any
 
-__all__ = ["dumps", "float_from_json", "format_float"]
+__all__ = ["dumps", "format_float"]
 
 
 def format_float(value: float) -> str:
@@ -21,10 +21,6 @@ def format_float(value: float) -> str:
     if math.isinf(value):
         return "inf" if value > 0 else "-inf"
     return format(value, ".17g")
-
-
-def float_from_json(value: Any) -> float:
-    return float(value)
 
 
 def _render(obj: Any, indent: int, out: list[str]) -> None:

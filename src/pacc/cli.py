@@ -92,7 +92,7 @@ def _load_config(args: argparse.Namespace) -> dict:
         raise CliError(_EXIT_USAGE, "this command requires --config PATH")
     try:
         config = json.loads(Path(args.config).read_text())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(_EXIT_USAGE, f"cannot read config {args.config}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise CliError(_EXIT_USAGE, f"malformed JSON config {args.config}: {exc}") from exc
@@ -111,7 +111,7 @@ def _config_value(config: dict, key: str, caster, required: bool = True, default
         return default
     try:
         return caster(config[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise CliError(_EXIT_USAGE, f"config field {key!r}: {exc}") from exc
 
 
@@ -119,7 +119,7 @@ def _build(factory, what: str):
     """Run a constructor in the config phase: validation failures are usage errors."""
     try:
         return factory()
-    except (InvalidArgumentError, KeyError, TypeError, ValueError) as exc:
+    except (InvalidArgumentError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CliError(_EXIT_USAGE, f"invalid {what}: {exc}") from exc
 
 
@@ -207,12 +207,12 @@ def _read_dataset(method: MethodSpec, config: dict):
     path = _config_value(config, "input", str)
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(_EXIT_RUNTIME, f"cannot read input {path}: {exc}") from exc
     fmt = config.get("input_format") or ("json" if path.endswith(".json") else "csv")
     try:
         return method.read(text, fmt)
-    except (json.JSONDecodeError, PaccError, KeyError, TypeError, ValueError) as exc:
+    except (PaccError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CliError(_EXIT_RUNTIME, f"cannot parse input {path}: {exc}") from exc
 
 

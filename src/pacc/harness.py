@@ -95,6 +95,9 @@ AUTO = "auto"
 
 REPORT_SCHEMA = "pacc-report/1"
 
+# Confidence level of the one-sided Wilson bound that verify certifies.
+CONFIDENCE = 0.95
+
 # Decide/generate failures that count as an incorrect trial rather than
 # aborting the whole verification run.
 _TRIAL_FAILURES = (
@@ -460,7 +463,7 @@ class TrialOutcome:
         return cls(
             seed=int(d["seed"]),
             decision=None if chosen is None else ModelChoice(chosen),
-            statistic=_jsonio.float_from_json(d["statistic"]),
+            statistic=float(d["statistic"]),
             correct=bool(d["correct"]),
             failure=d.get("failure"),
         )
@@ -512,8 +515,7 @@ class VerificationReport:
     empirical_rate: float
     upper_bound: float
     passed: bool
-    confidence: float = 0.95
-    per_trial: tuple[TrialOutcome, ...] | None = None
+    per_trial: tuple[TrialOutcome, ...]
 
     def to_dict(self) -> dict:
         return {
@@ -525,38 +527,30 @@ class VerificationReport:
             "trials": self.trials,
             "empirical_rate": self.empirical_rate,
             "upper_bound": self.upper_bound,
-            "confidence": self.confidence,
+            "confidence": CONFIDENCE,
             "pass": self.passed,
-            "per_trial": None
-            if self.per_trial is None
-            else [t.to_dict() for t in self.per_trial],
+            "per_trial": [t.to_dict() for t in self.per_trial],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "VerificationReport":
-        per_trial = d.get("per_trial")
         return cls(
             spec=TrialSpec.from_dict(d["spec"]),
             resolved_sample_size=int(d["resolved_sample_size"]),
             errors=int(d["errors"]),
             trials=int(d["trials"]),
-            empirical_rate=_jsonio.float_from_json(d["empirical_rate"]),
-            upper_bound=_jsonio.float_from_json(d["upper_bound"]),
+            empirical_rate=float(d["empirical_rate"]),
+            upper_bound=float(d["upper_bound"]),
             passed=bool(d["pass"]),
-            confidence=_jsonio.float_from_json(d.get("confidence", 0.95)),
-            per_trial=None
-            if per_trial is None
-            else tuple(TrialOutcome.from_dict(t) for t in per_trial),
+            per_trial=tuple(TrialOutcome.from_dict(t) for t in d["per_trial"]),
         )
 
 
-def verify(
-    spec: TrialSpec, workers: int = 1, keep_trials: bool = True
-) -> VerificationReport:
+def verify(spec: TrialSpec, workers: int = 1) -> VerificationReport:
     """Run the spec's trials and certify the error rate against epsilon.
 
-    Passing means the one-sided Wilson upper bound (at ``confidence``
-    0.95) on the error probability does not exceed epsilon. Output is
+    Passing means the one-sided Wilson upper bound (at ``CONFIDENCE``)
+    on the error probability does not exceed epsilon. Output is
     identical for identical specs regardless of ``workers``, which is
     clamped to the trial count and the CPU count.
     """
@@ -577,7 +571,7 @@ def verify(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = [o for block in pool.map(run_block, blocks) for o in block]
     errors = sum(1 for o in outcomes if not o.correct)
-    upper = rate_upper_bound(errors, spec.trials, 0.95)
+    upper = rate_upper_bound(errors, spec.trials, CONFIDENCE)
     return VerificationReport(
         spec=spec,
         resolved_sample_size=size,
@@ -586,7 +580,7 @@ def verify(
         empirical_rate=errors / spec.trials,
         upper_bound=upper,
         passed=upper <= spec.epsilon,
-        per_trial=tuple(outcomes) if keep_trials else None,
+        per_trial=tuple(outcomes),
     )
 
 
@@ -635,7 +629,6 @@ def adversarial_sweep(
     base: TrialSpec,
     grid: Sequence[GeneratorParams],
     workers: int = 1,
-    keep_trials: bool = True,
 ) -> SweepReport:
     """Verify at every grid point with disjoint stream-id ranges.
 
@@ -663,7 +656,7 @@ def adversarial_sweep(
         raise InvalidArgumentError(
             "sweep rejected; assumption-violating grid points:\n" + "\n".join(problems)
         )
-    reports = tuple(verify(s, workers=workers, keep_trials=keep_trials) for s in specs)
+    reports = tuple(verify(s, workers=workers) for s in specs)
     worst = max(range(len(reports)), key=lambda k: reports[k].upper_bound)
     return SweepReport(
         base=base,
@@ -678,8 +671,6 @@ Report = Union[VerificationReport, SweepReport]
 
 
 def _verification_csv(report: VerificationReport) -> str:
-    if report.per_trial is None:
-        raise InvalidArgumentError("CSV output needs per-trial records in the report")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["seed", "decision", "statistic", "correct", "failure"])

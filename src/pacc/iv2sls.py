@@ -17,6 +17,7 @@ import numpy as np
 
 from pacc.core import (
     Decision,
+    DegenerateFitError,
     InvalidArgumentError,
     ModelChoice,
     RngStream,
@@ -162,16 +163,22 @@ def generate_iv(
 
 def two_sls(data: IvDataset) -> IvEstimate:
     """Just-identified 2SLS: alpha_hat = sum(dz)/sum(d^2), beta_hat = sum(dy)/sum(dz)."""
-    sum_dd = float(data.d @ data.d)
+    # Finite data can still overflow the sums or the ratios; that is
+    # checked below instead of warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sum_dd = float(data.d @ data.d)
+        sum_dz = float(data.d @ data.z)
+        sum_dy = float(data.d @ data.y)
     if sum_dd == 0.0:
-        raise InvalidArgumentError("sum of d^2 must be positive")
-    sum_dz = float(data.d @ data.z)
+        raise WeakInstrumentError("sum of d^2 is zero; the stage-I coefficient is undefined")
     if sum_dz == 0.0:
         raise WeakInstrumentError(
             "sum(d * z) is exactly zero; the stage-II ratio is undefined"
         )
-    sum_dy = float(data.d @ data.y)
-    return IvEstimate(alpha_hat=sum_dz / sum_dd, beta_hat=sum_dy / sum_dz)
+    alpha_hat, beta_hat = sum_dz / sum_dd, sum_dy / sum_dz
+    if not all(map(math.isfinite, (sum_dd, sum_dz, sum_dy, alpha_hat, beta_hat))):
+        raise DegenerateFitError("the 2SLS sums or ratios overflow the float range")
+    return IvEstimate(alpha_hat=alpha_hat, beta_hat=beta_hat)
 
 
 def iv_sample_size(

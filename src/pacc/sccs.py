@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "law_from_dict",
     "SccsDesign",
     "SccsParams",
-    "PatientTimeline",
     "SccsDataset",
     "SccsCounts",
     "generate_sccs",
@@ -43,6 +42,9 @@ __all__ = [
     "sccs_sample_size",
     "sccs_decide",
 ]
+
+# Day numbers stay exact as float64, which the dataset reader checks them in.
+_MAX_DAYS = 2**53
 
 # Rows per generation chunk are sized to keep the per-day uniform matrix
 # around 2M cells regardless of the observation length.
@@ -120,8 +122,10 @@ class SccsDesign:
     exposure_days: int
 
     def __post_init__(self) -> None:
-        if self.total_days < 2:
-            raise InvalidArgumentError("total_days must be at least 2")
+        if not 2 <= self.total_days <= _MAX_DAYS:
+            raise InvalidArgumentError(
+                f"total_days must lie in [2, 2**53], got {self.total_days}"
+            )
         if self.exposure_days < 1:
             raise InvalidArgumentError("exposure_days must be at least 1")
         if self.exposure_days >= self.total_days:
@@ -195,36 +199,14 @@ class SccsParams:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class PatientTimeline:
-    """One case: exposure start day and the sorted days on which events occurred."""
-
-    exposure_start: int
-    event_days: np.ndarray
-
-    def __post_init__(self) -> None:
-        days = np.asarray(self.event_days, dtype=np.int64)
-        object.__setattr__(self, "event_days", days)
-        if days.size == 0:
-            raise InvalidArgumentError("a case series timeline needs at least one event")
-        if days.size > 1 and not np.all(np.diff(days) > 0):
-            raise InvalidArgumentError("event_days must be strictly increasing")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PatientTimeline):
-            return NotImplemented
-        return self.exposure_start == other.exposure_start and np.array_equal(
-            self.event_days, other.event_days
-        )
-
-
 class SccsDataset:
     """A case series: shared design plus one timeline per patient.
 
-    Stored columnar (starts plus a CSR-style event-day layout) so that
-    bound-scale cohorts stay cheap; ``patients`` materialises timeline
-    records on demand. ``nu1`` and ``nu2`` are the total exposed and
-    unexposed event counts across patients.
+    Stored columnar: patient i's exposure start is ``starts[i]`` and its
+    strictly increasing event days are
+    ``event_days[indptr[i]:indptr[i + 1]]``. The constructor trusts these
+    arrays (``generate_sccs`` and ``from_dict`` check them) and derives
+    ``nu1`` and ``nu2``, the total exposed and unexposed event counts.
     """
 
     __slots__ = ("design", "_starts", "_event_days", "_indptr", "nu1", "nu2")
@@ -235,64 +217,20 @@ class SccsDataset:
         starts: np.ndarray,
         event_days: np.ndarray,
         indptr: np.ndarray,
-        nu1: int,
-        nu2: int,
     ):
         self.design = design
         self._starts = starts
         self._event_days = event_days
         self._indptr = indptr
-        self.nu1 = int(nu1)
-        self.nu2 = int(nu2)
-        if self.nu1 < 0 or self.nu2 < 0:
-            raise InvalidArgumentError("event counts cannot be negative")
-        if self.nu1 + self.nu2 != event_days.size:
-            raise InvalidArgumentError("nu1 + nu2 must equal the total event count")
-
-    @classmethod
-    def from_patients(
-        cls, design: SccsDesign, patients: Sequence[PatientTimeline]
-    ) -> "SccsDataset":
-        """Build and fully validate a dataset from timeline records."""
-        if len(patients) == 0:
-            raise InvalidArgumentError("a case series needs at least one patient")
-        starts = np.empty(len(patients), dtype=np.int64)
-        chunks = []
-        indptr = np.zeros(len(patients) + 1, dtype=np.int64)
-        for i, pt in enumerate(patients):
-            if not 1 <= pt.exposure_start <= design.max_start:
-                raise InvalidArgumentError(
-                    f"patient {i}: exposure_start {pt.exposure_start} outside "
-                    f"[1, {design.max_start}]"
-                )
-            days = pt.event_days
-            if days[0] < 1 or days[-1] > design.total_days:
-                raise InvalidArgumentError(
-                    f"patient {i}: event days outside [1, {design.total_days}]"
-                )
-            starts[i] = pt.exposure_start
-            chunks.append(days)
-            indptr[i + 1] = indptr[i] + days.size
-        event_days = np.concatenate(chunks)
-        nu1 = _count_exposed(event_days, np.repeat(starts, np.diff(indptr)), design)
-        return cls(design, starts, event_days, indptr, nu1, event_days.size - nu1)
+        start_of_event = np.repeat(starts, np.diff(indptr))
+        exposed = (event_days >= start_of_event) & (
+            event_days < start_of_event + design.exposure_days
+        )
+        self.nu1 = int(np.count_nonzero(exposed))
+        self.nu2 = event_days.size - self.nu1
 
     def __len__(self) -> int:
         return self._starts.size
-
-    def __getitem__(self, i: int) -> PatientTimeline:
-        lo, hi = self._indptr[i], self._indptr[i + 1]
-        return PatientTimeline(
-            exposure_start=int(self._starts[i]),
-            event_days=self._event_days[lo:hi].copy(),
-        )
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
-    @property
-    def patients(self) -> list[PatientTimeline]:
-        return [self[i] for i in range(len(self))]
 
     def to_dict(self) -> dict:
         return {
@@ -310,30 +248,87 @@ class SccsDataset:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SccsDataset":
+        """Read the JSON form, checking all starts and event days at once.
+
+        Starts and days must be JSON numbers with whole values (a bool is
+        not one), starts must lie in [1, max_start] and days in
+        [1, total_days], and every patient needs at least one event day,
+        strictly increasing. A failed check names the first patient that
+        fails it.
+        """
         design = SccsDesign.from_dict(d["design"])
-        patients = [
-            PatientTimeline(
-                exposure_start=int(
-                    _whole_days(p["exposure_start"], 0, f"patient {i} exposure_start")
-                ),
-                event_days=_whole_days(p["event_days"], 1, f"patient {i} event_days"),
+        patients = d["patients"]
+        if not isinstance(patients, list) or not patients:
+            raise InvalidArgumentError("patients must be a nonempty list")
+        raw_starts = [p["exposure_start"] for p in patients]
+        raw_days = [p["event_days"] for p in patients]
+        not_list = np.array([type(days) is not list for days in raw_days])
+        if not_list.any():
+            raise InvalidArgumentError(
+                f"patient {np.argmax(not_list)} event_days must hold whole day numbers"
             )
-            for i, p in enumerate(d["patients"])
-        ]
-        return cls.from_patients(design, patients)
+        counts = np.fromiter(map(len, raw_days), dtype=np.int64, count=len(raw_days))
+        if not counts.all():
+            raise InvalidArgumentError(
+                f"patient {np.argmin(counts)}: a case series timeline needs at least "
+                "one event"
+            )
+        indptr = np.zeros(counts.size + 1, dtype=np.int64)
+        np.cumsum(counts, out=indptr[1:])
+
+        def patient_of_day(k: int) -> int:
+            return int(np.searchsorted(indptr, k, side="right")) - 1
+
+        starts = _whole_days(raw_starts, "exposure_start", int)
+        flat_days = list(chain.from_iterable(raw_days))
+        days = _whole_days(flat_days, "event_days", patient_of_day)
+        bad = (starts < 1) | (starts > design.max_start)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise InvalidArgumentError(
+                f"patient {i}: exposure_start {raw_starts[i]!r} outside "
+                f"[1, {design.max_start}]"
+            )
+        bad = (days < 1) | (days > design.total_days)
+        if bad.any():
+            raise InvalidArgumentError(
+                f"patient {patient_of_day(np.argmax(bad))}: event days outside "
+                f"[1, {design.total_days}]"
+            )
+        # Steps between consecutive days of one patient must be positive;
+        # the step from one patient's last day to the next's first is free.
+        bad = np.diff(days) <= 0
+        bad[indptr[1:-1] - 1] = False
+        if bad.any():
+            raise InvalidArgumentError(
+                f"patient {patient_of_day(np.argmax(bad))}: event_days must be "
+                "strictly increasing"
+            )
+        return cls(design, starts.astype(np.int64), days.astype(np.int64), indptr)
 
 
-def _whole_days(value, ndim: int, where: str) -> np.ndarray:
-    """``value`` as an ``ndim``-dimensional int64 array of day numbers;
-    fractional, non-finite or non-numeric values raise instead of being
-    truncated."""
-    days = np.asarray(value)
-    whole = days.dtype.kind in "iu" or (
-        days.dtype.kind == "f" and bool(np.all(np.isfinite(days) & (days == np.round(days))))
-    )
-    if not whole or days.ndim != ndim:
-        raise InvalidArgumentError(f"{where} must hold whole day numbers")
-    return days.astype(np.int64)
+def _whole_days(values: list, what: str, patient_of) -> np.ndarray:
+    """JSON day numbers as float64, each a whole number or +-inf.
+
+    Only ints and floats pass, checked on the values themselves: numpy
+    would promote a bool beside an int to a number. ``patient_of`` maps a
+    value's index to its patient for the error message. Infinities and
+    huge values are left for the caller's range check, which runs before
+    any cast to int64.
+    """
+    if not set(map(type, values)) <= {int, float}:
+        k = next(k for k, v in enumerate(values) if type(v) not in (int, float))
+        raise InvalidArgumentError(f"patient {patient_of(k)} {what} must hold whole day numbers")
+    try:
+        days = np.array(values, dtype=np.float64)
+    except OverflowError:
+        # An int past the float range; clamped, it still fails the range check.
+        days = np.array([min(max(v, -1e308), 1e308) for v in values])
+    fractional = days != np.floor(days)
+    if fractional.any():
+        k = int(np.argmax(fractional))
+        raise InvalidArgumentError(f"patient {patient_of(k)} {what} must hold whole day numbers")
+    return days
 
 
 @dataclass(frozen=True)
@@ -344,13 +339,6 @@ class SccsCounts:
     design: SccsDesign
     nu1: int
     nu2: int
-
-
-def _count_exposed(event_days: np.ndarray, starts_per_event: np.ndarray, design: SccsDesign) -> int:
-    exposed = (event_days >= starts_per_event) & (
-        event_days < starts_per_event + design.exposure_days
-    )
-    return int(np.count_nonzero(exposed))
 
 
 def generate_sccs(
@@ -382,7 +370,6 @@ def generate_sccs(
     kept_starts: list[np.ndarray] = []
     kept_counts: list[np.ndarray] = []
     kept_days: list[np.ndarray] = []
-    kept_nu1 = 0
     accepted = 0
 
     while accepted < cases:
@@ -407,19 +394,13 @@ def generate_sccs(
         keep = events.any(axis=1)
         if not keep.any():
             continue
-        events = events[keep]
-        starts = starts[keep]
-        exposed = exposed[keep]
-        if events.shape[0] > cases - accepted:
-            events = events[: cases - accepted]
-            starts = starts[: cases - accepted]
-            exposed = exposed[: cases - accepted]
+        events = events[keep][: cases - accepted]
+        starts = starts[keep][: cases - accepted]
 
         rows, cols = np.nonzero(events)
         kept_starts.append(starts)
         kept_counts.append(np.bincount(rows, minlength=events.shape[0]))
         kept_days.append(cols + 1)
-        kept_nu1 += int(np.count_nonzero(events & exposed))
         accepted += events.shape[0]
 
     starts_all = np.concatenate(kept_starts)
@@ -427,9 +408,7 @@ def generate_sccs(
     days_all = np.concatenate(kept_days)
     indptr = np.zeros(cases + 1, dtype=np.int64)
     np.cumsum(counts_all, out=indptr[1:])
-    return SccsDataset(
-        design, starts_all, days_all, indptr, kept_nu1, days_all.size - kept_nu1
-    )
+    return SccsDataset(design, starts_all, days_all, indptr)
 
 
 def draw_sccs_counts(

@@ -407,11 +407,11 @@ def test_c8_exact_algebraic_invariants():
     def loglik_explicit(ds, beta, phis):
         total, expo = ds.design.total_days, ds.design.exposure_days
         ll = 0.0
-        for phi, pt in zip(phis, ds.patients):
-            s = pt.exposure_start
+        for phi, pt in zip(phis, ds.to_dict()["patients"]):
+            s = pt["exposure_start"]
             pre, post = s - 1, total - expo - s + 1
             denom = (pre + post) * math.exp(phi) + expo * math.exp(phi + beta)
-            for day in pt.event_days:
+            for day in pt["event_days"]:
                 if s <= day < s + expo:
                     ll += math.log(expo * math.exp(phi + beta) / denom)
                 elif day < s:

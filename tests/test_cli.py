@@ -312,10 +312,28 @@ class TestEstimateDecide:
         })),
         # Well-formed, but far fewer records than N1 + N2 = 305,240.
         ("propensity", "obs.csv", "x0,z,y\n1,1,0\n0,0,1\n"),
+        # An integer field past the int range, and numbers past int64.
+        ("sccs", "cases.json", '{"design": {"total_days": Infinity, "exposure_days": 21}, '
+            '"patients": [{"exposure_start": 121, "event_days": [2]}]}'),
+        ("sccs", "cases.json", '{"design": {"total_days": 1e400, "exposure_days": 21}, '
+            '"patients": [{"exposure_start": 121, "event_days": [2]}]}'),
+        ("sccs", "cases.json", '{"design": {"total_days": 250, "exposure_days": 21}, '
+            '"patients": [{"exposure_start": 121, "event_days": [1e300]}]}'),
+        ("sccs", "cases.json", '{"design": {"total_days": 250, "exposure_days": 21}, '
+            '"patients": [{"exposure_start": 1e19, "event_days": [2]}]}'),
+        ("sccs", "cases.json", '{"design": {"total_days": 1e300, "exposure_days": 21}, '
+            '"patients": [{"exposure_start": 1e300, "event_days": [2]}]}'),
+        # Not UTF-8.
+        ("sccs", "cases.json", b'\xff\xfe{"design": {}}'),
+        ("propensity", "obs.csv", b"x0,z,y\n\xff\xfe,1,0\n"),
+        ("iv2sls", "iv.csv", b"d,z,y\n1,1,1\n\xff,0,0\n"),
     ])
     def test_invalid_data_values_exit_3(self, capsys, tmp_path, method, name, text):
         data = tmp_path / name
-        data.write_text(text)
+        if isinstance(text, bytes):
+            data.write_bytes(text)
+        else:
+            data.write_text(text)
         cfg = write_json(tmp_path / "dec.json", {
             "method": method, "input": str(data), "epsilon": 0.2, "master_seed": 1,
             "delta": 2.0 if method == "sccs" else 0.5,
@@ -325,6 +343,40 @@ class TestEstimateDecide:
         assert out == ""
         message = json.loads(err)["message"]
         assert message.startswith("cannot ") and f" input {data}: " in message
+
+    def test_sccs_reader_diagnostic_names_the_patient(self, capsys, tmp_path):
+        data = write_json(tmp_path / "cases.json", {
+            "design": {"total_days": 250, "exposure_days": 21},
+            "patients": [
+                {"exposure_start": 121, "event_days": [2]},
+                {"exposure_start": 10**19, "event_days": [2]},
+            ],
+        })
+        cfg = write_json(tmp_path / "dec.json", {"method": "sccs", "input": data, "delta": 2.0})
+        code, out, err = run_cli(capsys, "decide", "--config", cfg)
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["message"] == (
+            f"cannot parse input {data}: patient 1: exposure_start "
+            "10000000000000000000 outside [1, 230]"
+        )
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("d,z,y\n0,1,1\n0,0,0\n", "WeakInstrumentError",
+         "sum of d^2 is zero; the stage-I coefficient is undefined"),
+        ("d,z,y\n1e300,1,1\n-1,0,0\n", "DegenerateFitError",
+         "the 2SLS sums or ratios overflow the float range"),
+    ])
+    def test_degenerate_instrument_data_exits_3(self, capsys, tmp_path, text, error, message):
+        data = tmp_path / "iv.csv"
+        data.write_text(text)
+        cfg = write_json(tmp_path / "dec.json", {
+            "method": "iv2sls", "input": str(data), "delta": 0.5,
+        })
+        code, out, err = run_cli(capsys, "decide", "--config", cfg)
+        assert code == 3
+        assert out == ""
+        assert json.loads(err) == {"error": error, "message": message}
 
     def test_short_propensity_file_diagnostic(self, capsys, tmp_path):
         data = tmp_path / "obs.csv"
@@ -462,6 +514,44 @@ class TestSweep:
 class TestUsage:
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    SCCS_GENERATE = {
+        "method": "sccs", "count": 8, "master_seed": 9,
+        "generator": {
+            "design": {"total_days": 250, "exposure_days": 21},
+            "params": {
+                "phi_law": {"kind": "point", "value": -4.0},
+                "beta": 0.0,
+                "lambda_floor": 0.01,
+            },
+        },
+    }
+
+    @pytest.mark.parametrize("command, config, overrides", [
+        ("generate", SCCS_GENERATE, ["generator.design.total_days=Infinity"]),
+        ("generate", SCCS_GENERATE, ["generator.design.total_days=1e400"]),
+        ("generate", SCCS_GENERATE, ["count=Infinity"]),
+        ("verify", IV_VERIFY_CONFIG, ["sample_size=Infinity"]),
+        ("verify", IV_VERIFY_CONFIG, ["sample_size=1e400"]),
+        ("verify", IV_VERIFY_CONFIG, ["trials=-Infinity"]),
+    ])
+    def test_overflowing_config_values_exit_2(self, capsys, tmp_path, command, config, overrides):
+        cfg = write_json(tmp_path / "cfg.json", config)
+        argv = [command, "--config", cfg]
+        for item in overrides:
+            argv += ["--set", item]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert set(json.loads(err)) == {"error", "message"}
+
+    def test_non_utf8_config_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'\xff\xfe{"method": "iv2sls"}')
+        code, out, err = run_cli(capsys, "decide", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["message"].startswith(f"cannot read config {cfg}: ")
 
     def test_missing_config_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "verify")

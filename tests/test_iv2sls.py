@@ -1,10 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pacc.core import InvalidArgumentError, ModelChoice, WeakInstrumentError, split_stream
+from pacc.core import (
+    DegenerateFitError,
+    InvalidArgumentError,
+    ModelChoice,
+    WeakInstrumentError,
+    split_stream,
+)
 from pacc.iv2sls import (
     IvDataset,
     IvParams,
@@ -67,6 +74,17 @@ class TestTwoSls:
         )
         with pytest.raises(WeakInstrumentError):
             two_sls(data)
+
+    @pytest.mark.parametrize("d, z, y", [
+        ([1e300, -1.0], [1.0, 0.0], [1.0, 0.0]),  # sum(d^2) overflows
+        ([1.0, -1.0], [1e-300, 0.0], [1e10, 0.0]),  # beta_hat overflows
+    ])
+    def test_overflow_raises_instead_of_warning(self, d, z, y):
+        data = IvDataset(np.array(d), np.array(z), np.array(y), np.zeros(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateFitError, match="overflow"):
+                two_sls(data)
 
     def test_power_of_two_rescaling_is_bitwise_exact(self):
         data = generate_iv(CONFOUNDED_NULL, 2_000, split_stream(4, 0))

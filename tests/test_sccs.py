@@ -7,7 +7,6 @@ from scipy.stats import ks_2samp
 
 from pacc.core import GenerationFailureError, InvalidArgumentError, ModelChoice, split_stream
 from pacc.sccs import (
-    PatientTimeline,
     PointLaw,
     SccsCounts,
     SccsDataset,
@@ -27,16 +26,21 @@ from pacc.sccs import (
 DESIGN = SccsDesign(total_days=250, exposure_days=21)
 
 
+def case_series(*timelines) -> SccsDataset:
+    """A case series under DESIGN from (exposure_start, event_days) pairs,
+    read through its JSON form."""
+    return SccsDataset.from_dict({
+        "design": DESIGN.to_dict(),
+        "patients": [
+            {"exposure_start": start, "event_days": list(days)} for start, days in timelines
+        ],
+    })
+
+
 def worked_example_dataset() -> SccsDataset:
     # Two 250-day cases with 21-day exposure windows: one pre-exposure
     # event on day 95 (pre-interval length 120), one exposed event.
-    return SccsDataset.from_patients(
-        DESIGN,
-        [
-            PatientTimeline(exposure_start=121, event_days=np.array([95])),
-            PatientTimeline(exposure_start=151, event_days=np.array([160])),
-        ],
-    )
+    return case_series((121, [95]), (151, [160]))
 
 
 def random_dataset(seed: int, min_cases: int = 5, max_cases: int = 60) -> SccsDataset:
@@ -54,6 +58,11 @@ class TestDesignAndParams:
             SccsDesign(total_days=250, exposure_days=250)
         with pytest.raises(InvalidArgumentError):
             SccsDesign(total_days=100, exposure_days=120)
+
+    def test_total_days_keep_day_numbers_exact_as_floats(self):
+        assert SccsDesign(total_days=2**53, exposure_days=21).max_start == 2**53 - 20
+        with pytest.raises(InvalidArgumentError, match=r"\[2, 2\*\*53\]"):
+            SccsDesign(total_days=2**53 + 1, exposure_days=21)
 
     def test_rate_validity_gate(self):
         with pytest.raises(InvalidArgumentError):
@@ -85,15 +94,15 @@ class TestLogLik:
         def loglik_with_phi(beta: float) -> float:
             total, expo = DESIGN.total_days, DESIGN.exposure_days
             ll = 0.0
-            for phi, pt in zip(phis, ds.patients):
-                s = pt.exposure_start
+            for phi, pt in zip(phis, ds.to_dict()["patients"]):
+                s = pt["exposure_start"]
                 pre, post = s - 1, total - expo - s + 1
                 denom = (
                     pre * math.exp(phi)
                     + expo * math.exp(phi + beta)
                     + post * math.exp(phi)
                 )
-                for day in pt.event_days:
+                for day in pt["event_days"]:
                     if s <= day < s + expo:
                         ll += math.log(expo * math.exp(phi + beta) / denom)
                     elif day < s:
@@ -106,9 +115,7 @@ class TestLogLik:
             assert sccs_loglik(ds, beta) == pytest.approx(loglik_with_phi(beta), abs=1e-9)
 
     def test_single_exposed_event_limit(self):
-        ds = SccsDataset.from_patients(
-            DESIGN, [PatientTimeline(exposure_start=100, event_days=np.array([105]))]
-        )
+        ds = case_series((100, [105]))
         values = [sccs_loglik(ds, b) for b in (1.0, 5.0, 10.0, 20.0)]
         assert all(v < 0 for v in values)
         assert values == sorted(values)  # increasing toward the 0 limit
@@ -129,23 +136,18 @@ class TestEstimators:
         # nu1/expo == nu2/control: 21 exposed events vs 229 unexposed.
         gen = split_stream(5, 0).generator()
         pts = []
-        day_pool = np.arange(1, 251)
+        day_pool = range(1, 251)
         for _ in range(25):
             start = int(gen.integers(1, DESIGN.max_start + 1))
-            pts.append(PatientTimeline(exposure_start=start, event_days=day_pool.copy()))
-        ds = SccsDataset.from_patients(DESIGN, pts)
+            pts.append((start, day_pool))
+        ds = case_series(*pts)
         assert ds.nu1 == 25 * 21 and ds.nu2 == 25 * 229
         assert sccs_mle_closed(ds) == 0.0
 
     def test_boundary_sentinels(self):
-        exposed_only = SccsDataset.from_patients(
-            DESIGN,
-            [PatientTimeline(exposure_start=100, event_days=np.array([100, 101, 102]))],
-        )
+        exposed_only = case_series((100, [100, 101, 102]))
         assert sccs_mle_closed(exposed_only) == math.inf
-        unexposed_only = SccsDataset.from_patients(
-            DESIGN, [PatientTimeline(exposure_start=100, event_days=np.array([5]))]
-        )
+        unexposed_only = case_series((100, [5]))
         assert sccs_mle_closed(unexposed_only) == -math.inf
 
     def test_numeric_matches_closed_on_worked_example(self):
@@ -153,14 +155,11 @@ class TestEstimators:
         assert sccs_mle_numeric(ds, 1e-8) == pytest.approx(sccs_mle_closed(ds), abs=1e-6)
 
     def test_numeric_on_symmetric_rates_is_zero(self):
-        pts = [PatientTimeline(exposure_start=100, event_days=np.arange(1, 251))]
-        ds = SccsDataset.from_patients(DESIGN, pts)
+        ds = case_series((100, range(1, 251)))
         assert abs(sccs_mle_numeric(ds, 1e-8)) <= 1e-7
 
     def test_numeric_rejects_degenerate_counts(self):
-        ds = SccsDataset.from_patients(
-            DESIGN, [PatientTimeline(exposure_start=100, event_days=np.array([5]))]
-        )
+        ds = case_series((100, [5]))
         with pytest.raises(InvalidArgumentError):
             sccs_mle_numeric(ds)
 
@@ -183,7 +182,10 @@ class TestEstimators:
             return
         gen = np.random.default_rng(seed)
         perm = gen.permutation(len(ds))
-        shuffled = SccsDataset.from_patients(DESIGN, [ds[i] for i in perm])
+        patients = ds.to_dict()["patients"]
+        shuffled = case_series(
+            *((patients[i]["exposure_start"], patients[i]["event_days"]) for i in perm)
+        )
         assert sccs_mle_closed(shuffled) == sccs_mle_closed(ds)
 
 
@@ -205,9 +207,10 @@ class TestGeneration:
     def test_every_patient_has_an_event(self):
         params = SccsParams(phi_law=PointLaw(math.log(0.005)), beta=0.0, lambda_floor=0.004)
         ds = generate_sccs(DESIGN, params, 200, split_stream(13, 0))
-        assert len(ds) == 200
-        assert all(pt.event_days.size >= 1 for pt in ds)
-        assert ds.nu1 + ds.nu2 == sum(pt.event_days.size for pt in ds)
+        patients = ds.to_dict()["patients"]
+        assert len(ds) == len(patients) == 200
+        assert all(len(pt["event_days"]) >= 1 for pt in patients)
+        assert ds.nu1 + ds.nu2 == sum(len(pt["event_days"]) for pt in patients)
 
     def test_reproducible_for_fixed_stream(self):
         params = SccsParams(phi_law=PointLaw(math.log(0.01)), beta=0.3, lambda_floor=0.005)
@@ -223,7 +226,7 @@ class TestGeneration:
     def test_exposure_start_within_feasible_range(self):
         params = SccsParams(phi_law=PointLaw(math.log(0.02)), beta=0.0, lambda_floor=0.01)
         ds = generate_sccs(DESIGN, params, 300, split_stream(16, 0))
-        starts = [pt.exposure_start for pt in ds]
+        starts = [pt["exposure_start"] for pt in ds.to_dict()["patients"]]
         assert min(starts) >= 1 and max(starts) <= DESIGN.max_start
 
 
@@ -286,10 +289,7 @@ class TestDecide:
         assert decision.threshold == pytest.approx(math.log(2.0) / 2.0)
 
     def test_zero_statistic_is_m2(self):
-        gen_pts = [
-            PatientTimeline(exposure_start=1, event_days=np.arange(1, 251))
-        ]
-        ds = SccsDataset.from_patients(DESIGN, gen_pts)
+        ds = case_series((1, range(1, 251)))
         assert sccs_mle_closed(ds) == 0.0
         assert sccs_decide(ds, 2.0).chosen is ModelChoice.M2
 
@@ -302,12 +302,8 @@ class TestDecide:
         assert decision.chosen is ModelChoice.M1
 
     def test_sentinels_decide_by_sign(self):
-        plus = SccsDataset.from_patients(
-            DESIGN, [PatientTimeline(exposure_start=50, event_days=np.array([55]))]
-        )
-        minus = SccsDataset.from_patients(
-            DESIGN, [PatientTimeline(exposure_start=50, event_days=np.array([5]))]
-        )
+        plus = case_series((50, [55]))
+        minus = case_series((50, [5]))
         assert sccs_decide(plus, 2.0).chosen is ModelChoice.M1
         assert sccs_decide(minus, 2.0).chosen is ModelChoice.M2
 
@@ -325,16 +321,68 @@ class TestSerialization:
         assert payload["patients"][0]["event_days"] == [95]
         assert payload["design"] == {"total_days": 250, "exposure_days": 21}
 
-    def test_from_patients_validates_days(self):
+    def test_from_dict_validates_days(self):
         with pytest.raises(InvalidArgumentError):
-            SccsDataset.from_patients(
-                DESIGN, [PatientTimeline(exposure_start=10, event_days=np.array([300]))]
-            )
+            case_series((10, [300]))
         with pytest.raises(InvalidArgumentError):
-            SccsDataset.from_patients(
-                DESIGN, [PatientTimeline(exposure_start=240, event_days=np.array([5]))]
-            )
+            case_series((240, [5]))
 
     def test_timeline_rejects_duplicates(self):
         with pytest.raises(InvalidArgumentError):
-            PatientTimeline(exposure_start=10, event_days=np.array([5, 5]))
+            case_series((10, [5, 5]))
+
+    def test_reader_accepts_whole_floats_and_any_order_across_patients(self):
+        ds = case_series((10, [5.0, 9]), (230.0, [3, 250]), (1, [1]))
+        assert ds.to_dict()["patients"] == [
+            {"exposure_start": 10, "event_days": [5, 9]},
+            {"exposure_start": 230, "event_days": [3, 250]},
+            {"exposure_start": 1, "event_days": [1]},
+        ]
+        assert (ds.nu1, ds.nu2) == (2, 3)
+
+    # The bad value sits in patient 1, after a valid patient 0.
+    @pytest.mark.parametrize("start, days, message", [
+        (121.5, [2], "patient 1 exposure_start must hold whole day numbers"),
+        (121, [2.7], "patient 1 event_days must hold whole day numbers"),
+        (121, [], "patient 1: a case series timeline needs at least one event"),
+        (121, [5, 5], "patient 1: event_days must be strictly increasing"),
+        (121, [9, 7], "patient 1: event_days must be strictly increasing"),
+        (0, [2], "patient 1: exposure_start 0 outside [1, 230]"),
+        (231, [2], "patient 1: exposure_start 231 outside [1, 230]"),
+        (121, [0], "patient 1: event days outside [1, 250]"),
+        (121, [251], "patient 1: event days outside [1, 250]"),
+        (121, 5, "patient 1 event_days must hold whole day numbers"),
+        (121, [[1, 2]], "patient 1 event_days must hold whole day numbers"),
+        (121, ["1"], "patient 1 event_days must hold whole day numbers"),
+        (121, [None], "patient 1 event_days must hold whole day numbers"),
+        (121, [True], "patient 1 event_days must hold whole day numbers"),
+        (121, [True, 3], "patient 1 event_days must hold whole day numbers"),
+        (True, [2], "patient 1 exposure_start must hold whole day numbers"),
+        (121, [math.nan], "patient 1 event_days must hold whole day numbers"),
+        (121, [math.inf], "patient 1: event days outside [1, 250]"),
+        (121, [1e300], "patient 1: event days outside [1, 250]"),
+        (121, [10**400], "patient 1: event days outside [1, 250]"),
+        (1e300, [2], "patient 1: exposure_start 1e+300 outside [1, 230]"),
+        (10**19, [2], "patient 1: exposure_start 10000000000000000000 outside [1, 230]"),
+    ])
+    def test_reader_names_the_bad_patient(self, start, days, message):
+        with pytest.raises(InvalidArgumentError) as info:
+            SccsDataset.from_dict({
+                "design": DESIGN.to_dict(),
+                "patients": [
+                    {"exposure_start": 10, "event_days": [3]},
+                    {"exposure_start": start, "event_days": days},
+                ],
+            })
+        assert str(info.value) == message
+
+    def test_bool_day_beside_an_int_day_in_another_patient_is_rejected(self):
+        # numpy promotes the flattened [True, 3] to int64; the check reads
+        # the JSON values themselves.
+        with pytest.raises(InvalidArgumentError, match="patient 0 event_days"):
+            case_series((10, [True]), (10, [3]))
+
+    @pytest.mark.parametrize("patients", [[], 5, {"exposure_start": 1}])
+    def test_reader_needs_a_nonempty_patient_list(self, patients):
+        with pytest.raises(InvalidArgumentError, match="nonempty list"):
+            SccsDataset.from_dict({"design": DESIGN.to_dict(), "patients": patients})

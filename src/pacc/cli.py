@@ -3,8 +3,9 @@
 Subcommands: samplesize | generate | estimate | decide | verify | sweep.
 Configs are JSON files; scalar fields can be overridden on the command
 line with repeated ``--set dotted.path=value`` flags, and ``--seed``
-overrides the master seed. stdout carries the payload JSON, stderr a
-structured diagnostic on failure.
+overrides the master seed. Each subcommand takes only the flags it
+reads. stdout carries the payload JSON, stderr a structured diagnostic
+on failure.
 
 Exit codes: 0 success or verification pass, 1 verification fail,
 2 usage or config error, 3 runtime or data error.
@@ -29,6 +30,7 @@ from pacc.core import (
     Method,
     PaccError,
     split_stream,
+    whole_number,
 )
 from pacc.harness import (
     METHODS,
@@ -73,7 +75,7 @@ def _parse_override(text: str) -> tuple[list[str], object]:
     return path.split("."), value
 
 
-def _apply_overrides(config: dict, overrides: list[str]) -> dict:
+def _apply_overrides(config: dict, overrides: list[str]) -> None:
     for item in overrides:
         keys, value = _parse_override(item)
         node = config
@@ -84,7 +86,6 @@ def _apply_overrides(config: dict, overrides: list[str]) -> dict:
                 node[key] = nxt
             node = nxt
         node[keys[-1]] = value
-    return config
 
 
 def _load_config(args: argparse.Namespace) -> dict:
@@ -104,22 +105,25 @@ def _load_config(args: argparse.Namespace) -> dict:
     return config
 
 
-def _config_value(config: dict, key: str, caster, required: bool = True, default=None):
+def _config_value(config: dict, key: str, caster):
     if key not in config:
-        if required:
-            raise CliError(_EXIT_USAGE, f"config is missing required field {key!r}")
-        return default
+        raise CliError(_EXIT_USAGE, f"config is missing required field {key!r}")
     try:
         return caster(config[key])
     except (TypeError, ValueError, OverflowError) as exc:
         raise CliError(_EXIT_USAGE, f"config field {key!r}: {exc}") from exc
 
 
+def _config_whole(config: dict, key: str) -> int:
+    return _config_value(config, key, lambda value: whole_number(value, key))
+
+
 def _build(factory, what: str):
-    """Run a constructor in the config phase: validation failures are usage errors."""
+    """Run a constructor in the config phase: validation failures are usage
+    errors, and so is a list or number where the reader expects an object."""
     try:
         return factory()
-    except (InvalidArgumentError, KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CliError(_EXIT_USAGE, f"invalid {what}: {exc}") from exc
 
 
@@ -180,8 +184,8 @@ def _method(config: dict) -> tuple[str, MethodSpec]:
 def cmd_generate(args: argparse.Namespace) -> int:
     config = _load_config(args)
     name, method = _method(config)
-    count = _config_value(config, "count", int)
-    seed = _config_value(config, "master_seed", int)
+    count = _config_whole(config, "count")
+    seed = _config_whole(config, "master_seed")
     if count < 1:
         raise CliError(_EXIT_USAGE, "count must be at least 1")
     block = config.get("generator")
@@ -193,6 +197,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
         raise CliError(
             _EXIT_USAGE, f"{name} datasets serialise to {method.formats[0].upper()} only"
         )
+    if args.include_hidden and not method.hidden_column:
+        raise CliError(_EXIT_USAGE, f"{name} datasets have no hidden column")
     dataset = method.generate(params, count, split_stream(seed, GENERATE_STREAM_ID))
     text = method.write(dataset, fmt, args.include_hidden)
     if args.out:
@@ -209,7 +215,7 @@ def _read_dataset(method: MethodSpec, config: dict):
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(_EXIT_RUNTIME, f"cannot read input {path}: {exc}") from exc
-    fmt = config.get("input_format") or ("json" if path.endswith(".json") else "csv")
+    fmt = "json" if path.endswith(".json") else "csv"
     try:
         return method.read(text, fmt)
     except (PaccError, KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -226,7 +232,7 @@ def _apply_rule(method: MethodSpec, config: dict, decide: bool):
         delta = _config_value(config, "delta", float)
     if method.decide_stream:
         epsilon = _config_value(config, "epsilon", float)
-        rng = split_stream(_config_value(config, "master_seed", int), DECIDE_STREAM_ID)
+        rng = split_stream(_config_whole(config, "master_seed"), DECIDE_STREAM_ID)
     dataset = _read_dataset(method, config)
     rule = method.decide if decide else method.estimate
     try:
@@ -316,24 +322,23 @@ def build_parser() -> argparse.ArgumentParser:
     iv_p.add_argument("--alpha", type=float, default=1.0)
     iv_p.add_argument("--sigma-d2", dest="sigma_d2", type=float, default=1.0)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    for name in ("generate", "estimate", "decide", "verify", "sweep"):
+        p = sub.add_parser(name, help=f"run the {name} command")
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="override the master seed")
         p.add_argument("--out", help="output path")
-        p.add_argument("--format", choices=["json", "csv"], default=None)
-        p.add_argument("--threads", type=int, default=1, help="worker threads")
-        p.add_argument("--include-hidden", action="store_true")
         p.add_argument(
             "--set",
             action="append",
             metavar="PATH=VALUE",
             help="override a config field by dotted path (repeatable)",
         )
-
-    for name, _ in _COMMANDS.items():
-        if name == "samplesize":
-            continue
-        add_common(sub.add_parser(name, help=f"run the {name} command"))
+        if name in ("generate", "verify", "sweep"):
+            p.add_argument("--format", choices=["json", "csv"], default=None)
+        if name == "generate":
+            p.add_argument("--include-hidden", action="store_true")
+        if name in ("verify", "sweep"):
+            p.add_argument("--threads", type=int, default=1, help="worker threads")
     return parser
 
 

@@ -34,6 +34,7 @@ __all__ = [
     "split_stream",
     "as_generator",
     "rate_upper_bound",
+    "whole_number",
 ]
 
 _U64_MAX = 2**64 - 1
@@ -112,21 +113,6 @@ class ConceptSpec:
                 f"{self.method.value} delta must lie in (0, 1), got {self.delta}"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "method": self.method.value,
-            "description": self.description,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ConceptSpec":
-        return cls(
-            delta=float(d["delta"]),
-            method=Method(d["method"]),
-            description=str(d.get("description", "")),
-        )
-
 
 @dataclass(frozen=True)
 class Decision:
@@ -146,6 +132,14 @@ class Decision:
             "statistic": self.statistic,
             "threshold": self.threshold,
         }
+
+
+def whole_number(value: object, name: str) -> int:
+    """A JSON number with a whole, finite value, as an int: a count read with
+    ``int()`` would truncate 2.5 and take "21" or true."""
+    if type(value) is int or (isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise InvalidArgumentError(f"{name} must be a whole number, got {value!r}")
 
 
 def _check_u64(value: int, name: str) -> None:

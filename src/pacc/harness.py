@@ -38,6 +38,7 @@ from pacc.core import (
     WeakInstrumentError,
     rate_upper_bound,
     split_stream,
+    whole_number,
 )
 from pacc.iv2sls import (
     IvDataset,
@@ -236,9 +237,11 @@ class MethodSpec:
     # `generate`: its generator block, effect included, and the draw.
     parse_generator: Callable[[dict], Any]
     generate: Callable[[Any, int, RngStream], Any]
-    # Dataset files: formats (the default first), write(dataset, format,
-    # include_hidden) and read(text, format).
+    # Dataset files: formats (the default first), whether they can carry
+    # the latent confounder (`generate --include-hidden`), write(dataset,
+    # format, include_hidden) and read(text, format).
     formats: tuple[str, ...]
+    hidden_column: bool
     write: Callable[[Any, str, bool], str]
     read: Callable[[str, str], Any]
     # `estimate` and `decide` on a dataset: (dataset, delta, epsilon,
@@ -264,6 +267,7 @@ METHODS: dict[Method, MethodSpec] = {
         parse_generator=_sccs_generator,
         generate=lambda design_params, count, rng: generate_sccs(*design_params, count, rng),
         formats=("json",),
+        hidden_column=False,
         write=lambda data, fmt, hidden: _jsonio.dumps(data.to_dict()),
         read=lambda text, fmt: SccsDataset.from_dict(json.loads(text)),
         decide_stream=False,
@@ -292,6 +296,7 @@ METHODS: dict[Method, MethodSpec] = {
         parse_generator=PsParams.from_dict,
         generate=lambda params, count, rng: generate_obs(params, count, rng),
         formats=("csv", "json"),
+        hidden_column=False,
         write=lambda data, fmt, hidden: (
             _jsonio.dumps(data.to_json_obj()) if fmt == "json" else data.to_csv()
         ),
@@ -318,6 +323,7 @@ METHODS: dict[Method, MethodSpec] = {
         parse_generator=IvParams.from_dict,
         generate=lambda params, count, rng: generate_iv(params, count, rng),
         formats=("csv",),
+        hidden_column=True,
         write=lambda data, fmt, hidden: data.to_csv(include_hidden=hidden),
         read=lambda text, fmt: IvDataset.from_csv(text),
         decide_stream=False,
@@ -336,13 +342,12 @@ def generator_params_from_dict(method: Method, d: dict) -> GeneratorParams:
 class TrialSpec:
     """Everything one certification run needs, including its randomness.
 
-    ``epsilon`` is the error budget being certified; ``sample_size`` is an
-    explicit count or AUTO to take the method's sample-size bound;
-    ``stream_base`` offsets trial stream ids so sweep points never share
-    streams.
+    The concept names the method. ``epsilon`` is the error budget being
+    certified; ``sample_size`` is an explicit count or AUTO to take the
+    method's sample-size bound; ``stream_base`` offsets trial stream ids
+    so sweep points never share streams.
     """
 
-    method: Method
     truth: ModelChoice
     concept: ConceptSpec
     generator_params: GeneratorParams
@@ -352,11 +357,11 @@ class TrialSpec:
     sample_size: int | str = AUTO
     stream_base: int = 0
 
+    @property
+    def method(self) -> Method:
+        return self.concept.method
+
     def __post_init__(self) -> None:
-        if self.concept.method is not self.method:
-            raise InvalidArgumentError(
-                f"concept is for {self.concept.method.value}, spec runs {self.method.value}"
-            )
         entry = METHODS[self.method]
         if not isinstance(self.generator_params, entry.params_type):
             raise InvalidArgumentError(
@@ -408,17 +413,16 @@ class TrialSpec:
         )
         size = d.get("sample_size", AUTO)
         if size != AUTO:
-            size = int(size)
+            size = whole_number(size, "sample_size")
         return cls(
-            method=method,
             truth=ModelChoice(d["truth"]),
             concept=concept,
             generator_params=generator_params_from_dict(method, d["generator"]),
-            trials=int(d["trials"]),
-            master_seed=int(d["master_seed"]),
+            trials=whole_number(d["trials"], "trials"),
+            master_seed=whole_number(d["master_seed"], "master_seed"),
             epsilon=float(d["epsilon"]),
             sample_size=size,
-            stream_base=int(d.get("stream_base", 0)),
+            stream_base=whole_number(d.get("stream_base", 0), "stream_base"),
         )
 
 

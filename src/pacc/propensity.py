@@ -14,6 +14,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from pacc.core import (
     RngStream,
     UndefinedAteError,
     as_generator,
+    whole_number,
 )
 
 __all__ = [
@@ -56,6 +58,8 @@ __all__ = [
 
 _ENUM_LIMIT = 20  # exact enumeration over 2^n covariate configurations
 _WEIGHT_CAP = 30.0  # |weight| beyond this is treated as separation
+_MAX_ITERS = 200  # Newton updates per logistic fit
+_SCORE_TOL = 1e-8  # max-norm of the mean score at which a fit has converged
 
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
@@ -154,7 +158,7 @@ class PsParams:
     def from_dict(cls, d: dict) -> "PsParams":
         probs = d.get("covariate_probs")
         return cls(
-            n_covariates=int(d["n_covariates"]),
+            n_covariates=whole_number(d["n_covariates"], "n_covariates"),
             treat_weights=tuple(d["treat_weights"]),
             treat_bias=float(d["treat_bias"]),
             positivity_floor=float(d["positivity_floor"]),
@@ -229,11 +233,11 @@ class ObsDataset:
     def from_json_obj(cls, obj: list) -> "ObsDataset":
         if not obj:
             raise InvalidArgumentError("cannot build a dataset from zero records")
-        return cls(
-            np.array([r["x"] for r in obj]),
-            np.array([r["z"] for r in obj]),
-            np.array([r["y"] for r in obj]),
-        )
+        x, z, y = ([r[key] for r in obj] for key in ("x", "z", "y"))
+        # Checked on the values themselves: numpy reads a bool as 0 or 1.
+        if not set(map(type, chain(z, y, *x))) <= {int, float}:
+            raise InvalidArgumentError("x, z and y values must be the numbers 0 or 1")
+        return cls(np.array(x), np.array(z), np.array(y))
 
 
 @dataclass(frozen=True)
@@ -261,10 +265,6 @@ class PropensityModel:
     def to_dict(self) -> dict:
         return {"weights": list(self.weights), "bias": self.bias}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "PropensityModel":
-        return cls(weights=tuple(d["weights"]), bias=float(d["bias"]))
-
 
 @dataclass(frozen=True)
 class PsSampleSizes:
@@ -275,13 +275,14 @@ class PsSampleSizes:
     n1: int
     n3: int
     n2: int
-    total: int
 
     def __post_init__(self) -> None:
         if min(self.n1, self.n2, self.n3) < 1:
             raise InvalidArgumentError("sample sizes must be at least 1")
-        if self.total != self.n1 + self.n2:
-            raise InvalidArgumentError("total must equal n1 + n2")
+
+    @property
+    def total(self) -> int:
+        return self.n1 + self.n2
 
     def to_dict(self) -> dict:
         return {
@@ -360,27 +361,21 @@ def draw_cells(
     return CellCounts(configs, totals, treated)
 
 
-def fit_logistic(
-    data: ObsDataset, max_iters: int = 200, tol: float = 1e-8
-) -> PropensityModel:
+def fit_logistic(data: ObsDataset) -> PropensityModel:
     """Fit P(Z=1 | x) by full-batch Newton ascent on the Bernoulli likelihood.
 
-    Stops when the max-norm of the mean score drops below ``tol`` or after
-    ``max_iters`` updates. Data with a single treatment arm cannot
+    Stops when the max-norm of the mean score drops below ``_SCORE_TOL`` or
+    after ``_MAX_ITERS`` updates. Data with a single treatment arm cannot
     identify the model and raises DegenerateFitError; a weight walking
     past the cap (separation) stops the fit and flags the model instead
     of diverging. The Newton steps run on the cell tallies, one row per
     covariate configuration present, which gives the per-record MLE.
     """
-    return _fit_cells(tally_cells(data), max_iters, tol)
+    return _fit_cells(tally_cells(data))
 
 
-def _fit_cells(cells: CellCounts, max_iters: int = 200, tol: float = 1e-8) -> PropensityModel:
+def _fit_cells(cells: CellCounts) -> PropensityModel:
     """Grouped Newton fit of ``fit_logistic`` on cell tallies weighted by their totals."""
-    if max_iters < 1:
-        raise InvalidArgumentError("max_iters must be at least 1")
-    if not tol > 0:
-        raise InvalidArgumentError("tol must be positive")
     present = cells.totals > 0
     totals = cells.totals[present].astype(np.float64)
     treated = cells.treated[present].astype(np.float64)
@@ -396,10 +391,10 @@ def _fit_cells(cells: CellCounts, max_iters: int = 200, tol: float = 1e-8) -> Pr
     )
     coefs = np.zeros(design.shape[1])
     capped = False
-    for _ in range(max_iters):
+    for _ in range(_MAX_ITERS):
         p = _sigmoid(design @ coefs)
         score = design.T @ (treated - totals * p) / n_records
-        if np.max(np.abs(score)) < tol:
+        if np.max(np.abs(score)) < _SCORE_TOL:
             break
         w = totals * p * (1.0 - p)
         hess = design.T @ (design * w[:, None]) / n_records
@@ -500,7 +495,7 @@ def ps_sample_sizes(epsilon: float, delta: float, n_covariates: int) -> PsSample
     n2 = math.ceil(
         (n3 + log3e / 2.0 + math.sqrt(2.0 * n3 * log3e + math.log(6.0 / epsilon))) / delta
     )
-    return PsSampleSizes(gamma=gamma, n1=n1, n3=n3, n2=n2, total=n1 + n2)
+    return PsSampleSizes(gamma=gamma, n1=n1, n3=n3, n2=n2)
 
 
 @dataclass(frozen=True)

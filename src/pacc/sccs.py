@@ -24,6 +24,7 @@ from pacc.core import (
     ModelChoice,
     RngStream,
     as_generator,
+    whole_number,
 )
 
 __all__ = [
@@ -147,7 +148,7 @@ class SccsDesign:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SccsDesign":
-        return cls(total_days=int(d["total_days"]), exposure_days=int(d["exposure_days"]))
+        return cls(*(whole_number(d[key], key) for key in ("total_days", "exposure_days")))
 
 
 @dataclass(frozen=True)
@@ -504,7 +505,7 @@ def sccs_mle_closed(dataset: SccsDataset | SccsCounts) -> float:
     return math.log(nu1 / design.exposure_days) - math.log(nu2 / design.control_days)
 
 
-def sccs_mle_numeric(dataset: SccsDataset, tolerance: float = 1e-8) -> float:
+def sccs_mle_numeric(dataset: SccsDataset) -> float:
     """Numeric oracle for the closed form: maximise the likelihood directly.
 
     Derivative-free bounded search over a bracket wide enough to contain
@@ -513,8 +514,6 @@ def sccs_mle_numeric(dataset: SccsDataset, tolerance: float = 1e-8) -> float:
     """
     from scipy.optimize import minimize_scalar
 
-    if not tolerance > 0:
-        raise InvalidArgumentError("tolerance must be positive")
     if dataset.nu1 == 0 or dataset.nu2 == 0:
         raise InvalidArgumentError(
             "numeric estimate needs events in both the exposed and unexposed periods"
@@ -526,7 +525,7 @@ def sccs_mle_numeric(dataset: SccsDataset, tolerance: float = 1e-8) -> float:
         lambda b: -sccs_loglik(dataset, b),
         bounds=(-half_width, half_width),
         method="bounded",
-        options={"xatol": tolerance},
+        options={"xatol": 1e-8},
     )
     return float(res.x)
 

@@ -43,7 +43,6 @@ def report_line(number: int, name: str, passed: bool, detail: str = "") -> None:
 
 def sccs_trial_spec(truth: ModelChoice, phi_law, seed: int) -> TrialSpec:
     return TrialSpec(
-        method=Method.SCCS,
         truth=truth,
         concept=ConceptSpec(2.0, Method.SCCS),
         generator_params=SccsScenario(
@@ -59,7 +58,6 @@ def sccs_trial_spec(truth: ModelChoice, phi_law, seed: int) -> TrialSpec:
 def ps_trial_spec(truth: ModelChoice, epsilon: float, delta: float, params: PsParams,
                   trials: int, seed: int) -> TrialSpec:
     return TrialSpec(
-        method=Method.PROPENSITY,
         truth=truth,
         concept=ConceptSpec(delta, Method.PROPENSITY),
         generator_params=params,
@@ -110,7 +108,7 @@ def test_c1_sccs_closed_form_matches_numeric_oracle():
         ds = generate_sccs(DESIGN, params, cases, gen)
         if ds.nu1 == 0 or ds.nu2 == 0:
             continue
-        gap = abs(sccs_mle_closed(ds) - sccs_mle_numeric(ds, 1e-8))
+        gap = abs(sccs_mle_closed(ds) - sccs_mle_numeric(ds))
         worst = max(worst, gap)
         checked += 1
     elapsed = time.monotonic() - start
@@ -259,7 +257,6 @@ def test_c5_iv_calibration_and_naive_ols_contrast():
     all_pass = True
     for truth, seed in ((ModelChoice.M1, 51_000), (ModelChoice.M2, 52_000)):
         spec = TrialSpec(
-            method=Method.IV2SLS,
             truth=truth,
             concept=ConceptSpec(delta, Method.IV2SLS),
             generator_params=IV_CONFOUNDED,

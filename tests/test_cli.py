@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,9 @@ from pacc.core import split_stream
 from pacc.iv2sls import IvParams, generate_iv, iv_decide
 from pacc.propensity import ObsDataset, generate_obs, ps_decide, PsParams
 from pacc.sccs import PointLaw
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def run_cli(capsys, *argv):
@@ -327,6 +331,19 @@ class TestEstimateDecide:
         ("sccs", "cases.json", b'\xff\xfe{"design": {}}'),
         ("propensity", "obs.csv", b"x0,z,y\n\xff\xfe,1,0\n"),
         ("iv2sls", "iv.csv", b"d,z,y\n1,1,1\n\xff,0,0\n"),
+        # Design fields that int() would truncate or convert.
+        ("sccs", "cases.json", json.dumps({
+            "design": {"total_days": 250.9, "exposure_days": 21},
+            "patients": [{"exposure_start": 121, "event_days": [2]}],
+        })),
+        ("sccs", "cases.json", json.dumps({
+            "design": {"total_days": 250, "exposure_days": "21"},
+            "patients": [{"exposure_start": 121, "event_days": [2]}],
+        })),
+        ("sccs", "cases.json", json.dumps({
+            "design": {"total_days": 250, "exposure_days": True},
+            "patients": [{"exposure_start": 121, "event_days": [2]}],
+        })),
     ])
     def test_invalid_data_values_exit_3(self, capsys, tmp_path, method, name, text):
         data = tmp_path / name
@@ -343,6 +360,24 @@ class TestEstimateDecide:
         assert out == ""
         message = json.loads(err)["message"]
         assert message.startswith("cannot ") and f" input {data}: " in message
+
+    @pytest.mark.parametrize("records", [
+        [{"x": [True, 0], "z": 1, "y": 0}],
+        [{"x": [1, 0], "z": True, "y": 0}],
+        [{"x": [1, 0], "z": 1, "y": False}, {"x": [0, 1], "z": 0, "y": 1}],
+    ])
+    def test_bools_in_a_propensity_json_file_exit_3(self, capsys, tmp_path, records):
+        data = write_json(tmp_path / "obs.json", records)
+        cfg = write_json(tmp_path / "dec.json", {
+            "method": "propensity", "input": data, "delta": 0.5,
+            "epsilon": 0.2, "master_seed": 1,
+        })
+        code, out, err = run_cli(capsys, "decide", "--config", cfg)
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["message"] == (
+            f"cannot parse input {data}: x, z and y values must be the numbers 0 or 1"
+        )
 
     def test_sccs_reader_diagnostic_names_the_patient(self, capsys, tmp_path):
         data = write_json(tmp_path / "cases.json", {
@@ -545,6 +580,74 @@ class TestUsage:
         assert out == ""
         assert set(json.loads(err)) == {"error", "message"}
 
+    PS_GENERATE = {
+        "method": "propensity", "count": 4, "master_seed": 9,
+        "generator": {**PS_GENERATOR, "n_covariates": 2, "treat_weights": [0.5, 0.5],
+                      "confound_weights": [0.03, 0.03]},
+    }
+
+    @pytest.mark.parametrize("command, config, overrides", [
+        ("verify", IV_VERIFY_CONFIG, ["trials=2.5"]),
+        ("verify", IV_VERIFY_CONFIG, ["trials=true"]),
+        ("verify", IV_VERIFY_CONFIG, ["master_seed=7.5"]),
+        ("verify", IV_VERIFY_CONFIG, ['master_seed="42"']),
+        ("verify", IV_VERIFY_CONFIG, ["sample_size=1280.5"]),
+        ("verify", IV_VERIFY_CONFIG, ["stream_base=2.5"]),
+        ("generate", SCCS_GENERATE, ["count=3.9"]),
+        ("generate", SCCS_GENERATE, ["master_seed=7.5"]),
+        ("generate", SCCS_GENERATE, ["generator.design.total_days=250.9"]),
+        ("generate", SCCS_GENERATE, ['generator.design.exposure_days="21"']),
+        ("generate", PS_GENERATE, ["generator.n_covariates=2.9"]),
+        ("verify", json.loads((CONFIGS / "sccs_verify.json").read_text()),
+         ["generator.design.exposure_days=21.5"]),
+    ])
+    def test_non_whole_config_numbers_exit_2(self, capsys, tmp_path, command, config,
+                                             overrides):
+        cfg = write_json(tmp_path / "cfg.json", config)
+        argv = [command, "--config", cfg]
+        for item in overrides:
+            argv += ["--set", item]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "must be a whole number" in json.loads(err)["message"]
+
+    def test_non_whole_decide_seed_exits_2(self, capsys, tmp_path):
+        data = tmp_path / "obs.csv"
+        data.write_text("x0,z,y\n1,1,0\n0,0,1\n")
+        cfg = write_json(tmp_path / "dec.json", {
+            "method": "propensity", "input": str(data), "delta": 0.5,
+            "epsilon": 0.2, "master_seed": 1.5,
+        })
+        code, out, err = run_cli(capsys, "decide", "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["message"] == (
+            "config field 'master_seed': master_seed must be a whole number, got 1.5"
+        )
+
+    @pytest.mark.parametrize("command, name, path, value", [
+        ("verify", "sccs_verify", ("generator", "phi_law"), [1]),
+        ("verify", "iv_verify", ("generator",), [1]),
+        ("verify", "ps_verify_fast", ("generator",), [1]),
+        ("sweep", "sccs_sweep", ("grid", 0, "phi_law"), [1]),
+        ("generate", None, ("generator", "params", "phi_law"), [1]),
+    ])
+    def test_non_object_block_exits_2(self, capsys, tmp_path, command, name, path, value):
+        if name is None:
+            config = json.loads(json.dumps(self.SCCS_GENERATE))
+        else:
+            config = json.loads((CONFIGS / f"{name}.json").read_text())
+        node = config
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        cfg = write_json(tmp_path / "cfg.json", config)
+        code, out, err = run_cli(capsys, command, "--config", cfg)
+        assert code == 2
+        assert out == ""
+        assert set(json.loads(err)) == {"error", "message"}
+
     def test_non_utf8_config_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(b'\xff\xfe{"method": "iv2sls"}')
@@ -552,6 +655,45 @@ class TestUsage:
         assert code == 2
         assert out == ""
         assert json.loads(err)["message"].startswith(f"cannot read config {cfg}: ")
+
+    @pytest.mark.parametrize("command, flag", [
+        ("generate", "--threads=2"),
+        ("estimate", "--format=json"),
+        ("estimate", "--threads=2"),
+        ("estimate", "--include-hidden"),
+        ("decide", "--format=json"),
+        ("decide", "--threads=2"),
+        ("decide", "--include-hidden"),
+        ("verify", "--include-hidden"),
+        ("sweep", "--include-hidden"),
+    ])
+    def test_flag_the_command_does_not_read_exits_2(self, capsys, tmp_path, command, flag):
+        data = tmp_path / "iv.csv"
+        data.write_text("d,z,y\n1,1,1\n-1,0,0\n")
+        configs = {
+            "generate": {"method": "iv2sls", "count": 5, "master_seed": 5,
+                         "generator": {"alpha": 1.0, "beta": 1.0}},
+            "estimate": {"method": "iv2sls", "input": str(data), "delta": 0.5},
+            "decide": {"method": "iv2sls", "input": str(data), "delta": 0.5},
+            "verify": {**IV_VERIFY_CONFIG, "trials": 5},
+            "sweep": {**IV_VERIFY_CONFIG, "trials": 5,
+                      "grid": [IV_VERIFY_CONFIG["generator"]]},
+        }
+        cfg = write_json(tmp_path / "cfg.json", configs[command])
+        code, out, err = run_cli(capsys, command, "--config", cfg, flag)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("config", [SCCS_GENERATE, PS_GENERATE])
+    def test_include_hidden_without_a_hidden_column_exits_2(self, capsys, tmp_path, config):
+        cfg = write_json(tmp_path / "gen.json", config)
+        code, out, err = run_cli(capsys, "generate", "--config", cfg, "--include-hidden")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["message"] == (
+            f"{config['method']} datasets have no hidden column"
+        )
 
     def test_missing_config_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "verify")

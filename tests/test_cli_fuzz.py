@@ -1,4 +1,4 @@
-"""Fuzz the CLI's dataset readers with near-valid inputs.
+"""Fuzz the CLI's dataset and config readers with near-valid inputs.
 
 A fixed, valid ``decide`` config reads a mutated dataset file. A JSON
 value or a CSV cell becomes Infinity, NaN, 1e400, a huge int, a bool,
@@ -8,6 +8,11 @@ stray character deleted (broken JSON) or two bytes that are not UTF-8.
 The config is valid, so each run must end with exit 0, or exit 3 with
 nothing on stdout and one JSON diagnostic on stderr; and it must raise
 no warning.
+
+The committed ``verify`` and ``sweep`` configs are mutated the same way
+and run with a stub in place of ``harness.run_trial``, so that no mutated
+size or rate reaches a draw. Each run must end with exit 0 or 1 and a
+report, or exit 2 with one JSON diagnostic, and raise no warning.
 """
 
 import contextlib
@@ -17,10 +22,15 @@ import json
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
+from pacc import harness
 from pacc.cli import main
+from pacc.core import ModelChoice
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 _PS_RECORDS = [
     {"x": [0, 1], "z": 1, "y": 0},
@@ -139,3 +149,60 @@ def test_decide_on_a_mutated_input_exits_0_or_3(case):
         assert out.getvalue() == ""
         diagnostic = json.loads(err.getvalue())
         assert isinstance(diagnostic, dict) and set(diagnostic) == {"error", "message"}
+
+
+# (command, config) for each committed config.
+CONFIG_RUNS = [
+    ("sweep" if path.stem.endswith("sweep") else "verify", json.loads(path.read_text()))
+    for path in sorted(CONFIGS.glob("*.json"))
+]
+
+_CONFIG_MUTANTS = [True, False, "abc", "1", 2.5, float("inf"), None, [1], [], {}, {"kind": 1}]
+
+
+@st.composite
+def mutated_configs(draw):
+    command, config = draw(st.sampled_from(CONFIG_RUNS))
+    config = copy.deepcopy(config)
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_paths(config))))
+        parent = config
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        if isinstance(parent, dict) and draw(st.integers(0, 4)) == 0:
+            parent["zz"] = parent.pop(key)
+        else:
+            parent[key] = copy.deepcopy(draw(st.sampled_from(_CONFIG_MUTANTS)))
+    return command, config
+
+
+def _fixed_outcome(spec, index, sample_size=None):
+    return harness.TrialOutcome(
+        seed=index, decision=ModelChoice.M2, statistic=0.0, correct=True
+    )
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(case=mutated_configs())
+def test_verify_on_a_mutated_config_exits_0_1_or_2(case):
+    command, config = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps(config))
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with mock.patch.object(harness, "run_trial", _fixed_outcome), \
+                    contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, "--config", str(cfg), "--set", "trials=2",
+                             "--threads", "1"])
+    assert [str(w.message) for w in caught] == []
+    assert code in (0, 1, 2), err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        diagnostic = json.loads(err.getvalue())
+        assert isinstance(diagnostic, dict) and set(diagnostic) == {"error", "message"}
+    else:
+        assert err.getvalue() == ""
+        assert json.loads(out.getvalue())["kind"] in ("verification", "sweep")

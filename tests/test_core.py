@@ -100,10 +100,6 @@ class TestConceptSpec:
             with pytest.raises(InvalidArgumentError):
                 ConceptSpec(bad, method)
 
-    def test_round_trip(self):
-        c = ConceptSpec(0.5, Method.IV2SLS, "effect of z on y")
-        assert ConceptSpec.from_dict(c.to_dict()) == c
-
 
 def test_decision_to_dict():
     d = Decision(chosen=ModelChoice.M1, statistic=1.25, threshold=0.25)

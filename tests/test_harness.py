@@ -24,7 +24,6 @@ from pacc.sccs import PointLaw, SccsDesign, TwoPointLaw
 
 def iv_spec(truth=ModelChoice.M1, **overrides) -> TrialSpec:
     defaults = dict(
-        method=Method.IV2SLS,
         truth=truth,
         concept=ConceptSpec(0.5, Method.IV2SLS),
         generator_params=IvParams(alpha=1.0, beta=0.0, conf_z=1.0, conf_y=1.0),
@@ -39,7 +38,6 @@ def iv_spec(truth=ModelChoice.M1, **overrides) -> TrialSpec:
 
 def sccs_spec(truth=ModelChoice.M2, **overrides) -> TrialSpec:
     defaults = dict(
-        method=Method.SCCS,
         truth=truth,
         concept=ConceptSpec(2.0, Method.SCCS),
         generator_params=SccsScenario(
@@ -58,7 +56,6 @@ def sccs_spec(truth=ModelChoice.M2, **overrides) -> TrialSpec:
 
 def ps_spec(truth=ModelChoice.M2, **overrides) -> TrialSpec:
     defaults = dict(
-        method=Method.PROPENSITY,
         truth=truth,
         concept=ConceptSpec(0.8, Method.PROPENSITY),
         generator_params=PsParams(

@@ -517,10 +517,6 @@ class TestSerialization:
         again = ObsDataset.from_json_obj(data.to_json_obj())
         assert np.array_equal(again.x, data.x)
 
-    def test_model_round_trip(self):
-        model = PropensityModel(weights=(0.25, -0.5), bias=0.125)
-        assert PropensityModel.from_dict(model.to_dict()) == model
-
     @pytest.mark.parametrize("column", ["x", "z", "y"])
     def test_values_other_than_zero_one_rejected(self, column):
         arrays = {

@@ -152,11 +152,11 @@ class TestEstimators:
 
     def test_numeric_matches_closed_on_worked_example(self):
         ds = worked_example_dataset()
-        assert sccs_mle_numeric(ds, 1e-8) == pytest.approx(sccs_mle_closed(ds), abs=1e-6)
+        assert sccs_mle_numeric(ds) == pytest.approx(sccs_mle_closed(ds), abs=1e-6)
 
     def test_numeric_on_symmetric_rates_is_zero(self):
         ds = case_series((100, range(1, 251)))
-        assert abs(sccs_mle_numeric(ds, 1e-8)) <= 1e-7
+        assert abs(sccs_mle_numeric(ds)) <= 1e-7
 
     def test_numeric_rejects_degenerate_counts(self):
         ds = case_series((100, [5]))
@@ -171,7 +171,7 @@ class TestEstimators:
             ds = random_dataset(seed)
             if ds.nu1 == 0 or ds.nu2 == 0:
                 continue
-            assert abs(sccs_mle_closed(ds) - sccs_mle_numeric(ds, 1e-8)) <= 1e-6
+            assert abs(sccs_mle_closed(ds) - sccs_mle_numeric(ds)) <= 1e-6
             checked += 1
 
     @given(seed=st.integers(min_value=0, max_value=10_000))

@@ -29,6 +29,7 @@ from pacc.core import (
     InvalidArgumentError,
     Method,
     PaccError,
+    real_number,
     split_stream,
     whole_number,
 )
@@ -116,6 +117,10 @@ def _config_value(config: dict, key: str, caster):
 
 def _config_whole(config: dict, key: str) -> int:
     return _config_value(config, key, lambda value: whole_number(value, key))
+
+
+def _config_real(config: dict, key: str) -> float:
+    return _config_value(config, key, lambda value: real_number(value, key))
 
 
 def _build(factory, what: str):
@@ -229,9 +234,9 @@ def _apply_rule(method: MethodSpec, config: dict, decide: bool):
     error."""
     delta = epsilon = rng = None
     if decide or method.decide_stream:
-        delta = _config_value(config, "delta", float)
+        delta = _config_real(config, "delta")
     if method.decide_stream:
-        epsilon = _config_value(config, "epsilon", float)
+        epsilon = _config_real(config, "epsilon")
         rng = split_stream(_config_whole(config, "master_seed"), DECIDE_STREAM_ID)
     dataset = _read_dataset(method, config)
     rule = method.decide if decide else method.estimate

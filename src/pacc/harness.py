@@ -11,6 +11,7 @@ parallelism.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -37,15 +38,18 @@ from pacc.core import (
     UndefinedAteError,
     WeakInstrumentError,
     rate_upper_bound,
-    split_stream,
+    real_number,
+    rekeyed_generator,
     whole_number,
 )
 from pacc.iv2sls import (
     IvDataset,
     IvParams,
+    draw_iv_sums,
     generate_iv,
     iv_analytic_variances,
     iv_decide,
+    iv_rule,
     iv_sample_size,
     two_sls,
 )
@@ -64,9 +68,11 @@ from pacc.sccs import (
     SccsDesign,
     SccsParams,
     TwoPointLaw,
+    draw_cell_counts,
     draw_sccs_counts,
     generate_sccs,
     law_from_dict,
+    sccs_cell_table,
     sccs_decide,
     sccs_mle_closed,
     sccs_sample_size,
@@ -134,7 +140,7 @@ class SccsScenario:
         return cls(
             design=SccsDesign.from_dict(d["design"]),
             phi_law=law_from_dict(d["phi_law"]),
-            lambda_floor=float(d["lambda_floor"]),
+            lambda_floor=real_number(d["lambda_floor"], "lambda_floor"),
         )
 
 
@@ -170,6 +176,18 @@ def _sccs_truth(scenario: SccsScenario, delta: float, is_m1: bool) -> SccsParams
         beta=math.log(delta) if is_m1 else 0.0,
         lambda_floor=scenario.lambda_floor,
     )
+
+
+def _sccs_prepare(
+    spec: TrialSpec, params: SccsParams, size: int
+) -> Callable[[np.random.Generator], Decision]:
+    """An SCCS trial: the event totals from the design's cell table, or
+    case by case when the design has too many cells for one."""
+    design, delta = spec.generator_params.design, spec.concept.delta
+    table = sccs_cell_table(design, params)
+    if table is None:
+        return lambda gen: sccs_decide(draw_sccs_counts(design, params, size, gen), delta)
+    return lambda gen: sccs_decide(draw_cell_counts(table, size, gen), delta)
 
 
 def _iv_auto_size(spec: TrialSpec) -> int:
@@ -232,8 +250,12 @@ class MethodSpec:
     truth_params: Callable[[GeneratorParams, float, bool], Any]
     # The sample-size bound that AUTO resolves to.
     auto_size: Callable[[TrialSpec], int]
-    # One trial: (spec, truth params, sample size, generator) -> decision.
-    trial: Callable[[TrialSpec, Any, int, np.random.Generator], Decision]
+    # Trials: (spec, truth params, sample size) -> draw_and_decide, which
+    # maps a trial's generator to its decision. The work that depends only
+    # on the spec runs in the first call, once per spec and size.
+    prepare: Callable[
+        [TrialSpec, Any, int], Callable[[np.random.Generator], Decision]
+    ]
     # `generate`: its generator block, effect included, and the draw.
     parse_generator: Callable[[dict], Any]
     generate: Callable[[Any, int, RngStream], Any]
@@ -260,10 +282,7 @@ METHODS: dict[Method, MethodSpec] = {
         auto_size=lambda spec: sccs_sample_size(
             spec.epsilon, spec.concept.delta, spec.generator_params.lambda_floor
         ),
-        trial=lambda spec, params, size, gen: sccs_decide(
-            draw_sccs_counts(spec.generator_params.design, params, size, gen),
-            spec.concept.delta,
-        ),
+        prepare=_sccs_prepare,
         parse_generator=_sccs_generator,
         generate=lambda design_params, count, rng: generate_sccs(*design_params, count, rng),
         formats=("json",),
@@ -290,7 +309,7 @@ METHODS: dict[Method, MethodSpec] = {
         auto_size=lambda spec: ps_sample_sizes(
             spec.epsilon, spec.concept.delta, spec.generator_params.n_covariates
         ).total,
-        trial=lambda spec, params, size, gen: ps_decide_drawn(
+        prepare=lambda spec, params, size: lambda gen: ps_decide_drawn(
             params, size, spec.concept.delta, gen, epsilon=spec.epsilon
         ),
         parse_generator=PsParams.from_dict,
@@ -317,8 +336,8 @@ METHODS: dict[Method, MethodSpec] = {
             params, beta=delta if is_m1 else 0.0
         ),
         auto_size=_iv_auto_size,
-        trial=lambda spec, params, size, gen: iv_decide(
-            generate_iv(params, size, gen), spec.concept.delta
+        prepare=lambda spec, params, size: lambda gen: iv_rule(
+            draw_iv_sums(params, size, gen), spec.concept.delta
         ),
         parse_generator=IvParams.from_dict,
         generate=lambda params, count, rng: generate_iv(params, count, rng),
@@ -407,7 +426,7 @@ class TrialSpec:
         method = Method(d["method"])
         concept_d = d["concept"]
         concept = ConceptSpec(
-            delta=float(concept_d["delta"]),
+            delta=real_number(concept_d["delta"], "concept.delta"),
             method=method,
             description=str(concept_d.get("description", "")),
         )
@@ -420,7 +439,7 @@ class TrialSpec:
             generator_params=generator_params_from_dict(method, d["generator"]),
             trials=whole_number(d["trials"], "trials"),
             master_seed=whole_number(d["master_seed"], "master_seed"),
-            epsilon=float(d["epsilon"]),
+            epsilon=real_number(d["epsilon"], "epsilon"),
             sample_size=size,
             stream_base=whole_number(d.get("stream_base", 0), "stream_base"),
         )
@@ -473,25 +492,36 @@ class TrialOutcome:
         )
 
 
+# Bounded, because an SCCS entry holds its cell table (up to 2**17 cells);
+# a sweep needs one entry per grid point while it runs.
+@functools.lru_cache(maxsize=8)
+def _prepared_trial(
+    spec: TrialSpec, sample_size: int | None
+) -> Callable[[np.random.Generator], Decision]:
+    size = resolve_sample_size(spec) if sample_size is None else sample_size
+    return METHODS[spec.method].prepare(spec, params_for_truth(spec), size)
+
+
 def run_trial(spec: TrialSpec, index: int, sample_size: int | None = None) -> TrialOutcome:
     """Draw one sample from the truth model and apply the method's rule.
 
-    SCCS and propensity trials draw only what their decisions read (the
-    event totals; the fitting slice's cell tallies), with the law of the
-    record-level generators. A pipeline halt (too few rejection
-    survivors, generation retry exhaustion, degenerate estimators) counts
-    as an incorrect trial with the failure recorded, preserving the
-    union-bound accounting.
+    Trials draw only what their decisions read, with the law of the
+    record-level generators: the three 2SLS sums from three standard
+    normals (IV), the event totals from the design's cell table (SCCS),
+    the fitting slice's cell tallies (propensity). The work each spec
+    needs once (truth parameters, sample size, SCCS cell table) is
+    prepared on the first trial and kept for a few recent (spec, size)
+    pairs. The trial's stream (master_seed, stream_base + index) comes
+    from this thread's re-keyed generator, which draws what a fresh one
+    would. A pipeline halt (too few rejection survivors, generation retry
+    exhaustion, degenerate estimators) counts as an incorrect trial with
+    the failure recorded, preserving the union-bound accounting.
     """
-    size = resolve_sample_size(spec) if sample_size is None else sample_size
     stream_id = spec.stream_base + index
-    gen = split_stream(spec.master_seed, stream_id).generator()
-    entry = METHODS[spec.method]
-    params = entry.truth_params(
-        spec.generator_params, spec.concept.delta, spec.truth is ModelChoice.M1
-    )
+    draw_and_decide = _prepared_trial(spec, sample_size)
+    gen = rekeyed_generator(spec.master_seed, stream_id)
     try:
-        decision = entry.trial(spec, params, size, gen)
+        decision = draw_and_decide(gen)
     except _TRIAL_FAILURES as exc:
         return TrialOutcome(
             seed=stream_id,
@@ -553,10 +583,13 @@ class VerificationReport:
 def verify(spec: TrialSpec, workers: int = 1) -> VerificationReport:
     """Run the spec's trials and certify the error rate against epsilon.
 
-    Passing means the one-sided Wilson upper bound (at ``CONFIDENCE``)
-    on the error probability does not exceed epsilon. Output is
-    identical for identical specs regardless of ``workers``, which is
-    clamped to the trial count and the CPU count.
+    Each trial is one ``run_trial`` call, looked up through this module
+    at run time. Each worker runs one contiguous block of trial indices
+    and the blocks are joined in index order. Passing means the one-sided
+    Wilson upper bound (at ``CONFIDENCE``) on the error probability does
+    not exceed epsilon. Output is identical for identical specs
+    regardless of ``workers``, which is clamped to the trial count and
+    the CPU count.
     """
     if workers < 1:
         raise InvalidArgumentError("workers must be at least 1")

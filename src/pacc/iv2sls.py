@@ -23,6 +23,7 @@ from pacc.core import (
     RngStream,
     WeakInstrumentError,
     as_generator,
+    real_number,
 )
 
 __all__ = [
@@ -30,9 +31,12 @@ __all__ = [
     "IvDataset",
     "IvEstimate",
     "generate_iv",
+    "draw_iv_sums",
     "two_sls",
+    "iv_ratio",
     "iv_sample_size",
     "iv_decide",
+    "iv_rule",
     "iv_analytic_variances",
     "ols_slope",
 ]
@@ -69,12 +73,12 @@ class IvParams:
     @classmethod
     def from_dict(cls, d: dict) -> "IvParams":
         return cls(
-            alpha=float(d["alpha"]),
-            beta=float(d["beta"]),
-            conf_z=float(d.get("conf_z", 0.0)),
-            conf_y=float(d.get("conf_y", 0.0)),
-            noise_z_sd=float(d.get("noise_z_sd", 0.0)),
-            noise_y_sd=float(d.get("noise_y_sd", 0.0)),
+            alpha=real_number(d["alpha"], "alpha"),
+            beta=real_number(d["beta"], "beta"),
+            **{
+                key: real_number(d.get(key, 0.0), key)
+                for key in ("conf_z", "conf_y", "noise_z_sd", "noise_y_sd")
+            },
         )
 
 
@@ -161,14 +165,31 @@ def generate_iv(
     return IvDataset(d, z, y, u)
 
 
-def two_sls(data: IvDataset) -> IvEstimate:
-    """Just-identified 2SLS: alpha_hat = sum(dz)/sum(d^2), beta_hat = sum(dy)/sum(dz)."""
-    # Finite data can still overflow the sums or the ratios; that is
-    # checked below instead of warned about.
-    with np.errstate(over="ignore", invalid="ignore"):
-        sum_dd = float(data.d @ data.d)
-        sum_dz = float(data.d @ data.z)
-        sum_dy = float(data.d @ data.y)
+def draw_iv_sums(
+    params: IvParams, count: int, gen: np.random.Generator
+) -> tuple[float, float, float]:
+    """The sums ``two_sls`` reads from ``count`` SEM records, drawn directly.
+
+    Same law as summing ``generate_iv`` output: sum(d^2) = count exactly
+    for a Rademacher d, and d*u, d*xi_z, d*xi_y are independent standard
+    normals whatever d is, so with three standard normals G1, G2, G3
+    sum(dz) = count*alpha + sqrt(count)*(conf_z*G1 + noise_z_sd*G2) and
+    sum(dy) = beta*sum(dz) + sqrt(count)*(conf_y*G1 + noise_y_sd*G3).
+    Returns (sum(d^2), sum(dz), sum(dy)).
+    """
+    g1, g2, g3 = gen.standard_normal(3).tolist()
+    root = math.sqrt(count)
+    sum_dz = count * params.alpha + root * (params.conf_z * g1 + params.noise_z_sd * g2)
+    sum_dy = params.beta * sum_dz + root * (params.conf_y * g1 + params.noise_y_sd * g3)
+    return float(count), sum_dz, sum_dy
+
+
+def iv_ratio(sum_dd: float, sum_dz: float, sum_dy: float) -> IvEstimate:
+    """2SLS from its sums: alpha_hat = sum_dz/sum_dd, beta_hat = sum_dy/sum_dz.
+
+    A zero denominator is a WeakInstrumentError; a sum or ratio past the
+    float range is a DegenerateFitError.
+    """
     if sum_dd == 0.0:
         raise WeakInstrumentError("sum of d^2 is zero; the stage-I coefficient is undefined")
     if sum_dz == 0.0:
@@ -179,6 +200,18 @@ def two_sls(data: IvDataset) -> IvEstimate:
     if not all(map(math.isfinite, (sum_dd, sum_dz, sum_dy, alpha_hat, beta_hat))):
         raise DegenerateFitError("the 2SLS sums or ratios overflow the float range")
     return IvEstimate(alpha_hat=alpha_hat, beta_hat=beta_hat)
+
+
+def _dataset_sums(data: IvDataset) -> tuple[float, float, float]:
+    # Finite data can still overflow the sums; iv_ratio checks that
+    # instead of numpy warning about it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(data.d @ data.d), float(data.d @ data.z), float(data.d @ data.y)
+
+
+def two_sls(data: IvDataset) -> IvEstimate:
+    """Just-identified 2SLS: alpha_hat = sum(dz)/sum(d^2), beta_hat = sum(dy)/sum(dz)."""
+    return iv_ratio(*_dataset_sums(data))
 
 
 def iv_sample_size(
@@ -223,10 +256,16 @@ def iv_analytic_variances(params: IvParams) -> tuple[float, float]:
 
 
 def iv_decide(data: IvDataset, delta: float) -> Decision:
-    """Two-sided rule: choose M1 when |beta_hat| strictly exceeds delta / 2."""
+    """Two-sided rule on a dataset's 2SLS estimate (see ``iv_rule``)."""
+    return iv_rule(_dataset_sums(data), delta)
+
+
+def iv_rule(sums: tuple[float, float, float], delta: float) -> Decision:
+    """Two-sided rule on the sums (sum(d^2), sum(dz), sum(dy)): choose M1
+    when |beta_hat| strictly exceeds delta / 2."""
     if not 0.0 < delta < 1.0:
         raise InvalidArgumentError(f"delta must lie in (0, 1), got {delta}")
-    est = two_sls(data)
+    est = iv_ratio(*sums)
     threshold = delta / 2.0
     chosen = ModelChoice.M1 if abs(est.beta_hat) > threshold else ModelChoice.M2
     return Decision(chosen=chosen, statistic=est.beta_hat, threshold=threshold)

@@ -32,6 +32,7 @@ from pacc.core import (
     RngStream,
     UndefinedAteError,
     as_generator,
+    real_number,
     whole_number,
 )
 
@@ -159,14 +160,22 @@ class PsParams:
         probs = d.get("covariate_probs")
         return cls(
             n_covariates=whole_number(d["n_covariates"], "n_covariates"),
-            treat_weights=tuple(d["treat_weights"]),
-            treat_bias=float(d["treat_bias"]),
-            positivity_floor=float(d["positivity_floor"]),
-            outcome_base=float(d["outcome_base"]),
-            effect=float(d["effect"]),
-            confound_weights=tuple(d["confound_weights"]),
-            covariate_probs=None if probs is None else tuple(probs),
+            treat_weights=_real_numbers(d["treat_weights"], "treat_weights"),
+            treat_bias=real_number(d["treat_bias"], "treat_bias"),
+            positivity_floor=real_number(d["positivity_floor"], "positivity_floor"),
+            outcome_base=real_number(d["outcome_base"], "outcome_base"),
+            effect=real_number(d["effect"], "effect"),
+            confound_weights=_real_numbers(d["confound_weights"], "confound_weights"),
+            covariate_probs=None if probs is None else _real_numbers(probs, "covariate_probs"),
         )
+
+
+def _real_numbers(values: object, name: str) -> tuple[float, ...]:
+    """A JSON list of finite numbers, as a tuple of floats; ``tuple()`` would
+    split a string into its characters."""
+    if type(values) is not list:
+        raise InvalidArgumentError(f"{name} must be a list of numbers, got {values!r}")
+    return tuple(real_number(v, f"{name}[{k}]") for k, v in enumerate(values))
 
 
 class ObsDataset:

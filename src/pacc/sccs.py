@@ -24,6 +24,7 @@ from pacc.core import (
     ModelChoice,
     RngStream,
     as_generator,
+    real_number,
     whole_number,
 )
 
@@ -35,8 +36,11 @@ __all__ = [
     "SccsParams",
     "SccsDataset",
     "SccsCounts",
+    "SccsCellTable",
     "generate_sccs",
     "draw_sccs_counts",
+    "sccs_cell_table",
+    "draw_cell_counts",
     "sccs_loglik",
     "sccs_mle_closed",
     "sccs_mle_numeric",
@@ -46,6 +50,12 @@ __all__ = [
 
 # Day numbers stay exact as float64, which the dataset reader checks them in.
 _MAX_DAYS = 2**53
+
+# Largest cell table, (exposure_days + 1) * (control_days + 1) cells, that
+# SCCS trials draw from; larger designs redraw case by case instead. One
+# multinomial draw costs about 10 ns per cell and the per-case redraw about
+# 0.2 us per case, so at this cap the table still wins from ~6,000 cases.
+_CELL_LIMIT = 2**17
 
 # Rows per generation chunk are sized to keep the per-day uniform matrix
 # around 2M cells regardless of the observation length.
@@ -63,6 +73,10 @@ class PointLaw:
 
     def support(self) -> tuple[float, float]:
         return (self.value, self.value)
+
+    def atoms(self) -> tuple[tuple[float, float], ...]:
+        """(value, probability) pairs of the law."""
+        return ((self.value, 1.0),)
 
     def to_dict(self) -> dict:
         return {"kind": "point", "value": self.value}
@@ -88,6 +102,10 @@ class TwoPointLaw:
     def support(self) -> tuple[float, float]:
         return (self.low, self.high)
 
+    def atoms(self) -> tuple[tuple[float, float], ...]:
+        """(value, probability) pairs of the law."""
+        return ((self.low, 1.0 - self.weight_high), (self.high, self.weight_high))
+
     def to_dict(self) -> dict:
         return {
             "kind": "two_point",
@@ -100,12 +118,12 @@ class TwoPointLaw:
 def law_from_dict(d: dict) -> PointLaw | TwoPointLaw:
     kind = d.get("kind")
     if kind == "point":
-        return PointLaw(value=float(d["value"]))
+        return PointLaw(value=real_number(d["value"], "value"))
     if kind == "two_point":
         return TwoPointLaw(
-            low=float(d["low"]),
-            high=float(d["high"]),
-            weight_high=float(d.get("weight_high", 0.5)),
+            low=real_number(d["low"], "low"),
+            high=real_number(d["high"], "high"),
+            weight_high=real_number(d.get("weight_high", 0.5), "weight_high"),
         )
     raise InvalidArgumentError(f"unknown law kind {kind!r}")
 
@@ -195,8 +213,8 @@ class SccsParams:
     def from_dict(cls, d: dict) -> "SccsParams":
         return cls(
             phi_law=law_from_dict(d["phi_law"]),
-            beta=float(d["beta"]),
-            lambda_floor=float(d["lambda_floor"]),
+            beta=real_number(d["beta"], "beta"),
+            lambda_floor=real_number(d["lambda_floor"], "lambda_floor"),
         )
 
 
@@ -450,6 +468,101 @@ def draw_sccs_counts(
         nu2 += int(control[keep].sum())
         accepted += int(np.count_nonzero(keep))
     return SccsCounts(design, nu1, nu2)
+
+
+@dataclass(frozen=True, eq=False)
+class SccsCellTable:
+    """One case's (exposed, control) event counts as a pmf over cells.
+
+    Cell k holds ``exposed[k]`` events in the exposure window and
+    ``control[k]`` outside it, with probability ``pmf[k]`` given at least
+    one event; the eventless (0, 0) cell is left out. ``accept`` is the
+    probability that an attempt has an event at all.
+    """
+
+    design: SccsDesign
+    pmf: np.ndarray
+    exposed: np.ndarray
+    control: np.ndarray
+    accept: float
+
+
+def _binomial_pmf(n: int, p: float) -> np.ndarray:
+    """Binomial(n, p) probabilities of 0..n, from log-gamma terms."""
+    k = np.arange(n + 1)
+    if p == 0.0 or p == 1.0:
+        return (k == (n if p else 0)).astype(np.float64)
+    log_fact = np.array([math.lgamma(j + 1.0) for j in range(n + 1)])
+    log_choose = log_fact[n] - log_fact - log_fact[::-1]
+    return np.exp(log_choose + k * math.log(p) + (n - k) * math.log1p(-p))
+
+
+def sccs_cell_table(design: SccsDesign, params: SccsParams) -> SccsCellTable | None:
+    """The per-case cell pmf of ``draw_sccs_counts``'s law, or None when the
+    design has more than ``_CELL_LIMIT`` cells.
+
+    Given phi, a case's exposed and control counts are independent
+    Binomial(exposure_days, exp(phi + beta)) and Binomial(control_days,
+    exp(phi)); the table mixes their product over the phi law, drops the
+    (0, 0) cell and renormalises. Cells are ordered by falling
+    probability, and cells of probability zero are dropped, so that a
+    multinomial draw over them stops early.
+    """
+    expo, control = design.exposure_days, design.control_days
+    if (expo + 1) * (control + 1) > _CELL_LIMIT:
+        return None
+    joint = np.zeros((expo + 1, control + 1))
+    accept = 0.0
+    for phi, weight in params.phi_law.atoms():
+        p_exposed, p_control = math.exp(phi + params.beta), math.exp(phi)
+        joint += weight * np.outer(
+            _binomial_pmf(expo, p_exposed), _binomial_pmf(control, p_control)
+        )
+        # P(some event) = 1 - (1 - p1)^e (1 - p0)^c, without cancellation.
+        log_none = expo * math.log1p(-p_exposed) if p_exposed < 1.0 else -math.inf
+        log_none += control * math.log1p(-p_control) if p_control < 1.0 else -math.inf
+        accept += weight * -math.expm1(log_none)
+    pmf = joint.ravel()[1:]
+    order = np.argsort(-pmf, kind="stable")
+    order = order[pmf[order] > 0.0]
+    cells = order + 1
+    return SccsCellTable(
+        design=design,
+        pmf=pmf[order] / pmf[order].sum(),
+        exposed=cells // (control + 1),
+        control=cells % (control + 1),
+        accept=min(accept, 1.0),
+    )
+
+
+def draw_cell_counts(
+    table: SccsCellTable,
+    cases: int,
+    rng: RngStream | np.random.Generator,
+    max_attempts_per_case: int = 1_000_000,
+) -> SccsCounts:
+    """Draw the event totals of a ``cases``-patient case series from a table.
+
+    Same law as ``draw_sccs_counts`` with the same retry budget. Its
+    redraws run out exactly when fewer than ``cases`` of the first
+    ``cases * max_attempts_per_case`` attempts have an event, so one
+    Binomial(budget, accept) draw decides that (GenerationFailureError);
+    the accepted cases' cells are then one Multinomial(cases, pmf) draw.
+    """
+    if cases < 1:
+        raise InvalidArgumentError("cases must be at least 1")
+    gen = as_generator(rng)
+    budget = cases * max_attempts_per_case
+    accepted = int(gen.binomial(budget, table.accept))
+    if accepted < cases:
+        raise GenerationFailureError(
+            f"accepted only {accepted}/{cases} case series after "
+            f"{budget} attempts; baseline rate too small"
+        )
+    counts = gen.multinomial(cases, table.pmf)
+    return SccsCounts(
+        table.design, int(counts @ table.exposed), int(counts @ table.control)
+    )
 
 
 def sccs_loglik(dataset: SccsDataset, beta: float) -> float:

@@ -648,6 +648,51 @@ class TestUsage:
         assert out == ""
         assert set(json.loads(err)) == {"error", "message"}
 
+    @pytest.mark.parametrize("command, name, path, value", [
+        ("verify", "iv_verify", ("concept", "delta"), "0.5"),
+        ("verify", "iv_verify", ("epsilon",), "0.1"),
+        ("verify", "iv_verify", ("generator", "alpha"), True),
+        ("verify", "iv_verify", ("generator", "conf_y"), "1"),
+        ("verify", "sccs_verify", ("generator", "lambda_floor"), "0.05"),
+        ("verify", "sccs_verify", ("generator", "phi_law", "value"), "-3"),
+        ("verify", "ps_verify_fast", ("generator", "treat_bias"), False),
+        ("verify", "ps_verify_fast", ("generator", "treat_weights"), "00000"),
+        ("verify", "ps_verify_fast", ("generator", "confound_weights"),
+         [0.02, 0.02, "0.02", 0.02, 0.02]),
+        ("sweep", "sccs_sweep", ("grid", 2, "phi_law", "weight_high"), "0.5"),
+    ])
+    def test_non_number_config_fields_exit_2(self, capsys, tmp_path, command, name, path,
+                                             value):
+        config = json.loads((CONFIGS / f"{name}.json").read_text())
+        node = config
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        cfg = write_json(tmp_path / "cfg.json", config)
+        code, out, err = run_cli(capsys, command, "--config", cfg, "--set", "trials=2")
+        assert code == 2
+        assert out == ""
+        diagnostic = json.loads(err)
+        assert set(diagnostic) == {"error", "message"}
+        assert "must be a " in diagnostic["message"]
+
+    @pytest.mark.parametrize("config", [
+        {"method": "iv2sls", "delta": "0.5"},
+        {"method": "iv2sls", "delta": True},
+        {"method": "propensity", "delta": 0.5, "epsilon": "0.1", "master_seed": 1},
+    ])
+    def test_non_number_decide_fields_exit_2(self, capsys, tmp_path, config):
+        data = tmp_path / "data.csv"
+        data.write_text("d,z,y\n1,1,1\n-1,0,0\n")
+        cfg = write_json(tmp_path / "dec.json", {**config, "input": str(data)})
+        code, out, err = run_cli(capsys, "decide", "--config", cfg)
+        assert code == 2
+        assert out == ""
+        key = "epsilon" if "epsilon" in config else "delta"
+        assert json.loads(err)["message"] == (
+            f"config field {key!r}: {key} must be a finite number, got {config[key]!r}"
+        )
+
     def test_non_utf8_config_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(b'\xff\xfe{"method": "iv2sls"}')

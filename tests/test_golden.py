@@ -5,7 +5,9 @@ byte for byte with a committed file under ``tests/golden/``. Generated
 dataset files are compared by sha256 (``tests/golden/datasets.sha256``).
 
 Regenerate the fixtures, only when an output change is intended, with
-``PYTHONPATH=src python tests/test_golden.py``.
+``PYTHONPATH=src python tests/test_golden.py``. It prints one line per
+fixture file, saying whether its bytes changed, so a regeneration commit
+can be checked to touch only the fixtures it meant to.
 """
 
 import contextlib
@@ -154,20 +156,33 @@ def test_file_chain(tmp_path, case):
             assert produced == (GOLDEN / key).read_bytes(), key
 
 
+def _write_fixture(path: Path, produced: bytes) -> None:
+    if not path.exists():
+        status = "new"
+    elif path.read_bytes() == produced:
+        status = "unchanged"
+    else:
+        status = "changed"
+    path.write_bytes(produced)
+    print(f"{status:9}  {path.relative_to(ROOT)}")
+
+
 def _write_fixtures() -> None:
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         for command, name in REPORT_CASES:
-            (GOLDEN / f"{name}.report.json").write_bytes(report_bytes(command, name, work))
+            _write_fixture(
+                GOLDEN / f"{name}.report.json", report_bytes(command, name, work)
+            )
         digests = []
         for case in CHAIN_CASES:
             for key, produced in chain_outputs(case, work).items():
                 if key.startswith("datasets.sha256:"):
                     digests.append(produced.decode())
                 else:
-                    (GOLDEN / key).write_bytes(produced)
-        (GOLDEN / "datasets.sha256").write_text("".join(digests))
+                    _write_fixture(GOLDEN / key, produced)
+        _write_fixture(GOLDEN / "datasets.sha256", "".join(digests).encode())
 
 
 if __name__ == "__main__":

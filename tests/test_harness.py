@@ -1,8 +1,13 @@
+import contextlib
+import io
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pacc.cli import main
 from pacc.core import ConceptSpec, InvalidArgumentError, Method, ModelChoice
 from pacc.harness import (
     AUTO,
@@ -19,7 +24,9 @@ from pacc.harness import (
 )
 from pacc.iv2sls import IvParams
 from pacc.propensity import PsParams
-from pacc.sccs import PointLaw, SccsDesign, TwoPointLaw
+from pacc.sccs import PointLaw, SccsDesign, TwoPointLaw, sccs_cell_table
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def iv_spec(truth=ModelChoice.M1, **overrides) -> TrialSpec:
@@ -215,7 +222,7 @@ class TestVerify:
         def exploding_generate(*args, **kwargs):
             raise GenerationFailureError("retry budget exhausted")
 
-        monkeypatch.setattr(harness_mod, "draw_sccs_counts", exploding_generate)
+        monkeypatch.setattr(harness_mod, "draw_cell_counts", exploding_generate)
         report = verify(sccs_spec(trials=3))
         assert report.errors == 3
         assert all(not t.correct for t in report.per_trial)
@@ -223,6 +230,60 @@ class TestVerify:
         assert all("GenerationFailureError" in t.failure for t in report.per_trial)
         assert all(math.isnan(t.statistic) for t in report.per_trial)
 
+
+    @pytest.mark.parametrize("command, name, trials", [
+        ("verify", "sccs_verify", 30),
+        ("sweep", "sccs_sweep", 10),
+    ])
+    def test_sccs_reports_identical_across_workers(self, monkeypatch, tmp_path, command,
+                                                   name, trials):
+        import pacc.harness as harness_mod
+
+        monkeypatch.setattr(harness_mod.os, "cpu_count", lambda: 4)
+        blobs = []
+        for workers in ("1", "2", "4"):
+            out = tmp_path / f"report_{workers}.json"
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main([command, "--config", str(CONFIGS / f"{name}.json"),
+                             "--set", f"trials={trials}", "--threads", workers,
+                             "--out", str(out)])
+            assert code in (0, 1)
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1] == blobs[2]
+
+    def test_sccs_designs_past_the_cell_cap_redraw_case_by_case(self, monkeypatch):
+        import pacc.harness as harness_mod
+        from pacc.core import GenerationFailureError
+
+        def exploding_generate(*args, **kwargs):
+            raise GenerationFailureError("retry budget exhausted")
+
+        monkeypatch.setattr(harness_mod, "draw_sccs_counts", exploding_generate)
+        wide = replace(
+            sccs_spec().generator_params, design=SccsDesign(total_days=1000, exposure_days=200)
+        )
+        failed = verify(sccs_spec(trials=2, generator_params=wide))
+        assert all("GenerationFailureError" in t.failure for t in failed.per_trial)
+        assert verify(sccs_spec(trials=2)).errors == 0
+
+    def test_trials_are_prepared_once_per_spec_and_size(self, monkeypatch):
+        import pacc.harness as harness_mod
+
+        built = []
+
+        def counting_table(design, params):
+            built.append(design)
+            return sccs_cell_table(design, params)
+
+        monkeypatch.setattr(harness_mod, "sccs_cell_table", counting_table)
+        harness_mod._prepared_trial.cache_clear()
+        spec = sccs_spec(trials=25, master_seed=1234)
+        first = verify(spec)
+        assert len(built) == 1
+        assert verify(spec).to_dict() == first.to_dict()
+        assert len(built) == 1
+        run_trial(spec, 0, sample_size=400)
+        assert len(built) == 2
 
     def test_workers_clamped_to_trials_and_cpus(self, monkeypatch):
         import pacc.harness as harness_mod

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import ks_2samp
 
 from pacc.core import (
     DegenerateFitError,
@@ -15,9 +16,12 @@ from pacc.core import (
 from pacc.iv2sls import (
     IvDataset,
     IvParams,
+    draw_iv_sums,
     generate_iv,
     iv_analytic_variances,
     iv_decide,
+    iv_ratio,
+    iv_rule,
     iv_sample_size,
     ols_slope,
     two_sls,
@@ -110,6 +114,52 @@ class TestTwoSls:
         params = IvParams(alpha=1.5, beta=0.7)
         data = generate_iv(params, 3_000, split_stream(5, 0))
         assert two_sls(data).beta_hat == pytest.approx(ols_slope(data), abs=1e-9)
+
+
+class TestDrawnSums:
+    # Confounded and noisy, so that both the shared confounder draw and the
+    # separate noise draws shape the law of beta_hat.
+    NOISY = IvParams(alpha=1.0, beta=0.0, conf_z=1.0, conf_y=1.0, noise_z_sd=0.5, noise_y_sd=0.7)
+
+    @pytest.mark.parametrize("count", [24, 1280])
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    def test_estimates_match_record_level_law(self, count, beta):
+        params = IvParams(**{**self.NOISY.to_dict(), "beta": beta})
+        records, drawn = [], []
+        for i in range(2000):
+            est = two_sls(generate_iv(params, count, split_stream(41, i)))
+            records.append((est.alpha_hat, est.beta_hat))
+            est = iv_ratio(*draw_iv_sums(params, count, split_stream(42, i).generator()))
+            drawn.append((est.alpha_hat, est.beta_hat))
+        records, drawn = np.array(records), np.array(drawn)
+        for column in (0, 1):
+            assert ks_2samp(records[:, column], drawn[:, column]).pvalue >= 1e-3
+
+    def test_sum_of_squares_is_the_count(self):
+        data = generate_iv(self.NOISY, 77, split_stream(43, 0))
+        assert float(data.d @ data.d) == 77.0
+        assert draw_iv_sums(self.NOISY, 77, split_stream(43, 0).generator())[0] == 77.0
+
+    def test_noiseless_sums_are_exact(self):
+        params = IvParams(alpha=2.0, beta=0.25)
+        sums = draw_iv_sums(params, 100, split_stream(44, 0).generator())
+        assert sums == (100.0, 200.0, 50.0)
+        decision = iv_rule(sums, 0.4)
+        assert decision.statistic == 0.25 and decision.chosen is ModelChoice.M1
+
+    def test_rule_on_sums_matches_rule_on_data(self):
+        data = generate_iv(self.NOISY, 50, split_stream(45, 0))
+        sums = (float(data.d @ data.d), float(data.d @ data.z), float(data.d @ data.y))
+        assert iv_rule(sums, 0.5) == iv_decide(data, 0.5)
+
+    def test_overflowing_draw_is_a_fit_failure(self):
+        params = IvParams(alpha=1e307, beta=0.0)
+        with pytest.raises(DegenerateFitError):
+            iv_rule(draw_iv_sums(params, 100, split_stream(46, 0).generator()), 0.5)
+
+    def test_zero_denominator_is_a_weak_instrument(self):
+        with pytest.raises(WeakInstrumentError):
+            iv_ratio(10.0, 0.0, 1.0)
 
 
 class TestSampleSize:

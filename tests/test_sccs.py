@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.stats import ks_2samp
+from scipy.stats import binom, binomtest, ks_2samp
 
 from pacc.core import GenerationFailureError, InvalidArgumentError, ModelChoice, split_stream
 from pacc.sccs import (
@@ -13,9 +13,11 @@ from pacc.sccs import (
     SccsDesign,
     SccsParams,
     TwoPointLaw,
+    draw_cell_counts,
     draw_sccs_counts,
     generate_sccs,
     law_from_dict,
+    sccs_cell_table,
     sccs_decide,
     sccs_loglik,
     sccs_mle_closed,
@@ -262,6 +264,93 @@ class TestCountDraw:
         counts = SccsCounts(ds.design, ds.nu1, ds.nu2)
         assert sccs_mle_closed(counts) == sccs_mle_closed(ds)
         assert sccs_decide(counts, 2.0) == sccs_decide(ds, 2.0)
+
+
+class TestCellTable:
+    LAWS = TestCountDraw.LAWS
+
+    def test_pmf_is_the_mixed_binomial_product_without_the_eventless_cell(self):
+        design = SccsDesign(total_days=7, exposure_days=2)
+        law = TwoPointLaw(math.log(0.05), math.log(0.3), weight_high=0.25)
+        params = SccsParams(phi_law=law, beta=math.log(2.0), lambda_floor=0.05)
+        table = sccs_cell_table(design, params)
+        joint = np.zeros((3, 6))
+        for phi, weight in ((law.low, 0.75), (law.high, 0.25)):
+            joint += weight * np.outer(
+                binom.pmf(np.arange(3), 2, math.exp(phi) * 2.0),
+                binom.pmf(np.arange(6), 5, math.exp(phi)),
+            )
+        assert table.accept == pytest.approx(1.0 - joint[0, 0], rel=1e-13)
+        expected = joint[table.exposed, table.control] / (1.0 - joint[0, 0])
+        np.testing.assert_allclose(table.pmf, expected, rtol=1e-12)
+        assert table.pmf.size == 3 * 6 - 1
+        assert not np.any((table.exposed == 0) & (table.control == 0))
+        assert np.all(np.diff(table.pmf) <= 0.0)
+
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    @pytest.mark.parametrize("beta", [0.0, math.log(2.0)])
+    def test_totals_match_per_case_law(self, law, beta):
+        params = SccsParams(phi_law=self.LAWS[law], beta=beta, lambda_floor=0.005)
+        table = sccs_cell_table(DESIGN, params)
+        per_case, tabled = [], []
+        for i in range(400):
+            drawn = draw_sccs_counts(DESIGN, params, 500, split_stream(33, i))
+            per_case.append((drawn.nu1, drawn.nu2))
+            drawn = draw_cell_counts(table, 500, split_stream(34, i))
+            tabled.append((drawn.nu1, drawn.nu2))
+        per_case, tabled = np.array(per_case), np.array(tabled)
+        for column in (0, 1):
+            assert ks_2samp(per_case[:, column], tabled[:, column]).pvalue >= 1e-3
+
+    def test_certain_events_fill_every_day(self):
+        params = SccsParams(phi_law=PointLaw(0.0), beta=0.0, lambda_floor=0.5)
+        table = sccs_cell_table(DESIGN, params)
+        assert (table.exposed.tolist(), table.control.tolist(), table.accept) == ([21], [229], 1.0)
+        counts = draw_cell_counts(table, 40, split_stream(35, 0))
+        assert (counts.nu1, counts.nu2) == (40 * 21, 40 * 229)
+        assert counts == draw_sccs_counts(DESIGN, params, 40, split_stream(35, 0))
+
+    def test_near_zero_rate_fails_every_trial_on_both_paths(self):
+        params = SccsParams(phi_law=PointLaw(-30.0), beta=0.0, lambda_floor=1e-14)
+        table = sccs_cell_table(DESIGN, params)
+        for i in range(20):
+            with pytest.raises(GenerationFailureError):
+                draw_sccs_counts(DESIGN, params, 3, split_stream(36, i), max_attempts_per_case=50)
+            with pytest.raises(GenerationFailureError, match="after 150 attempts"):
+                draw_cell_counts(table, 3, split_stream(36, i), max_attempts_per_case=50)
+
+    def test_budget_failure_share_matches_per_case_redraws(self):
+        # About half of all attempts are eventless and each case may take
+        # two, so the 40-attempt budget for 20 cases runs out in ~40% of
+        # trials.
+        rate = 1.0 - 0.5 ** (1.0 / DESIGN.total_days)
+        params = SccsParams(phi_law=PointLaw(math.log(rate)), beta=0.0, lambda_floor=rate / 2)
+        table = sccs_cell_table(DESIGN, params)
+        assert table.accept == pytest.approx(0.5, rel=1e-12)
+        draws = {
+            "per_case": (37, lambda gen: draw_sccs_counts(DESIGN, params, 20, gen, 2)),
+            "table": (38, lambda gen: draw_cell_counts(table, 20, gen, 2)),
+        }
+        failed = dict.fromkeys(draws, 0)
+        trials = 1000
+        for i in range(trials):
+            for name, (seed, draw) in draws.items():
+                try:
+                    draw(split_stream(seed, i))
+                except GenerationFailureError:
+                    failed[name] += 1
+        expected = binom.cdf(19, 40, 0.5)
+        assert 0.3 * trials < failed["table"] < 0.5 * trials
+        assert binomtest(failed["table"], trials, expected).pvalue >= 1e-3
+        # Two equal-size samples: given the total, one side's count is
+        # Binomial(total, 1/2) when the failure probabilities agree.
+        total = failed["table"] + failed["per_case"]
+        assert binomtest(failed["table"], total, 0.5).pvalue >= 1e-3
+
+    def test_designs_past_the_cell_cap_have_no_table(self):
+        params = SccsParams(phi_law=PointLaw(math.log(0.02)), beta=0.0, lambda_floor=0.01)
+        assert sccs_cell_table(SccsDesign(1000, 200), params) is None
+        assert sccs_cell_table(SccsDesign(600, 200), params) is not None
 
 
 class TestSampleSize:

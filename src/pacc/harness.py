@@ -160,7 +160,7 @@ def _effect_free(parse: Callable[[dict], GeneratorParams], field: str):
     """Parser of a generator block whose effect ``field`` is absent or zero."""
 
     def parse_effect_free(d: dict) -> GeneratorParams:
-        if d.get(field, 0.0) != 0.0:
+        if field in d and real_number(d[field], field) != 0.0:
             raise InvalidArgumentError(
                 "the treatment effect is derived from truth and concept delta; "
                 f"remove {field!r} from the generator block"

@@ -52,9 +52,9 @@ __all__ = [
 _MAX_DAYS = 2**53
 
 # Largest cell table, (exposure_days + 1) * (control_days + 1) cells, that
-# SCCS trials draw from; larger designs redraw case by case instead. One
-# multinomial draw costs about 10 ns per cell and the per-case redraw about
-# 0.2 us per case, so at this cap the table still wins from ~6,000 cases.
+# SCCS trials draw from; larger designs redraw case by case instead. At the
+# cap a table holds at most 3 MiB and takes a few ms to build once, and a
+# draw from it still costs less than the case-by-case draw of 5,000 cases.
 _CELL_LIMIT = 2**17
 
 # Rows per generation chunk are sized to keep the per-day uniform matrix

@@ -653,6 +653,8 @@ class TestUsage:
         ("verify", "iv_verify", ("epsilon",), "0.1"),
         ("verify", "iv_verify", ("generator", "alpha"), True),
         ("verify", "iv_verify", ("generator", "conf_y"), "1"),
+        ("verify", "iv_verify", ("generator", "beta"), False),
+        ("verify", "ps_verify_fast", ("generator", "effect"), "0"),
         ("verify", "sccs_verify", ("generator", "lambda_floor"), "0.05"),
         ("verify", "sccs_verify", ("generator", "phi_law", "value"), "-3"),
         ("verify", "ps_verify_fast", ("generator", "treat_bias"), False),

@@ -49,6 +49,7 @@ from pacc.iv2sls import (
     generate_iv,
     iv_analytic_variances,
     iv_decide,
+    iv_ratio,
     iv_rule,
     iv_sample_size,
     two_sls,
@@ -187,7 +188,7 @@ def _sccs_prepare(
     table = sccs_cell_table(design, params)
     if table is None:
         return lambda gen: sccs_decide(draw_sccs_counts(design, params, size, gen), delta)
-    return lambda gen: sccs_decide(draw_cell_counts(table, size, gen), delta)
+    return lambda gen: sccs_decide(draw_cell_counts(design, table, size, gen), delta)
 
 
 def _iv_auto_size(spec: TrialSpec) -> int:
@@ -337,7 +338,7 @@ METHODS: dict[Method, MethodSpec] = {
         ),
         auto_size=_iv_auto_size,
         prepare=lambda spec, params, size: lambda gen: iv_rule(
-            draw_iv_sums(params, size, gen), spec.concept.delta
+            iv_ratio(*draw_iv_sums(params, size, gen)), spec.concept.delta
         ),
         parse_generator=IvParams.from_dict,
         generate=lambda params, count, rng: generate_iv(params, count, rng),

@@ -202,16 +202,13 @@ def iv_ratio(sum_dd: float, sum_dz: float, sum_dy: float) -> IvEstimate:
     return IvEstimate(alpha_hat=alpha_hat, beta_hat=beta_hat)
 
 
-def _dataset_sums(data: IvDataset) -> tuple[float, float, float]:
+def two_sls(data: IvDataset) -> IvEstimate:
+    """Just-identified 2SLS: alpha_hat = sum(dz)/sum(d^2), beta_hat = sum(dy)/sum(dz)."""
     # Finite data can still overflow the sums; iv_ratio checks that
     # instead of numpy warning about it.
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(data.d @ data.d), float(data.d @ data.z), float(data.d @ data.y)
-
-
-def two_sls(data: IvDataset) -> IvEstimate:
-    """Just-identified 2SLS: alpha_hat = sum(dz)/sum(d^2), beta_hat = sum(dy)/sum(dz)."""
-    return iv_ratio(*_dataset_sums(data))
+        sums = float(data.d @ data.d), float(data.d @ data.z), float(data.d @ data.y)
+    return iv_ratio(*sums)
 
 
 def iv_sample_size(
@@ -257,15 +254,13 @@ def iv_analytic_variances(params: IvParams) -> tuple[float, float]:
 
 def iv_decide(data: IvDataset, delta: float) -> Decision:
     """Two-sided rule on a dataset's 2SLS estimate (see ``iv_rule``)."""
-    return iv_rule(_dataset_sums(data), delta)
+    return iv_rule(two_sls(data), delta)
 
 
-def iv_rule(sums: tuple[float, float, float], delta: float) -> Decision:
-    """Two-sided rule on the sums (sum(d^2), sum(dz), sum(dy)): choose M1
-    when |beta_hat| strictly exceeds delta / 2."""
+def iv_rule(est: IvEstimate, delta: float) -> Decision:
+    """Two-sided rule: choose M1 when |beta_hat| strictly exceeds delta / 2."""
     if not 0.0 < delta < 1.0:
         raise InvalidArgumentError(f"delta must lie in (0, 1), got {delta}")
-    est = iv_ratio(*sums)
     threshold = delta / 2.0
     chosen = ModelChoice.M1 if abs(est.beta_hat) > threshold else ModelChoice.M2
     return Decision(chosen=chosen, statistic=est.beta_hat, threshold=threshold)

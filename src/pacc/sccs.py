@@ -52,10 +52,19 @@ __all__ = [
 _MAX_DAYS = 2**53
 
 # Largest cell table, (exposure_days + 1) * (control_days + 1) cells, that
-# SCCS trials draw from; larger designs redraw case by case instead. At the
-# cap a table holds at most 3 MiB and takes a few ms to build once, and a
-# draw from it still costs less than the case-by-case draw of 5,000 cases.
+# SCCS trials draw from; larger designs redraw case by case instead. The cap
+# bounds memory and build time, not speed: a table holds 24 bytes a cell, so
+# at most 3 MiB (24 MiB for the 8 that verify caches) and a few ms to build.
+# Measured in-process, a table draw stays cheaper than the case-by-case draw
+# up to about 1M cells at bound-scale case counts; no benchmark workload has
+# a design above the cap, so that range is left to the case-by-case draw.
 _CELL_LIMIT = 2**17
+
+# Attempts per case before a case-series draw gives up on conditioning.
+_MAX_ATTEMPTS_PER_CASE = 1_000_000
+
+# A table draw's retry budget is one int64 binomial count.
+_MAX_TABLE_BUDGET = 2**63 - 1
 
 # Rows per generation chunk are sized to keep the per-day uniform matrix
 # around 2M cells regardless of the observation length.
@@ -365,7 +374,7 @@ def generate_sccs(
     params: SccsParams,
     cases: int,
     rng: RngStream | np.random.Generator,
-    max_attempts_per_case: int = 1_000_000,
+    max_attempts_per_case: int = _MAX_ATTEMPTS_PER_CASE,
 ) -> SccsDataset:
     """Draw a case series of exactly ``cases`` patients.
 
@@ -435,7 +444,7 @@ def draw_sccs_counts(
     params: SccsParams,
     cases: int,
     rng: RngStream | np.random.Generator,
-    max_attempts_per_case: int = 1_000_000,
+    max_attempts_per_case: int = _MAX_ATTEMPTS_PER_CASE,
 ) -> SccsCounts:
     """Draw the event totals of a ``cases``-patient case series directly.
 
@@ -480,7 +489,6 @@ class SccsCellTable:
     probability that an attempt has an event at all.
     """
 
-    design: SccsDesign
     pmf: np.ndarray
     exposed: np.ndarray
     control: np.ndarray
@@ -527,7 +535,6 @@ def sccs_cell_table(design: SccsDesign, params: SccsParams) -> SccsCellTable | N
     order = order[pmf[order] > 0.0]
     cells = order + 1
     return SccsCellTable(
-        design=design,
         pmf=pmf[order] / pmf[order].sum(),
         exposed=cells // (control + 1),
         control=cells % (control + 1),
@@ -536,23 +543,29 @@ def sccs_cell_table(design: SccsDesign, params: SccsParams) -> SccsCellTable | N
 
 
 def draw_cell_counts(
+    design: SccsDesign,
     table: SccsCellTable,
     cases: int,
     rng: RngStream | np.random.Generator,
-    max_attempts_per_case: int = 1_000_000,
 ) -> SccsCounts:
-    """Draw the event totals of a ``cases``-patient case series from a table.
+    """Draw the event totals of a ``cases``-patient case series from the
+    design's table.
 
-    Same law as ``draw_sccs_counts`` with the same retry budget. Its
+    Same law as ``draw_sccs_counts`` with its default retry budget. Its
     redraws run out exactly when fewer than ``cases`` of the first
-    ``cases * max_attempts_per_case`` attempts have an event, so one
+    ``cases * _MAX_ATTEMPTS_PER_CASE`` attempts have an event, so one
     Binomial(budget, accept) draw decides that (GenerationFailureError);
     the accepted cases' cells are then one Multinomial(cases, pmf) draw.
+    A budget past int64 is an InvalidArgumentError.
     """
     if cases < 1:
         raise InvalidArgumentError("cases must be at least 1")
+    budget = cases * _MAX_ATTEMPTS_PER_CASE
+    if budget > _MAX_TABLE_BUDGET:
+        raise InvalidArgumentError(
+            f"cases must be at most {_MAX_TABLE_BUDGET // _MAX_ATTEMPTS_PER_CASE}, got {cases}"
+        )
     gen = as_generator(rng)
-    budget = cases * max_attempts_per_case
     accepted = int(gen.binomial(budget, table.accept))
     if accepted < cases:
         raise GenerationFailureError(
@@ -560,9 +573,7 @@ def draw_cell_counts(
             f"{budget} attempts; baseline rate too small"
         )
     counts = gen.multinomial(cases, table.pmf)
-    return SccsCounts(
-        table.design, int(counts @ table.exposed), int(counts @ table.control)
-    )
+    return SccsCounts(design, int(counts @ table.exposed), int(counts @ table.control))
 
 
 def sccs_loglik(dataset: SccsDataset, beta: float) -> float:

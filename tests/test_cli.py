@@ -508,6 +508,13 @@ class TestVerify:
         assert out == ""
         assert "pipeline needs N1 + N2" in json.loads(err)["message"]
 
+    def test_sccs_sample_size_past_the_retry_budget_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--config", str(CONFIGS / "sccs_verify.json"),
+                                 "--set", "sample_size=10000000000000", "--set", "trials=1")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["message"].startswith("cases must be at most 9223372036854,")
+
     def test_generator_with_effect_rejected(self, capsys, tmp_path):
         cfg = dict(IV_VERIFY_CONFIG)
         cfg["generator"] = {"alpha": 1.0, "beta": 0.5}

@@ -144,18 +144,19 @@ class TestDrawnSums:
         params = IvParams(alpha=2.0, beta=0.25)
         sums = draw_iv_sums(params, 100, split_stream(44, 0).generator())
         assert sums == (100.0, 200.0, 50.0)
-        decision = iv_rule(sums, 0.4)
+        decision = iv_rule(iv_ratio(*sums), 0.4)
         assert decision.statistic == 0.25 and decision.chosen is ModelChoice.M1
 
-    def test_rule_on_sums_matches_rule_on_data(self):
+    def test_ratio_of_sums_matches_two_sls(self):
         data = generate_iv(self.NOISY, 50, split_stream(45, 0))
         sums = (float(data.d @ data.d), float(data.d @ data.z), float(data.d @ data.y))
-        assert iv_rule(sums, 0.5) == iv_decide(data, 0.5)
+        assert iv_ratio(*sums) == two_sls(data)
+        assert iv_rule(iv_ratio(*sums), 0.5) == iv_decide(data, 0.5)
 
     def test_overflowing_draw_is_a_fit_failure(self):
         params = IvParams(alpha=1e307, beta=0.0)
         with pytest.raises(DegenerateFitError):
-            iv_rule(draw_iv_sums(params, 100, split_stream(46, 0).generator()), 0.5)
+            iv_ratio(*draw_iv_sums(params, 100, split_stream(46, 0).generator()))
 
     def test_zero_denominator_is_a_weak_instrument(self):
         with pytest.raises(WeakInstrumentError):

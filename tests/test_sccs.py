@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import binom, binomtest, ks_2samp
 
+import pacc.sccs as sccs_mod
 from pacc.core import GenerationFailureError, InvalidArgumentError, ModelChoice, split_stream
 from pacc.sccs import (
     PointLaw,
@@ -296,7 +297,7 @@ class TestCellTable:
         for i in range(400):
             drawn = draw_sccs_counts(DESIGN, params, 500, split_stream(33, i))
             per_case.append((drawn.nu1, drawn.nu2))
-            drawn = draw_cell_counts(table, 500, split_stream(34, i))
+            drawn = draw_cell_counts(DESIGN, table, 500, split_stream(34, i))
             tabled.append((drawn.nu1, drawn.nu2))
         per_case, tabled = np.array(per_case), np.array(tabled)
         for column in (0, 1):
@@ -306,30 +307,32 @@ class TestCellTable:
         params = SccsParams(phi_law=PointLaw(0.0), beta=0.0, lambda_floor=0.5)
         table = sccs_cell_table(DESIGN, params)
         assert (table.exposed.tolist(), table.control.tolist(), table.accept) == ([21], [229], 1.0)
-        counts = draw_cell_counts(table, 40, split_stream(35, 0))
+        counts = draw_cell_counts(DESIGN, table, 40, split_stream(35, 0))
         assert (counts.nu1, counts.nu2) == (40 * 21, 40 * 229)
         assert counts == draw_sccs_counts(DESIGN, params, 40, split_stream(35, 0))
 
-    def test_near_zero_rate_fails_every_trial_on_both_paths(self):
+    def test_near_zero_rate_fails_every_trial_on_both_paths(self, monkeypatch):
+        monkeypatch.setattr(sccs_mod, "_MAX_ATTEMPTS_PER_CASE", 50)
         params = SccsParams(phi_law=PointLaw(-30.0), beta=0.0, lambda_floor=1e-14)
         table = sccs_cell_table(DESIGN, params)
         for i in range(20):
             with pytest.raises(GenerationFailureError):
                 draw_sccs_counts(DESIGN, params, 3, split_stream(36, i), max_attempts_per_case=50)
             with pytest.raises(GenerationFailureError, match="after 150 attempts"):
-                draw_cell_counts(table, 3, split_stream(36, i), max_attempts_per_case=50)
+                draw_cell_counts(DESIGN, table, 3, split_stream(36, i))
 
-    def test_budget_failure_share_matches_per_case_redraws(self):
+    def test_budget_failure_share_matches_per_case_redraws(self, monkeypatch):
         # About half of all attempts are eventless and each case may take
         # two, so the 40-attempt budget for 20 cases runs out in ~40% of
         # trials.
+        monkeypatch.setattr(sccs_mod, "_MAX_ATTEMPTS_PER_CASE", 2)
         rate = 1.0 - 0.5 ** (1.0 / DESIGN.total_days)
         params = SccsParams(phi_law=PointLaw(math.log(rate)), beta=0.0, lambda_floor=rate / 2)
         table = sccs_cell_table(DESIGN, params)
         assert table.accept == pytest.approx(0.5, rel=1e-12)
         draws = {
             "per_case": (37, lambda gen: draw_sccs_counts(DESIGN, params, 20, gen, 2)),
-            "table": (38, lambda gen: draw_cell_counts(table, 20, gen, 2)),
+            "table": (38, lambda gen: draw_cell_counts(DESIGN, table, 20, gen)),
         }
         failed = dict.fromkeys(draws, 0)
         trials = 1000
@@ -346,6 +349,15 @@ class TestCellTable:
         # Binomial(total, 1/2) when the failure probabilities agree.
         total = failed["table"] + failed["per_case"]
         assert binomtest(failed["table"], total, 0.5).pvalue >= 1e-3
+
+    def test_budget_past_int64_is_an_invalid_argument(self):
+        params = SccsParams(phi_law=PointLaw(math.log(0.02)), beta=0.0, lambda_floor=0.01)
+        table = sccs_cell_table(DESIGN, params)
+        most = (2**63 - 1) // 1_000_000
+        counts = draw_cell_counts(DESIGN, table, most, split_stream(39, 0))
+        assert counts.nu1 + counts.nu2 >= most
+        with pytest.raises(InvalidArgumentError, match=f"cases must be at most {most}"):
+            draw_cell_counts(DESIGN, table, most + 1, split_stream(39, 0))
 
     def test_designs_past_the_cell_cap_have_no_table(self):
         params = SccsParams(phi_law=PointLaw(math.log(0.02)), beta=0.0, lambda_floor=0.01)

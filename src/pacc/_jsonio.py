@@ -4,12 +4,23 @@ Floats are written with 17 significant digits so that re-parsing
 reproduces the exact double and reports are byte-identical across runs.
 Non-finite floats become the strings "inf", "-inf" and "nan", which plain
 JSON cannot carry as numbers; ``float`` reads them back.
+
+``dumps`` renders in one pass: a recursive helper returns each value's
+text, and a non-empty object or array is its members' texts joined with
+",\\n", one member a line, indented two spaces a level, as
+``json.dumps(obj, indent=2)`` lays it out. The helper dispatches on the
+exact type of each value first (dict, list, tuple, str, float, bool, int,
+None) and falls back to ``isinstance`` checks, so subclasses such as
+``np.float64`` or a str enum render as their base type. Strings and keys
+are quoted by ``json.encoder.encode_basestring_ascii``, the function
+``json.dumps`` calls on a str. Anything else, and any non-str key, is a
+TypeError.
 """
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 __all__ = ["dumps", "format_float"]
@@ -23,49 +34,59 @@ def format_float(value: float) -> str:
     return format(value, ".17g")
 
 
-def _render(obj: Any, indent: int, out: list[str]) -> None:
-    pad = "  " * indent
+def _float_text(value: float) -> str:
+    text = format_float(value)
+    return text if math.isfinite(value) else f'"{text}"'
+
+
+def _key_text(key: Any) -> str:
+    if isinstance(key, str):
+        return _quote(key)
+    raise TypeError(f"JSON object keys must be strings, got {key!r}")
+
+
+def _text(obj: Any, pad: str) -> str:
+    """The JSON text of ``obj``, whose first line starts after ``pad``."""
+    kind = type(obj)
+    if kind is dict:
+        if not obj:
+            return "{}"
+        inner = pad + "  "
+        members = ",\n".join([
+            f"{inner}{_quote(key) if type(key) is str else _key_text(key)}: "
+            f"{_text(value, inner)}"
+            for key, value in obj.items()
+        ])
+        return f"{{\n{members}\n{pad}}}"
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        members = ",\n".join([inner + _text(value, inner) for value in obj])
+        return f"[\n{members}\n{pad}]"
+    if kind is str:
+        return _quote(obj)
+    if kind is float:
+        return _float_text(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if kind is int:
+        return str(obj)
     if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        text = format_float(obj)
-        if not math.isfinite(obj):
-            text = json.dumps(text)
-        out.append(text)
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, value) in enumerate(obj.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            out.append(f"{pad}  {json.dumps(key)}: ")
-            _render(value, indent + 1, out)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, value in enumerate(obj):
-            out.append(pad + "  ")
-            _render(value, indent + 1, out)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "]")
-    else:
-        raise TypeError(f"cannot render {type(obj)!r} as JSON")
+        return "null"
+    # Subclasses of the types above (bool has none).
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return _float_text(obj)
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, dict):
+        return _text(dict(obj.items()), pad)
+    if isinstance(obj, (list, tuple)):
+        return _text(list(obj), pad)
+    raise TypeError(f"cannot render {type(obj)!r} as JSON")
 
 
 def dumps(obj: Any) -> str:
-    out: list[str] = []
-    _render(obj, 0, out)
-    out.append("\n")
-    return "".join(out)
+    return _text(obj, "") + "\n"

@@ -11,6 +11,7 @@ import math
 import threading
 from dataclasses import dataclass
 from statistics import NormalDist
+from typing import NamedTuple
 
 import numpy as np
 
@@ -117,12 +118,12 @@ class ConceptSpec:
             )
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """Outcome of a decision rule: the chosen model, the statistic, the threshold.
 
     SCCS and the propensity route choose M1 when ``statistic >= threshold``;
-    the instrumental route when ``|statistic| > threshold``.
+    the instrumental route when ``|statistic| > threshold``. A named tuple,
+    like the other per-trial records, because it is built once a trial.
     """
 
     chosen: ModelChoice
@@ -207,14 +208,22 @@ def rekeyed_generator(master_seed: int, stream_id: int) -> np.random.Generator:
     next call on the same thread re-keys the same generator, so a caller
     finishes with one stream before it asks for the next.
     """
-    _check_u64(master_seed, "master_seed")
-    _check_u64(stream_id, "stream_id")
+    # Trials pass plain ints in range; anything else takes the full checks.
+    if not (
+        type(master_seed) is int
+        and type(stream_id) is int
+        and 0 <= master_seed <= _U64_MAX
+        and 0 <= stream_id <= _U64_MAX
+    ):
+        _check_u64(master_seed, "master_seed")
+        _check_u64(stream_id, "stream_id")
+        master_seed, stream_id = int(master_seed), int(stream_id)
     gen = getattr(_thread_local, "generator", None)
     if gen is None:
         gen = _thread_local.generator = np.random.Generator(np.random.Philox(0))
     gen.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": (int(master_seed), int(stream_id))},
+        "state": {"counter": (0, 0, 0, 0), "key": (master_seed, stream_id)},
         "buffer": (0, 0, 0, 0),
         "buffer_pos": 4,
         "has_uint32": 0,

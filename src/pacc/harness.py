@@ -19,7 +19,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Callable, Sequence, Union
+from typing import Any, Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -460,8 +460,7 @@ def resolve_sample_size(spec: TrialSpec) -> int:
     return METHODS[spec.method].auto_size(spec)
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
+class TrialOutcome(NamedTuple):
     """One trial: the stream id used, the chosen model (absent on a
     pipeline halt), whether it matched the generating truth, and why it
     failed."""
@@ -483,14 +482,40 @@ class TrialOutcome:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrialOutcome":
-        chosen = d.get("decision")
+        chosen, failure = d.get("decision"), d.get("failure")
+        try:
+            decision = None if chosen is None else ModelChoice(chosen)
+        except ValueError:
+            raise InvalidArgumentError(
+                f"decision must be 'M1', 'M2' or null, got {chosen!r}"
+            ) from None
+        if failure is not None and type(failure) is not str:
+            raise InvalidArgumentError(f"failure must be a string or null, got {failure!r}")
         return cls(
-            seed=int(d["seed"]),
-            decision=None if chosen is None else ModelChoice(chosen),
-            statistic=float(d["statistic"]),
-            correct=bool(d["correct"]),
-            failure=d.get("failure"),
+            seed=whole_number(d["seed"], "seed"),
+            decision=decision,
+            statistic=_report_real(d["statistic"], "statistic"),
+            correct=_report_bool(d["correct"], "correct"),
+            failure=failure,
         )
+
+
+# The strings _jsonio writes for non-finite floats.
+_NON_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+
+
+def _report_real(value: object, name: str) -> float:
+    """A report's float field: a finite number or a non-finite float's string."""
+    if type(value) is str and value in _NON_FINITE:
+        return _NON_FINITE[value]
+    return real_number(value, name)
+
+
+def _report_bool(value: object, name: str) -> bool:
+    """A report's flag: a JSON boolean, which ``bool()`` would not insist on."""
+    if type(value) is bool:
+        return value
+    raise InvalidArgumentError(f"{name} must be true or false, got {value!r}")
 
 
 # Bounded, because an SCCS entry holds its cell table (up to 2**17 cells);
@@ -571,12 +596,14 @@ class VerificationReport:
     def from_dict(cls, d: dict) -> "VerificationReport":
         return cls(
             spec=TrialSpec.from_dict(d["spec"]),
-            resolved_sample_size=int(d["resolved_sample_size"]),
-            errors=int(d["errors"]),
-            trials=int(d["trials"]),
-            empirical_rate=float(d["empirical_rate"]),
-            upper_bound=float(d["upper_bound"]),
-            passed=bool(d["pass"]),
+            resolved_sample_size=whole_number(
+                d["resolved_sample_size"], "resolved_sample_size"
+            ),
+            errors=whole_number(d["errors"], "errors"),
+            trials=whole_number(d["trials"], "trials"),
+            empirical_rate=_report_real(d["empirical_rate"], "empirical_rate"),
+            upper_bound=_report_real(d["upper_bound"], "upper_bound"),
+            passed=_report_bool(d["pass"], "pass"),
             per_trial=tuple(TrialOutcome.from_dict(t) for t in d["per_trial"]),
         )
 
@@ -596,6 +623,9 @@ def verify(spec: TrialSpec, workers: int = 1) -> VerificationReport:
         raise InvalidArgumentError("workers must be at least 1")
     workers = _clamp_workers(workers, spec.trials)
     size = resolve_sample_size(spec)
+    # Prepare before any worker starts, so that workers share one
+    # prepared trial instead of each building it on a cache miss.
+    _prepared_trial(spec, size)
 
     def run_block(block: range) -> list[TrialOutcome]:
         return [run_trial(spec, i, size) for i in block]
@@ -658,8 +688,8 @@ class SweepReport:
             base=base,
             grid=grid,
             reports=tuple(VerificationReport.from_dict(r) for r in d["reports"]),
-            worst=int(d["worst"]),
-            passed=bool(d["pass"]),
+            worst=whole_number(d["worst"], "worst"),
+            passed=_report_bool(d["pass"], "pass"),
         )
 
 

@@ -12,6 +12,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,8 +139,7 @@ class IvDataset:
         return cls(columns[0], columns[1], columns[2], u)
 
 
-@dataclass(frozen=True)
-class IvEstimate:
+class IvEstimate(NamedTuple):
     """Stage-I instrument coefficient and the stage-II effect ratio."""
 
     alpha_hat: float

@@ -515,6 +515,26 @@ class TestVerify:
         assert out == ""
         assert json.loads(err)["message"].startswith("cases must be at most 9223372036854,")
 
+    def test_report_is_rendered_once(self, capsys, tmp_path, monkeypatch):
+        # One render a report keeps the benchmark's jsonio spans one a report.
+        from pacc import _jsonio
+
+        calls = []
+        dumps = _jsonio.dumps
+
+        def counting_dumps(obj):
+            calls.append(obj)
+            return dumps(obj)
+
+        monkeypatch.setattr(_jsonio, "dumps", counting_dumps)
+        cfg = write_json(tmp_path / "verify.json", IV_VERIFY_CONFIG)
+        out_path = tmp_path / "report.json"
+        code, out, _ = run_cli(capsys, "verify", "--config", cfg, "--threads", "2",
+                               "--out", str(out_path))
+        assert code == 0
+        assert len(calls) == 1
+        assert out == out_path.read_text() == dumps(calls[0])
+
     def test_generator_with_effect_rejected(self, capsys, tmp_path):
         cfg = dict(IV_VERIFY_CONFIG)
         cfg["generator"] = {"alpha": 1.0, "beta": 0.5}

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -7,11 +8,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pacc._jsonio import dumps
 from pacc.cli import main
-from pacc.core import ConceptSpec, InvalidArgumentError, Method, ModelChoice
+from pacc.core import ConceptSpec, Decision, InvalidArgumentError, Method, ModelChoice
 from pacc.harness import (
     AUTO,
     SccsScenario,
+    TrialOutcome,
     TrialSpec,
     adversarial_sweep,
     generator_params_from_dict,
@@ -22,7 +25,7 @@ from pacc.harness import (
     verify,
     write_report,
 )
-from pacc.iv2sls import IvParams
+from pacc.iv2sls import IvEstimate, IvParams
 from pacc.propensity import PsParams
 from pacc.sccs import PointLaw, SccsDesign, TwoPointLaw, sccs_cell_table
 
@@ -285,6 +288,33 @@ class TestVerify:
         run_trial(spec, 0, sample_size=400)
         assert len(built) == 2
 
+    def test_two_workers_share_one_table_per_sweep_point(self, monkeypatch):
+        # The slow stub makes both workers ask for a point's trial while its
+        # table is still being built, so a per-worker build would show.
+        import time
+
+        import pacc.harness as harness_mod
+
+        built = []
+
+        def slow_counting_table(design, params):
+            built.append(design)
+            time.sleep(0.05)
+            return sccs_cell_table(design, params)
+
+        monkeypatch.setattr(harness_mod, "sccs_cell_table", slow_counting_table)
+        monkeypatch.setattr(harness_mod.os, "cpu_count", lambda: 2)
+        harness_mod._prepared_trial.cache_clear()
+        config = json.loads((CONFIGS / "sccs_sweep.json").read_text())
+        base = TrialSpec.from_dict({
+            **{k: v for k, v in config.items() if k != "grid"},
+            "generator": config["grid"][0], "trials": 8,
+        })
+        grid = [generator_params_from_dict(Method.SCCS, g) for g in config["grid"]]
+        report = adversarial_sweep(base, grid, workers=2)
+        assert len(built) == len(grid) == 3
+        assert all(r.errors == 0 for r in report.reports)
+
     def test_workers_clamped_to_trials_and_cpus(self, monkeypatch):
         import pacc.harness as harness_mod
 
@@ -430,6 +460,77 @@ class TestReports:
         write_report(report, path)
         again = read_report(path)
         assert again.to_dict() == report.to_dict()
+
+
+    @pytest.mark.parametrize("path, value", [
+        (("per_trial", 0, "correct"), "false"),
+        (("per_trial", 0, "correct"), 0),
+        (("pass",), "false"),
+        (("pass",), 1),
+        (("errors",), 2.7),
+        (("errors",), "0"),
+        (("trials",), True),
+        (("resolved_sample_size",), 1280.5),
+        (("per_trial", 0, "seed"), "0"),
+        (("per_trial", 0, "statistic"), "0.5"),
+        (("per_trial", 0, "statistic"), "Infinity"),
+        (("per_trial", 0, "statistic"), None),
+        (("per_trial", 0, "decision"), "M3"),
+        (("per_trial", 0, "failure"), 7),
+        (("empirical_rate",), "0"),
+        (("upper_bound",), [0.1]),
+    ])
+    def test_mistyped_fields_are_rejected(self, tmp_path, path, value):
+        report = verify(iv_spec(trials=5))
+        payload = report.to_dict()
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(payload))
+        with pytest.raises(InvalidArgumentError, match=str(path[-1])):
+            read_report(tampered)
+
+    def test_mistyped_sweep_fields_are_rejected(self, tmp_path):
+        base = iv_spec(trials=5)
+        payload = adversarial_sweep(base, [base.generator_params] * 2).to_dict()
+        for key, value in (("worst", 0.5), ("pass", "true")):
+            tampered = tmp_path / f"{key}.json"
+            tampered.write_text(json.dumps({**payload, key: value}))
+            with pytest.raises(InvalidArgumentError, match=key):
+                read_report(tampered)
+
+    def test_non_finite_strings_read_back_as_floats(self, tmp_path):
+        report = verify(iv_spec(trials=5))
+        payload = report.to_dict()
+        for k, text in enumerate(("nan", "inf", "-inf")):
+            payload["per_trial"][k]["statistic"] = text
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(payload))
+        stats = [t.statistic for t in read_report(path).per_trial[:3]]
+        assert math.isnan(stats[0]) and stats[1] == math.inf and stats[2] == -math.inf
+
+
+class TestRecords:
+    @pytest.mark.parametrize("record, field", [
+        (TrialOutcome(seed=0, decision=ModelChoice.M1, statistic=1.0, correct=True), "correct"),
+        (TrialOutcome(seed=0, decision=None, statistic=math.nan, correct=False), "failure"),
+        (Decision(chosen=ModelChoice.M2, statistic=0.1, threshold=0.25), "chosen"),
+        (IvEstimate(alpha_hat=1.0, beta_hat=0.1), "beta_hat"),
+    ])
+    def test_fields_cannot_be_set(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    def test_trial_record_round_trip(self):
+        outcome = TrialOutcome(seed=3, decision=None, statistic=math.inf, correct=False,
+                               failure="WeakInstrumentError: zero")
+        assert TrialOutcome.from_dict(json.loads(dumps(outcome.to_dict()))) == outcome
+        assert outcome.to_dict() == {"seed": 3, "decision": None, "statistic": math.inf,
+                                     "correct": False, "failure": "WeakInstrumentError: zero"}
 
 
 class TestMonotoneEvidence:

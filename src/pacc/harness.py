@@ -11,7 +11,6 @@ parallelism.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import math
@@ -147,6 +146,9 @@ class SccsScenario:
 
 GeneratorParams = Union[SccsScenario, PsParams, IvParams]
 
+# A prepared trial: maps a trial's generator to its decision.
+DrawAndDecide = Callable[[np.random.Generator], Decision]
+
 
 def _sccs_scenario(d: dict) -> SccsScenario:
     if "beta" in d:
@@ -179,9 +181,7 @@ def _sccs_truth(scenario: SccsScenario, delta: float, is_m1: bool) -> SccsParams
     )
 
 
-def _sccs_prepare(
-    spec: TrialSpec, params: SccsParams, size: int
-) -> Callable[[np.random.Generator], Decision]:
+def _sccs_prepare(spec: TrialSpec, params: SccsParams, size: int) -> DrawAndDecide:
     """An SCCS trial: the event totals from the design's cell table, or
     case by case when the design has too many cells for one."""
     design, delta = spec.generator_params.design, spec.concept.delta
@@ -251,12 +251,9 @@ class MethodSpec:
     truth_params: Callable[[GeneratorParams, float, bool], Any]
     # The sample-size bound that AUTO resolves to.
     auto_size: Callable[[TrialSpec], int]
-    # Trials: (spec, truth params, sample size) -> draw_and_decide, which
-    # maps a trial's generator to its decision. The work that depends only
-    # on the spec runs in the first call, once per spec and size.
-    prepare: Callable[
-        [TrialSpec, Any, int], Callable[[np.random.Generator], Decision]
-    ]
+    # Trials: (spec, truth params, sample size) -> the prepared trial. The
+    # work that depends only on the spec runs in this call, once per verify.
+    prepare: Callable[[TrialSpec, Any, int], DrawAndDecide]
     # `generate`: its generator block, effect included, and the draw.
     parse_generator: Callable[[dict], Any]
     generate: Callable[[Any, int, RngStream], Any]
@@ -518,33 +515,28 @@ def _report_bool(value: object, name: str) -> bool:
     raise InvalidArgumentError(f"{name} must be true or false, got {value!r}")
 
 
-# Bounded, because an SCCS entry holds its cell table (up to 2**17 cells);
-# a sweep needs one entry per grid point while it runs.
-@functools.lru_cache(maxsize=8)
-def _prepared_trial(
-    spec: TrialSpec, sample_size: int | None
-) -> Callable[[np.random.Generator], Decision]:
-    size = resolve_sample_size(spec) if sample_size is None else sample_size
-    return METHODS[spec.method].prepare(spec, params_for_truth(spec), size)
-
-
-def run_trial(spec: TrialSpec, index: int, sample_size: int | None = None) -> TrialOutcome:
+def run_trial(
+    spec: TrialSpec, index: int, draw_and_decide: DrawAndDecide | None = None
+) -> TrialOutcome:
     """Draw one sample from the truth model and apply the method's rule.
 
     Trials draw only what their decisions read, with the law of the
     record-level generators: the three 2SLS sums from three standard
     normals (IV), the event totals from the design's cell table (SCCS),
-    the fitting slice's cell tallies (propensity). The work each spec
-    needs once (truth parameters, sample size, SCCS cell table) is
-    prepared on the first trial and kept for a few recent (spec, size)
-    pairs. The trial's stream (master_seed, stream_base + index) comes
+    the fitting slice's cell tallies (propensity). ``draw_and_decide`` is
+    the spec's prepared trial (``MethodSpec.prepare``), which ``verify``
+    builds once for all of its trials; without it, one is prepared for
+    this call. The trial's stream (master_seed, stream_base + index) comes
     from this thread's re-keyed generator, which draws what a fresh one
     would. A pipeline halt (too few rejection survivors, generation retry
     exhaustion, degenerate estimators) counts as an incorrect trial with
     the failure recorded, preserving the union-bound accounting.
     """
+    if draw_and_decide is None:
+        draw_and_decide = METHODS[spec.method].prepare(
+            spec, params_for_truth(spec), resolve_sample_size(spec)
+        )
     stream_id = spec.stream_base + index
-    draw_and_decide = _prepared_trial(spec, sample_size)
     gen = rekeyed_generator(spec.master_seed, stream_id)
     try:
         decision = draw_and_decide(gen)
@@ -611,24 +603,23 @@ class VerificationReport:
 def verify(spec: TrialSpec, workers: int = 1) -> VerificationReport:
     """Run the spec's trials and certify the error rate against epsilon.
 
-    Each trial is one ``run_trial`` call, looked up through this module
-    at run time. Each worker runs one contiguous block of trial indices
-    and the blocks are joined in index order. Passing means the one-sided
-    Wilson upper bound (at ``CONFIDENCE``) on the error probability does
-    not exceed epsilon. Output is identical for identical specs
-    regardless of ``workers``, which is clamped to the trial count and
-    the CPU count.
+    The spec's trial is prepared once, before any worker starts, and each
+    trial is one ``run_trial`` call with it, looked up through this module
+    at run time; nothing prepared outlives the call. Each worker runs one
+    contiguous block of trial indices and the blocks are joined in index
+    order. Passing means the one-sided Wilson upper bound (at
+    ``CONFIDENCE``) on the error probability does not exceed epsilon.
+    Output is identical for identical specs regardless of ``workers``,
+    which is clamped to the trial count and the CPU count.
     """
     if workers < 1:
         raise InvalidArgumentError("workers must be at least 1")
     workers = _clamp_workers(workers, spec.trials)
     size = resolve_sample_size(spec)
-    # Prepare before any worker starts, so that workers share one
-    # prepared trial instead of each building it on a cache miss.
-    _prepared_trial(spec, size)
+    draw_and_decide = METHODS[spec.method].prepare(spec, params_for_truth(spec), size)
 
     def run_block(block: range) -> list[TrialOutcome]:
-        return [run_trial(spec, i, size) for i in block]
+        return [run_trial(spec, i, draw_and_decide) for i in block]
 
     n = spec.trials
     if workers == 1:
@@ -698,7 +689,8 @@ def adversarial_sweep(
     grid: Sequence[GeneratorParams],
     workers: int = 1,
 ) -> SweepReport:
-    """Verify at every grid point with disjoint stream-id ranges.
+    """Verify at every grid point with disjoint stream-id ranges: point k's
+    trials take ids from ``base.stream_base + k * base.trials`` on.
 
     Grid points that violate the method's assumptions (positivity, rate
     floors, outcome validity under either truth) are rejected up front
@@ -710,7 +702,7 @@ def adversarial_sweep(
     specs = []
     for k, point in enumerate(grid):
         spec_k = replace(
-            base, generator_params=point, stream_base=k * base.trials
+            base, generator_params=point, stream_base=base.stream_base + k * base.trials
         )
         try:
             for truth in (ModelChoice.M1, ModelChoice.M2):
@@ -794,13 +786,20 @@ def write_report(report: Report, path: str | Path, format: str = "json") -> None
 
 
 def read_report(path: str | Path) -> Report:
-    """Read back a JSON report written by write_report."""
+    """Read back a JSON report written by write_report; any other file
+    raises InvalidArgumentError naming the path."""
     try:
-        payload = json.loads(Path(path).read_text())
+        text = Path(path).read_text()
+        # -0 is how _jsonio writes the float -0.0.
+        payload = json.loads(text, parse_int=lambda s: -0.0 if s == "-0" else int(s))
     except OSError as exc:
         raise PaccError(f"cannot read report from {path}: {exc}") from exc
-    if payload.get("schema") != REPORT_SCHEMA:
+    except ValueError as exc:
+        raise InvalidArgumentError(f"report {path} is not JSON: {exc}") from None
+    if type(payload) is not dict or payload.get("schema") != REPORT_SCHEMA:
         raise InvalidArgumentError(f"unrecognised report schema in {path}")
-    if payload.get("kind") == "sweep":
-        return SweepReport.from_dict(payload)
-    return VerificationReport.from_dict(payload)
+    report_type = SweepReport if payload.get("kind") == "sweep" else VerificationReport
+    try:
+        return report_type.from_dict(payload)
+    except (KeyError, ValueError, TypeError, AttributeError) as exc:
+        raise InvalidArgumentError(f"report {path}: {type(exc).__name__}: {exc}") from None

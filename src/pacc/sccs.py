@@ -54,7 +54,7 @@ _MAX_DAYS = 2**53
 # Largest cell table, (exposure_days + 1) * (control_days + 1) cells, that
 # SCCS trials draw from; larger designs redraw case by case instead. The cap
 # bounds memory and build time, not speed: a table holds 24 bytes a cell, so
-# at most 3 MiB (24 MiB for the 8 that verify caches) and a few ms to build.
+# at most 3 MiB, one per running verify, and a few ms to build.
 # Measured in-process, a table draw stays cheaper than the case-by-case draw
 # up to about 1M cells at bound-scale case counts; no benchmark workload has
 # a design above the cap, so that range is left to the case-by-case draw.
@@ -374,7 +374,6 @@ def generate_sccs(
     params: SccsParams,
     cases: int,
     rng: RngStream | np.random.Generator,
-    max_attempts_per_case: int = _MAX_ATTEMPTS_PER_CASE,
 ) -> SccsDataset:
     """Draw a case series of exactly ``cases`` patients.
 
@@ -382,7 +381,7 @@ def generate_sccs(
     events; events are per-day Bernoulli at exp(phi_i) off exposure and
     exp(phi_i + beta) on exposure. Patients without events are redrawn
     (case-series conditioning); if the total number of attempts exceeds
-    ``cases * max_attempts_per_case`` a GenerationFailureError is raised,
+    ``cases * _MAX_ATTEMPTS_PER_CASE`` a GenerationFailureError is raised,
     which signals baseline rates too small for conditioning to terminate
     in practice.
     """
@@ -394,7 +393,7 @@ def generate_sccs(
 
     chunk_rows = max(1, min(cases, _CHUNK_CELLS // total))
     attempts = 0
-    budget = cases * max_attempts_per_case
+    budget = cases * _MAX_ATTEMPTS_PER_CASE
     kept_starts: list[np.ndarray] = []
     kept_counts: list[np.ndarray] = []
     kept_days: list[np.ndarray] = []
@@ -444,7 +443,6 @@ def draw_sccs_counts(
     params: SccsParams,
     cases: int,
     rng: RngStream | np.random.Generator,
-    max_attempts_per_case: int = _MAX_ATTEMPTS_PER_CASE,
 ) -> SccsCounts:
     """Draw the event totals of a ``cases``-patient case series directly.
 
@@ -452,14 +450,14 @@ def draw_sccs_counts(
     unexposed event counts are Binomial(exposure_days, exp(phi + beta))
     and Binomial(control_days, exp(phi)) given its phi, whatever the
     exposure start. Zero-event patients are redrawn under the same
-    ``cases * max_attempts_per_case`` budget, and GenerationFailureError
+    ``cases * _MAX_ATTEMPTS_PER_CASE`` budget, and GenerationFailureError
     is raised when it runs out.
     """
     if cases < 1:
         raise InvalidArgumentError("cases must be at least 1")
     gen = as_generator(rng)
     attempts = 0
-    budget = cases * max_attempts_per_case
+    budget = cases * _MAX_ATTEMPTS_PER_CASE
     accepted = nu1 = nu2 = 0
     while accepted < cases:
         batch = min(cases - accepted, budget - attempts)
@@ -551,7 +549,7 @@ def draw_cell_counts(
     """Draw the event totals of a ``cases``-patient case series from the
     design's table.
 
-    Same law as ``draw_sccs_counts`` with its default retry budget. Its
+    Same law as ``draw_sccs_counts``, under the same retry budget. Its
     redraws run out exactly when fewer than ``cases`` of the first
     ``cases * _MAX_ATTEMPTS_PER_CASE`` attempts have an event, so one
     Binomial(budget, accept) draw decides that (GenerationFailureError);

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -269,7 +270,7 @@ class TestVerify:
         assert all("GenerationFailureError" in t.failure for t in failed.per_trial)
         assert verify(sccs_spec(trials=2)).errors == 0
 
-    def test_trials_are_prepared_once_per_spec_and_size(self, monkeypatch):
+    def test_trials_are_prepared_once_per_verify_call(self, monkeypatch):
         import pacc.harness as harness_mod
 
         built = []
@@ -279,14 +280,54 @@ class TestVerify:
             return sccs_cell_table(design, params)
 
         monkeypatch.setattr(harness_mod, "sccs_cell_table", counting_table)
-        harness_mod._prepared_trial.cache_clear()
         spec = sccs_spec(trials=25, master_seed=1234)
         first = verify(spec)
         assert len(built) == 1
         assert verify(spec).to_dict() == first.to_dict()
-        assert len(built) == 1
-        run_trial(spec, 0, sample_size=400)
         assert len(built) == 2
+        assert run_trial(spec, 3) == first.per_trial[3]
+        assert len(built) == 3
+
+    def test_no_table_outlives_verify(self, monkeypatch):
+        import gc
+        import weakref
+
+        import pacc.harness as harness_mod
+
+        tables = []
+
+        def tracked_table(design, params):
+            table = sccs_cell_table(design, params)
+            tables.append(weakref.ref(table))
+            return table
+
+        monkeypatch.setattr(harness_mod, "sccs_cell_table", tracked_table)
+        monkeypatch.setattr(harness_mod.os, "cpu_count", lambda: 2)
+        for workers in (1, 2):
+            verify(sccs_spec(trials=6), workers=workers)
+        gc.collect()
+        assert len(tables) == 2
+        assert all(ref() is None for ref in tables)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_index_runs_once_with_the_same_trial(self, monkeypatch, workers):
+        import pacc.harness as harness_mod
+
+        calls = []
+
+        def recording_run_trial(spec, index, draw_and_decide=None):
+            calls.append((index, draw_and_decide))
+            return run_trial(spec, index, draw_and_decide)
+
+        monkeypatch.setattr(harness_mod, "run_trial", recording_run_trial)
+        monkeypatch.setattr(harness_mod.os, "cpu_count", lambda: 2)
+        spec = iv_spec(trials=9)
+        report = verify(spec, workers=workers)
+        assert sorted(index for index, _ in calls) == list(range(9))
+        prepared = calls[0][1]
+        assert callable(prepared)
+        assert all(trial is prepared for _, trial in calls)
+        assert report.per_trial == tuple(run_trial(spec, i) for i in range(9))
 
     def test_two_workers_share_one_table_per_sweep_point(self, monkeypatch):
         # The slow stub makes both workers ask for a point's trial while its
@@ -304,7 +345,6 @@ class TestVerify:
 
         monkeypatch.setattr(harness_mod, "sccs_cell_table", slow_counting_table)
         monkeypatch.setattr(harness_mod.os, "cpu_count", lambda: 2)
-        harness_mod._prepared_trial.cache_clear()
         config = json.loads((CONFIGS / "sccs_sweep.json").read_text())
         base = TrialSpec.from_dict({
             **{k: v for k, v in config.items() if k != "grid"},
@@ -344,6 +384,12 @@ class TestSweep:
         seeds_1 = [t.seed for t in report.reports[1].per_trial]
         assert seeds_0 == list(range(0, 10))
         assert seeds_1 == list(range(10, 20))
+
+    def test_stream_ranges_start_at_the_base_offset(self):
+        base = iv_spec(trials=3, stream_base=100)
+        report = adversarial_sweep(base, [base.generator_params] * 2)
+        seeds = [[t.seed for t in r.per_trial] for r in report.reports]
+        assert seeds == [[100, 101, 102], [103, 104, 105]]
 
     def test_invalid_grid_point_rejected_with_diagnostic(self):
         base = sccs_spec(trials=5)
@@ -461,6 +507,38 @@ class TestReports:
         again = read_report(path)
         assert again.to_dict() == report.to_dict()
 
+    def test_negative_zero_statistic_round_trips(self, tmp_path):
+        # A noiseless draw with a negative alpha gives beta_hat = 0.0 / S_dz
+        # = -0.0 under M2, which _jsonio writes as -0.
+        spec = iv_spec(ModelChoice.M2, generator_params=IvParams(alpha=-1.0, beta=0.0),
+                       trials=3, sample_size=100)
+        path = tmp_path / "report.json"
+        write_report(verify(spec), path)
+        assert '"statistic": -0,' in path.read_text()
+        again = read_report(path)
+        assert all(math.copysign(1.0, t.statistic) == -1.0 for t in again.per_trial)
+        write_report(again, tmp_path / "report2.json")
+        assert (tmp_path / "report2.json").read_bytes() == path.read_bytes()
+
+    # Each returns the file's text from a valid report's payload; the text is
+    # written as Latin-1, so "\xff" is a byte that is not UTF-8.
+    @pytest.mark.parametrize("make_text", [
+        lambda payload: "not json",
+        lambda payload: "\xff",
+        lambda payload: json.dumps([payload]),
+        lambda payload: json.dumps("pacc-report/1"),
+        lambda payload: json.dumps({k: v for k, v in payload.items() if k != "errors"}),
+        lambda payload: json.dumps({**payload, "per_trial": 5}),
+        lambda payload: json.dumps({**payload, "per_trial": [1]}),
+        lambda payload: json.dumps({**payload, "spec": {**payload["spec"], "method": "probit"}}),
+    ], ids=["not_json", "not_utf8", "list", "string", "missing_field", "number_for_list",
+            "number_for_record", "unknown_method"])
+    def test_unreadable_reports_raise_invalid_argument(self, tmp_path, make_text):
+        payload = verify(iv_spec(trials=2)).to_dict()
+        path = tmp_path / "bad.json"
+        path.write_bytes(make_text(payload).encode("latin-1"))
+        with pytest.raises(InvalidArgumentError, match=re.escape(str(path))):
+            read_report(path)
 
     @pytest.mark.parametrize("path, value", [
         (("per_trial", 0, "correct"), "false"),

@@ -221,10 +221,11 @@ class TestGeneration:
         b = generate_sccs(DESIGN, params, 50, split_stream(14, 3))
         assert a.to_dict() == b.to_dict()
 
-    def test_retry_cap_raises(self):
+    def test_retry_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(sccs_mod, "_MAX_ATTEMPTS_PER_CASE", 50)
         params = SccsParams(phi_law=PointLaw(-30.0), beta=0.0, lambda_floor=1e-14)
         with pytest.raises(GenerationFailureError):
-            generate_sccs(DESIGN, params, 3, split_stream(15, 0), max_attempts_per_case=50)
+            generate_sccs(DESIGN, params, 3, split_stream(15, 0))
 
     def test_exposure_start_within_feasible_range(self):
         params = SccsParams(phi_law=PointLaw(math.log(0.02)), beta=0.0, lambda_floor=0.01)
@@ -255,10 +256,11 @@ class TestCountDraw:
         for column in (0, 1):
             assert ks_2samp(records[:, column], counts[:, column]).pvalue >= 1e-3
 
-    def test_budget_exhaustion_raises(self):
+    def test_budget_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setattr(sccs_mod, "_MAX_ATTEMPTS_PER_CASE", 50)
         params = SccsParams(phi_law=PointLaw(-30.0), beta=0.0, lambda_floor=1e-14)
         with pytest.raises(GenerationFailureError):
-            draw_sccs_counts(DESIGN, params, 3, split_stream(15, 0), max_attempts_per_case=50)
+            draw_sccs_counts(DESIGN, params, 3, split_stream(15, 0))
 
     def test_decision_reads_only_the_totals(self):
         ds = random_dataset(22)
@@ -317,7 +319,7 @@ class TestCellTable:
         table = sccs_cell_table(DESIGN, params)
         for i in range(20):
             with pytest.raises(GenerationFailureError):
-                draw_sccs_counts(DESIGN, params, 3, split_stream(36, i), max_attempts_per_case=50)
+                draw_sccs_counts(DESIGN, params, 3, split_stream(36, i))
             with pytest.raises(GenerationFailureError, match="after 150 attempts"):
                 draw_cell_counts(DESIGN, table, 3, split_stream(36, i))
 
@@ -331,7 +333,7 @@ class TestCellTable:
         table = sccs_cell_table(DESIGN, params)
         assert table.accept == pytest.approx(0.5, rel=1e-12)
         draws = {
-            "per_case": (37, lambda gen: draw_sccs_counts(DESIGN, params, 20, gen, 2)),
+            "per_case": (37, lambda gen: draw_sccs_counts(DESIGN, params, 20, gen)),
             "table": (38, lambda gen: draw_cell_counts(DESIGN, table, 20, gen)),
         }
         failed = dict.fromkeys(draws, 0)

@@ -17,7 +17,6 @@ from pacc.core import (
     ModelChoice,
     PaccError,
     PipelineFailureError,
-    RngStream,
     UndefinedAteError,
     WeakInstrumentError,
     rate_upper_bound,
@@ -37,7 +36,6 @@ __all__ = [
     "ModelChoice",
     "PaccError",
     "PipelineFailureError",
-    "RngStream",
     "UndefinedAteError",
     "WeakInstrumentError",
     "rate_upper_bound",

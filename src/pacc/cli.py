@@ -61,6 +61,14 @@ class CliError(Exception):
         self.code = code
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A parser whose usage errors (an unknown flag, a flag value that is
+    not a number) end in the same JSON diagnostic as every other exit 2."""
+
+    def error(self, message: str):
+        raise CliError(_EXIT_USAGE, message)
+
+
 def _emit(payload: dict) -> None:
     sys.stdout.write(_jsonio.dumps(payload))
 
@@ -133,48 +141,18 @@ def _build(factory, what: str):
 
 
 def cmd_samplesize(args: argparse.Namespace) -> int:
+    # Each flag's dest is the bound's parameter name and its payload key.
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "method")}
     try:
-        if args.method == "sccs":
-            n = sccs_sample_size(args.epsilon, args.delta, args.lambda_floor)
-            payload = {
-                "method": "sccs",
-                "epsilon": args.epsilon,
-                "delta": args.delta,
-                "lambda_floor": args.lambda_floor,
-                "sample_size": n,
-            }
-        elif args.method == "propensity":
-            sizes = ps_sample_sizes(args.epsilon, args.delta, args.n_covariates)
-            payload = {
-                "method": "propensity",
-                "epsilon": args.epsilon,
-                "delta": args.delta,
-                "n_covariates": args.n_covariates,
-                **sizes.to_dict(),
-                "sample_size": sizes.total,
-            }
+        if args.method == "propensity":
+            sizes = ps_sample_sizes(**flags)
+            result = {**sizes.to_dict(), "sample_size": sizes.total}
         else:
-            n = iv_sample_size(
-                args.epsilon,
-                args.delta,
-                args.sigma_dy2,
-                args.sigma_dz2,
-                args.alpha,
-                args.sigma_d2,
-            )
-            payload = {
-                "method": "iv2sls",
-                "epsilon": args.epsilon,
-                "delta": args.delta,
-                "sigma_dy2": args.sigma_dy2,
-                "sigma_dz2": args.sigma_dz2,
-                "alpha": args.alpha,
-                "sigma_d2": args.sigma_d2,
-                "sample_size": n,
-            }
+            bound = sccs_sample_size if args.method == "sccs" else iv_sample_size
+            result = {"sample_size": bound(**flags)}
     except InvalidArgumentError as exc:
         raise CliError(_EXIT_USAGE, str(exc)) from exc
-    _emit(payload)
+    _emit({"method": "iv2sls" if args.method == "iv" else args.method, **flags, **result})
     return 0
 
 
@@ -303,7 +281,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="pacc",
         description="Simulate, decide, and certify PACC causal discovery procedures.",
     )
@@ -358,14 +336,11 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+        return _COMMANDS[args.command](args)
+    except SystemExit as exc:  # --help
         return exc.code if isinstance(exc.code, int) else _EXIT_USAGE
-    handler = _COMMANDS[args.command]
-    try:
-        return handler(args)
     except CliError as exc:
         _diagnose("CliError", str(exc))
         return exc.code

@@ -11,7 +11,7 @@ import math
 import threading
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,11 +32,10 @@ __all__ = [
     "ModelChoice",
     "ConceptSpec",
     "Decision",
-    "RngStream",
     "split_stream",
     "rekeyed_generator",
-    "as_generator",
     "rate_upper_bound",
+    "ceil_bound",
     "whole_number",
     "real_number",
 ]
@@ -159,6 +158,23 @@ def real_number(value: object, name: str) -> float:
     raise InvalidArgumentError(f"{name} must be a finite number, got {value!r}")
 
 
+def ceil_bound(name: str, formula: Callable[[], float]) -> int:
+    """The ceiling of a sample-size bound, which must come out a finite
+    positive number. Finite arguments at the edge of the float range can
+    make a formula divide by an underflowed zero (a bound past the float
+    range), overflow, or round to 0 or inf; each is an
+    InvalidArgumentError naming the bound."""
+    try:
+        bound = formula()
+    except ArithmeticError:
+        bound = math.inf
+    if not 0.0 < bound < math.inf:
+        raise InvalidArgumentError(
+            f"{name} is not a finite positive number for these arguments, got {bound}"
+        )
+    return math.ceil(bound)
+
+
 def _check_u64(value: int, name: str) -> None:
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
@@ -166,31 +182,19 @@ def _check_u64(value: int, name: str) -> None:
         raise InvalidArgumentError(f"{name} must fit in an unsigned 64-bit word")
 
 
-@dataclass(frozen=True)
-class RngStream:
-    """A reproducible random stream keyed by (master_seed, stream_id).
+def split_stream(master_seed: int, stream_id: int) -> np.random.Generator:
+    """A fresh generator at the start of stream (master_seed, stream_id).
 
     Distinct key pairs give statistically independent streams; the same
     pair always reproduces the same draw sequence, independent of thread
-    count or scheduling (counter-based Philox underneath).
+    count or scheduling (counter-based Philox underneath). Each call
+    builds a new generator, so two calls with one key draw the same
+    numbers; a multi-stage pipeline passes one generator along instead.
     """
-
-    master_seed: int
-    stream_id: int
-
-    def __post_init__(self) -> None:
-        _check_u64(self.master_seed, "master_seed")
-        _check_u64(self.stream_id, "stream_id")
-
-    def generator(self) -> np.random.Generator:
-        """Return a fresh generator positioned at the start of the stream."""
-        key = np.array([self.master_seed, self.stream_id], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
-
-
-def split_stream(master_seed: int, trial_index: int) -> RngStream:
-    """Derive the per-trial stream for ``trial_index`` under ``master_seed``."""
-    return RngStream(master_seed=int(master_seed), stream_id=int(trial_index))
+    _check_u64(master_seed, "master_seed")
+    _check_u64(stream_id, "stream_id")
+    key = np.array([master_seed, stream_id], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 # One Philox generator per thread, re-keyed for each stream it serves.
@@ -201,9 +205,9 @@ def rekeyed_generator(master_seed: int, stream_id: int) -> np.random.Generator:
     """The calling thread's generator, positioned at the start of stream
     (master_seed, stream_id).
 
-    It draws exactly what ``split_stream(master_seed, stream_id).generator()``
-    would: the Philox state is set to counter 0, that key, an empty buffer
-    and no held 32-bit half, which is the state a fresh Philox starts in.
+    It draws exactly what ``split_stream(master_seed, stream_id)`` would:
+    the Philox state is set to counter 0, that key, an empty buffer and no
+    held 32-bit half, which is the state a fresh Philox starts in.
     Re-keying one generator costs about a twentieth of building one. The
     next call on the same thread re-keys the same generator, so a caller
     finishes with one stream before it asks for the next.
@@ -230,19 +234,6 @@ def rekeyed_generator(master_seed: int, stream_id: int) -> np.random.Generator:
         "uinteger": 0,
     }
     return gen
-
-
-def as_generator(rng: RngStream | np.random.Generator) -> np.random.Generator:
-    """Accept either a stream key or a live generator and return a generator.
-
-    Passing a generator lets multi-stage pipelines consume one stream
-    sequentially, which keeps a whole trial reproducible from one key.
-    """
-    if isinstance(rng, np.random.Generator):
-        return rng
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    raise InvalidArgumentError(f"expected RngStream or numpy Generator, got {type(rng)!r}")
 
 
 def rate_upper_bound(errors: int, trials: int, confidence: float = 0.95) -> float:

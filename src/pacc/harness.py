@@ -33,7 +33,6 @@ from pacc.core import (
     ModelChoice,
     PaccError,
     PipelineFailureError,
-    RngStream,
     UndefinedAteError,
     WeakInstrumentError,
     rate_upper_bound,
@@ -215,9 +214,9 @@ def _sccs_generator(block: dict) -> tuple[SccsDesign, SccsParams]:
 
 
 def _ps_estimate(
-    data: ObsDataset, delta: float, epsilon: float, rng: RngStream
+    data: ObsDataset, delta: float, epsilon: float, gen: np.random.Generator
 ) -> dict:
-    result = ps_pipeline(data, delta, rng, epsilon)
+    result = ps_pipeline(data, delta, gen, epsilon)
     return {
         "method": "propensity",
         "statistic": result.ate,
@@ -256,7 +255,7 @@ class MethodSpec:
     prepare: Callable[[TrialSpec, Any, int], DrawAndDecide]
     # `generate`: its generator block, effect included, and the draw.
     parse_generator: Callable[[dict], Any]
-    generate: Callable[[Any, int, RngStream], Any]
+    generate: Callable[[Any, int, np.random.Generator], Any]
     # Dataset files: formats (the default first), whether they can carry
     # the latent confounder (`generate --include-hidden`), write(dataset,
     # format, include_hidden) and read(text, format).
@@ -267,8 +266,8 @@ class MethodSpec:
     # `estimate` and `decide` on a dataset: (dataset, delta, epsilon,
     # decide stream); epsilon and the stream are None unless decide_stream.
     decide_stream: bool
-    estimate: Callable[[Any, float | None, float | None, RngStream | None], dict]
-    decide: Callable[[Any, float, float | None, RngStream | None], Decision]
+    estimate: Callable[[Any, float | None, float | None, np.random.Generator | None], dict]
+    decide: Callable[[Any, float, float | None, np.random.Generator | None], Decision]
 
 
 METHODS: dict[Method, MethodSpec] = {
@@ -558,22 +557,37 @@ def run_trial(
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Aggregated trial results certified against the spec's epsilon."""
+    """A spec's trial outcomes, certified against its epsilon. The error
+    count, the rate, its Wilson upper bound and the verdict are derived
+    from the outcomes, so they cannot contradict them."""
 
     spec: TrialSpec
     resolved_sample_size: int
-    errors: int
-    trials: int
-    empirical_rate: float
-    upper_bound: float
-    passed: bool
     per_trial: tuple[TrialOutcome, ...]
 
-    def to_dict(self) -> dict:
+    @property
+    def trials(self) -> int:
+        return self.spec.trials
+
+    @property
+    def errors(self) -> int:
+        return sum(1 for t in self.per_trial if not t.correct)
+
+    @property
+    def empirical_rate(self) -> float:
+        return self.errors / self.trials
+
+    @property
+    def upper_bound(self) -> float:
+        return rate_upper_bound(self.errors, self.trials, CONFIDENCE)
+
+    @property
+    def passed(self) -> bool:
+        return self.upper_bound <= self.spec.epsilon
+
+    def _summary(self) -> dict:
+        """The fields derived from the spec and the trials."""
         return {
-            "schema": REPORT_SCHEMA,
-            "kind": "verification",
-            "spec": self.spec.to_dict(),
             "resolved_sample_size": self.resolved_sample_size,
             "errors": self.errors,
             "trials": self.trials,
@@ -581,22 +595,40 @@ class VerificationReport:
             "upper_bound": self.upper_bound,
             "confidence": CONFIDENCE,
             "pass": self.passed,
+        }
+
+    def to_dict(self) -> dict:
+        return {
+            "schema": REPORT_SCHEMA,
+            "kind": "verification",
+            "spec": self.spec.to_dict(),
+            **self._summary(),
             "per_trial": [t.to_dict() for t in self.per_trial],
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "VerificationReport":
-        return cls(
-            spec=TrialSpec.from_dict(d["spec"]),
-            resolved_sample_size=whole_number(
-                d["resolved_sample_size"], "resolved_sample_size"
-            ),
-            errors=whole_number(d["errors"], "errors"),
-            trials=whole_number(d["trials"], "trials"),
-            empirical_rate=_report_real(d["empirical_rate"], "empirical_rate"),
-            upper_bound=_report_real(d["upper_bound"], "upper_bound"),
-            passed=_report_bool(d["pass"], "pass"),
-            per_trial=tuple(TrialOutcome.from_dict(t) for t in d["per_trial"]),
+        """The report that ``spec`` and ``per_trial`` certify. A summary
+        field, a record's seed or a record's ``correct`` that disagrees
+        with them is an InvalidArgumentError naming the field."""
+        spec = TrialSpec.from_dict(d["spec"])
+        per_trial = tuple(TrialOutcome.from_dict(t) for t in d["per_trial"])
+        _check_derived("len(per_trial)", len(per_trial), spec.trials)
+        for i, t in enumerate(per_trial):
+            _check_derived(f"per_trial[{i}].seed", t.seed, spec.stream_base + i)
+            _check_derived(f"per_trial[{i}].correct", t.correct, t.decision is spec.truth)
+        report = cls(spec, resolve_sample_size(spec), per_trial)
+        for key, derived in report._summary().items():
+            _check_derived(key, d[key], derived)
+        return report
+
+
+def _check_derived(name: str, value: object, derived: object) -> None:
+    """A report field must read as ``write_report`` would write what the
+    spec and the trials give: same value, same JSON type."""
+    if _jsonio.dumps(value) != _jsonio.dumps(derived):
+        raise InvalidArgumentError(
+            f"{name} is {value!r}, but the spec and the trials give {derived!r}"
         )
 
 
@@ -629,18 +661,7 @@ def verify(spec: TrialSpec, workers: int = 1) -> VerificationReport:
         blocks = [range(k * n // workers, (k + 1) * n // workers) for k in range(workers)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = [o for block in pool.map(run_block, blocks) for o in block]
-    errors = sum(1 for o in outcomes if not o.correct)
-    upper = rate_upper_bound(errors, spec.trials, CONFIDENCE)
-    return VerificationReport(
-        spec=spec,
-        resolved_sample_size=size,
-        errors=errors,
-        trials=spec.trials,
-        empirical_rate=errors / spec.trials,
-        upper_bound=upper,
-        passed=upper <= spec.epsilon,
-        per_trial=tuple(outcomes),
-    )
+    return VerificationReport(spec, size, tuple(outcomes))
 
 
 def _clamp_workers(workers: int, trials: int) -> int:
@@ -650,13 +671,21 @@ def _clamp_workers(workers: int, trials: int) -> int:
 
 @dataclass(frozen=True)
 class SweepReport:
-    """verify() at every grid point; worst is the argmax upper bound."""
+    """verify() at every grid point. The worst point and the verdict are
+    derived from the point reports."""
 
     base: TrialSpec
     grid: tuple[GeneratorParams, ...]
     reports: tuple[VerificationReport, ...]
-    worst: int
-    passed: bool
+
+    @property
+    def worst(self) -> int:
+        """The first point with the largest upper bound."""
+        return max(range(len(self.reports)), key=lambda k: self.reports[k].upper_bound)
+
+    @property
+    def passed(self) -> bool:
+        return all(r.passed for r in self.reports)
 
     def to_dict(self) -> dict:
         return {
@@ -671,17 +700,28 @@ class SweepReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepReport":
+        """The sweep of ``base`` over ``grid``; a point spec, ``worst`` or
+        ``pass`` that disagrees with them and the point reports is an
+        InvalidArgumentError naming the field."""
         base = TrialSpec.from_dict(d["base"])
         grid = tuple(
             generator_params_from_dict(base.method, g) for g in d["grid"]
         )
-        return cls(
-            base=base,
-            grid=grid,
-            reports=tuple(VerificationReport.from_dict(r) for r in d["reports"]),
-            worst=whole_number(d["worst"], "worst"),
-            passed=_report_bool(d["pass"], "pass"),
-        )
+        reports = tuple(VerificationReport.from_dict(r) for r in d["reports"])
+        _check_derived("len(reports)", len(reports), len(grid))
+        for k, (point, report) in enumerate(zip(grid, reports)):
+            derived = _point_spec(base, k, point).to_dict()
+            _check_derived(f"reports[{k}].spec", report.spec.to_dict(), derived)
+        sweep = cls(base, grid, reports)
+        _check_derived("worst", d["worst"], sweep.worst)
+        _check_derived("pass", d["pass"], sweep.passed)
+        return sweep
+
+
+def _point_spec(base: TrialSpec, k: int, point: GeneratorParams) -> TrialSpec:
+    """The spec of sweep point ``k``: the base at ``point``, with trial
+    stream ids from ``base.stream_base + k * base.trials`` on."""
+    return replace(base, generator_params=point, stream_base=base.stream_base + k * base.trials)
 
 
 def adversarial_sweep(
@@ -701,9 +741,7 @@ def adversarial_sweep(
     problems = []
     specs = []
     for k, point in enumerate(grid):
-        spec_k = replace(
-            base, generator_params=point, stream_base=base.stream_base + k * base.trials
-        )
+        spec_k = _point_spec(base, k, point)
         try:
             for truth in (ModelChoice.M1, ModelChoice.M2):
                 params_for_truth(replace(spec_k, truth=truth))
@@ -716,15 +754,7 @@ def adversarial_sweep(
         raise InvalidArgumentError(
             "sweep rejected; assumption-violating grid points:\n" + "\n".join(problems)
         )
-    reports = tuple(verify(s, workers=workers) for s in specs)
-    worst = max(range(len(reports)), key=lambda k: reports[k].upper_bound)
-    return SweepReport(
-        base=base,
-        grid=tuple(grid),
-        reports=reports,
-        worst=worst,
-        passed=all(r.passed for r in reports),
-    )
+    return SweepReport(base, tuple(grid), tuple(verify(s, workers=workers) for s in specs))
 
 
 Report = Union[VerificationReport, SweepReport]
@@ -786,8 +816,10 @@ def write_report(report: Report, path: str | Path, format: str = "json") -> None
 
 
 def read_report(path: str | Path) -> Report:
-    """Read back a JSON report written by write_report; any other file
-    raises InvalidArgumentError naming the path."""
+    """Read back a JSON report written by write_report, rebuilding what
+    ``verify`` derives from the spec and the trials; any other file, or
+    one whose fields contradict each other, raises InvalidArgumentError
+    naming the path."""
     try:
         text = Path(path).read_text()
         # -0 is how _jsonio writes the float -0.0.
@@ -798,7 +830,12 @@ def read_report(path: str | Path) -> Report:
         raise InvalidArgumentError(f"report {path} is not JSON: {exc}") from None
     if type(payload) is not dict or payload.get("schema") != REPORT_SCHEMA:
         raise InvalidArgumentError(f"unrecognised report schema in {path}")
-    report_type = SweepReport if payload.get("kind") == "sweep" else VerificationReport
+    kind = payload.get("kind")
+    if kind not in ("verification", "sweep"):
+        raise InvalidArgumentError(
+            f"report {path}: kind must be 'verification' or 'sweep', got {kind!r}"
+        )
+    report_type = SweepReport if kind == "sweep" else VerificationReport
     try:
         return report_type.from_dict(payload)
     except (KeyError, ValueError, TypeError, AttributeError) as exc:

@@ -21,9 +21,8 @@ from pacc.core import (
     DegenerateFitError,
     InvalidArgumentError,
     ModelChoice,
-    RngStream,
     WeakInstrumentError,
-    as_generator,
+    ceil_bound,
     real_number,
 )
 
@@ -149,13 +148,10 @@ class IvEstimate(NamedTuple):
         return {"alpha_hat": self.alpha_hat, "beta_hat": self.beta_hat}
 
 
-def generate_iv(
-    params: IvParams, count: int, rng: RngStream | np.random.Generator
-) -> IvDataset:
+def generate_iv(params: IvParams, count: int, gen: np.random.Generator) -> IvDataset:
     """Draw ``count`` records from the linear SEM."""
     if count < 1:
         raise InvalidArgumentError("count must be at least 1")
-    gen = as_generator(rng)
     d = 2.0 * gen.integers(0, 2, size=count).astype(np.float64) - 1.0
     u = gen.standard_normal(count)
     xi_z = gen.standard_normal(count)
@@ -226,14 +222,18 @@ def iv_sample_size(
     """
     if not 0.0 < epsilon < 1.0 or not 0.0 < delta < 1.0:
         raise InvalidArgumentError("epsilon and delta must lie in (0, 1)")
-    if sigma_dy2 <= 0 or sigma_dz2 <= 0 or sigma_d2 <= 0:
-        raise InvalidArgumentError("variance arguments must be positive")
-    if alpha == 0.0:
-        raise InvalidArgumentError("alpha must be nonzero")
+    if not all(0.0 < v < math.inf for v in (sigma_dy2, sigma_dz2, sigma_d2)):
+        raise InvalidArgumentError("variance arguments must be finite and positive")
+    if not 0.0 < abs(alpha) < math.inf:
+        raise InvalidArgumentError(f"alpha must be finite and nonzero, got {alpha}")
     a2s4 = alpha * alpha * sigma_d2 * sigma_d2
-    n_effect = 32.0 * sigma_dy2 / (epsilon * delta * delta * a2s4)
-    n_stage1 = 8.0 * sigma_dz2 / (epsilon * a2s4)
-    return math.ceil(max(n_effect, n_stage1))
+    return ceil_bound(
+        "the IV sample size",
+        lambda: max(
+            32.0 * sigma_dy2 / (epsilon * delta * delta * a2s4),
+            8.0 * sigma_dz2 / (epsilon * a2s4),
+        ),
+    )
 
 
 def iv_analytic_variances(params: IvParams) -> tuple[float, float]:

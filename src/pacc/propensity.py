@@ -29,9 +29,8 @@ from pacc.core import (
     InvalidArgumentError,
     ModelChoice,
     PipelineFailureError,
-    RngStream,
     UndefinedAteError,
-    as_generator,
+    ceil_bound,
     real_number,
     whole_number,
 )
@@ -303,13 +302,10 @@ class PsSampleSizes:
         }
 
 
-def generate_obs(
-    params: PsParams, count: int, rng: RngStream | np.random.Generator
-) -> ObsDataset:
+def generate_obs(params: PsParams, count: int, gen: np.random.Generator) -> ObsDataset:
     """Draw ``count`` records from the observational model Q * P * R."""
     if count < 1:
         raise InvalidArgumentError("count must be at least 1")
-    gen = as_generator(rng)
     n = params.n_covariates
     probs = np.asarray(params.covariate_probs)
     x = (gen.random((count, n)) < probs).astype(np.uint8)
@@ -351,17 +347,14 @@ def tally_cells(data: ObsDataset) -> CellCounts:
     return CellCounts(configs, totals, treated)
 
 
-def draw_cells(
-    params: PsParams, count: int, rng: RngStream | np.random.Generator
-) -> CellCounts:
+def draw_cells(params: PsParams, count: int, gen: np.random.Generator) -> CellCounts:
     """Draw the cell tallies of ``count`` records from Q * P directly.
 
-    Same law as ``tally_cells(generate_obs(params, count, rng))``:
+    Same law as ``tally_cells(generate_obs(params, count, gen))``:
     configuration counts are Multinomial(count, Q) and each cell's treated
     count is Binomial(total, P(Z=1 | x)). Outcomes are not drawn. Past
     the enumeration limit the records are drawn and tallied instead.
     """
-    gen = as_generator(rng)
     if params.n_covariates > _ENUM_LIMIT:
         return tally_cells(generate_obs(params, count, gen))
     configs, q = config_probabilities(params)
@@ -442,7 +435,7 @@ def l1_propensity_error(model: PropensityModel, params: PsParams) -> float:
 
 
 def rejection_sample(
-    data: ObsDataset, model: PropensityModel, rng: RngStream | np.random.Generator
+    data: ObsDataset, model: PropensityModel, gen: np.random.Generator
 ) -> ObsDataset:
     """Keep each record with probability min(median(p_arm) / p_arm, 1).
 
@@ -451,7 +444,6 @@ def rejection_sample(
     taken per arm over the input batch. An empty output is a legal
     outcome, reported by length, not an error.
     """
-    gen = as_generator(rng)
     p1 = model.predict(data.x)
     treated = data.z == 1
     p_arm = np.where(treated, p1, 1.0 - p1)
@@ -494,15 +486,18 @@ def ps_sample_sizes(epsilon: float, delta: float, n_covariates: int) -> PsSample
     if n_covariates < 1:
         raise InvalidArgumentError("n_covariates must be at least 1")
     gamma = min(epsilon, delta, delta * delta / 4.0)
-    n1 = math.ceil(
-        64.0
+    n1 = ceil_bound(
+        "N1",
+        lambda: 64.0
         / gamma**2
-        * (2.0 * n_covariates * math.log(16.0 * math.e / gamma) + math.log(48.0 / epsilon))
+        * (2.0 * n_covariates * math.log(16.0 * math.e / gamma) + math.log(48.0 / epsilon)),
     )
-    n3 = math.ceil(math.log(6.0 / epsilon) / (2.0 * gamma**2))
+    n3 = ceil_bound("N3", lambda: math.log(6.0 / epsilon) / (2.0 * gamma**2))
     log3e = math.log(3.0 / epsilon)
-    n2 = math.ceil(
-        (n3 + log3e / 2.0 + math.sqrt(2.0 * n3 * log3e + math.log(6.0 / epsilon))) / delta
+    n2 = ceil_bound(
+        "N2",
+        lambda: (n3 + log3e / 2.0 + math.sqrt(2.0 * n3 * log3e + math.log(6.0 / epsilon)))
+        / delta,
     )
     return PsSampleSizes(gamma=gamma, n1=n1, n3=n3, n2=n2)
 
@@ -518,7 +513,7 @@ class PsPipelineResult:
 
 
 def ps_pipeline(
-    data: ObsDataset, delta: float, rng: RngStream | np.random.Generator, epsilon: float
+    data: ObsDataset, delta: float, gen: np.random.Generator, epsilon: float
 ) -> PsPipelineResult:
     """Run fit / rejection-sample / ATE at the sizes implied by (epsilon, delta).
 
@@ -529,7 +524,7 @@ def ps_pipeline(
     """
     sizes = _pipeline_sizes(len(data), delta, epsilon, data.n_covariates)
     return _pipeline_from_cells(
-        tally_cells(data[: sizes.n1]), data[sizes.n1 : sizes.total], sizes, rng
+        tally_cells(data[: sizes.n1]), data[sizes.n1 : sizes.total], sizes, gen
     )
 
 
@@ -548,10 +543,10 @@ def _pipeline_from_cells(
     cells: CellCounts,
     tail: ObsDataset,
     sizes: PsSampleSizes,
-    rng: RngStream | np.random.Generator,
+    gen: np.random.Generator,
 ) -> PsPipelineResult:
     model = _fit_cells(cells)
-    adjusted = rejection_sample(tail, model, rng)
+    adjusted = rejection_sample(tail, model, gen)
     if len(adjusted) < sizes.n3:
         raise PipelineFailureError(
             f"rejection sampling kept {len(adjusted)} records, fewer than N3 = {sizes.n3}"
@@ -569,10 +564,10 @@ def ate_decision(statistic: float, delta: float) -> Decision:
 
 
 def ps_decide(
-    data: ObsDataset, delta: float, rng: RngStream | np.random.Generator, epsilon: float
+    data: ObsDataset, delta: float, gen: np.random.Generator, epsilon: float
 ) -> Decision:
     """Choose M1 when the adjusted-sample ATE reaches delta / 2 (ties to M1)."""
-    result = ps_pipeline(data, delta, rng, epsilon)
+    result = ps_pipeline(data, delta, gen, epsilon)
     return ate_decision(result.ate, delta)
 
 
@@ -580,7 +575,7 @@ def ps_decide_drawn(
     params: PsParams,
     count: int,
     delta: float,
-    rng: RngStream | np.random.Generator,
+    gen: np.random.Generator,
     epsilon: float,
 ) -> Decision:
     """``ps_decide`` on ``count`` records drawn from ``params``, drawing
@@ -590,7 +585,6 @@ def ps_decide_drawn(
     N2 slice as records, then rejection sampling uses the same stream.
     Records beyond N1 + N2 would never be read, so they are not drawn.
     """
-    gen = as_generator(rng)
     sizes = _pipeline_sizes(count, delta, epsilon, params.n_covariates)
     cells = draw_cells(params, sizes.n1, gen)
     tail = generate_obs(params, sizes.n2, gen)

@@ -22,8 +22,7 @@ from pacc.core import (
     GenerationFailureError,
     InvalidArgumentError,
     ModelChoice,
-    RngStream,
-    as_generator,
+    ceil_bound,
     real_number,
     whole_number,
 )
@@ -373,7 +372,7 @@ def generate_sccs(
     design: SccsDesign,
     params: SccsParams,
     cases: int,
-    rng: RngStream | np.random.Generator,
+    gen: np.random.Generator,
 ) -> SccsDataset:
     """Draw a case series of exactly ``cases`` patients.
 
@@ -387,7 +386,6 @@ def generate_sccs(
     """
     if cases < 1:
         raise InvalidArgumentError("cases must be at least 1")
-    gen = as_generator(rng)
     total, expo = design.total_days, design.exposure_days
     days = np.arange(1, total + 1, dtype=np.int64)
 
@@ -442,7 +440,7 @@ def draw_sccs_counts(
     design: SccsDesign,
     params: SccsParams,
     cases: int,
-    rng: RngStream | np.random.Generator,
+    gen: np.random.Generator,
 ) -> SccsCounts:
     """Draw the event totals of a ``cases``-patient case series directly.
 
@@ -455,7 +453,6 @@ def draw_sccs_counts(
     """
     if cases < 1:
         raise InvalidArgumentError("cases must be at least 1")
-    gen = as_generator(rng)
     attempts = 0
     budget = cases * _MAX_ATTEMPTS_PER_CASE
     accepted = nu1 = nu2 = 0
@@ -544,7 +541,7 @@ def draw_cell_counts(
     design: SccsDesign,
     table: SccsCellTable,
     cases: int,
-    rng: RngStream | np.random.Generator,
+    gen: np.random.Generator,
 ) -> SccsCounts:
     """Draw the event totals of a ``cases``-patient case series from the
     design's table.
@@ -563,7 +560,6 @@ def draw_cell_counts(
         raise InvalidArgumentError(
             f"cases must be at most {_MAX_TABLE_BUDGET // _MAX_ATTEMPTS_PER_CASE}, got {cases}"
         )
-    gen = as_generator(rng)
     accepted = int(gen.binomial(budget, table.accept))
     if accepted < cases:
         raise GenerationFailureError(
@@ -661,12 +657,14 @@ def sccs_sample_size(epsilon: float, delta: float, lambda_floor: float) -> int:
     """
     if not 0.0 < epsilon < 1.0:
         raise InvalidArgumentError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if not delta > 1.0:
-        raise InvalidArgumentError(f"delta must exceed 1 on the risk-ratio scale, got {delta}")
+    if not 1.0 < delta < math.inf:
+        raise InvalidArgumentError(f"delta must be a finite risk ratio above 1, got {delta}")
     if not 0.0 < lambda_floor < 1.0:
         raise InvalidArgumentError(f"lambda_floor must lie in (0, 1), got {lambda_floor}")
-    bound = 8.0 / (lambda_floor**2 * math.log(delta) ** 2) * math.log(4.0 / epsilon)
-    return math.ceil(bound)
+    return ceil_bound(
+        "the SCCS sample size",
+        lambda: 8.0 / (lambda_floor**2 * math.log(delta) ** 2) * math.log(4.0 / epsilon),
+    )
 
 
 def sccs_decide(dataset: SccsDataset | SccsCounts, delta: float) -> Decision:

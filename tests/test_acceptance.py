@@ -98,7 +98,7 @@ def test_c1_sccs_closed_form_matches_numeric_oracle():
     worst = 0.0
     while checked < 50:
         seed += 1
-        gen = split_stream(10_000 + seed, 0).generator()
+        gen = split_stream(10_000 + seed, 0)
         rate = float(gen.uniform(0.004, 0.05))
         beta = float(gen.uniform(-1.0, 1.0))
         params = SccsParams(
@@ -148,7 +148,7 @@ def test_c3_rejection_sampling_bound_never_violated():
     from pacc.propensity import PropensityModel, config_probabilities, lemma1_bound
 
     start = time.monotonic()
-    gen = split_stream(30_000, 0).generator()
+    gen = split_stream(30_000, 0)
     checked = 0
     violations = 0
     while checked < 100:
@@ -377,7 +377,7 @@ def test_c7_reports_byte_identical_across_worker_counts(tmp_path, capsys):
 
 
 def test_c8_exact_algebraic_invariants():
-    gen_master = split_stream(80_000, 0).generator()
+    gen_master = split_stream(80_000, 0)
     ok = True
     details = []
 
@@ -419,7 +419,7 @@ def test_c8_exact_algebraic_invariants():
 
     shift_worst = 0.0
     for i in range(10):
-        gen = split_stream(80_002, i).generator()
+        gen = split_stream(80_002, i)
         params = SccsParams(
             phi_law=PointLaw(math.log(0.02)), beta=float(gen.uniform(-1, 1)),
             lambda_floor=0.01,
@@ -439,7 +439,7 @@ def test_c8_exact_algebraic_invariants():
     # ATE permutation invariance, exactly.
     perm_ok = True
     for i in range(10):
-        gen = split_stream(80_003, i).generator()
+        gen = split_stream(80_003, i)
         params = PsParams(
             n_covariates=2,
             treat_weights=(0.3, -0.3),

@@ -84,6 +84,28 @@ class TestSamplesize:
         assert code == 2
         assert "delta" in json.loads(err)["message"]
 
+    @pytest.mark.parametrize("argv", [
+        ["samplesize", "sccs", "--epsilon", "0.1", "--delta", "inf", "--lambda-floor", "0.05"],
+        ["samplesize", "iv", "--epsilon", "0.1", "--delta", "0.5", "--sigma-dy2", "inf"],
+        ["samplesize", "iv", "--epsilon", "0.1", "--delta", "0.5", "--alpha", "1e-300"],
+        ["samplesize", "iv", "--epsilon", "0.1", "--delta", "0.5", "--alpha", "nan"],
+        ["samplesize", "sccs", "--epsilon", "0.1", "--delta", "1e308",
+         "--lambda-floor", "1e-200"],
+        ["samplesize", "propensity", "--epsilon", "1e-300", "--delta", "0.5",
+         "--n-covariates", "3"],
+        ["verify", "--config", str(CONFIGS / "iv_verify.json"), "--set", 'sample_size="auto"',
+         "--set", "generator.alpha=1e-300"],
+        ["verify", "--config", str(CONFIGS / "sccs_verify.json"), "--set", "concept.delta=1e308",
+         "--set", "generator.lambda_floor=1e-200"],
+    ])
+    def test_bound_past_the_float_range_exits_2(self, capsys, argv):
+        # Each bound here is 0, inf or NaN in floats: a config error, not a
+        # size of 0, a traceback or a failed verification.
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert set(json.loads(err)) == {"error", "message"}
+
 
 class TestGenerate:
     def test_iv_csv(self, capsys, tmp_path):

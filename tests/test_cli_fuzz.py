@@ -13,6 +13,10 @@ The committed ``verify`` and ``sweep`` configs are mutated the same way
 and run with a stub in place of ``harness.run_trial``, so that no mutated
 size or rate reaches a draw. Each run must end with exit 0 or 1 and a
 report, or exit 2 with one JSON diagnostic, and raise no warning.
+
+Each float flag of ``samplesize`` takes each CSV mutant string in turn,
+the other flags valid. Each run must end with exit 0 and a sample size,
+or exit 2 with one JSON diagnostic, and raise no warning.
 """
 
 import contextlib
@@ -24,6 +28,7 @@ import warnings
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from pacc import harness
@@ -126,6 +131,17 @@ def mutated_inputs(draw):
     return filename, data, config
 
 
+def _run(argv):
+    """``main(argv)``: its exit code, stdout and stderr; no warning raised."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert [str(w.message) for w in caught] == []
+    return code, out, err
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(case=mutated_inputs())
 def test_decide_on_a_mutated_input_exits_0_or_3(case):
@@ -135,12 +151,7 @@ def test_decide_on_a_mutated_input_exits_0_or_3(case):
         path.write_bytes(data)
         cfg = Path(tmp) / "decide.json"
         cfg.write_text(json.dumps({**config, "input": str(path)}))
-        out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(["decide", "--config", str(cfg)])
-    assert [str(w.message) for w in caught] == []
+        code, out, err = _run(["decide", "--config", str(cfg)])
     assert code in (0, 3), err.getvalue()
     if code == 0:
         assert err.getvalue() == ""
@@ -190,14 +201,9 @@ def test_verify_on_a_mutated_config_exits_0_1_or_2(case):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "config.json"
         cfg.write_text(json.dumps(config))
-        out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with mock.patch.object(harness, "run_trial", _fixed_outcome), \
-                    contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main([command, "--config", str(cfg), "--set", "trials=2",
-                             "--threads", "1"])
-    assert [str(w.message) for w in caught] == []
+        with mock.patch.object(harness, "run_trial", _fixed_outcome):
+            code, out, err = _run([command, "--config", str(cfg), "--set", "trials=2",
+                                   "--threads", "1"])
     assert code in (0, 1, 2), err.getvalue()
     if code == 2:
         assert out.getvalue() == ""
@@ -206,3 +212,36 @@ def test_verify_on_a_mutated_config_exits_0_1_or_2(case):
     else:
         assert err.getvalue() == ""
         assert json.loads(out.getvalue())["kind"] in ("verification", "sweep")
+
+
+# Valid flags of each `samplesize` method; --n-covariates is the one
+# integer flag, the rest are floats.
+SAMPLESIZE_FLAGS = {
+    "sccs": {"--epsilon": "0.1", "--delta": "2", "--lambda-floor": "0.05"},
+    "propensity": {"--epsilon": "0.1", "--delta": "0.5", "--n-covariates": "3"},
+    "iv": {"--epsilon": "0.1", "--delta": "0.5", "--sigma-dy2": "1", "--sigma-dz2": "1",
+           "--alpha": "1", "--sigma-d2": "1"},
+}
+
+
+@pytest.mark.parametrize("method, flag, value", [
+    (method, flag, value)
+    for method, flags in SAMPLESIZE_FLAGS.items()
+    for flag in flags
+    if flag != "--n-covariates"
+    for value in _MUTANTS["csv"]
+])
+def test_samplesize_with_a_mutated_flag_exits_0_or_2(method, flag, value):
+    argv = ["samplesize", method] + [
+        f"{name}={value if name == flag else valid}"
+        for name, valid in SAMPLESIZE_FLAGS[method].items()
+    ]
+    code, out, err = _run(argv)
+    assert code in (0, 2), err.getvalue()
+    if code == 0:
+        assert err.getvalue() == ""
+        assert json.loads(out.getvalue())["sample_size"] >= 1
+    else:
+        assert out.getvalue() == ""
+        diagnostic = json.loads(err.getvalue())
+        assert isinstance(diagnostic, dict) and set(diagnostic) == {"error", "message"}

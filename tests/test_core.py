@@ -12,7 +12,6 @@ from pacc.core import (
     InvalidArgumentError,
     Method,
     ModelChoice,
-    RngStream,
     rate_upper_bound,
     real_number,
     rekeyed_generator,
@@ -22,29 +21,36 @@ from pacc.core import (
 
 class TestSplitStream:
     def test_identity_mapping(self):
-        assert split_stream(42, 0) == RngStream(42, 0)
-        assert split_stream(42, 7) == RngStream(42, 7)
+        for seed, stream in [(42, 0), (42, 7), (2**64 - 1, 2**64 - 1)]:
+            key = np.array([seed, stream], dtype=np.uint64)
+            want = np.random.Generator(np.random.Philox(key=key))
+            got = split_stream(seed, stream)
+            for a, b in zip(_draws(got), _draws(want)):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
     def test_distinct_streams_differ(self):
-        a = split_stream(42, 0).generator().random(100)
-        b = split_stream(42, 1).generator().random(100)
+        a = split_stream(42, 0).random(100)
+        b = split_stream(42, 1).random(100)
         assert not np.array_equal(a, b)
 
     def test_same_stream_is_byte_identical(self):
-        s = RngStream(master_seed=123456789, stream_id=17)
-        a = s.generator().random(1000)
-        b = s.generator().random(1000)
+        # Each call builds a fresh generator: the same key draws the same numbers.
+        a = split_stream(123456789, 17).random(1000)
+        b = split_stream(123456789, 17).random(1000)
         assert a.tobytes() == b.tobytes()
 
     def test_different_master_seeds_differ(self):
-        a = split_stream(1, 0).generator().random(50)
-        b = split_stream(2, 0).generator().random(50)
+        a = split_stream(1, 0).random(50)
+        b = split_stream(2, 0).random(50)
         assert not np.array_equal(a, b)
 
-    @pytest.mark.parametrize("seed,stream", [(-1, 0), (0, -1), (2**64, 0), (0, 2**64)])
+    @pytest.mark.parametrize(
+        "seed,stream",
+        [(-1, 0), (0, -1), (2**64, 0), (0, 2**64), (2.5, 0), (0, 2.5), (True, 0), (0, True)],
+    )
     def test_rejects_out_of_range_keys(self, seed, stream):
         with pytest.raises(InvalidArgumentError):
-            RngStream(seed, stream)
+            split_stream(seed, stream)
 
 
 def _draws(gen):
@@ -82,7 +88,7 @@ class TestRekeyedGenerator:
         assert len(set(KEY_PAIRS)) == 200
         for seed, stream in KEY_PAIRS:
             self._assert_same_draws(
-                rekeyed_generator(seed, stream), split_stream(seed, stream).generator()
+                rekeyed_generator(seed, stream), split_stream(seed, stream)
             )
 
     def test_reuses_one_generator_per_thread(self):
@@ -97,7 +103,7 @@ class TestRekeyedGenerator:
             assert gen.bit_generator.state["has_uint32"] == 1
             gen.random(k % 3)
             self._assert_same_draws(
-                rekeyed_generator(seed, stream), split_stream(seed, stream).generator()
+                rekeyed_generator(seed, stream), split_stream(seed, stream)
             )
 
     def test_threads_at_once(self):
@@ -131,7 +137,7 @@ class TestRekeyedGenerator:
         for k, pairs in enumerate(shares):
             assert len(results[k]) == len(pairs)
             for got, (seed, stream) in zip(results[k], pairs):
-                fresh = split_stream(seed, stream).generator()
+                fresh = split_stream(seed, stream)
                 assert got == [np.asarray(d).tobytes() for d in _draws(fresh)]
 
     @pytest.mark.parametrize("seed,stream", [(-1, 0), (0, -1), (2**64, 0), (0, 2**64), (True, 0)])

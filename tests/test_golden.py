@@ -22,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from pacc.cli import main
+from pacc.harness import read_report, write_report
 from pacc.propensity import ps_sample_sizes
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -145,6 +146,16 @@ def expected_digest(data_name: str) -> str:
 def test_report_bytes(tmp_path, command, name):
     expected = (GOLDEN / f"{name}.report.json").read_bytes()
     assert report_bytes(command, name, tmp_path) == expected
+
+
+@pytest.mark.parametrize("name", [n for _, n in REPORT_CASES])
+def test_report_fixture_round_trips(tmp_path, name):
+    # read_report rebuilds every field verify derives; writing what it read
+    # gives back the fixture's bytes.
+    fixture = GOLDEN / f"{name}.report.json"
+    out_path = tmp_path / fixture.name
+    write_report(read_report(fixture), out_path)
+    assert out_path.read_bytes() == fixture.read_bytes()
 
 
 @pytest.mark.parametrize("case", CHAIN_CASES, ids=[c[0] for c in CHAIN_CASES])

@@ -579,6 +579,73 @@ class TestReports:
             with pytest.raises(InvalidArgumentError, match=key):
                 read_report(tampered)
 
+    # Each edit leaves every field well typed but contradicts what the spec
+    # and the per-trial records give; the error names the (first) field.
+    @pytest.mark.parametrize("edits, field", [
+        ({"errors": 4, "trials": 99, "pass": True, "kind": "banana"}, "kind"),
+        ({"errors": 4, "trials": 99, "pass": True}, "errors"),
+        ({"errors": 1}, "errors"),
+        ({"trials": 99}, "trials"),
+        ({"empirical_rate": 0.2}, "empirical_rate"),
+        ({"upper_bound": 0.05}, "upper_bound"),
+        ({"confidence": 0.9}, "confidence"),
+        ({"pass": True}, "pass"),
+        ({"resolved_sample_size": 1279}, "resolved_sample_size"),
+        ({"kind": "banana"}, "kind"),
+    ], ids=["all_four", "errors_trials_pass", "errors", "trials", "empirical_rate",
+            "upper_bound", "confidence", "pass", "resolved_sample_size", "kind"])
+    def test_contradictory_summaries_are_rejected(self, tmp_path, edits, field):
+        payload = verify(iv_spec(ModelChoice.M2, trials=5)).to_dict()
+        assert payload["errors"] == 0 and payload["pass"] is False
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps({**payload, **edits}))
+        with pytest.raises(InvalidArgumentError, match=re.escape(str(tampered))) as info:
+            read_report(tampered)
+        assert re.search(rf"\b{field}\b", str(info.value))
+
+    @pytest.mark.parametrize("index, edits, field", [
+        (2, {"correct": False}, r"per_trial\[2\]\.correct"),
+        (0, {"decision": "M1"}, r"per_trial\[0\]\.correct"),
+        (4, {"decision": None, "failure": "PipelineFailureError: halted"},
+         r"per_trial\[4\]\.correct"),
+        (3, {"seed": 7}, r"per_trial\[3\]\.seed"),
+    ], ids=["correct_false", "decision_m1", "halt_marked_correct", "seed"])
+    def test_contradictory_records_are_rejected(self, tmp_path, index, edits, field):
+        payload = verify(iv_spec(ModelChoice.M2, trials=5)).to_dict()
+        assert all(t["decision"] == "M2" and t["correct"] for t in payload["per_trial"])
+        payload["per_trial"][index].update(edits)
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(payload))
+        with pytest.raises(InvalidArgumentError, match=field):
+            read_report(tampered)
+
+    def test_missing_or_extra_records_are_rejected(self, tmp_path):
+        payload = verify(iv_spec(ModelChoice.M2, trials=5)).to_dict()
+        for records in (payload["per_trial"][:4], payload["per_trial"] * 2):
+            tampered = tmp_path / "tampered.json"
+            tampered.write_text(json.dumps({**payload, "per_trial": records}))
+            with pytest.raises(InvalidArgumentError, match=re.escape("len(per_trial)")):
+                read_report(tampered)
+
+    def test_contradictory_sweeps_are_rejected(self, tmp_path):
+        base = iv_spec(ModelChoice.M2, trials=5)
+        grid = [base.generator_params, replace(base.generator_params, conf_z=0.5)]
+        payload = adversarial_sweep(base, grid).to_dict()
+        other_point = {**payload["grid"][1], "conf_y": 0.25}
+        cases = [
+            ({"worst": 1 - payload["worst"]}, "worst"),
+            ({"pass": not payload["pass"]}, "pass"),
+            ({"grid": [payload["grid"][0], other_point]}, re.escape("reports[1].spec")),
+            ({"grid": payload["grid"][::-1]}, re.escape("reports[0].spec")),
+            ({"grid": payload["grid"][:1]}, re.escape("len(reports)")),
+            ({"reports": payload["reports"][::-1]}, re.escape("reports[0].spec")),
+        ]
+        for edits, field in cases:
+            tampered = tmp_path / "tampered.json"
+            tampered.write_text(json.dumps({**payload, **edits}))
+            with pytest.raises(InvalidArgumentError, match=field):
+                read_report(tampered)
+
     def test_non_finite_strings_read_back_as_floats(self, tmp_path):
         report = verify(iv_spec(trials=5))
         payload = report.to_dict()

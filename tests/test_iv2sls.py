@@ -129,7 +129,7 @@ class TestDrawnSums:
         for i in range(2000):
             est = two_sls(generate_iv(params, count, split_stream(41, i)))
             records.append((est.alpha_hat, est.beta_hat))
-            est = iv_ratio(*draw_iv_sums(params, count, split_stream(42, i).generator()))
+            est = iv_ratio(*draw_iv_sums(params, count, split_stream(42, i)))
             drawn.append((est.alpha_hat, est.beta_hat))
         records, drawn = np.array(records), np.array(drawn)
         for column in (0, 1):
@@ -138,11 +138,11 @@ class TestDrawnSums:
     def test_sum_of_squares_is_the_count(self):
         data = generate_iv(self.NOISY, 77, split_stream(43, 0))
         assert float(data.d @ data.d) == 77.0
-        assert draw_iv_sums(self.NOISY, 77, split_stream(43, 0).generator())[0] == 77.0
+        assert draw_iv_sums(self.NOISY, 77, split_stream(43, 0))[0] == 77.0
 
     def test_noiseless_sums_are_exact(self):
         params = IvParams(alpha=2.0, beta=0.25)
-        sums = draw_iv_sums(params, 100, split_stream(44, 0).generator())
+        sums = draw_iv_sums(params, 100, split_stream(44, 0))
         assert sums == (100.0, 200.0, 50.0)
         decision = iv_rule(iv_ratio(*sums), 0.4)
         assert decision.statistic == 0.25 and decision.chosen is ModelChoice.M1
@@ -156,7 +156,7 @@ class TestDrawnSums:
     def test_overflowing_draw_is_a_fit_failure(self):
         params = IvParams(alpha=1e307, beta=0.0)
         with pytest.raises(DegenerateFitError):
-            iv_ratio(*draw_iv_sums(params, 100, split_stream(46, 0).generator()))
+            iv_ratio(*draw_iv_sums(params, 100, split_stream(46, 0)))
 
     def test_zero_denominator_is_a_weak_instrument(self):
         with pytest.raises(WeakInstrumentError):

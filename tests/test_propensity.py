@@ -214,7 +214,7 @@ class TestL1Error:
         assert l1_propensity_error(model, p) == pytest.approx(0.25, abs=1e-12)
 
     def test_symmetric_in_model_and_truth(self):
-        gen = split_stream(7, 0).generator()
+        gen = split_stream(7, 0)
         for _ in range(10):
             w1, w2 = gen.normal(size=3), gen.normal(size=3)
             b1, b2 = gen.normal(), gen.normal()
@@ -269,7 +269,7 @@ class TestRejectionSampling:
         # Single covariate, model P'(x=1)=0.8, P'(x=0)=0.2. Expected
         # acceptance per (x, z) cell follows min(median_arm / p_arm, 1)
         # with medians computed from the realised batch.
-        gen = split_stream(9, 0).generator()
+        gen = split_stream(9, 0)
         n = 100_000
         x = gen.integers(0, 2, size=n).astype(np.uint8)
         z = gen.integers(0, 2, size=n).astype(np.uint8)
@@ -311,7 +311,7 @@ class TestRejectionSampling:
         improved = 0
         reps = 200
         for i in range(reps):
-            gen = split_stream(2_000 + i, 0).generator()
+            gen = split_stream(2_000 + i, 0)
             data = generate_obs(params, 4_000, gen)
             model = fit_logistic(data[:2_000])
             tail = data[2_000:]
@@ -334,13 +334,13 @@ class TestAte:
         assert ate(ObsDataset(x, z, y)) == 0.5
 
     def test_null_is_small(self):
-        gen = split_stream(11, 0).generator()
+        gen = split_stream(11, 0)
         z = np.array([0, 1] * 10_000, dtype=np.uint8)
         y = gen.integers(0, 2, size=20_000).astype(np.uint8)
         assert abs(ate(ObsDataset(np.zeros((20_000, 1), dtype=np.uint8), z, y))) <= 0.05
 
     def test_permutation_invariant_exactly(self):
-        gen = split_stream(12, 0).generator()
+        gen = split_stream(12, 0)
         data = generate_obs(flat_params(), 5_001, gen)
         perm = gen.permutation(len(data))
         shuffled = ObsDataset(data.x[perm], data.z[perm], data.y[perm])
@@ -401,7 +401,7 @@ class TestRejectionSamplingBound:
     def test_enumerated_instances_respect_bound(self):
         # Random logistic truth / approximation pairs over 3 binary
         # covariates; premises computed exactly by enumeration.
-        gen = split_stream(13, 0).generator()
+        gen = split_stream(13, 0)
         checked = 0
         while checked < 100:
             n = 3
@@ -450,7 +450,7 @@ class TestPipeline:
         sizes = ps_sample_sizes(0.2, 0.8, 5)
         wrong = 0
         for i in range(25):
-            gen = split_stream(3_000 + i, 0).generator()
+            gen = split_stream(3_000 + i, 0)
             data = generate_obs(params, sizes.total, gen)
             decision = ps_decide(data, 0.8, gen, epsilon=0.2)
             wrong += decision.chosen is not ModelChoice.M1
@@ -469,7 +469,7 @@ class TestPipeline:
         sizes = ps_sample_sizes(0.2, 0.8, 5)
         wrong = 0
         for i in range(25):
-            gen = split_stream(4_000 + i, 0).generator()
+            gen = split_stream(4_000 + i, 0)
             data = generate_obs(params, sizes.total, gen)
             decision = ps_decide(data, 0.8, gen, epsilon=0.2)
             wrong += decision.chosen is not ModelChoice.M2

@@ -47,7 +47,7 @@ def worked_example_dataset() -> SccsDataset:
 
 
 def random_dataset(seed: int, min_cases: int = 5, max_cases: int = 60) -> SccsDataset:
-    gen = split_stream(seed, 0).generator()
+    gen = split_stream(seed, 0)
     cases = int(gen.integers(min_cases, max_cases + 1))
     beta = float(gen.uniform(-1.0, 1.0))
     rate = float(gen.uniform(0.004, 0.04))
@@ -91,7 +91,7 @@ class TestLogLik:
         # Reference likelihood carrying explicit per-patient baselines; the
         # conditional form must match it for any phi assignment.
         ds = random_dataset(3)
-        gen = split_stream(4, 0).generator()
+        gen = split_stream(4, 0)
         phis = gen.uniform(-8.0, -2.0, size=len(ds))
 
         def loglik_with_phi(beta: float) -> float:
@@ -137,7 +137,7 @@ class TestEstimators:
 
     def test_equal_rates_give_zero(self):
         # nu1/expo == nu2/control: 21 exposed events vs 229 unexposed.
-        gen = split_stream(5, 0).generator()
+        gen = split_stream(5, 0)
         pts = []
         day_pool = range(1, 251)
         for _ in range(25):

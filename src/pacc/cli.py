@@ -8,7 +8,8 @@ reads. stdout carries the payload JSON, stderr a structured diagnostic
 on failure.
 
 Exit codes: 0 success or verification pass, 1 verification fail,
-2 usage or config error, 3 runtime or data error.
+2 usage or config error, 3 runtime or data error (an allocation too
+large for memory included).
 
 All randomness flows from one master seed: stream id 0 is used for data
 generation and stream id 1 for decision-stage randomness (the rejection
@@ -39,7 +40,6 @@ from pacc.harness import (
     Report,
     TrialSpec,
     adversarial_sweep,
-    generator_params_from_dict,
     verify,
     write_report,
 )
@@ -169,12 +169,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
     name, method = _method(config)
     count = _config_whole(config, "count")
     seed = _config_whole(config, "master_seed")
-    if count < 1:
-        raise CliError(_EXIT_USAGE, "count must be at least 1")
+    if not 1 <= count <= 2**63 - 1:
+        raise CliError(_EXIT_USAGE, f"count must lie in [1, 2**63 - 1], got {count}")
     block = config.get("generator")
     if not isinstance(block, dict):
         raise CliError(_EXIT_USAGE, "config needs a 'generator' object")
-    params = _build(lambda: method.parse_generator(block), "generator params")
+    params = _build(lambda: method.params_type.from_dict(block), "generator params")
     fmt = args.format or method.formats[0]
     if fmt not in method.formats:
         raise CliError(
@@ -265,18 +265,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = _load_config(args)
-    grid_dicts = config.get("grid")
+    grid_dicts = config.pop("grid", None)
     if not isinstance(grid_dicts, list) or not grid_dicts:
         raise CliError(_EXIT_USAGE, "sweep config needs a nonempty 'grid' array")
-    base_config = {k: v for k, v in config.items() if k != "grid"}
-    base_config.setdefault("generator", grid_dicts[0])
-    base = _build(lambda: TrialSpec.from_dict(base_config), "trial spec")
-    grid = _build(
-        lambda: tuple(
-            generator_params_from_dict(base.method, g) for g in grid_dicts
-        ),
-        "sweep grid",
+    if "generator" in config:
+        raise CliError(
+            _EXIT_USAGE, "a sweep takes its generator blocks from 'grid'; remove 'generator'"
+        )
+    # The base spec is grid point 0's spec.
+    base = _build(
+        lambda: TrialSpec.from_dict({**config, "generator": grid_dicts[0]}),
+        "trial spec at grid point 0",
     )
+    params_type = METHODS[base.method].params_type
+    grid = _build(lambda: tuple(params_type.from_dict(g) for g in grid_dicts), "sweep grid")
     return _emit_report(adversarial_sweep(base, grid, workers=args.threads), args)
 
 
@@ -350,7 +352,7 @@ def main(argv: list[str] | None = None) -> int:
     except PaccError as exc:
         _diagnose(type(exc).__name__, str(exc))
         return _EXIT_RUNTIME
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         _diagnose(type(exc).__name__, str(exc))
         return _EXIT_RUNTIME
 

@@ -38,6 +38,7 @@ __all__ = [
     "ceil_bound",
     "whole_number",
     "real_number",
+    "check_keys",
 ]
 
 _U64_MAX = 2**64 - 1
@@ -156,6 +157,18 @@ def real_number(value: object, name: str) -> float:
         if math.isfinite(number):
             return number
     raise InvalidArgumentError(f"{name} must be a finite number, got {value!r}")
+
+
+def check_keys(block: object, keys: tuple[str, ...], what: str) -> None:
+    """A JSON object whose keys are all among ``keys``: a misspelt optional
+    key would otherwise be read as its default."""
+    if type(block) is not dict:
+        raise InvalidArgumentError(f"the {what} must be a JSON object, got {block!r}")
+    for key in block:
+        if key not in keys:
+            raise InvalidArgumentError(
+                f"unknown {what} key {key!r}; expected one of {', '.join(keys)}"
+            )
 
 
 def ceil_bound(name: str, formula: Callable[[], float]) -> int:

@@ -62,15 +62,11 @@ from pacc.propensity import (
     ps_sample_sizes,
 )
 from pacc.sccs import (
-    PointLaw,
     SccsDataset,
-    SccsDesign,
-    SccsParams,
-    TwoPointLaw,
+    SccsModel,
     draw_cell_counts,
     draw_sccs_counts,
     generate_sccs,
-    law_from_dict,
     sccs_cell_table,
     sccs_decide,
     sccs_mle_closed,
@@ -81,7 +77,6 @@ __all__ = [
     "AUTO",
     "METHODS",
     "MethodSpec",
-    "SccsScenario",
     "GeneratorParams",
     "TrialSpec",
     "TrialOutcome",
@@ -94,7 +89,6 @@ __all__ = [
     "read_report",
     "params_for_truth",
     "resolve_sample_size",
-    "generator_params_from_dict",
 ]
 
 AUTO = "auto"
@@ -115,75 +109,16 @@ _TRIAL_FAILURES = (
 )
 
 
-@dataclass(frozen=True)
-class SccsScenario:
-    """Nuisance side of an SCCS model pair: design, baseline law, rate floor.
-
-    The effect (log relative incidence) is not part of the scenario; the
-    harness sets it to log(delta) under truth M1 and 0 under M2.
-    """
-
-    design: SccsDesign
-    phi_law: PointLaw | TwoPointLaw
-    lambda_floor: float
-
-    def to_dict(self) -> dict:
-        return {
-            "design": self.design.to_dict(),
-            "phi_law": self.phi_law.to_dict(),
-            "lambda_floor": self.lambda_floor,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SccsScenario":
-        return cls(
-            design=SccsDesign.from_dict(d["design"]),
-            phi_law=law_from_dict(d["phi_law"]),
-            lambda_floor=real_number(d["lambda_floor"], "lambda_floor"),
-        )
-
-
-GeneratorParams = Union[SccsScenario, PsParams, IvParams]
+GeneratorParams = Union[SccsModel, PsParams, IvParams]
 
 # A prepared trial: maps a trial's generator to its decision.
 DrawAndDecide = Callable[[np.random.Generator], Decision]
 
 
-def _sccs_scenario(d: dict) -> SccsScenario:
-    if "beta" in d:
-        raise InvalidArgumentError(
-            "the SCCS effect is derived from truth and concept delta; "
-            "remove 'beta' from the generator block"
-        )
-    return SccsScenario.from_dict(d)
-
-
-def _effect_free(parse: Callable[[dict], GeneratorParams], field: str):
-    """Parser of a generator block whose effect ``field`` is absent or zero."""
-
-    def parse_effect_free(d: dict) -> GeneratorParams:
-        if field in d and real_number(d[field], field) != 0.0:
-            raise InvalidArgumentError(
-                "the treatment effect is derived from truth and concept delta; "
-                f"remove {field!r} from the generator block"
-            )
-        return parse({**d, field: 0.0})
-
-    return parse_effect_free
-
-
-def _sccs_truth(scenario: SccsScenario, delta: float, is_m1: bool) -> SccsParams:
-    return SccsParams(
-        phi_law=scenario.phi_law,
-        beta=math.log(delta) if is_m1 else 0.0,
-        lambda_floor=scenario.lambda_floor,
-    )
-
-
-def _sccs_prepare(spec: TrialSpec, params: SccsParams, size: int) -> DrawAndDecide:
+def _sccs_prepare(spec: TrialSpec, model: SccsModel, size: int) -> DrawAndDecide:
     """An SCCS trial: the event totals from the design's cell table, or
     case by case when the design has too many cells for one."""
-    design, delta = spec.generator_params.design, spec.concept.delta
+    design, params, delta = model.design, model.params, spec.concept.delta
     table = sccs_cell_table(design, params)
     if table is None:
         return lambda gen: sccs_decide(draw_sccs_counts(design, params, size, gen), delta)
@@ -207,10 +142,6 @@ def _iv_auto_size(spec: TrialSpec) -> int:
             )
         )
     return max(sizes)
-
-
-def _sccs_generator(block: dict) -> tuple[SccsDesign, SccsParams]:
-    return SccsDesign.from_dict(block["design"]), SccsParams.from_dict(block["params"])
 
 
 def _ps_estimate(
@@ -241,20 +172,18 @@ class MethodSpec:
     time (a profiler's wrapper, a test's stub) is the one called.
     """
 
-    # The effect-free generator block of verify/sweep: its type, the name
-    # of its effect field (None when it has none) and its parser.
+    # The generator block of every command; its ``from_dict`` reads an
+    # absent effect as 0, and verify and sweep take only such blocks.
     params_type: type
-    effect_field: str | None
-    parse_params: Callable[[dict], GeneratorParams]
-    # (effect-free params, delta, truth is M1) -> generation parameters.
-    truth_params: Callable[[GeneratorParams, float, bool], Any]
+    # (effect-free params, delta, truth is M1) -> the same params with the
+    # truth's effect: delta's under M1, none under M2.
+    truth_params: Callable[[GeneratorParams, float, bool], GeneratorParams]
     # The sample-size bound that AUTO resolves to.
     auto_size: Callable[[TrialSpec], int]
     # Trials: (spec, truth params, sample size) -> the prepared trial. The
     # work that depends only on the spec runs in this call, once per verify.
     prepare: Callable[[TrialSpec, Any, int], DrawAndDecide]
-    # `generate`: its generator block, effect included, and the draw.
-    parse_generator: Callable[[dict], Any]
+    # `generate`: (params, count, stream) -> a dataset.
     generate: Callable[[Any, int, np.random.Generator], Any]
     # Dataset files: formats (the default first), whether they can carry
     # the latent confounder (`generate --include-hidden`), write(dataset,
@@ -272,16 +201,17 @@ class MethodSpec:
 
 METHODS: dict[Method, MethodSpec] = {
     Method.SCCS: MethodSpec(
-        params_type=SccsScenario,
-        effect_field=None,
-        parse_params=_sccs_scenario,
-        truth_params=_sccs_truth,
+        params_type=SccsModel,
+        truth_params=lambda model, delta, is_m1: replace(
+            model, params=replace(model.params, beta=math.log(delta) if is_m1 else 0.0)
+        ),
         auto_size=lambda spec: sccs_sample_size(
-            spec.epsilon, spec.concept.delta, spec.generator_params.lambda_floor
+            spec.epsilon, spec.concept.delta, spec.generator_params.params.lambda_floor
         ),
         prepare=_sccs_prepare,
-        parse_generator=_sccs_generator,
-        generate=lambda design_params, count, rng: generate_sccs(*design_params, count, rng),
+        generate=lambda model, count, rng: generate_sccs(
+            model.design, model.params, count, rng
+        ),
         formats=("json",),
         hidden_column=False,
         write=lambda data, fmt, hidden: _jsonio.dumps(data.to_dict()),
@@ -298,8 +228,6 @@ METHODS: dict[Method, MethodSpec] = {
     ),
     Method.PROPENSITY: MethodSpec(
         params_type=PsParams,
-        effect_field="effect",
-        parse_params=_effect_free(PsParams.from_dict, "effect"),
         truth_params=lambda params, delta, is_m1: replace(
             params, effect=delta if is_m1 else 0.0
         ),
@@ -309,7 +237,6 @@ METHODS: dict[Method, MethodSpec] = {
         prepare=lambda spec, params, size: lambda gen: ps_decide_drawn(
             params, size, spec.concept.delta, gen, epsilon=spec.epsilon
         ),
-        parse_generator=PsParams.from_dict,
         generate=lambda params, count, rng: generate_obs(params, count, rng),
         formats=("csv", "json"),
         hidden_column=False,
@@ -327,8 +254,6 @@ METHODS: dict[Method, MethodSpec] = {
     ),
     Method.IV2SLS: MethodSpec(
         params_type=IvParams,
-        effect_field="beta",
-        parse_params=_effect_free(IvParams.from_dict, "beta"),
         truth_params=lambda params, delta, is_m1: replace(
             params, beta=delta if is_m1 else 0.0
         ),
@@ -336,7 +261,6 @@ METHODS: dict[Method, MethodSpec] = {
         prepare=lambda spec, params, size: lambda gen: iv_rule(
             iv_ratio(*draw_iv_sums(params, size, gen)), spec.concept.delta
         ),
-        parse_generator=IvParams.from_dict,
         generate=lambda params, count, rng: generate_iv(params, count, rng),
         formats=("csv",),
         hidden_column=True,
@@ -347,11 +271,6 @@ METHODS: dict[Method, MethodSpec] = {
         decide=lambda data, delta, epsilon, rng: iv_decide(data, delta),
     ),
 }
-
-
-def generator_params_from_dict(method: Method, d: dict) -> GeneratorParams:
-    """Parse a generator block for ``method``; the effect field must be absent."""
-    return METHODS[method].parse_params(d)
 
 
 @dataclass(frozen=True)
@@ -384,11 +303,11 @@ class TrialSpec:
                 f"{self.method.value} needs {entry.params_type.__name__} generator params, "
                 f"got {type(self.generator_params).__name__}"
             )
-        field = entry.effect_field
-        if field is not None and getattr(self.generator_params, field) != 0.0:
+        params = self.generator_params
+        if entry.truth_params(params, self.concept.delta, False) != params:
             raise InvalidArgumentError(
-                "generator_params must describe the effect-free pair member "
-                f"({field} == 0); the harness applies the concept delta under M1"
+                "the treatment effect is derived from truth and concept delta; "
+                "leave it out of the generator block or set it to 0"
             )
         if self.trials < 1:
             raise InvalidArgumentError("trials must be at least 1")
@@ -433,7 +352,7 @@ class TrialSpec:
         return cls(
             truth=ModelChoice(d["truth"]),
             concept=concept,
-            generator_params=generator_params_from_dict(method, d["generator"]),
+            generator_params=METHODS[method].params_type.from_dict(d["generator"]),
             trials=whole_number(d["trials"], "trials"),
             master_seed=whole_number(d["master_seed"], "master_seed"),
             epsilon=real_number(d["epsilon"], "epsilon"),
@@ -442,7 +361,7 @@ class TrialSpec:
         )
 
 
-def params_for_truth(spec: TrialSpec) -> SccsParams | PsParams | IvParams:
+def params_for_truth(spec: TrialSpec) -> GeneratorParams:
     """Generation parameters for the model the trial's truth selects."""
     return METHODS[spec.method].truth_params(
         spec.generator_params, spec.concept.delta, spec.truth is ModelChoice.M1
@@ -704,9 +623,7 @@ class SweepReport:
         ``pass`` that disagrees with them and the point reports is an
         InvalidArgumentError naming the field."""
         base = TrialSpec.from_dict(d["base"])
-        grid = tuple(
-            generator_params_from_dict(base.method, g) for g in d["grid"]
-        )
+        grid = tuple(METHODS[base.method].params_type.from_dict(g) for g in d["grid"])
         reports = tuple(VerificationReport.from_dict(r) for r in d["reports"])
         _check_derived("len(reports)", len(reports), len(grid))
         for k, (point, report) in enumerate(zip(grid, reports)):
@@ -733,7 +650,8 @@ def adversarial_sweep(
     trials take ids from ``base.stream_base + k * base.trials`` on.
 
     Grid points that violate the method's assumptions (positivity, rate
-    floors, outcome validity under either truth) are rejected up front
+    floors, outcome validity under either truth) or carry an effect are
+    rejected up front
     with a per-point diagnostic rather than silently skipped.
     """
     if len(grid) == 0:
@@ -741,8 +659,8 @@ def adversarial_sweep(
     problems = []
     specs = []
     for k, point in enumerate(grid):
-        spec_k = _point_spec(base, k, point)
         try:
+            spec_k = _point_spec(base, k, point)
             for truth in (ModelChoice.M1, ModelChoice.M2):
                 params_for_truth(replace(spec_k, truth=truth))
             resolve_sample_size(spec_k)

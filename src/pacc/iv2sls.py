@@ -23,6 +23,7 @@ from pacc.core import (
     ModelChoice,
     WeakInstrumentError,
     ceil_bound,
+    check_keys,
     real_number,
 )
 
@@ -72,13 +73,12 @@ class IvParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "IvParams":
+        """The generator block; every field but ``alpha`` reads as 0 when absent."""
+        keys = ("alpha", "beta", "conf_z", "conf_y", "noise_z_sd", "noise_y_sd")
+        check_keys(d, keys, "IV generator")
         return cls(
             alpha=real_number(d["alpha"], "alpha"),
-            beta=real_number(d["beta"], "beta"),
-            **{
-                key: real_number(d.get(key, 0.0), key)
-                for key in ("conf_z", "conf_y", "noise_z_sd", "noise_y_sd")
-            },
+            **{key: real_number(d.get(key, 0.0), key) for key in keys[1:]},
         )
 
 

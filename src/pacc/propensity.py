@@ -31,6 +31,7 @@ from pacc.core import (
     PipelineFailureError,
     UndefinedAteError,
     ceil_bound,
+    check_keys,
     real_number,
     whole_number,
 )
@@ -156,6 +157,12 @@ class PsParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PsParams":
+        """The generator block; an absent ``effect`` reads as 0."""
+        keys = (
+            "n_covariates", "treat_weights", "treat_bias", "positivity_floor",
+            "outcome_base", "effect", "confound_weights", "covariate_probs",
+        )
+        check_keys(d, keys, "propensity generator")
         probs = d.get("covariate_probs")
         return cls(
             n_covariates=whole_number(d["n_covariates"], "n_covariates"),
@@ -163,7 +170,7 @@ class PsParams:
             treat_bias=real_number(d["treat_bias"], "treat_bias"),
             positivity_floor=real_number(d["positivity_floor"], "positivity_floor"),
             outcome_base=real_number(d["outcome_base"], "outcome_base"),
-            effect=real_number(d["effect"], "effect"),
+            effect=real_number(d.get("effect", 0.0), "effect"),
             confound_weights=_real_numbers(d["confound_weights"], "confound_weights"),
             covariate_probs=None if probs is None else _real_numbers(probs, "covariate_probs"),
         )
@@ -353,8 +360,11 @@ def draw_cells(params: PsParams, count: int, gen: np.random.Generator) -> CellCo
     Same law as ``tally_cells(generate_obs(params, count, gen))``:
     configuration counts are Multinomial(count, Q) and each cell's treated
     count is Binomial(total, P(Z=1 | x)). Outcomes are not drawn. Past
-    the enumeration limit the records are drawn and tallied instead.
+    the enumeration limit the records are drawn and tallied instead. A
+    count past int64, which numpy cannot draw, is an InvalidArgumentError.
     """
+    if count > 2**63 - 1:
+        raise InvalidArgumentError(f"count must be at most 2**63 - 1, got {count}")
     if params.n_covariates > _ENUM_LIMIT:
         return tally_cells(generate_obs(params, count, gen))
     configs, q = config_probabilities(params)

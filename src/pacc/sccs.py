@@ -23,6 +23,7 @@ from pacc.core import (
     InvalidArgumentError,
     ModelChoice,
     ceil_bound,
+    check_keys,
     real_number,
     whole_number,
 )
@@ -33,6 +34,7 @@ __all__ = [
     "law_from_dict",
     "SccsDesign",
     "SccsParams",
+    "SccsModel",
     "SccsDataset",
     "SccsCounts",
     "SccsCellTable",
@@ -126,8 +128,10 @@ class TwoPointLaw:
 def law_from_dict(d: dict) -> PointLaw | TwoPointLaw:
     kind = d.get("kind")
     if kind == "point":
+        check_keys(d, ("kind", "value"), "point law")
         return PointLaw(value=real_number(d["value"], "value"))
     if kind == "two_point":
+        check_keys(d, ("kind", "low", "high", "weight_high"), "two-point law")
         return TwoPointLaw(
             low=real_number(d["low"], "low"),
             high=real_number(d["high"], "high"),
@@ -174,6 +178,7 @@ class SccsDesign:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SccsDesign":
+        check_keys(d, ("total_days", "exposure_days"), "SCCS design")
         return cls(*(whole_number(d[key], key) for key in ("total_days", "exposure_days")))
 
 
@@ -219,11 +224,31 @@ class SccsParams:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SccsParams":
+        """The params block; an absent ``beta`` reads as 0, no effect."""
+        check_keys(d, ("phi_law", "beta", "lambda_floor"), "SCCS params")
         return cls(
             phi_law=law_from_dict(d["phi_law"]),
-            beta=real_number(d["beta"], "beta"),
+            beta=real_number(d.get("beta", 0.0), "beta"),
             lambda_floor=real_number(d["lambda_floor"], "lambda_floor"),
         )
+
+
+@dataclass(frozen=True)
+class SccsModel:
+    """One SCCS model: the observation design and the event rates. Its
+    dict form is the generator block of ``generate``, ``verify`` and
+    ``sweep``."""
+
+    design: SccsDesign
+    params: SccsParams
+
+    def to_dict(self) -> dict:
+        return {"design": self.design.to_dict(), "params": self.params.to_dict()}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "SccsModel":
+        check_keys(d, ("design", "params"), "SCCS model")
+        return cls(SccsDesign.from_dict(d["design"]), SccsParams.from_dict(d["params"]))
 
 
 class SccsDataset:

@@ -14,12 +14,13 @@ import pytest
 
 from pacc.cli import main as cli_main
 from pacc.core import ConceptSpec, Method, ModelChoice, rate_upper_bound, split_stream
-from pacc.harness import AUTO, SccsScenario, TrialSpec, verify
+from pacc.harness import AUTO, TrialSpec, verify
 from pacc.iv2sls import IvDataset, IvParams, generate_iv, ols_slope, two_sls
 from pacc.propensity import ObsDataset, PsParams, ate, generate_obs, ps_sample_sizes
 from pacc.sccs import (
     PointLaw,
     SccsDesign,
+    SccsModel,
     SccsParams,
     TwoPointLaw,
     generate_sccs,
@@ -45,8 +46,8 @@ def sccs_trial_spec(truth: ModelChoice, phi_law, seed: int) -> TrialSpec:
     return TrialSpec(
         truth=truth,
         concept=ConceptSpec(2.0, Method.SCCS),
-        generator_params=SccsScenario(
-            design=DESIGN, phi_law=phi_law, lambda_floor=0.05
+        generator_params=SccsModel(
+            DESIGN, SccsParams(phi_law=phi_law, beta=0.0, lambda_floor=0.05)
         ),
         trials=500,
         master_seed=seed,

@@ -96,7 +96,7 @@ class TestSamplesize:
         ["verify", "--config", str(CONFIGS / "iv_verify.json"), "--set", 'sample_size="auto"',
          "--set", "generator.alpha=1e-300"],
         ["verify", "--config", str(CONFIGS / "sccs_verify.json"), "--set", "concept.delta=1e308",
-         "--set", "generator.lambda_floor=1e-200"],
+         "--set", "generator.params.lambda_floor=1e-200"],
     ])
     def test_bound_past_the_float_range_exits_2(self, capsys, argv):
         # Each bound here is 0, inf or NaN in floats: a config error, not a
@@ -676,10 +676,10 @@ class TestUsage:
         )
 
     @pytest.mark.parametrize("command, name, path, value", [
-        ("verify", "sccs_verify", ("generator", "phi_law"), [1]),
+        ("verify", "sccs_verify", ("generator", "params", "phi_law"), [1]),
         ("verify", "iv_verify", ("generator",), [1]),
         ("verify", "ps_verify_fast", ("generator",), [1]),
-        ("sweep", "sccs_sweep", ("grid", 0, "phi_law"), [1]),
+        ("sweep", "sccs_sweep", ("grid", 0, "params", "phi_law"), [1]),
         ("generate", None, ("generator", "params", "phi_law"), [1]),
     ])
     def test_non_object_block_exits_2(self, capsys, tmp_path, command, name, path, value):
@@ -704,13 +704,13 @@ class TestUsage:
         ("verify", "iv_verify", ("generator", "conf_y"), "1"),
         ("verify", "iv_verify", ("generator", "beta"), False),
         ("verify", "ps_verify_fast", ("generator", "effect"), "0"),
-        ("verify", "sccs_verify", ("generator", "lambda_floor"), "0.05"),
-        ("verify", "sccs_verify", ("generator", "phi_law", "value"), "-3"),
+        ("verify", "sccs_verify", ("generator", "params", "lambda_floor"), "0.05"),
+        ("verify", "sccs_verify", ("generator", "params", "phi_law", "value"), "-3"),
         ("verify", "ps_verify_fast", ("generator", "treat_bias"), False),
         ("verify", "ps_verify_fast", ("generator", "treat_weights"), "00000"),
         ("verify", "ps_verify_fast", ("generator", "confound_weights"),
          [0.02, 0.02, "0.02", 0.02, 0.02]),
-        ("sweep", "sccs_sweep", ("grid", 2, "phi_law", "weight_high"), "0.5"),
+        ("sweep", "sccs_sweep", ("grid", 2, "params", "phi_law", "weight_high"), "0.5"),
     ])
     def test_non_number_config_fields_exit_2(self, capsys, tmp_path, command, name, path,
                                              value):
@@ -794,3 +794,122 @@ class TestUsage:
     def test_missing_config_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "verify")
         assert code == 2
+
+
+def _committed_blocks():
+    """(method, generator block) of every committed config: its generator,
+    or each point of its sweep grid."""
+    for path in sorted(CONFIGS.glob("*.json")):
+        config = json.loads(path.read_text())
+        for k, block in enumerate(config.get("grid") or [config["generator"]]):
+            yield pytest.param(config["method"], block, id=f"{path.stem}-{k}")
+
+
+# Where each method's generator block holds its effect.
+EFFECT_PATHS = {"iv2sls": ("beta",), "propensity": ("effect",), "sccs": ("params", "beta")}
+
+
+def _diagnostic(code, out, err) -> str:
+    """The message of a run that exited 2 with one JSON diagnostic."""
+    assert code == 2
+    assert out == ""
+    diagnostic = json.loads(err)
+    assert set(diagnostic) == {"error", "message"}
+    return diagnostic["message"]
+
+
+class TestOneGeneratorBlock:
+    """generate, verify and sweep read one generator block per method."""
+
+    @pytest.mark.parametrize("method, block", list(_committed_blocks()))
+    def test_committed_block_generates_as_with_effect_0(self, capsys, tmp_path, method,
+                                                        block):
+        with_zero = json.loads(json.dumps(block))
+        *parents, key = EFFECT_PATHS[method]
+        node = with_zero
+        for parent in parents:
+            node = node[parent]
+        assert key not in node
+        node[key] = 0.0
+        outputs = []
+        for generator in (block, with_zero):
+            cfg = write_json(tmp_path / "gen.json", {
+                "method": method, "count": 40, "master_seed": 3, "generator": generator,
+            })
+            code, out, err = run_cli(capsys, "generate", "--config", cfg)
+            assert code == 0, err
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
+    def test_flat_sccs_block_exits_2(self, capsys, tmp_path):
+        # The SCCS verify block before it took generate's nested form.
+        config = json.loads((CONFIGS / "sccs_verify.json").read_text())
+        config["generator"] = {"design": config["generator"]["design"],
+                               **config["generator"]["params"]}
+        cfg = write_json(tmp_path / "cfg.json", config)
+        message = _diagnostic(*run_cli(capsys, "verify", "--config", cfg))
+        assert message.endswith("unknown SCCS model key 'phi_law'; expected one of design, params")
+
+    @pytest.mark.parametrize("command, name, path", [
+        ("verify", "iv_verify", ("generator", "conf_zz")),
+        ("verify", "ps_verify_fast", ("generator", "efect")),
+        ("verify", "sccs_verify", ("generator", "params", "efect")),
+        ("verify", "sccs_verify", ("generator", "params", "phi_law", "valu")),
+        ("sweep", "sccs_sweep", ("grid", 1, "design", "exposure")),
+        ("generate", None, ("generator", "params", "efect")),
+    ])
+    def test_unknown_generator_key_exits_2(self, capsys, tmp_path, command, name, path):
+        if name is None:
+            config = json.loads(json.dumps(TestUsage.SCCS_GENERATE))
+        else:
+            config = json.loads((CONFIGS / f"{name}.json").read_text())
+        node = config
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = 0.3
+        cfg = write_json(tmp_path / "cfg.json", config)
+        message = _diagnostic(*run_cli(capsys, command, "--config", cfg, "--set", "trials=2"))
+        assert f"key {path[-1]!r}" in message
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_sweep_point_with_an_effect_is_named(self, capsys, tmp_path, k):
+        config = json.loads((CONFIGS / "sccs_sweep.json").read_text())
+        config["grid"][k]["params"]["beta"] = 0.1
+        cfg = write_json(tmp_path / "cfg.json", config)
+        message = _diagnostic(*run_cli(capsys, "sweep", "--config", cfg, "--set", "trials=2"))
+        assert f"grid point {k}: the treatment effect is derived from truth" in message
+
+    def test_sweep_generator_field_exits_2(self, capsys):
+        # A sweep runs every point of its grid; a generator field is not read.
+        message = _diagnostic(*run_cli(
+            capsys, "sweep", "--config", str(CONFIGS / "sccs_sweep.json"),
+            "--set", "generator.design.total_days=100",
+        ))
+        assert "remove 'generator'" in message
+
+
+class TestSizeLimits:
+    def test_propensity_size_past_int64_exits_2(self, capsys):
+        # N1 is about 1e28 at this epsilon; no array is allocated.
+        message = _diagnostic(*run_cli(
+            capsys, "verify", "--config", str(CONFIGS / "ps_verify_fast.json"),
+            "--set", "epsilon=1e-12", "--set", "trials=1",
+        ))
+        assert message.startswith("count must be at most 2**63 - 1, got ")
+
+    def test_generate_count_past_int64_exits_2(self, capsys, tmp_path):
+        cfg = write_json(tmp_path / "gen.json", {**TestUsage.SCCS_GENERATE, "count": 10**20})
+        message = _diagnostic(*run_cli(capsys, "generate", "--config", cfg))
+        assert message == "count must lie in [1, 2**63 - 1], got 100000000000000000000"
+
+    def test_memory_error_exits_3(self, capsys, monkeypatch):
+        from pacc import harness
+
+        def out_of_memory(spec, index, draw_and_decide=None):
+            raise MemoryError("Unable to allocate 355. TiB")
+
+        monkeypatch.setattr(harness, "run_trial", out_of_memory)
+        code, out, err = run_cli(capsys, "verify", "--config", str(CONFIGS / "iv_verify.json"))
+        assert code == 3
+        assert out == ""
+        assert json.loads(err) == {"error": "MemoryError", "message": "Unable to allocate 355. TiB"}

@@ -14,11 +14,9 @@ from pacc.cli import main
 from pacc.core import ConceptSpec, Decision, InvalidArgumentError, Method, ModelChoice
 from pacc.harness import (
     AUTO,
-    SccsScenario,
     TrialOutcome,
     TrialSpec,
     adversarial_sweep,
-    generator_params_from_dict,
     params_for_truth,
     read_report,
     resolve_sample_size,
@@ -28,7 +26,15 @@ from pacc.harness import (
 )
 from pacc.iv2sls import IvEstimate, IvParams
 from pacc.propensity import PsParams
-from pacc.sccs import PointLaw, SccsDesign, TwoPointLaw, sccs_cell_table
+from pacc.sccs import (
+    PointLaw,
+    SccsDesign,
+    SccsModel,
+    SccsParams,
+    TwoPointLaw,
+    law_from_dict,
+    sccs_cell_table,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -51,10 +57,9 @@ def sccs_spec(truth=ModelChoice.M2, **overrides) -> TrialSpec:
     defaults = dict(
         truth=truth,
         concept=ConceptSpec(2.0, Method.SCCS),
-        generator_params=SccsScenario(
-            design=SccsDesign(250, 21),
-            phi_law=PointLaw(math.log(0.02)),
-            lambda_floor=0.01,
+        generator_params=SccsModel(
+            SccsDesign(250, 21),
+            SccsParams(phi_law=PointLaw(math.log(0.02)), beta=0.0, lambda_floor=0.01),
         ),
         trials=20,
         master_seed=7,
@@ -109,19 +114,60 @@ class TestSpecValidation:
             assert TrialSpec.from_dict(spec.to_dict()) == spec
 
     def test_generator_block_rejects_effect_fields(self):
-        with pytest.raises(InvalidArgumentError):
-            generator_params_from_dict(Method.IV2SLS, {"alpha": 1.0, "beta": 0.5})
-        scenario = sccs_spec().generator_params.to_dict()
-        scenario["beta"] = 0.1
-        with pytest.raises(InvalidArgumentError):
-            generator_params_from_dict(Method.SCCS, scenario)
+        iv = iv_spec().to_dict()
+        iv["generator"]["beta"] = 0.5
+        with pytest.raises(InvalidArgumentError, match="derived from truth"):
+            TrialSpec.from_dict(iv)
+        sccs = sccs_spec().to_dict()
+        sccs["generator"]["params"]["beta"] = 0.1
+        with pytest.raises(InvalidArgumentError, match="derived from truth"):
+            TrialSpec.from_dict(sccs)
+
+
+# (parser, a block its type's to_dict wrote), for every generator block parser.
+GENERATOR_BLOCKS = {
+    "iv": (IvParams.from_dict, IvParams(1.0, 0.5, 1.0, 0.0, 0.5, 0.0).to_dict()),
+    "propensity": (PsParams.from_dict, ps_spec().generator_params.to_dict()),
+    "sccs_model": (SccsModel.from_dict, sccs_spec().generator_params.to_dict()),
+    "sccs_params": (
+        SccsParams.from_dict, SccsParams(TwoPointLaw(-4.0, -3.0, 0.25), 0.3, 0.01).to_dict()
+    ),
+    "sccs_design": (SccsDesign.from_dict, SccsDesign(250, 21).to_dict()),
+    "point_law": (law_from_dict, PointLaw(-4.0).to_dict()),
+    "two_point_law": (law_from_dict, TwoPointLaw(-4.0, -3.0, 0.25).to_dict()),
+}
+
+
+class TestGeneratorBlocks:
+    @pytest.mark.parametrize("name", GENERATOR_BLOCKS)
+    def test_every_written_key_reads_back(self, name):
+        parse, block = GENERATOR_BLOCKS[name]
+        assert parse(block).to_dict() == block
+
+    @pytest.mark.parametrize("name", GENERATOR_BLOCKS)
+    def test_unknown_key_is_named(self, name):
+        parse, block = GENERATOR_BLOCKS[name]
+        with pytest.raises(InvalidArgumentError, match="unknown .* key 'zz'"):
+            parse({**block, "zz": 0.0})
+
+    @pytest.mark.parametrize("parse, block, effect", [
+        (IvParams.from_dict, {"alpha": 1.0}, lambda p: p.beta),
+        (PsParams.from_dict, {k: v for k, v in GENERATOR_BLOCKS["propensity"][1].items()
+                              if k != "effect"}, lambda p: p.effect),
+        (SccsModel.from_dict, {"design": SccsDesign(250, 21).to_dict(),
+                               "params": {"phi_law": PointLaw(-4.0).to_dict(),
+                                          "lambda_floor": 0.01}},
+         lambda m: m.params.beta),
+    ])
+    def test_absent_effect_reads_as_0(self, parse, block, effect):
+        assert effect(parse(block)) == 0.0
 
 
 class TestTruthAndSizes:
     def test_params_for_truth_sets_effect(self):
         assert params_for_truth(iv_spec(ModelChoice.M1)).beta == 0.5
         assert params_for_truth(iv_spec(ModelChoice.M2)).beta == 0.0
-        assert params_for_truth(sccs_spec(ModelChoice.M1)).beta == math.log(2.0)
+        assert params_for_truth(sccs_spec(ModelChoice.M1)).params.beta == math.log(2.0)
         assert params_for_truth(ps_spec(ModelChoice.M1)).effect == 0.8
 
     def test_resolve_explicit(self):
@@ -350,7 +396,7 @@ class TestVerify:
             **{k: v for k, v in config.items() if k != "grid"},
             "generator": config["grid"][0], "trials": 8,
         })
-        grid = [generator_params_from_dict(Method.SCCS, g) for g in config["grid"]]
+        grid = [SccsModel.from_dict(g) for g in config["grid"]]
         report = adversarial_sweep(base, grid, workers=2)
         assert len(built) == len(grid) == 3
         assert all(r.errors == 0 for r in report.reports)
@@ -393,14 +439,19 @@ class TestSweep:
 
     def test_invalid_grid_point_rejected_with_diagnostic(self):
         base = sccs_spec(trials=5)
-        bad = SccsScenario(
-            design=SccsDesign(250, 21),
-            phi_law=PointLaw(math.log(0.8)),  # exp(phi) * delta > 1 under M1
-            lambda_floor=0.01,
+        bad = SccsModel(
+            SccsDesign(250, 21),
+            # exp(phi) * delta > 1 under M1
+            SccsParams(phi_law=PointLaw(math.log(0.8)), beta=0.0, lambda_floor=0.01),
         )
         good = base.generator_params
         with pytest.raises(InvalidArgumentError, match="grid point 1"):
             adversarial_sweep(base, [good, bad])
+
+    def test_grid_point_with_an_effect_is_named(self):
+        base = iv_spec(trials=5)
+        with pytest.raises(InvalidArgumentError, match="grid point 1: the treatment effect"):
+            adversarial_sweep(base, [base.generator_params, IvParams(alpha=1.0, beta=0.3)])
 
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -420,12 +471,11 @@ class TestSweep:
         # laws under truth M2 at a shared explicit size.
         base = sccs_spec(truth=ModelChoice.M2, trials=30, sample_size=20_000)
         grid = [
-            SccsScenario(SccsDesign(250, 21), PointLaw(math.log(0.005)), 0.005),
-            SccsScenario(SccsDesign(250, 21), PointLaw(math.log(0.01)), 0.01),
-            SccsScenario(
+            SccsModel(SccsDesign(250, 21), SccsParams(PointLaw(math.log(0.005)), 0.0, 0.005)),
+            SccsModel(SccsDesign(250, 21), SccsParams(PointLaw(math.log(0.01)), 0.0, 0.01)),
+            SccsModel(
                 SccsDesign(250, 21),
-                TwoPointLaw(math.log(0.01), math.log(0.1)),
-                0.01,
+                SccsParams(TwoPointLaw(math.log(0.01), math.log(0.1)), 0.0, 0.01),
             ),
         ]
         report = adversarial_sweep(base, grid, workers=2)

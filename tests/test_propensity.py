@@ -196,6 +196,10 @@ class TestCellDraw:
         cells = draw_cells(flat_params(n=21), 50, split_stream(35, 0))
         assert cells.totals.sum() == 50 and cells.configs.shape[1] == 21
 
+    def test_count_past_int64_rejected(self):
+        with pytest.raises(InvalidArgumentError, match="at most 2\\*\\*63 - 1"):
+            draw_cells(flat_params(), 2**63, split_stream(35, 1))
+
     def test_drawn_pipeline_needs_n1_plus_n2(self):
         total = ps_sample_sizes(0.2, 0.8, 5).total
         with pytest.raises(InsufficientDataError):

@@ -272,13 +272,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise CliError(
             _EXIT_USAGE, "a sweep takes its generator blocks from 'grid'; remove 'generator'"
         )
-    # The base spec is grid point 0's spec.
     base = _build(
         lambda: TrialSpec.from_dict({**config, "generator": grid_dicts[0]}),
         "trial spec at grid point 0",
     )
     params_type = METHODS[base.method].params_type
-    grid = _build(lambda: tuple(params_type.from_dict(g) for g in grid_dicts), "sweep grid")
+    grid = tuple(
+        _build(lambda: params_type.from_dict(g), f"grid point {k}")
+        for k, g in enumerate(grid_dicts)
+    )
     return _emit_report(adversarial_sweep(base, grid, workers=args.threads), args)
 
 

@@ -172,8 +172,9 @@ class MethodSpec:
     time (a profiler's wrapper, a test's stub) is the one called.
     """
 
-    # The generator block of every command; its ``from_dict`` reads an
-    # absent effect as 0, and verify and sweep take only such blocks.
+    # The type of the generator block that every command reads. Its
+    # ``from_dict`` reads an absent effect as 0; verify and sweep take
+    # blocks without an effect.
     params_type: type
     # (effect-free params, delta, truth is M1) -> the same params with the
     # truth's effect: delta's under M1, none under M2.
@@ -651,8 +652,8 @@ def adversarial_sweep(
 
     Grid points that violate the method's assumptions (positivity, rate
     floors, outcome validity under either truth) or carry an effect are
-    rejected up front
-    with a per-point diagnostic rather than silently skipped.
+    rejected up front with a per-point diagnostic rather than silently
+    skipped.
     """
     if len(grid) == 0:
         raise InvalidArgumentError("the sweep grid must be nonempty")

@@ -178,8 +178,9 @@ class SccsDesign:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SccsDesign":
-        check_keys(d, ("total_days", "exposure_days"), "SCCS design")
-        return cls(*(whole_number(d[key], key) for key in ("total_days", "exposure_days")))
+        keys = ("total_days", "exposure_days")
+        check_keys(d, keys, "SCCS design")
+        return cls(*(whole_number(d[key], key) for key in keys))
 
 
 @dataclass(frozen=True)

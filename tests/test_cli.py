@@ -870,6 +870,7 @@ class TestOneGeneratorBlock:
         cfg = write_json(tmp_path / "cfg.json", config)
         message = _diagnostic(*run_cli(capsys, command, "--config", cfg, "--set", "trials=2"))
         assert f"key {path[-1]!r}" in message
+        assert command != "sweep" or message.startswith("invalid grid point 1: ")
 
     @pytest.mark.parametrize("k", [0, 2])
     def test_sweep_point_with_an_effect_is_named(self, capsys, tmp_path, k):

@@ -85,16 +85,30 @@ def _parse_override(text: str) -> tuple[list[str], object]:
 
 
 def _apply_overrides(config: dict, overrides: list[str]) -> None:
+    """Set each dotted path. A list on the path is entered by a whole-number
+    index; an object missing from the path is created."""
     for item in overrides:
         keys, value = _parse_override(item)
         node = config
-        for key in keys[:-1]:
-            nxt = node.get(key)
-            if not isinstance(nxt, dict):
-                nxt = {}
-                node[key] = nxt
-            node = nxt
-        node[keys[-1]] = value
+        for depth, key in enumerate(keys):
+            if isinstance(node, list):
+                key = _list_index(node, key, item)
+            if depth == len(keys) - 1:
+                node[key] = value
+                break
+            child = node.get(key) if isinstance(node, dict) else node[key]
+            if not isinstance(child, (dict, list)):
+                child = node[key] = {}
+            node = child
+
+
+def _list_index(node: list, key: str, item: str) -> int:
+    if key.isascii() and key.isdigit() and int(key) < len(node):
+        return int(key)
+    raise CliError(
+        _EXIT_USAGE,
+        f"--set {item}: {key!r} is not an index of a list of {len(node)} entries",
+    )
 
 
 def _load_config(args: argparse.Namespace) -> dict:

@@ -509,6 +509,25 @@ class TestVerify:
         assert payload["trials"] == 40
         assert payload["spec"]["generator"]["conf_z"] == 0.5
 
+    def test_set_into_a_list(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--config", str(CONFIGS / "ps_verify_fast.json"),
+            "--set", "generator.treat_weights.0=0.3", "--set", "trials=2",
+        )
+        assert code in (0, 1)
+        generator = json.loads(out)["spec"]["generator"]
+        assert generator["treat_weights"] == [0.3, 0.5, 0.5, 0.5, 0.5]
+
+    @pytest.mark.parametrize("path", ["generator.treat_weights.5", "generator.treat_weights.x",
+                                      "generator.treat_weights.-1", "generator.treat_weights."])
+    def test_set_past_a_list_exits_2(self, capsys, path):
+        message = _diagnostic(*run_cli(
+            capsys, "verify", "--config", str(CONFIGS / "ps_verify_fast.json"),
+            "--set", f"{path}=0.3",
+        ))
+        assert message.startswith(f"--set {path}=0.3: ")
+        assert message.endswith("is not an index of a list of 5 entries")
+
     def test_csv_report(self, capsys, tmp_path):
         cfg = write_json(tmp_path / "verify.json", {**IV_VERIFY_CONFIG, "trials": 30})
         out_path = tmp_path / "report.csv"
@@ -588,6 +607,33 @@ class TestSweep:
         assert payload["kind"] == "sweep"
         assert len(payload["reports"]) == 2
         assert payload["worst"] in (0, 1)
+
+    def test_set_into_a_grid_point(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sweep", "--config", str(CONFIGS / "sccs_sweep.json"),
+            "--set", "grid.1.params.lambda_floor=0.002", "--set", "trials=2",
+        )
+        assert code in (0, 1)
+        grid = [r["spec"]["generator"]["params"]["lambda_floor"]
+                for r in json.loads(out)["reports"]]
+        assert grid == [0.005, 0.002, 0.01]
+
+    def test_set_into_a_grid_point_is_checked_there(self, capsys):
+        # The diagnostic names the overridden point, not the grid.
+        message = _diagnostic(*run_cli(
+            capsys, "sweep", "--config", str(CONFIGS / "sccs_sweep.json"),
+            "--set", "grid.1.params.lambda_floor=0.3",
+        ))
+        assert message.startswith("invalid grid point 1: lambda_floor 0.3 exceeds ")
+
+    def test_set_past_the_grid_exits_2(self, capsys):
+        message = _diagnostic(*run_cli(
+            capsys, "sweep", "--config", str(CONFIGS / "sccs_sweep.json"),
+            "--set", "grid.3.params.lambda_floor=0.3",
+        ))
+        assert message == (
+            "--set grid.3.params.lambda_floor=0.3: '3' is not an index of a list of 3 entries"
+        )
 
     def test_missing_grid_exits_2(self, capsys, tmp_path):
         cfg = write_json(tmp_path / "sweep.json", {**IV_VERIFY_CONFIG})

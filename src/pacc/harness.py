@@ -57,9 +57,9 @@ from pacc.propensity import (
     PsParams,
     generate_obs,
     ps_decide,
-    ps_decide_drawn,
     ps_pipeline,
     ps_sample_sizes,
+    ps_trial,
 )
 from pacc.sccs import (
     SccsDataset,
@@ -235,8 +235,8 @@ METHODS: dict[Method, MethodSpec] = {
         auto_size=lambda spec: ps_sample_sizes(
             spec.epsilon, spec.concept.delta, spec.generator_params.n_covariates
         ).total,
-        prepare=lambda spec, params, size: lambda gen: ps_decide_drawn(
-            params, size, spec.concept.delta, gen, epsilon=spec.epsilon
+        prepare=lambda spec, params, size: ps_trial(
+            params, size, spec.concept.delta, spec.epsilon
         ),
         generate=lambda params, count, rng: generate_obs(params, count, rng),
         formats=("csv", "json"),
@@ -442,10 +442,12 @@ def run_trial(
     Trials draw only what their decisions read, with the law of the
     record-level generators: the three 2SLS sums from three standard
     normals (IV), the event totals from the design's cell table (SCCS),
-    the fitting slice's cell tallies (propensity). ``draw_and_decide`` is
-    the spec's prepared trial (``MethodSpec.prepare``), which ``verify``
-    builds once for all of its trials; without it, one is prepared for
-    this call. The trial's stream (master_seed, stream_base + index) comes
+    the fitting slice's tallies and the tail's survivors and outcome sums
+    per (covariate configuration, arm) cell (propensity). No trial draws
+    records unless a design is too large for its cell table.
+    ``draw_and_decide`` is the spec's prepared trial
+    (``MethodSpec.prepare``), which ``verify`` builds once for all of its
+    trials; without it, one is prepared for this call. The trial's stream (master_seed, stream_base + index) comes
     from this thread's re-keyed generator, which draws what a fresh one
     would. A pipeline halt (too few rejection survivors, generation retry
     exhaustion, degenerate estimators) counts as an incorrect trial with

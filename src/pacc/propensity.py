@@ -15,6 +15,7 @@ import io
 import math
 from dataclasses import dataclass
 from itertools import chain
+from typing import Callable
 
 import numpy as np
 
@@ -51,7 +52,7 @@ __all__ = [
     "ate",
     "ps_sample_sizes",
     "ps_decide",
-    "ps_decide_drawn",
+    "ps_trial",
     "ps_pipeline",
     "ate_decision",
     "lemma1_bound",
@@ -363,14 +364,57 @@ def draw_cells(params: PsParams, count: int, gen: np.random.Generator) -> CellCo
     the enumeration limit the records are drawn and tallied instead. A
     count past int64, which numpy cannot draw, is an InvalidArgumentError.
     """
+    _check_drawable(count)
+    table = _cell_table(params)
+    if table is None:
+        return tally_cells(generate_obs(params, count, gen))
+    return table.draw_fitting(count, gen)
+
+
+@dataclass(frozen=True, eq=False)
+class _CellTable:
+    """What a drawn trial needs of its parameters, built once per ``ps_trial``.
+
+    Over the 2^n covariate configurations: Q and P(Z=1 | x) for the
+    fitting slice, and the fit's design matrix (the configurations with an
+    intercept column). Over the (configuration, arm) cells of the tail,
+    every configuration untreated and then every one treated: the cell
+    probabilities Q(x) P(z | x) and the outcome probabilities.
+    """
+
+    configs: np.ndarray
+    q: np.ndarray
+    p_treat: np.ndarray
+    design: np.ndarray
+    tail: np.ndarray
+    p_y: np.ndarray
+
+    def draw_fitting(self, count: int, gen: np.random.Generator) -> CellCounts:
+        totals = gen.multinomial(count, self.q)
+        return CellCounts(self.configs, totals, gen.binomial(totals, self.p_treat))
+
+
+def _cell_table(params: PsParams) -> _CellTable | None:
+    """The trial's cell table, or None past the enumeration limit."""
+    if params.n_covariates > _ENUM_LIMIT:
+        return None
+    configs, q = config_probabilities(params)
+    p_treat = params.propensity(configs)
+    outcome = params.outcome_base + configs @ np.asarray(params.confound_weights)
+    return _CellTable(
+        configs=configs,
+        q=q,
+        p_treat=p_treat,
+        design=np.column_stack([configs, np.ones(q.size)]),
+        tail=np.concatenate([q * (1.0 - p_treat), q * p_treat]),
+        p_y=np.concatenate([outcome, outcome + params.effect]),
+    )
+
+
+def _check_drawable(count: int) -> None:
+    """numpy draws counts up to int64; a larger one is an InvalidArgumentError."""
     if count > 2**63 - 1:
         raise InvalidArgumentError(f"count must be at most 2**63 - 1, got {count}")
-    if params.n_covariates > _ENUM_LIMIT:
-        return tally_cells(generate_obs(params, count, gen))
-    configs, q = config_probabilities(params)
-    totals = gen.multinomial(count, q)
-    treated = gen.binomial(totals, params.propensity(configs))
-    return CellCounts(configs, totals, treated)
 
 
 def fit_logistic(data: ObsDataset) -> PropensityModel:
@@ -386,8 +430,12 @@ def fit_logistic(data: ObsDataset) -> PropensityModel:
     return _fit_cells(tally_cells(data))
 
 
-def _fit_cells(cells: CellCounts) -> PropensityModel:
-    """Grouped Newton fit of ``fit_logistic`` on cell tallies weighted by their totals."""
+def _fit_cells(cells: CellCounts, design: np.ndarray | None = None) -> PropensityModel:
+    """Grouped Newton fit of ``fit_logistic`` on cell tallies weighted by their totals.
+
+    ``design`` is the configurations with an intercept column, one row per
+    cell; without it, the rows of the cells present are built here.
+    """
     present = cells.totals > 0
     totals = cells.totals[present].astype(np.float64)
     treated = cells.treated[present].astype(np.float64)
@@ -398,21 +446,24 @@ def _fit_cells(cells: CellCounts) -> PropensityModel:
             f"all {int(n_records)} records share one treatment arm; "
             "propensity not identifiable"
         )
-    design = np.column_stack(
-        [cells.configs[present].astype(np.float64), np.ones(totals.size)]
-    )
+    if design is None:
+        design = np.column_stack(
+            [cells.configs[present].astype(np.float64), np.ones(totals.size)]
+        )
+    else:
+        design = design[present]
     coefs = np.zeros(design.shape[1])
     capped = False
     for _ in range(_MAX_ITERS):
         p = _sigmoid(design @ coefs)
         score = design.T @ (treated - totals * p) / n_records
-        if np.max(np.abs(score)) < _SCORE_TOL:
+        if np.abs(score).max() < _SCORE_TOL:
             break
         w = totals * p * (1.0 - p)
         hess = design.T @ (design * w[:, None]) / n_records
-        hess[np.diag_indices_from(hess)] += 1e-12
+        hess.flat[:: hess.shape[0] + 1] += 1e-12  # the diagonal
         coefs = coefs + np.linalg.solve(hess, score)
-        if np.max(np.abs(coefs)) > _WEIGHT_CAP:
+        if np.abs(coefs).max() > _WEIGHT_CAP:
             coefs = np.clip(coefs, -_WEIGHT_CAP, _WEIGHT_CAP)
             capped = True
             break
@@ -470,13 +521,17 @@ def ate(data: ObsDataset) -> float:
     """Difference of arm-wise outcome means, E[Y | Z=1] - E[Y | Z=0]."""
     n1 = int(data.z.sum())
     n0 = len(data) - n1
+    _check_both_arms(n1, n0)
+    y1 = int(data.y[data.z == 1].sum())
+    y0 = int(data.y[data.z == 0].sum())
+    return y1 / n1 - y0 / n0
+
+
+def _check_both_arms(n1: int, n0: int) -> None:
     if n1 == 0 or n0 == 0:
         raise UndefinedAteError(
             f"both arms are required for an ATE (treated={n1}, control={n0})"
         )
-    y1 = int(data.y[data.z == 1].sum())
-    y0 = int(data.y[data.z == 0].sum())
-    return y1 / n1 - y0 / n0
 
 
 def ps_sample_sizes(epsilon: float, delta: float, n_covariates: int) -> PsSampleSizes:
@@ -557,13 +612,17 @@ def _pipeline_from_cells(
 ) -> PsPipelineResult:
     model = _fit_cells(cells)
     adjusted = rejection_sample(tail, model, gen)
-    if len(adjusted) < sizes.n3:
-        raise PipelineFailureError(
-            f"rejection sampling kept {len(adjusted)} records, fewer than N3 = {sizes.n3}"
-        )
+    _check_survivors(len(adjusted), sizes)
     return PsPipelineResult(
         model=model, sizes=sizes, survivors=len(adjusted), ate=ate(adjusted)
     )
+
+
+def _check_survivors(kept: int, sizes: PsSampleSizes) -> None:
+    if kept < sizes.n3:
+        raise PipelineFailureError(
+            f"rejection sampling kept {kept} records, fewer than N3 = {sizes.n3}"
+        )
 
 
 def ate_decision(statistic: float, delta: float) -> Decision:
@@ -581,24 +640,81 @@ def ps_decide(
     return ate_decision(result.ate, delta)
 
 
-def ps_decide_drawn(
-    params: PsParams,
-    count: int,
-    delta: float,
-    gen: np.random.Generator,
-    epsilon: float,
-) -> Decision:
-    """``ps_decide`` on ``count`` records drawn from ``params``, drawing
-    only what the pipeline reads.
+def ps_trial(
+    params: PsParams, count: int, delta: float, epsilon: float
+) -> Callable[[np.random.Generator], Decision]:
+    """``ps_decide`` on ``count`` records drawn from ``params``, as a
+    function of the trial's generator that draws only what the pipeline reads.
 
-    The N1 fitting slice is drawn as cell tallies (``draw_cells``), the
-    N2 slice as records, then rejection sampling uses the same stream.
-    Records beyond N1 + N2 would never be read, so they are not drawn.
+    The sizes and their checks (fewer than N1 + N2 records, a size past
+    int64) and the cell table run here, once for every trial. A trial draws
+    the N1 fitting slice as cell tallies and the N2 tail as cell counts
+    (``_cell_pipeline``); past the enumeration limit it draws both slices
+    as records. Records beyond N1 + N2 would never be read, so they are
+    not drawn.
     """
     sizes = _pipeline_sizes(count, delta, epsilon, params.n_covariates)
-    cells = draw_cells(params, sizes.n1, gen)
-    tail = generate_obs(params, sizes.n2, gen)
-    return ate_decision(_pipeline_from_cells(cells, tail, sizes, gen).ate, delta)
+    _check_drawable(sizes.n1)
+    _check_drawable(sizes.n2)
+    table = _cell_table(params)
+    if table is None:
+        return lambda gen: ate_decision(
+            _pipeline_from_cells(
+                draw_cells(params, sizes.n1, gen),
+                generate_obs(params, sizes.n2, gen),
+                sizes,
+                gen,
+            ).ate,
+            delta,
+        )
+    return lambda gen: ate_decision(
+        _cell_pipeline(table, table.draw_fitting(sizes.n1, gen), sizes, gen).ate, delta
+    )
+
+
+def _cell_pipeline(
+    table: _CellTable, cells: CellCounts, sizes: PsSampleSizes, gen: np.random.Generator
+) -> PsPipelineResult:
+    """``_pipeline_from_cells`` with the N2 tail drawn as cell counts.
+
+    A tail record reaches the ATE only through its cell: its acceptance
+    probability is fixed per cell once the per-arm medians are, and its
+    outcome is independent of acceptance given (x, z). So the same law is
+    Multinomial(N2, tail) cell counts, Binomial(count, accept) survivors
+    and Binomial(survivors, p_y) outcome sums, per cell.
+    """
+    model = _fit_cells(cells, table.design)
+    counts = gen.multinomial(sizes.n2, table.tail)
+    p1 = model.predict(table.configs)
+    k = p1.size
+    p_arm = np.concatenate([1.0 - p1, p1])
+    accept = np.ones(2 * k)
+    for arm in (slice(None, k), slice(k, None)):
+        if counts[arm].any():
+            med = _weighted_median(p_arm[arm], counts[arm])
+            accept[arm] = np.minimum(med / p_arm[arm], 1.0)
+    kept = gen.binomial(counts, accept)
+    n0, n1 = int(kept[:k].sum()), int(kept[k:].sum())
+    _check_survivors(n0 + n1, sizes)
+    _check_both_arms(n1, n0)
+    outcomes = gen.binomial(kept, table.p_y)
+    statistic = int(outcomes[k:].sum()) / n1 - int(outcomes[:k].sum()) / n0
+    return PsPipelineResult(model=model, sizes=sizes, survivors=n0 + n1, ate=statistic)
+
+
+def _weighted_median(values: np.ndarray, counts: np.ndarray) -> float:
+    """``np.median(np.repeat(values, counts))`` without the repeat.
+
+    numpy's median is the mean ``(lo + hi) / 2`` of the two middle order
+    statistics of an even count, and the middle one of an odd count, where
+    ``lo`` and ``hi`` coincide. The total count must be positive.
+    """
+    order = np.argsort(values, kind="stable")
+    ranks = np.cumsum(counts[order])
+    total = int(ranks[-1])
+    middle = np.searchsorted(ranks, [(total - 1) // 2, total // 2], side="right")
+    lo, hi = values[order[middle]]
+    return float((lo + hi) / 2)
 
 
 def lemma1_bound(epsilon: float, gamma: float, delta_marginal: float, m: float) -> float:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import binomtest, ks_2samp
 
 from pacc.core import (
     DegenerateFitError,
@@ -17,9 +17,14 @@ from pacc.propensity import (
     ObsDataset,
     PropensityModel,
     PsParams,
+    PsSampleSizes,
     ate,
+    _cell_pipeline,
+    _cell_table,
     _fit_cells,
+    _pipeline_from_cells,
     _sigmoid,
+    _weighted_median,
     config_probabilities,
     draw_cells,
     fit_logistic,
@@ -27,9 +32,9 @@ from pacc.propensity import (
     l1_propensity_error,
     lemma1_bound,
     ps_decide,
-    ps_decide_drawn,
     ps_pipeline,
     ps_sample_sizes,
+    ps_trial,
     rejection_sample,
     tally_cells,
 )
@@ -201,9 +206,152 @@ class TestCellDraw:
             draw_cells(flat_params(), 2**63, split_stream(35, 1))
 
     def test_drawn_pipeline_needs_n1_plus_n2(self):
+        # The prepared trial checks the sizes once, before any trial draws.
         total = ps_sample_sizes(0.2, 0.8, 5).total
         with pytest.raises(InsufficientDataError):
-            ps_decide_drawn(flat_params(), total - 1, 0.8, split_stream(36, 0), 0.2)
+            ps_trial(flat_params(), total - 1, 0.8, 0.2)
+
+
+class TestCellTail:
+    """The N2 tail drawn as (configuration, arm) cell counts against the
+    record-level oracle: records from ``generate_obs`` through
+    ``rejection_sample`` and ``ate``."""
+
+    @staticmethod
+    def outcomes(params, sizes, seed, trials, cell_level):
+        # (survivors, ATE) per trial, or the trial's failure kind. Both
+        # sides fit on their own drawn N1 cells.
+        table = _cell_table(params)
+        results = []
+        for i in range(trials):
+            gen = split_stream(seed, i)
+            cells = draw_cells(params, sizes.n1, gen)
+            try:
+                if cell_level:
+                    result = _cell_pipeline(table, cells, sizes, gen)
+                else:
+                    tail = generate_obs(params, sizes.n2, gen)
+                    result = _pipeline_from_cells(cells, tail, sizes, gen)
+            except (PipelineFailureError, UndefinedAteError) as exc:
+                results.append(type(exc).__name__)
+            else:
+                results.append((result.survivors, result.ate))
+        return results
+
+    @pytest.mark.parametrize("effect", [0.0, 0.3])
+    def test_survivors_and_ate_match_record_level_law(self, effect):
+        params = confounded_params(effect=effect)
+        sizes = PsSampleSizes(gamma=0.1, n1=1_000, n3=1, n2=1_000)
+        records = self.outcomes(params, sizes, 37, 1_000, cell_level=False)
+        cells = self.outcomes(params, sizes, 38, 1_000, cell_level=True)
+        assert all(type(r) is tuple for r in records + cells)
+        records, cells = np.array(records), np.array(cells)
+        for column in range(2):
+            assert ks_2samp(records[:, column], cells[:, column]).pvalue >= 1e-3
+
+    def test_halt_frequency_matches_record_level(self):
+        # N3 near the median survivor count of a 60-record tail: about
+        # half the trials halt. The two halt counts over equal trial counts
+        # are compared by the binomial test conditional on their sum.
+        params = confounded_params(n=3, effect=0.2)
+        sizes = PsSampleSizes(gamma=0.1, n1=400, n3=57, n2=60)
+        halts = []
+        for seed, cell_level in ((39, False), (40, True)):
+            kinds = self.outcomes(params, sizes, seed, 1_000, cell_level)
+            halts.append(kinds.count("PipelineFailureError"))
+        assert 200 < sum(halts) / 2 < 800
+        assert binomtest(halts[1], sum(halts), 0.5).pvalue >= 1e-3
+
+    def test_undefined_ate_when_one_arm_survives(self):
+        # Every tail record untreated: the survivors fill N3 but leave the
+        # treated arm empty, with the oracle's message.
+        params = flat_params(n=2)
+        table = _cell_table(params)
+        table = type(table)(**{**vars(table), "tail": np.repeat([0.25, 0.0], 4)})
+        sizes = PsSampleSizes(gamma=0.1, n1=200, n3=1, n2=50)
+        gen = split_stream(41, 0)
+        with pytest.raises(UndefinedAteError, match=r"^both arms .*\(treated=0, control="):
+            _cell_pipeline(table, draw_cells(params, sizes.n1, gen), sizes, gen)
+
+    @pytest.mark.parametrize(
+        "values, counts",
+        [
+            ([0.3, 0.1, 0.2], [1, 1, 1]),  # odd total
+            ([0.3, 0.1, 0.2, 0.4], [1, 1, 1, 1]),  # even total, middles differ
+            ([0.7], [5]),  # a one-cell arm, odd
+            ([0.7], [4]),  # a one-cell arm, even
+            ([0.5, 0.5, 0.2, 0.9], [2, 3, 1, 2]),  # ties across cells
+            ([0.1, 0.6, 0.3, 0.8], [0, 3, 0, 3]),  # zero-count cells, even
+            ([0.1, 0.6, 0.3, 0.8], [2, 0, 0, 2]),  # the middle falls between cells
+            ([0.9, 0.2, 0.4], [0, 0, 7]),  # one nonzero cell among zeros
+            ([1 / 3, 0.1 + 0.2, 2 / 7], [5, 5, 0]),  # inexact midpoint
+        ],
+    )
+    def test_weighted_median_is_numpy_median(self, values, counts):
+        values, counts = np.array(values), np.array(counts)
+        expected = np.median(np.repeat(values, counts))
+        assert _weighted_median(values, counts).hex() == float(expected).hex()
+
+    def test_weighted_median_random_cells(self):
+        gen = np.random.default_rng(42)
+        for _ in range(500):
+            k = int(gen.integers(1, 40))
+            # Few distinct values, so cells tie; many zero counts.
+            values = gen.choice(gen.random(max(1, k // 2)), size=k)
+            counts = gen.poisson(gen.choice([0.3, 2.0, 50.0]), size=k)
+            if counts.sum() == 0:
+                counts[int(gen.integers(k))] = 1
+            expected = np.median(np.repeat(values, counts))
+            assert _weighted_median(values, counts).hex() == float(expected).hex()
+
+
+class TestPreparedTrial:
+    def test_size_past_int64_rejected_before_any_draw(self):
+        huge = ps_sample_sizes(1e-12, 0.8, 5)
+        with pytest.raises(InvalidArgumentError, match=f"at most 2\\*\\*63 - 1, got {huge.n1}$"):
+            ps_trial(flat_params(), huge.total, 0.8, 1e-12)
+
+    def test_tail_size_past_int64_rejected(self):
+        # N1 fits int64 here, N2 does not.
+        epsilon, delta = 2.74e-8, 3.09e-4
+        sizes = ps_sample_sizes(epsilon, delta, 1)
+        assert sizes.n1 <= 2**63 - 1 < sizes.n2
+        with pytest.raises(InvalidArgumentError, match=f"at most 2\\*\\*63 - 1, got {sizes.n2}$"):
+            ps_trial(flat_params(n=1), sizes.total, delta, epsilon)
+
+    def test_beyond_enumeration_limit_draws_records(self, monkeypatch):
+        import pacc.propensity as propensity
+
+        calls = []
+
+        class Drawn(Exception):
+            pass
+
+        def stub(params, count, gen):
+            calls.append(count)
+            raise Drawn
+
+        monkeypatch.setattr(propensity, "generate_obs", stub)
+        sizes = ps_sample_sizes(0.2, 0.8, 21)
+        trial = ps_trial(flat_params(n=21), sizes.total, 0.8, 0.2)
+        with pytest.raises(Drawn):
+            trial(split_stream(42, 0))
+        assert calls == [sizes.n1]
+
+    def test_trial_is_the_cell_pipeline(self):
+        # The prepared trial is the cell table's pipeline on the stream's
+        # drawn fitting cells, thresholded at delta / 2.
+        from pacc.propensity import ate_decision
+
+        params = confounded_params(effect=0.5)
+        sizes = ps_sample_sizes(0.2, 0.8, 5)
+        trial = ps_trial(params, sizes.total + 7, 0.8, 0.2)
+        table = _cell_table(params)
+        for i in range(3):
+            decision = trial(split_stream(43, i))
+            gen = split_stream(43, i)
+            result = _cell_pipeline(table, table.draw_fitting(sizes.n1, gen), sizes, gen)
+            assert decision == ate_decision(result.ate, 0.8)
 
 
 class TestL1Error:

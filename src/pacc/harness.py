@@ -447,9 +447,9 @@ def run_trial(
     records unless a design is too large for its cell table.
     ``draw_and_decide`` is the spec's prepared trial
     (``MethodSpec.prepare``), which ``verify`` builds once for all of its
-    trials; without it, one is prepared for this call. The trial's stream (master_seed, stream_base + index) comes
-    from this thread's re-keyed generator, which draws what a fresh one
-    would. A pipeline halt (too few rejection survivors, generation retry
+    trials; without it, one is prepared for this call. The trial's stream
+    (master_seed, stream_base + index) comes from this thread's re-keyed
+    generator, which draws what a fresh one would. A pipeline halt (too few rejection survivors, generation retry
     exhaustion, degenerate estimators) counts as an incorrect trial with
     the failure recorded, preserving the union-bound accounting.
     """

@@ -373,7 +373,8 @@ def draw_cells(params: PsParams, count: int, gen: np.random.Generator) -> CellCo
 
 @dataclass(frozen=True, eq=False)
 class _CellTable:
-    """What a drawn trial needs of its parameters, built once per ``ps_trial``.
+    """What a drawn trial needs of its parameters; ``ps_trial`` builds one
+    for all of its trials.
 
     Over the 2^n covariate configurations: Q and P(Z=1 | x) for the
     fitting slice, and the fit's design matrix (the configurations with an

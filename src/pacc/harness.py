@@ -43,13 +43,11 @@ from pacc.core import (
 from pacc.iv2sls import (
     IvDataset,
     IvParams,
-    draw_iv_sums,
     generate_iv,
     iv_analytic_variances,
     iv_decide,
-    iv_ratio,
-    iv_rule,
     iv_sample_size,
+    iv_trial,
     two_sls,
 )
 from pacc.propensity import (
@@ -259,9 +257,7 @@ METHODS: dict[Method, MethodSpec] = {
             params, beta=delta if is_m1 else 0.0
         ),
         auto_size=_iv_auto_size,
-        prepare=lambda spec, params, size: lambda gen: iv_rule(
-            iv_ratio(*draw_iv_sums(params, size, gen)), spec.concept.delta
-        ),
+        prepare=lambda spec, params, size: iv_trial(params, size, spec.concept.delta),
         generate=lambda params, count, rng: generate_iv(params, count, rng),
         formats=("csv",),
         hidden_column=True,
@@ -449,9 +445,10 @@ def run_trial(
     (``MethodSpec.prepare``), which ``verify`` builds once for all of its
     trials; without it, one is prepared for this call. The trial's stream
     (master_seed, stream_base + index) comes from this thread's re-keyed
-    generator, which draws what a fresh one would. A pipeline halt (too few rejection survivors, generation retry
-    exhaustion, degenerate estimators) counts as an incorrect trial with
-    the failure recorded, preserving the union-bound accounting.
+    generator, which draws what a fresh one would. A pipeline halt (too
+    few rejection survivors, generation retry exhaustion, degenerate
+    estimators) counts as an incorrect trial with the failure recorded,
+    preserving the union-bound accounting.
     """
     if draw_and_decide is None:
         draw_and_decide = METHODS[spec.method].prepare(
@@ -460,21 +457,10 @@ def run_trial(
     stream_id = spec.stream_base + index
     gen = rekeyed_generator(spec.master_seed, stream_id)
     try:
-        decision = draw_and_decide(gen)
+        chosen, statistic, _ = draw_and_decide(gen)
     except _TRIAL_FAILURES as exc:
-        return TrialOutcome(
-            seed=stream_id,
-            decision=None,
-            statistic=math.nan,
-            correct=False,
-            failure=f"{type(exc).__name__}: {exc}",
-        )
-    return TrialOutcome(
-        seed=stream_id,
-        decision=decision.chosen,
-        statistic=decision.statistic,
-        correct=decision.chosen is spec.truth,
-    )
+        return TrialOutcome(stream_id, None, math.nan, False, f"{type(exc).__name__}: {exc}")
+    return TrialOutcome(stream_id, chosen, statistic, chosen is spec.truth)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -33,6 +33,7 @@ __all__ = [
     "IvEstimate",
     "generate_iv",
     "draw_iv_sums",
+    "iv_trial",
     "two_sls",
     "iv_ratio",
     "iv_sample_size",
@@ -180,6 +181,39 @@ def draw_iv_sums(
     return float(count), sum_dz, sum_dy
 
 
+def iv_trial(
+    params: IvParams, count: int, delta: float
+) -> Callable[[np.random.Generator], Decision]:
+    """A trial's draw-and-decide: ``iv_rule(iv_ratio(*draw_iv_sums(params,
+    count, gen)), delta)``, with the work that depends only on the
+    arguments done once.
+
+    delta is checked here, and the threshold, sqrt(count) and count*alpha
+    are computed here. A trial keeps ``draw_iv_sums``' arithmetic in its
+    order, so its decision is the same bit for bit. A finite ratio of a
+    nonzero sum(dz) needs finite sums (0 * inf and inf / inf are NaN);
+    any other trial goes through ``iv_ratio``, which raises its
+    WeakInstrumentError or DegenerateFitError.
+    """
+    _check_delta(delta)
+    threshold = delta / 2.0
+    sum_dd, root, base = float(count), math.sqrt(count), count * params.alpha
+    beta, conf_z, conf_y = params.beta, params.conf_z, params.conf_y
+    noise_z, noise_y = params.noise_z_sd, params.noise_y_sd
+    m1, m2, isfinite = ModelChoice.M1, ModelChoice.M2, math.isfinite
+
+    def draw_and_decide(gen: np.random.Generator) -> Decision:
+        g1, g2, g3 = gen.standard_normal(3).tolist()
+        sum_dz = base + root * (conf_z * g1 + noise_z * g2)
+        sum_dy = beta * sum_dz + root * (conf_y * g1 + noise_y * g3)
+        beta_hat = sum_dy / sum_dz if sum_dz else math.nan
+        if not isfinite(beta_hat):
+            return iv_rule(iv_ratio(sum_dd, sum_dz, sum_dy), delta)
+        return Decision(m1 if abs(beta_hat) > threshold else m2, beta_hat, threshold)
+
+    return draw_and_decide
+
+
 def iv_ratio(sum_dd: float, sum_dz: float, sum_dy: float) -> IvEstimate:
     """2SLS from its sums: alpha_hat = sum_dz/sum_dd, beta_hat = sum_dy/sum_dz.
 
@@ -259,8 +293,7 @@ def iv_decide(data: IvDataset, delta: float) -> Decision:
 
 def iv_rule(est: IvEstimate, delta: float) -> Decision:
     """Two-sided rule: choose M1 when |beta_hat| strictly exceeds delta / 2."""
-    if not 0.0 < delta < 1.0:
-        raise InvalidArgumentError(f"delta must lie in (0, 1), got {delta}")
+    _check_delta(delta)
     threshold = delta / 2.0
     chosen = ModelChoice.M1 if abs(est.beta_hat) > threshold else ModelChoice.M2
     return Decision(chosen=chosen, statistic=est.beta_hat, threshold=threshold)
@@ -273,3 +306,8 @@ def ols_slope(data: IvDataset) -> float:
     if denom == 0.0:
         raise InvalidArgumentError("z has zero variance")
     return float(z @ (data.y - data.y.mean())) / denom
+
+
+def _check_delta(delta: float) -> None:
+    if not 0.0 < delta < 1.0:
+        raise InvalidArgumentError(f"delta must lie in (0, 1), got {delta}")

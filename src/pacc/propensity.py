@@ -19,10 +19,6 @@ from typing import Callable
 
 import numpy as np
 
-# np.median checks for NaN through numpy.ma, which numpy loads on first
-# use; load it here so that the first rejection sample does not pay for it.
-import numpy.ma  # noqa: F401
-
 from pacc.core import (
     Decision,
     DegenerateFitError,

@@ -23,6 +23,7 @@ from pacc.iv2sls import (
     iv_ratio,
     iv_rule,
     iv_sample_size,
+    iv_trial,
     ols_slope,
     two_sls,
 )
@@ -161,6 +162,67 @@ class TestDrawnSums:
     def test_zero_denominator_is_a_weak_instrument(self):
         with pytest.raises(WeakInstrumentError):
             iv_ratio(10.0, 0.0, 1.0)
+
+
+class FixedNormals:
+    """A generator stub whose standard normals are the given values."""
+
+    def __init__(self, *values):
+        self.values = np.array(values)
+
+    def standard_normal(self, size):
+        return self.values[:size].copy()
+
+
+def outcome(draw):
+    """A decision as its exact bits, or the error it raised."""
+    try:
+        chosen, statistic, threshold = draw()
+    except (WeakInstrumentError, DegenerateFitError) as exc:
+        return type(exc), str(exc)
+    return chosen, statistic.hex(), threshold.hex()
+
+
+class TestPreparedTrial:
+    @pytest.mark.parametrize("params, count, delta", [
+        (TestDrawnSums.NOISY, 1280, 0.5),
+        (IvParams(alpha=-0.3, beta=0.2, conf_z=2.0, conf_y=-1.0, noise_y_sd=0.1), 24, 0.4),
+        (IvParams(alpha=1.0, beta=0.0), 7, 0.9),
+    ])
+    def test_decisions_match_the_reference_bit_for_bit(self, params, count, delta):
+        trial = iv_trial(params, count, delta)
+        for i in range(1000):
+            expected = outcome(lambda: iv_rule(
+                iv_ratio(*draw_iv_sums(params, count, split_stream(47, i))), delta
+            ))
+            assert outcome(lambda: trial(split_stream(47, i))) == expected
+
+    @pytest.mark.parametrize("params, count, normals, error", [
+        # 4 + sqrt(4) * -2 = 0: the stage-II ratio is undefined.
+        (IvParams(alpha=1.0, beta=0.0, conf_z=1.0), 4, (-2.0, 0.0, 0.0), WeakInstrumentError),
+        # No records: sum(d^2) is zero.
+        (IvParams(alpha=1.0, beta=0.0, conf_z=1.0), 0, (0.5, 0.0, 0.0), WeakInstrumentError),
+        # count * alpha overflows, and so does sum(dy).
+        (IvParams(alpha=1e307, beta=0.0), 100, (0.0, 0.0, 0.0), DegenerateFitError),
+        (IvParams(alpha=1e307, beta=2.0), 100, (0.0, 0.0, 0.0), DegenerateFitError),
+        # Finite sums whose ratio overflows: 1e300 / 2**-52.
+        (IvParams(alpha=1.0, beta=0.0, conf_z=1.0, noise_y_sd=1e300), 1,
+         (-1.0 + 2.0**-52, 0.0, 1.0), DegenerateFitError),
+        # sum(dz) is fine, sum(dy) = 1e308 * 100 is not.
+        (IvParams(alpha=1.0, beta=1e308), 100, (0.0, 0.0, 0.0), DegenerateFitError),
+    ])
+    def test_degenerate_draws_raise_as_the_reference_does(self, params, count, normals, error):
+        expected = outcome(lambda: iv_rule(
+            iv_ratio(*draw_iv_sums(params, count, FixedNormals(*normals))), 0.5
+        ))
+        assert expected[0] is error
+        assert outcome(lambda: iv_trial(params, count, 0.5)(FixedNormals(*normals))) == expected
+
+    @pytest.mark.parametrize("delta", [0.0, 1.0, -0.5, math.nan])
+    def test_delta_is_checked_once_up_front(self, delta):
+        with pytest.raises(InvalidArgumentError) as info:
+            iv_trial(CONFOUNDED_NULL, 100, delta)
+        assert str(info.value) == f"delta must lie in (0, 1), got {delta}"
 
 
 class TestSampleSize:

@@ -27,18 +27,29 @@ def run_python(code: str) -> object:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def test_importing_the_cli_loads_no_scipy():
-    loaded = run_python(
+def loaded_by_cli_import(prefix: str) -> list:
+    """The modules named ``prefix`` or ``prefix.*`` after ``import pacc.cli``."""
+    return run_python(
         "import json, sys, pacc.cli\n"
-        "print(json.dumps(sorted(m for m in sys.modules"
-        " if m == 'scipy' or m.startswith('scipy.'))))\n"
+        f"print(json.dumps(sorted(m for m in sys.modules"
+        f" if m == {prefix!r} or m.startswith({prefix + '.'!r}))))\n"
     )
-    assert loaded == []
+
+
+def test_importing_the_cli_loads_no_scipy():
+    assert loaded_by_cli_import("scipy") == []
+
+
+def test_importing_the_cli_loads_no_numpy_ma():
+    # Only np.median loads numpy.ma, and only propensity estimate and
+    # decide call it, so loading it at import slowed every command.
+    assert loaded_by_cli_import("numpy.ma") == []
 
 
 def test_verify_loads_no_module_after_import():
-    # numpy loads numpy.random and numpy.ma on first use; the layers that
-    # use them load them at import, so a command's time is its own work.
+    # numpy loads submodules such as numpy.random on first use; the layers
+    # that use one load it at import, so a command's time is its own work.
+    # No verify reaches np.median, so numpy.ma stays unloaded here too.
     added = run_python(
         "import contextlib, io, json, sys\n"
         "import pacc.cli\n"

@@ -12,18 +12,35 @@ text, and a non-empty object or array is its members' texts joined with
 exact type of each value first (dict, list, tuple, str, float, bool, int,
 None) and falls back to ``isinstance`` checks, so subclasses such as
 ``np.float64`` or a str enum render as their base type. Strings and keys
-are quoted by ``json.encoder.encode_basestring_ascii``, the function
-``json.dumps`` calls on a str. Anything else, and any non-str key, is a
-TypeError.
+are quoted by ``quote``, which is ``json.encoder.encode_basestring_ascii``,
+the function ``json.dumps`` calls on a str; ``float_text`` is a float's
+text.
+
+One hook lets a caller write part of the text itself: a ``Rendered``
+value is written as ``value.render(pad)``, where ``pad`` is the indent of
+the line the value starts on, so its own lines go at ``pad + "  "`` and
+its closing bracket at ``pad``. Reports hand their per-trial records to
+``dumps`` this way (see ``harness.report_json``). Anything else, and any
+non-str key, is a TypeError.
 """
 
 from __future__ import annotations
 
 import math
-from json.encoder import encode_basestring_ascii as _quote
-from typing import Any
+from json.encoder import encode_basestring_ascii as quote
+from typing import Any, Callable
 
-__all__ = ["dumps", "format_float"]
+__all__ = ["Rendered", "dumps", "float_text", "format_float", "quote"]
+
+
+class Rendered:
+    """A value whose JSON text ``render(pad)`` returns, written by ``dumps``
+    as is; the text must lay itself out as ``dumps`` would at ``pad``."""
+
+    __slots__ = ("render",)
+
+    def __init__(self, render: Callable[[str], str]) -> None:
+        self.render = render
 
 
 def format_float(value: float) -> str:
@@ -34,14 +51,15 @@ def format_float(value: float) -> str:
     return format(value, ".17g")
 
 
-def _float_text(value: float) -> str:
+def float_text(value: float) -> str:
+    """The JSON text of a float: its 17-digit form, or a quoted name."""
     text = format_float(value)
     return text if math.isfinite(value) else f'"{text}"'
 
 
 def _key_text(key: Any) -> str:
     if isinstance(key, str):
-        return _quote(key)
+        return quote(key)
     raise TypeError(f"JSON object keys must be strings, got {key!r}")
 
 
@@ -53,7 +71,7 @@ def _text(obj: Any, pad: str) -> str:
             return "{}"
         inner = pad + "  "
         members = ",\n".join([
-            f"{inner}{_quote(key) if type(key) is str else _key_text(key)}: "
+            f"{inner}{quote(key) if type(key) is str else _key_text(key)}: "
             f"{_text(value, inner)}"
             for key, value in obj.items()
         ])
@@ -65,22 +83,24 @@ def _text(obj: Any, pad: str) -> str:
         members = ",\n".join([inner + _text(value, inner) for value in obj])
         return f"[\n{members}\n{pad}]"
     if kind is str:
-        return _quote(obj)
+        return quote(obj)
     if kind is float:
-        return _float_text(obj)
+        return float_text(obj)
     if kind is bool:
         return "true" if obj else "false"
     if kind is int:
         return str(obj)
     if obj is None:
         return "null"
+    if kind is Rendered:
+        return obj.render(pad)
     # Subclasses of the types above (bool has none).
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        return _float_text(obj)
+        return float_text(obj)
     if isinstance(obj, str):
-        return _quote(obj)
+        return quote(obj)
     if isinstance(obj, dict):
         return _text(dict(obj.items()), pad)
     if isinstance(obj, (list, tuple)):

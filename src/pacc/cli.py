@@ -40,6 +40,7 @@ from pacc.harness import (
     Report,
     TrialSpec,
     adversarial_sweep,
+    report_json,
     verify,
     write_report,
 )
@@ -262,7 +263,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
 def _emit_report(report: Report, args: argparse.Namespace) -> int:
     """Print the JSON report; with ``--out`` also write it, reusing the
     printed text for JSON. Returns the exit code."""
-    text = _jsonio.dumps(report.to_dict())
+    text = report_json(report)
     sys.stdout.write(text)
     if args.out and args.format == "csv":
         write_report(report, args.out, format="csv")

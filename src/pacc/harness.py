@@ -17,6 +17,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence, Union
 
@@ -84,6 +85,7 @@ __all__ = [
     "verify",
     "adversarial_sweep",
     "write_report",
+    "report_json",
     "read_report",
     "params_for_truth",
     "resolve_sample_size",
@@ -477,7 +479,7 @@ class VerificationReport:
     def trials(self) -> int:
         return self.spec.trials
 
-    @property
+    @cached_property
     def errors(self) -> int:
         return sum(1 for t in self.per_trial if not t.correct)
 
@@ -506,12 +508,16 @@ class VerificationReport:
         }
 
     def to_dict(self) -> dict:
+        return self._dict(_trial_dicts)
+
+    def _dict(self, per_trial: Callable[["VerificationReport"], object]) -> dict:
+        """The report's fields, with ``per_trial(self)`` as its records."""
         return {
             "schema": REPORT_SCHEMA,
             "kind": "verification",
             "spec": self.spec.to_dict(),
             **self._summary(),
-            "per_trial": [t.to_dict() for t in self.per_trial],
+            "per_trial": per_trial(self),
         }
 
     @classmethod
@@ -596,12 +602,16 @@ class SweepReport:
         return all(r.passed for r in self.reports)
 
     def to_dict(self) -> dict:
+        return self._dict(_trial_dicts)
+
+    def _dict(self, per_trial: Callable[[VerificationReport], object]) -> dict:
+        """The sweep's fields, with ``per_trial(r)`` as point r's records."""
         return {
             "schema": REPORT_SCHEMA,
             "kind": "sweep",
             "base": self.base.to_dict(),
             "grid": [g.to_dict() for g in self.grid],
-            "reports": [r.to_dict() for r in self.reports],
+            "reports": [r._dict(per_trial) for r in self.reports],
             "worst": self.worst,
             "pass": self.passed,
         }
@@ -705,10 +715,56 @@ def _sweep_csv(report: SweepReport) -> str:
     return buf.getvalue()
 
 
+def _trial_dicts(report: VerificationReport) -> list[dict]:
+    return [t.to_dict() for t in report.per_trial]
+
+
+# The JSON text of a record's decision.
+_DECISION_TEXT = {None: "null", **{c: _jsonio.quote(c.value) for c in ModelChoice}}
+
+
+def _trial_rows(per_trial: Sequence[TrialOutcome], pad: str) -> str:
+    """The JSON text of ``[t.to_dict() for t in per_trial]`` as
+    ``_jsonio.dumps`` writes it at ``pad``: each record fills one
+    %-template, built here for the records' indent."""
+    if not per_trial:
+        return "[]"
+    inner, field = pad + "  ", pad + "    "
+    row = "".join([
+        f"{inner}{{\n",
+        ",\n".join([f"{field}{_jsonio.quote(name)}: %s" for name in TrialOutcome._fields]),
+        f"\n{inner}}}",
+    ])
+    quote, float_text, isfinite = _jsonio.quote, _jsonio.float_text, math.isfinite
+    # "%.17g" is float_text's form of a finite float, without its two calls.
+    rows = ",\n".join([
+        row % (
+            seed,
+            _DECISION_TEXT[decision],
+            "%.17g" % statistic if isfinite(statistic) else float_text(statistic),
+            "true" if correct else "false",
+            "null" if failure is None else quote(failure),
+        )
+        for seed, decision, statistic, correct, failure in per_trial
+    ])
+    return f"[\n{rows}\n{pad}]"
+
+
+def _rendered_trials(report: VerificationReport) -> _jsonio.Rendered:
+    return _jsonio.Rendered(partial(_trial_rows, report.per_trial))
+
+
+def report_json(report: Report) -> str:
+    """The report's JSON text, ``_jsonio.dumps(report.to_dict())``, in one
+    ``dumps`` call that writes each point's per-trial records through
+    ``_trial_rows`` instead of one dict a record."""
+    return _jsonio.dumps(report._dict(_rendered_trials))
+
+
 def write_report(report: Report, path: str | Path, format: str = "json") -> None:
     """Write a report as self-contained JSON or as a flattened CSV."""
     if format == "json":
-        text = _jsonio.dumps(report.to_dict())
+        text = report_json(report)
     elif format == "csv":
         if isinstance(report, VerificationReport):
             text = _verification_csv(report)

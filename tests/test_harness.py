@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pacc._jsonio import dumps
 from pacc.cli import main
@@ -19,6 +20,7 @@ from pacc.harness import (
     adversarial_sweep,
     params_for_truth,
     read_report,
+    report_json,
     resolve_sample_size,
     run_trial,
     verify,
@@ -705,6 +707,76 @@ class TestReports:
         path.write_text(json.dumps(payload))
         stats = [t.statistic for t in read_report(path).per_trial[:3]]
         assert math.isnan(stats[0]) and stats[1] == math.inf and stats[2] == -math.inf
+
+
+class TestReportJson:
+    """``report_json`` writes exactly ``dumps(report.to_dict())``."""
+
+    # Rows a trial can record: halts with awkward failure text, a -0.0 and
+    # a numpy statistic, and both decisions.
+    CRAFTED = (
+        TrialOutcome(0, None, math.nan, False, 'PipelineFailureError: "N3" \\ caf\u00e9 \u2603'),
+        TrialOutcome(1, ModelChoice.M2, -0.0, False),
+        TrialOutcome(2, ModelChoice.M1, np.float64(0.1), True),
+        TrialOutcome(3, None, math.nan, False, "WeakInstrumentError: tab\there\nnewline"),
+        TrialOutcome(4, ModelChoice.M1, 5e-324, True),
+    )
+    SIX_TRIALS = verify(iv_spec(trials=6))
+
+    def test_verification_report(self):
+        report = replace(verify(iv_spec(trials=5)), per_trial=self.CRAFTED)
+        text = report_json(report)
+        assert text == dumps(report.to_dict())
+        assert '"statistic": "nan"' in text and '"statistic": -0,' in text
+        assert '"decision": null' in text and "\\\\ caf\\u00e9 \\u2603" in text
+
+    def test_sweep_report(self):
+        # One case a point: with both periods short, all of a case's events
+        # often fall in one, and the statistic is an infinity sentinel.
+        base = sccs_spec(trials=40, sample_size=1)
+        grid = [
+            base.generator_params,
+            replace(base.generator_params, design=SccsDesign(20, 10)),
+        ]
+        report = adversarial_sweep(base, grid)
+        stats = {t.statistic for r in report.reports for t in r.per_trial}
+        decisions = {t.decision for r in report.reports for t in r.per_trial}
+        assert {math.inf, -math.inf} <= stats and decisions == set(ModelChoice)
+        assert report_json(report) == dumps(report.to_dict())
+
+    def test_halted_trials(self, monkeypatch):
+        import pacc.harness as harness_mod
+        from pacc.core import PipelineFailureError
+
+        def halt_some_trials(params, count, delta):
+            def draw_and_decide(gen):
+                if gen.integers(2):
+                    raise PipelineFailureError('only 3 "survivors" \u2264 N3')
+                return Decision(ModelChoice.M2, float(gen.standard_normal()), delta / 2)
+            return draw_and_decide
+
+        monkeypatch.setattr(harness_mod, "iv_trial", halt_some_trials)
+        report = verify(iv_spec(ModelChoice.M2, trials=30), workers=2)
+        assert 0 < report.errors < 30
+        assert report_json(report) == dumps(report.to_dict())
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(rows=st.lists(st.builds(
+        TrialOutcome,
+        seed=st.integers(0, 2**64 - 1),
+        decision=st.sampled_from([None, *ModelChoice]),
+        statistic=st.floats(),
+        correct=st.booleans(),
+        failure=st.none() | st.text(),
+    ), max_size=6))
+    def test_any_records(self, rows):
+        report = replace(self.SIX_TRIALS, per_trial=tuple(rows))
+        assert report_json(report) == dumps(report.to_dict())
+
+    def test_written_reports_are_the_printed_text(self, tmp_path):
+        report = verify(iv_spec(trials=5))
+        write_report(report, tmp_path / "r.json")
+        assert (tmp_path / "r.json").read_text() == report_json(report)
 
 
 class TestRecords:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pacc._jsonio import dumps, format_float
+from pacc._jsonio import Rendered, dumps, format_float
 from pacc.core import ModelChoice
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -107,3 +107,17 @@ def test_unrenderable_values_raise_type_error(value, message):
     with pytest.raises(TypeError) as info:
         dumps(value)
     assert str(info.value) == message
+
+
+def test_rendered_values_are_written_at_their_indent():
+    pads = []
+
+    def render(pad):
+        pads.append(pad)
+        return f'[\n{pad}  "x",\n{pad}  -0\n{pad}]'
+
+    obj = {"a": [{"b": Rendered(render)}], "c": Rendered(render), "d": 1}
+    plain = {"a": [{"b": ["x", 0]}], "c": ["x", 0], "d": 1}
+    assert dumps(obj) == json.dumps(plain, indent=2).replace("0\n", "-0\n") + "\n"
+    assert pads == [" " * 6, " " * 2]
+    assert dumps(Rendered(lambda pad: f"[{pad!r}]")) == "['']\n"

@@ -4,8 +4,10 @@ Subcommands: samplesize | generate | estimate | decide | verify | sweep.
 Configs are JSON files; scalar fields can be overridden on the command
 line with repeated ``--set dotted.path=value`` flags, and ``--seed``
 overrides the master seed. Each subcommand takes only the flags it
-reads. stdout carries the payload JSON, stderr a structured diagnostic
-on failure.
+reads, and ``main`` builds only the subparser of the command in
+``argv[0]`` (all six when it names none), since building the other
+parsers costs more than most short commands. stdout carries the payload
+JSON, stderr a structured diagnostic on failure.
 
 Exit codes: 0 success or verification pass, 1 verification fail,
 2 usage or config error, 3 runtime or data error (an allocation too
@@ -272,13 +274,21 @@ def _emit_report(report: Report, args: argparse.Namespace) -> int:
     return 0 if report.passed else _EXIT_VERIFY_FAIL
 
 
+def _threads(args: argparse.Namespace) -> int:
+    if args.threads < 1:
+        raise CliError(_EXIT_USAGE, f"--threads must be at least 1, got {args.threads}")
+    return args.threads
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
+    workers = _threads(args)
     config = _load_config(args)
     spec = _build(lambda: TrialSpec.from_dict(config), "trial spec")
-    return _emit_report(verify(spec, workers=args.threads), args)
+    return _emit_report(verify(spec, workers=workers), args)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    workers = _threads(args)
     config = _load_config(args)
     grid_dicts = config.pop("grid", None)
     if not isinstance(grid_dicts, list) or not grid_dicts:
@@ -296,35 +306,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         _build(lambda: params_type.from_dict(g), f"grid point {k}")
         for k, g in enumerate(grid_dicts)
     )
-    return _emit_report(adversarial_sweep(base, grid, workers=args.threads), args)
+    return _emit_report(adversarial_sweep(base, grid, workers=workers), args)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``pacc`` parser. When ``command`` names a subcommand, only that
+    subparser is registered, built as in the full parser; otherwise (no
+    arguments, ``-h`` or an unknown name) all six are."""
     parser = _ArgumentParser(
         prog="pacc",
         description="Simulate, decide, and certify PACC causal discovery procedures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    size = sub.add_parser("samplesize", help="evaluate a method's sample-size bound")
-    size_sub = size.add_subparsers(dest="method", required=True)
-    sccs_p = size_sub.add_parser("sccs")
-    sccs_p.add_argument("--epsilon", type=float, required=True)
-    sccs_p.add_argument("--delta", type=float, required=True)
-    sccs_p.add_argument("--lambda-floor", dest="lambda_floor", type=float, required=True)
-    ps_p = size_sub.add_parser("propensity")
-    ps_p.add_argument("--epsilon", type=float, required=True)
-    ps_p.add_argument("--delta", type=float, required=True)
-    ps_p.add_argument("--n-covariates", dest="n_covariates", type=int, required=True)
-    iv_p = size_sub.add_parser("iv")
-    iv_p.add_argument("--epsilon", type=float, required=True)
-    iv_p.add_argument("--delta", type=float, required=True)
-    iv_p.add_argument("--sigma-dy2", dest="sigma_dy2", type=float, default=1.0)
-    iv_p.add_argument("--sigma-dz2", dest="sigma_dz2", type=float, default=1.0)
-    iv_p.add_argument("--alpha", type=float, default=1.0)
-    iv_p.add_argument("--sigma-d2", dest="sigma_d2", type=float, default=1.0)
-
-    for name in ("generate", "estimate", "decide", "verify", "sweep"):
+    for name in (command,) if command in _COMMANDS else _COMMANDS:
+        if name == "samplesize":
+            _add_samplesize(sub.add_parser(name, help="evaluate a method's sample-size bound"))
+            continue
         p = sub.add_parser(name, help=f"run the {name} command")
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="override the master seed")
@@ -344,6 +341,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _add_samplesize(size: argparse.ArgumentParser) -> None:
+    size_sub = size.add_subparsers(dest="method", required=True)
+    sccs_p = size_sub.add_parser("sccs")
+    sccs_p.add_argument("--epsilon", type=float, required=True)
+    sccs_p.add_argument("--delta", type=float, required=True)
+    sccs_p.add_argument("--lambda-floor", dest="lambda_floor", type=float, required=True)
+    ps_p = size_sub.add_parser("propensity")
+    ps_p.add_argument("--epsilon", type=float, required=True)
+    ps_p.add_argument("--delta", type=float, required=True)
+    ps_p.add_argument("--n-covariates", dest="n_covariates", type=int, required=True)
+    iv_p = size_sub.add_parser("iv")
+    iv_p.add_argument("--epsilon", type=float, required=True)
+    iv_p.add_argument("--delta", type=float, required=True)
+    iv_p.add_argument("--sigma-dy2", dest="sigma_dy2", type=float, default=1.0)
+    iv_p.add_argument("--sigma-dz2", dest="sigma_dz2", type=float, default=1.0)
+    iv_p.add_argument("--alpha", type=float, default=1.0)
+    iv_p.add_argument("--sigma-d2", dest="sigma_d2", type=float, default=1.0)
+
+
 _COMMANDS = {
     "samplesize": cmd_samplesize,
     "generate": cmd_generate,
@@ -355,8 +371,10 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         return _COMMANDS[args.command](args)
     except SystemExit as exc:  # --help
         return exc.code if isinstance(exc.code, int) else _EXIT_USAGE

@@ -1,10 +1,12 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from pacc import cli
 from pacc.cli import main
 from pacc.core import split_stream
 from pacc.iv2sls import IvParams, generate_iv, iv_decide
@@ -13,6 +15,7 @@ from pacc.sccs import PointLaw
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+README = CONFIGS.parent / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -960,3 +963,91 @@ class TestSizeLimits:
         assert code == 3
         assert out == ""
         assert json.loads(err) == {"error": "MemoryError", "message": "Unable to allocate 355. TiB"}
+
+
+COMMANDS = ("samplesize", "generate", "estimate", "decide", "verify", "sweep")
+
+
+def _readme_flags() -> dict[str, list[str]]:
+    """The README's CLI table: each command (``samplesize`` with its method)
+    and the flags it takes."""
+    rows = README.read_text().split("\n| command | flags |\n| --- | --- |\n", 1)[1]
+    table = {}
+    for line in rows.split("\n\n", 1)[0].splitlines():
+        _, commands, flags, _ = line.split("|")
+        for command in re.findall(r"`([^`]+)`", commands):
+            table[command] = flags.strip().strip("`").split()
+    return table
+
+
+README_FLAGS = _readme_flags()
+
+
+class TestParser:
+    """Each command builds only its own parser, and what a user sees of the
+    parser is what the README says."""
+
+    def test_readme_table_covers_every_command(self):
+        assert {command.split()[0] for command in README_FLAGS} == set(COMMANDS)
+
+    def test_help_lists_every_command(self, capsys):
+        code, out, err = run_cli(capsys, "--help")
+        assert code == 0 and err == ""
+        listed = dict(re.findall(r"^    (\S+) +(.+)$", out, re.M))
+        assert listed == {
+            "samplesize": "evaluate a method's sample-size bound",
+            **{name: f"run the {name} command" for name in COMMANDS[1:]},
+        }
+
+    @pytest.mark.parametrize("command", sorted(README_FLAGS))
+    def test_command_help_shows_exactly_its_flags(self, capsys, command):
+        code, out, err = run_cli(capsys, *command.split(), "--help")
+        assert code == 0 and err == ""
+        assert out.startswith(f"usage: pacc {command} [-h]")
+        shown = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", out)) - {"--help"}
+        assert shown == set(README_FLAGS[command])
+
+    def test_samplesize_help_lists_the_readme_methods(self, capsys):
+        code, out, _ = run_cli(capsys, "samplesize", "--help")
+        assert code == 0
+        methods = re.search(r"\{([a-z,]+)\}", out).group(1).split(",")
+        assert methods == [c.split()[1] for c in README_FLAGS if c.startswith("samplesize ")]
+
+    def test_no_arguments_exits_2(self, capsys):
+        message = _diagnostic(*run_cli(capsys))
+        assert message == "the following arguments are required: command"
+
+    @pytest.mark.parametrize("name", ["foo", "verif", "Verify"])
+    def test_unknown_command_exits_2_naming_all_six(self, capsys, name):
+        message = _diagnostic(*run_cli(capsys, name, "--config", "x.json"))
+        prefix = f"argument command: invalid choice: {name!r} (choose from "
+        assert message.startswith(prefix)
+        assert re.findall(r"[a-z]+", message[len(prefix):]) == list(COMMANDS)
+
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    def test_a_command_builds_two_parsers(self, capsys, tmp_path, monkeypatch, command):
+        built = []
+        init = cli._ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._ArgumentParser, "__init__", counting_init)
+        config = {**IV_VERIFY_CONFIG, "trials": 3}
+        if command == "sweep":
+            config["grid"] = [config.pop("generator")]
+        cfg = write_json(tmp_path / "cfg.json", config)
+        code, out, err = run_cli(capsys, command, "--config", cfg)
+        assert code in (0, 1) and json.loads(out)["kind"], err
+        assert built == ["pacc", f"pacc {command}"]
+
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_1_names_the_flag(self, capsys, tmp_path, command, threads):
+        config = {**IV_VERIFY_CONFIG, "trials": 3}
+        if command == "sweep":
+            config["grid"] = [config.pop("generator")]
+        cfg = write_json(tmp_path / "cfg.json", config)
+        message = _diagnostic(*run_cli(capsys, command, "--config", cfg, "--threads", threads))
+        assert message == f"--threads must be at least 1, got {threads}"

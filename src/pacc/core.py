@@ -210,7 +210,7 @@ def split_stream(master_seed: int, stream_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-# One Philox generator per thread, re-keyed for each stream it serves.
+# One Philox generator per thread, with the state dict that re-keys it.
 _thread_local = threading.local()
 
 
@@ -220,10 +220,12 @@ def rekeyed_generator(master_seed: int, stream_id: int) -> np.random.Generator:
 
     It draws exactly what ``split_stream(master_seed, stream_id)`` would:
     the Philox state is set to counter 0, that key, an empty buffer and no
-    held 32-bit half, which is the state a fresh Philox starts in.
-    Re-keying one generator costs about a twentieth of building one. The
-    next call on the same thread re-keys the same generator, so a caller
-    finishes with one stream before it asks for the next.
+    held 32-bit half, which is the state a fresh Philox starts in. The
+    thread keeps one such state dict and replaces only its key, since the
+    setter copies the values out. Re-keying one generator costs about a
+    twentieth of building one. The next call on the same thread re-keys
+    the same generator, so a caller finishes with one stream before it
+    asks for the next.
     """
     # Trials pass plain ints in range; anything else takes the full checks.
     if not (
@@ -235,17 +237,20 @@ def rekeyed_generator(master_seed: int, stream_id: int) -> np.random.Generator:
         _check_u64(master_seed, "master_seed")
         _check_u64(stream_id, "stream_id")
         master_seed, stream_id = int(master_seed), int(stream_id)
-    gen = getattr(_thread_local, "generator", None)
-    if gen is None:
-        gen = _thread_local.generator = np.random.Generator(np.random.Philox(0))
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": (0, 0, 0, 0), "key": (master_seed, stream_id)},
-        "buffer": (0, 0, 0, 0),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+    held = getattr(_thread_local, "held", None)
+    if held is None:
+        state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": (0, 0)},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        held = _thread_local.held = (np.random.Generator(np.random.Philox(0)), state)
+    gen, state = held
+    state["state"]["key"] = (master_seed, stream_id)
+    gen.bit_generator.state = state
     return gen
 
 

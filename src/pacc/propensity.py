@@ -61,12 +61,9 @@ _SCORE_TOL = 1e-8  # max-norm of the mean score at which a fit has converged
 
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
-    out = np.empty_like(eta, dtype=np.float64)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    ex = np.exp(eta[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp never sees a positive argument, so it cannot overflow.
+    ex = np.exp(-np.abs(eta))
+    return np.where(eta >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -153,6 +154,31 @@ def per_record_newton(ds, max_iters=200, tol=1e-8):
         hess[np.diag_indices_from(hess)] += 1e-12
         coefs = coefs + np.linalg.solve(hess, score)
     return coefs
+
+
+def masked_sigmoid(eta):
+    """The logistic function with each sign's branch on its own mask."""
+    out = np.empty_like(eta, dtype=np.float64)
+    pos = eta >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+    ex = np.exp(eta[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestSigmoid:
+    def test_bits_equal_the_masked_form(self):
+        tiny = np.finfo(np.float64).smallest_subnormal
+        edges = [0.0, -0.0, np.inf, -np.inf, np.nan, 709.0, -709.0, 745.0, -745.0,
+                 tiny, -tiny, 1e-310, -1e-310, np.finfo(np.float64).tiny]
+        rng = np.random.default_rng(27)
+        eta = np.concatenate([edges, rng.normal(0.0, 1.0, 5_000),
+                              rng.normal(0.0, 300.0, 5_000)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, want = _sigmoid(eta), masked_sigmoid(eta)
+        assert got.dtype == np.float64 and got.shape == eta.shape
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
 
 
 class TestGroupedFit:

@@ -987,6 +987,15 @@ class TestParser:
     """Each command builds only its own parser, and what a user sees of the
     parser is what the README says."""
 
+    @staticmethod
+    def _iv_config(tmp_path, command):
+        """A 3-trial IV config file for ``verify``, or as a one-point grid
+        for ``sweep``."""
+        config = {**IV_VERIFY_CONFIG, "trials": 3}
+        if command == "sweep":
+            config["grid"] = [config.pop("generator")]
+        return write_json(tmp_path / "cfg.json", config)
+
     def test_readme_table_covers_every_command(self):
         assert {command.split()[0] for command in README_FLAGS} == set(COMMANDS)
 
@@ -1034,20 +1043,13 @@ class TestParser:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(cli._ArgumentParser, "__init__", counting_init)
-        config = {**IV_VERIFY_CONFIG, "trials": 3}
-        if command == "sweep":
-            config["grid"] = [config.pop("generator")]
-        cfg = write_json(tmp_path / "cfg.json", config)
-        code, out, err = run_cli(capsys, command, "--config", cfg)
+        code, out, err = run_cli(capsys, command, "--config", self._iv_config(tmp_path, command))
         assert code in (0, 1) and json.loads(out)["kind"], err
         assert built == ["pacc", f"pacc {command}"]
 
     @pytest.mark.parametrize("command", ["verify", "sweep"])
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_threads_below_1_names_the_flag(self, capsys, tmp_path, command, threads):
-        config = {**IV_VERIFY_CONFIG, "trials": 3}
-        if command == "sweep":
-            config["grid"] = [config.pop("generator")]
-        cfg = write_json(tmp_path / "cfg.json", config)
+        cfg = self._iv_config(tmp_path, command)
         message = _diagnostic(*run_cli(capsys, command, "--config", cfg, "--threads", threads))
         assert message == f"--threads must be at least 1, got {threads}"

@@ -274,21 +274,20 @@ def _emit_report(report: Report, args: argparse.Namespace) -> int:
     return 0 if report.passed else _EXIT_VERIFY_FAIL
 
 
-def _threads(args: argparse.Namespace) -> int:
+def _check_threads(args: argparse.Namespace) -> None:
     if args.threads < 1:
         raise CliError(_EXIT_USAGE, f"--threads must be at least 1, got {args.threads}")
-    return args.threads
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    workers = _threads(args)
+    _check_threads(args)
     config = _load_config(args)
     spec = _build(lambda: TrialSpec.from_dict(config), "trial spec")
-    return _emit_report(verify(spec, workers=workers), args)
+    return _emit_report(verify(spec), args)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    workers = _threads(args)
+    _check_threads(args)
     config = _load_config(args)
     grid_dicts = config.pop("grid", None)
     if not isinstance(grid_dicts, list) or not grid_dicts:
@@ -306,7 +305,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         _build(lambda: params_type.from_dict(g), f"grid point {k}")
         for k, g in enumerate(grid_dicts)
     )
-    return _emit_report(adversarial_sweep(base, grid, workers=workers), args)
+    return _emit_report(adversarial_sweep(base, grid), args)
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -337,7 +336,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         if name == "generate":
             p.add_argument("--include-hidden", action="store_true")
         if name in ("verify", "sweep"):
-            p.add_argument("--threads", type=int, default=1, help="worker threads")
+            p.add_argument(
+                "--threads",
+                type=int,
+                default=1,
+                help="accepted for compatibility; trials run on one thread",
+            )
     return parser
 
 

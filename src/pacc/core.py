@@ -38,6 +38,7 @@ __all__ = [
     "ceil_bound",
     "whole_number",
     "real_number",
+    "check_u64",
     "check_keys",
 ]
 
@@ -188,7 +189,8 @@ def ceil_bound(name: str, formula: Callable[[], float]) -> int:
     return math.ceil(bound)
 
 
-def _check_u64(value: int, name: str) -> None:
+def check_u64(value: int, name: str) -> None:
+    """Reject ``value`` unless it is an integer that fits a stream key word."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
     if not 0 <= int(value) <= _U64_MAX:
@@ -204,8 +206,8 @@ def split_stream(master_seed: int, stream_id: int) -> np.random.Generator:
     builds a new generator, so two calls with one key draw the same
     numbers; a multi-stage pipeline passes one generator along instead.
     """
-    _check_u64(master_seed, "master_seed")
-    _check_u64(stream_id, "stream_id")
+    check_u64(master_seed, "master_seed")
+    check_u64(stream_id, "stream_id")
     key = np.array([master_seed, stream_id], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -234,8 +236,8 @@ def rekeyed_generator(master_seed: int, stream_id: int) -> np.random.Generator:
         and 0 <= master_seed <= _U64_MAX
         and 0 <= stream_id <= _U64_MAX
     ):
-        _check_u64(master_seed, "master_seed")
-        _check_u64(stream_id, "stream_id")
+        check_u64(master_seed, "master_seed")
+        check_u64(stream_id, "stream_id")
         master_seed, stream_id = int(master_seed), int(stream_id)
     held = getattr(_thread_local, "held", None)
     if held is None:

@@ -4,8 +4,8 @@ Runs repeated generate-then-decide trials at the sample sizes the
 methods' bounds prescribe, aggregates error rates with a Wilson upper
 bound against epsilon, and sweeps nuisance parameters to probe the worst
 case over the model family. Every trial owns stream (master_seed,
-stream_base + index), so results are identical whatever the degree of
-parallelism.
+stream_base + index), and a run's trials execute in index order on the
+calling thread.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ import csv
 import io
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from pathlib import Path
@@ -36,6 +34,7 @@ from pacc.core import (
     PipelineFailureError,
     UndefinedAteError,
     WeakInstrumentError,
+    check_u64,
     rate_upper_bound,
     real_number,
     rekeyed_generator,
@@ -319,6 +318,9 @@ class TrialSpec:
                 )
         if self.stream_base < 0:
             raise InvalidArgumentError("stream_base must be nonnegative")
+        # Checked here so that no trial runs before a later one's stream id fails.
+        check_u64(self.master_seed, "master_seed")
+        check_u64(self.stream_base + self.trials - 1, "stream_base + trials - 1")
 
     def to_dict(self) -> dict:
         return {
@@ -546,41 +548,21 @@ def _check_derived(name: str, value: object, derived: object) -> None:
         )
 
 
-def verify(spec: TrialSpec, workers: int = 1) -> VerificationReport:
+def verify(spec: TrialSpec) -> VerificationReport:
     """Run the spec's trials and certify the error rate against epsilon.
 
-    The spec's trial is prepared once, before any worker starts, and each
-    trial is one ``run_trial`` call with it, looked up through this module
-    at run time; nothing prepared outlives the call. Each worker runs one
-    contiguous block of trial indices and the blocks are joined in index
-    order. Passing means the one-sided Wilson upper bound (at
-    ``CONFIDENCE``) on the error probability does not exceed epsilon.
-    Output is identical for identical specs regardless of ``workers``,
-    which is clamped to the trial count and the CPU count.
+    The spec's trial is prepared once, and each trial is one ``run_trial``
+    call with it, looked up through this module at run time; nothing
+    prepared outlives the call. The trials run in index order on the
+    calling thread: they are short and interpreter-bound, so a second
+    thread would not pay for its start-up and hand-offs. Passing means the
+    one-sided Wilson upper bound (at ``CONFIDENCE``) on the error
+    probability does not exceed epsilon.
     """
-    if workers < 1:
-        raise InvalidArgumentError("workers must be at least 1")
-    workers = _clamp_workers(workers, spec.trials)
     size = resolve_sample_size(spec)
     draw_and_decide = METHODS[spec.method].prepare(spec, params_for_truth(spec), size)
-
-    def run_block(block: range) -> list[TrialOutcome]:
-        return [run_trial(spec, i, draw_and_decide) for i in block]
-
-    n = spec.trials
-    if workers == 1:
-        outcomes = run_block(range(n))
-    else:
-        # One contiguous block of trial indices per worker, joined in index order.
-        blocks = [range(k * n // workers, (k + 1) * n // workers) for k in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = [o for block in pool.map(run_block, blocks) for o in block]
+    outcomes = [run_trial(spec, i, draw_and_decide) for i in range(spec.trials)]
     return VerificationReport(spec, size, tuple(outcomes))
-
-
-def _clamp_workers(workers: int, trials: int) -> int:
-    """Threads worth starting: no more than the trials or the CPUs."""
-    return min(workers, trials, os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -640,18 +622,15 @@ def _point_spec(base: TrialSpec, k: int, point: GeneratorParams) -> TrialSpec:
     return replace(base, generator_params=point, stream_base=base.stream_base + k * base.trials)
 
 
-def adversarial_sweep(
-    base: TrialSpec,
-    grid: Sequence[GeneratorParams],
-    workers: int = 1,
-) -> SweepReport:
-    """Verify at every grid point with disjoint stream-id ranges: point k's
-    trials take ids from ``base.stream_base + k * base.trials`` on.
+def adversarial_sweep(base: TrialSpec, grid: Sequence[GeneratorParams]) -> SweepReport:
+    """Verify at every grid point, one point after another, with disjoint
+    stream-id ranges: point k's trials take ids from
+    ``base.stream_base + k * base.trials`` on.
 
     Grid points that violate the method's assumptions (positivity, rate
-    floors, outcome validity under either truth) or carry an effect are
-    rejected up front with a per-point diagnostic rather than silently
-    skipped.
+    floors, outcome validity under either truth), carry an effect or would
+    take stream ids past 2**64 - 1 are rejected up front with a per-point
+    diagnostic rather than silently skipped.
     """
     if len(grid) == 0:
         raise InvalidArgumentError("the sweep grid must be nonempty")
@@ -671,7 +650,7 @@ def adversarial_sweep(
         raise InvalidArgumentError(
             "sweep rejected; assumption-violating grid points:\n" + "\n".join(problems)
         )
-    return SweepReport(base, tuple(grid), tuple(verify(s, workers=workers) for s in specs))
+    return SweepReport(base, tuple(grid), tuple(verify(s) for s in specs))
 
 
 Report = Union[VerificationReport, SweepReport]

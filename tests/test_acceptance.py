@@ -30,8 +30,6 @@ from pacc.sccs import (
     sccs_sample_size,
 )
 
-WORKERS = 2
-
 DESIGN = SccsDesign(total_days=250, exposure_days=21)
 
 
@@ -133,7 +131,7 @@ def test_c2_sccs_calibration_at_bound_with_heterogeneity():
     for label, (law, seed) in laws.items():
         for truth in (ModelChoice.M2, ModelChoice.M1):
             spec = sccs_trial_spec(truth, law, seed=seed + (0 if truth is ModelChoice.M2 else 1))
-            report = verify(spec, workers=WORKERS)
+            report = verify(spec)
             assert report.resolved_sample_size == bound
             details.append(f"{label}/{truth.value}: ub={report.upper_bound:.4f}")
             all_pass &= report.upper_bound <= 0.1
@@ -205,10 +203,7 @@ def test_c4_propensity_pipeline_calibration_full_scale():
     details = [f"N1={sizes.n1} N2={sizes.n2} N3={sizes.n3}"]
     all_pass = True
     for truth, seed in ((ModelChoice.M1, 41_000), (ModelChoice.M2, 42_000)):
-        report = verify(
-            ps_trial_spec(truth, epsilon, delta, PS_FULL_PARAMS, 200, seed),
-            workers=WORKERS,
-        )
+        report = verify(ps_trial_spec(truth, epsilon, delta, PS_FULL_PARAMS, 200, seed))
         fail_frac_ub = rate_upper_bound(_pipeline_failures(report), report.trials)
         details.append(
             f"{truth.value}: ub={report.upper_bound:.4f} halts_ub={fail_frac_ub:.4f}"
@@ -231,10 +226,7 @@ def test_c4_propensity_pipeline_calibration_fast_mode():
     details = []
     all_pass = True
     for truth, seed in ((ModelChoice.M1, 43_000), (ModelChoice.M2, 44_000)):
-        report = verify(
-            ps_trial_spec(truth, epsilon, delta, PS_FAST_PARAMS, 200, seed),
-            workers=WORKERS,
-        )
+        report = verify(ps_trial_spec(truth, epsilon, delta, PS_FAST_PARAMS, 200, seed))
         fail_frac_ub = rate_upper_bound(_pipeline_failures(report), report.trials)
         details.append(
             f"{truth.value}: ub={report.upper_bound:.4f} halts_ub={fail_frac_ub:.4f}"
@@ -266,7 +258,7 @@ def test_c5_iv_calibration_and_naive_ols_contrast():
             epsilon=epsilon,
             sample_size=n,
         )
-        report = verify(spec, workers=WORKERS)
+        report = verify(spec)
         details.append(f"{truth.value}: ub={report.upper_bound:.4f}")
         all_pass &= report.upper_bound <= epsilon
 

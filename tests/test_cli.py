@@ -952,6 +952,28 @@ class TestSizeLimits:
         message = _diagnostic(*run_cli(capsys, "generate", "--config", cfg))
         assert message == "count must lie in [1, 2**63 - 1], got 100000000000000000000"
 
+    @pytest.mark.parametrize("command, name, override, message", [
+        ("verify", "iv_verify", f"master_seed={2**64}",
+         "master_seed must fit in an unsigned 64-bit word"),
+        ("verify", "iv_verify", f"stream_base={2**64 - 2}",
+         "stream_base + trials - 1 must fit in an unsigned 64-bit word"),
+        ("sweep", "sccs_sweep", f"stream_base={2**64 - 8}",
+         "sweep rejected; assumption-violating grid points:\n"
+         "grid point 2: stream_base + trials - 1 must fit in an unsigned 64-bit word"),
+    ], ids=["master_seed", "stream_base", "sweep_point"])
+    def test_stream_ids_past_64_bits_exit_2_before_any_trial(
+        self, capsys, monkeypatch, command, name, override, message
+    ):
+        from pacc import harness
+
+        ran = []
+        monkeypatch.setattr(harness, "run_trial", lambda *args: ran.append(args))
+        assert _diagnostic(*run_cli(
+            capsys, command, "--config", str(CONFIGS / f"{name}.json"),
+            "--set", override, "--set", "trials=3",
+        )).endswith(message)
+        assert ran == []
+
     def test_memory_error_exits_3(self, capsys, monkeypatch):
         from pacc import harness
 

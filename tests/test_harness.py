@@ -41,6 +41,18 @@ from pacc.sccs import (
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
+def run_command(tmp_path, command, name, threads, *overrides):
+    """Run ``pacc command`` on ``configs/<name>.json`` at ``--threads
+    threads`` with each ``--set`` override and read back its report."""
+    out = tmp_path / f"{command}_{name}_{threads}.json"
+    argv = [command, "--config", str(CONFIGS / f"{name}.json"), "--threads", threads]
+    for override in overrides:
+        argv += ["--set", override]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*argv, "--out", str(out)]) in (0, 1)
+    return read_report(out)
+
+
 def iv_spec(truth=ModelChoice.M1, **overrides) -> TrialSpec:
     defaults = dict(
         truth=truth,
@@ -110,6 +122,16 @@ class TestSpecValidation:
     def test_effect_free_base_required(self):
         with pytest.raises(InvalidArgumentError):
             iv_spec(generator_params=IvParams(alpha=1.0, beta=0.3))
+
+    def test_stream_ids_must_fit_64_bits(self):
+        # Checked when the spec is built, not at the first trial past the limit.
+        for seed in (-1, 2**64):
+            with pytest.raises(InvalidArgumentError, match="^master_seed must fit"):
+                iv_spec(master_seed=seed)
+        with pytest.raises(InvalidArgumentError, match=r"^stream_base \+ trials - 1 must fit"):
+            iv_spec(stream_base=2**64 - 2, trials=3)
+        last = iv_spec(master_seed=2**64 - 1, stream_base=2**64 - 3, trials=3)
+        assert [t.seed for t in verify(last).per_trial] == [2**64 - 3, 2**64 - 2, 2**64 - 1]
 
     def test_round_trip(self):
         for spec in (iv_spec(), sccs_spec(), ps_spec()):
@@ -248,22 +270,31 @@ class TestVerify:
         report = verify(iv_spec(trials=50))
         assert report.passed == (report.upper_bound <= 0.1)
 
-    def test_parallelism_invariance(self):
-        spec = ps_spec(trials=8)
-        reports = [verify(spec, workers=w).to_dict() for w in (1, 4, 8)]
-        assert reports[0] == reports[1] == reports[2]
+    def test_parallelism_invariance(self, tmp_path):
+        # --threads is accepted and changes nothing: every value writes the
+        # report verify() gives in process.
+        reports = [
+            run_command(tmp_path, "verify", "ps_verify_fast", threads, "trials=8")
+            for threads in ("1", "4", "8")
+        ]
+        expected = verify(reports[0].spec).to_dict()
+        assert all(report.to_dict() == expected for report in reports)
 
-    def test_uneven_worker_blocks_keep_trial_order(self, monkeypatch):
-        # 7 trials over 3 or 4 workers split into blocks of unequal length.
+    def test_sweep_points_and_trials_run_in_order(self, monkeypatch, tmp_path):
         import pacc.harness as harness_mod
 
-        monkeypatch.setattr(harness_mod.os, "cpu_count", lambda: 4)
-        spec = iv_spec(trials=7)
-        reports = [verify(spec, workers=w) for w in (1, 3, 4)]
-        assert [t.seed for t in reports[0].per_trial] == [
-            spec.stream_base + i for i in range(7)
-        ]
-        assert reports[0].to_dict() == reports[1].to_dict() == reports[2].to_dict()
+        calls = []
+
+        def recording_run_trial(spec, index, draw_and_decide=None):
+            calls.append(spec.stream_base + index)
+            return run_trial(spec, index, draw_and_decide)
+
+        monkeypatch.setattr(harness_mod, "run_trial", recording_run_trial)
+        for threads in ("1", "3", "4"):
+            calls.clear()
+            report = run_command(tmp_path, "sweep", "sccs_sweep", threads, "trials=7")
+            assert calls == list(range(3 * 7))
+            assert [t.seed for r in report.reports for t in r.per_trial] == calls
 
     def test_failed_trials_count_as_errors(self, monkeypatch):
         # A pipeline halt must become an incorrect trial with the reason
@@ -287,11 +318,7 @@ class TestVerify:
         ("verify", "sccs_verify", 30),
         ("sweep", "sccs_sweep", 10),
     ])
-    def test_sccs_reports_identical_across_workers(self, monkeypatch, tmp_path, command,
-                                                   name, trials):
-        import pacc.harness as harness_mod
-
-        monkeypatch.setattr(harness_mod.os, "cpu_count", lambda: 4)
+    def test_sccs_reports_identical_across_workers(self, tmp_path, command, name, trials):
         blobs = []
         for workers in ("1", "2", "4"):
             out = tmp_path / f"report_{workers}.json"
@@ -350,15 +377,13 @@ class TestVerify:
             return table
 
         monkeypatch.setattr(harness_mod, "sccs_cell_table", tracked_table)
-        monkeypatch.setattr(harness_mod.os, "cpu_count", lambda: 2)
-        for workers in (1, 2):
-            verify(sccs_spec(trials=6), workers=workers)
+        verify(sccs_spec(trials=6))
         gc.collect()
-        assert len(tables) == 2
-        assert all(ref() is None for ref in tables)
+        assert len(tables) == 1
+        assert tables[0]() is None
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_every_index_runs_once_with_the_same_trial(self, monkeypatch, workers):
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_every_index_runs_once_with_the_same_trial(self, monkeypatch, tmp_path, threads):
         import pacc.harness as harness_mod
 
         calls = []
@@ -368,50 +393,53 @@ class TestVerify:
             return run_trial(spec, index, draw_and_decide)
 
         monkeypatch.setattr(harness_mod, "run_trial", recording_run_trial)
-        monkeypatch.setattr(harness_mod.os, "cpu_count", lambda: 2)
-        spec = iv_spec(trials=9)
-        report = verify(spec, workers=workers)
-        assert sorted(index for index, _ in calls) == list(range(9))
+        report = run_command(tmp_path, "verify", "iv_verify", threads, "trials=9")
+        assert [index for index, _ in calls] == list(range(9))
         prepared = calls[0][1]
         assert callable(prepared)
         assert all(trial is prepared for _, trial in calls)
-        assert report.per_trial == tuple(run_trial(spec, i) for i in range(9))
+        assert report.per_trial == tuple(run_trial(report.spec, i) for i in range(9))
 
-    def test_two_workers_share_one_table_per_sweep_point(self, monkeypatch):
-        # The slow stub makes both workers ask for a point's trial while its
-        # table is still being built, so a per-worker build would show.
-        import time
+    def test_one_table_per_sweep_point(self, monkeypatch, tmp_path):
+        # Each point's table is built once, and is gone before the next
+        # point's is built: none outlives the verify() call of its point.
+        import gc
+        import weakref
 
         import pacc.harness as harness_mod
 
-        built = []
+        tables = []
 
-        def slow_counting_table(design, params):
-            built.append(design)
-            time.sleep(0.05)
-            return sccs_cell_table(design, params)
+        def tracked_table(design, params):
+            gc.collect()
+            assert all(ref() is None for ref in tables)
+            table = sccs_cell_table(design, params)
+            tables.append(weakref.ref(table))
+            return table
 
-        monkeypatch.setattr(harness_mod, "sccs_cell_table", slow_counting_table)
-        monkeypatch.setattr(harness_mod.os, "cpu_count", lambda: 2)
-        config = json.loads((CONFIGS / "sccs_sweep.json").read_text())
-        base = TrialSpec.from_dict({
-            **{k: v for k, v in config.items() if k != "grid"},
-            "generator": config["grid"][0], "trials": 8,
-        })
-        grid = [SccsModel.from_dict(g) for g in config["grid"]]
-        report = adversarial_sweep(base, grid, workers=2)
-        assert len(built) == len(grid) == 3
+        monkeypatch.setattr(harness_mod, "sccs_cell_table", tracked_table)
+        report = run_command(tmp_path, "sweep", "sccs_sweep", "2", "trials=8")
+        assert len(tables) == len(report.grid) == 3
         assert all(r.errors == 0 for r in report.reports)
 
-    def test_workers_clamped_to_trials_and_cpus(self, monkeypatch):
+    def test_trials_run_on_the_calling_thread(self, monkeypatch, tmp_path):
+        import threading
+
         import pacc.harness as harness_mod
 
-        monkeypatch.setattr(harness_mod.os, "cpu_count", lambda: 4)
-        assert harness_mod._clamp_workers(1000, 50) == 4
-        assert harness_mod._clamp_workers(8, 3) == 3
-        assert harness_mod._clamp_workers(2, 50) == 2
-        monkeypatch.setattr(harness_mod.os, "cpu_count", lambda: None)
-        assert harness_mod._clamp_workers(8, 50) == 1
+        seen = set()
+
+        def recording_run_trial(spec, index, draw_and_decide=None):
+            seen.add((threading.get_ident(), threading.active_count()))
+            return run_trial(spec, index, draw_and_decide)
+
+        monkeypatch.setattr(harness_mod, "run_trial", recording_run_trial)
+        caller = (threading.get_ident(), threading.active_count())
+        for threads in ("1", "2", "4", "8"):
+            run_command(tmp_path, "verify", "iv_verify", threads, "trials=9")
+            run_command(tmp_path, "sweep", "sccs_sweep", threads, "trials=4")
+        assert seen == {caller}
+        assert threading.active_count() == caller[1]
 
 
 class TestSweep:
@@ -455,6 +483,17 @@ class TestSweep:
         with pytest.raises(InvalidArgumentError, match="grid point 1: the treatment effect"):
             adversarial_sweep(base, [base.generator_params, IvParams(alpha=1.0, beta=0.3)])
 
+    def test_grid_point_past_64_bit_stream_ids_is_named(self, monkeypatch):
+        import pacc.harness as harness_mod
+
+        ran = []
+        monkeypatch.setattr(harness_mod, "run_trial", lambda *args: ran.append(args))
+        # Points 0 and 1 fit; point 2's last stream id would be 2**64.
+        base = iv_spec(trials=3, stream_base=2**64 - 8)
+        with pytest.raises(InvalidArgumentError, match=r"grid point 2: stream_base \+ trials"):
+            adversarial_sweep(base, [base.generator_params] * 3)
+        assert ran == []
+
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidArgumentError):
             adversarial_sweep(iv_spec(), [])
@@ -480,7 +519,7 @@ class TestSweep:
                 SccsParams(TwoPointLaw(math.log(0.01), math.log(0.1)), 0.0, 0.01),
             ),
         ]
-        report = adversarial_sweep(base, grid, workers=2)
+        report = adversarial_sweep(base, grid)
         assert report.passed
         assert all(r.errors == 0 for r in report.reports)
 
@@ -498,7 +537,7 @@ class TestSweep:
             )
             for scale in (0.0, 0.5, 1.0)
         ]
-        report = adversarial_sweep(base, grid, workers=2)
+        report = adversarial_sweep(base, grid)
         assert report.passed
 
 
@@ -756,7 +795,7 @@ class TestReportJson:
             return draw_and_decide
 
         monkeypatch.setattr(harness_mod, "iv_trial", halt_some_trials)
-        report = verify(iv_spec(ModelChoice.M2, trials=30), workers=2)
+        report = verify(iv_spec(ModelChoice.M2, trials=30))
         assert 0 < report.errors < 30
         assert report_json(report) == dumps(report.to_dict())
 

@@ -46,6 +46,13 @@ def test_importing_the_cli_loads_no_numpy_ma():
     assert loaded_by_cli_import("numpy.ma") == []
 
 
+def test_importing_the_cli_loads_no_thread_pool():
+    # Trials run on the calling thread; a thread pool's modules would cost
+    # every command their import time.
+    for prefix in ("concurrent.futures", "queue", "logging"):
+        assert loaded_by_cli_import(prefix) == []
+
+
 def test_verify_loads_no_module_after_import():
     # numpy loads submodules such as numpy.random on first use; the layers
     # that use one load it at import, so a command's time is its own work.

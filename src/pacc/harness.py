@@ -62,13 +62,11 @@ from pacc.propensity import (
 from pacc.sccs import (
     SccsDataset,
     SccsModel,
-    draw_cell_counts,
-    draw_sccs_counts,
     generate_sccs,
-    sccs_cell_table,
     sccs_decide,
     sccs_mle_closed,
     sccs_sample_size,
+    sccs_trial_law,
 )
 
 __all__ = [
@@ -115,13 +113,10 @@ DrawAndDecide = Callable[[np.random.Generator], Decision]
 
 
 def _sccs_prepare(spec: TrialSpec, model: SccsModel, size: int) -> DrawAndDecide:
-    """An SCCS trial: the event totals from the design's cell table, or
-    case by case when the design has too many cells for one."""
-    design, params, delta = model.design, model.params, spec.concept.delta
-    table = sccs_cell_table(design, params)
-    if table is None:
-        return lambda gen: sccs_decide(draw_sccs_counts(design, params, size, gen), delta)
-    return lambda gen: sccs_decide(draw_cell_counts(design, table, size, gen), delta)
+    """An SCCS trial: the event totals from the model's trial law, whose
+    1-D tables are built, and whose size limits are checked, here."""
+    law, delta = sccs_trial_law(model.design, model.params, size), spec.concept.delta
+    return lambda gen: sccs_decide(law.draw(gen), delta)
 
 
 def _iv_auto_size(spec: TrialSpec) -> int:
@@ -441,10 +436,10 @@ def run_trial(
 
     Trials draw only what their decisions read, with the law of the
     record-level generators: the three 2SLS sums from three standard
-    normals (IV), the event totals from the design's cell table (SCCS),
+    normals (IV), the event totals from the model's 1-D trial law (SCCS),
     the fitting slice's tallies and the tail's survivors and outcome sums
-    per (covariate configuration, arm) cell (propensity). No trial draws
-    records unless a design is too large for its cell table.
+    per (covariate configuration, arm) cell (propensity). Only propensity
+    trials past the enumeration limit draw records.
     ``draw_and_decide`` is the spec's prepared trial
     (``MethodSpec.prepare``), which ``verify`` builds once for all of its
     trials; without it, one is prepared for this call. The trial's stream

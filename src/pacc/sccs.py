@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,11 +38,9 @@ __all__ = [
     "SccsModel",
     "SccsDataset",
     "SccsCounts",
-    "SccsCellTable",
+    "SccsTrialLaw",
     "generate_sccs",
-    "draw_sccs_counts",
-    "sccs_cell_table",
-    "draw_cell_counts",
+    "sccs_trial_law",
     "sccs_loglik",
     "sccs_mle_closed",
     "sccs_mle_numeric",
@@ -52,20 +51,16 @@ __all__ = [
 # Day numbers stay exact as float64, which the dataset reader checks them in.
 _MAX_DAYS = 2**53
 
-# Largest cell table, (exposure_days + 1) * (control_days + 1) cells, that
-# SCCS trials draw from; larger designs redraw case by case instead. The cap
-# bounds memory and build time, not speed: a table holds 24 bytes a cell, so
-# at most 3 MiB, one per running verify, and a few ms to build.
-# Measured in-process, a table draw stays cheaper than the case-by-case draw
-# up to about 1M cells at bound-scale case counts; no benchmark workload has
-# a design above the cap, so that range is left to the case-by-case draw.
-_CELL_LIMIT = 2**17
+# Longest design an SCCS trial takes. Building its tables costs one
+# math.lgamma call and a few float64 arrays a day: about 0.2 s and 40 MiB
+# at the limit.
+_MAX_TRIAL_DAYS = 2**20
 
 # Attempts per case before a case-series draw gives up on conditioning.
 _MAX_ATTEMPTS_PER_CASE = 1_000_000
 
-# A table draw's retry budget is one int64 binomial count.
-_MAX_TABLE_BUDGET = 2**63 - 1
+# A trial draw's retry budget, binomial sizes and event totals are int64.
+_MAX_INT64 = 2**63 - 1
 
 # Rows per generation chunk are sized to keep the per-day uniform matrix
 # around 2M cells regardless of the observation length.
@@ -462,138 +457,131 @@ def generate_sccs(
     return SccsDataset(design, starts_all, days_all, indptr)
 
 
-def draw_sccs_counts(
-    design: SccsDesign,
-    params: SccsParams,
-    cases: int,
-    gen: np.random.Generator,
-) -> SccsCounts:
-    """Draw the event totals of a ``cases``-patient case series directly.
+class _Atom(NamedTuple):
+    """One atom of the phi law in an SCCS trial law.
 
-    Same law as summing ``generate_sccs`` output: a patient's exposed and
-    unexposed event counts are Binomial(exposure_days, exp(phi + beta))
-    and Binomial(control_days, exp(phi)) given its phi, whatever the
-    exposure start. Zero-event patients are redrawn under the same
-    ``cases * _MAX_ATTEMPTS_PER_CASE`` budget, and GenerationFailureError
-    is raised when it runs out.
+    ``ta`` is the probability that an accepted case on the atom has an
+    exposed event. Such a case's exposed count takes ``exposed[k]`` with
+    probability ``pa[k]``, and its control count is Binomial(control_days,
+    ``p0``). Any other case has no exposed event and takes control count
+    ``control[k]`` with probability ``pb[k]``.
     """
-    if cases < 1:
-        raise InvalidArgumentError("cases must be at least 1")
-    attempts = 0
-    budget = cases * _MAX_ATTEMPTS_PER_CASE
-    accepted = nu1 = nu2 = 0
-    while accepted < cases:
-        batch = min(cases - accepted, budget - attempts)
-        if batch <= 0:
-            raise GenerationFailureError(
-                f"accepted only {accepted}/{cases} case series after "
-                f"{attempts} attempts; baseline rate too small"
-            )
-        attempts += batch
-        phi = params.phi_law.sample(gen, batch)
-        exposed = gen.binomial(design.exposure_days, np.exp(phi + params.beta))
-        control = gen.binomial(design.control_days, np.exp(phi))
-        keep = (exposed + control) > 0
-        nu1 += int(exposed[keep].sum())
-        nu2 += int(control[keep].sum())
-        accepted += int(np.count_nonzero(keep))
-    return SccsCounts(design, nu1, nu2)
+
+    ta: float
+    p0: float
+    pa: np.ndarray
+    exposed: np.ndarray
+    pb: np.ndarray
+    control: np.ndarray
+
+
+def _positive_binomial(n: int, p: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """P(X > 0) for X ~ Binomial(n, p), and the law of X given X > 0 from
+    log-gamma terms, as (pmf, values) without values of probability zero.
+    At p = 0 or 1 that law is the point n, never or always drawn."""
+    if p == 0.0 or p == 1.0:
+        return p, np.ones(1), np.array([n])
+    k = np.arange(1, n + 1)
+    log_fact = np.fromiter(map(math.lgamma, range(1, n + 2)), np.float64, n + 1)
+    pmf = np.exp(
+        log_fact[n] - log_fact[1:] - log_fact[n - 1 :: -1]
+        + k * math.log(p) + (n - k) * math.log1p(-p)
+    )
+    values = np.flatnonzero(pmf)
+    return -math.expm1(n * math.log1p(-p)), pmf[values] / pmf[values].sum(), values + 1
 
 
 @dataclass(frozen=True, eq=False)
-class SccsCellTable:
-    """One case's (exposed, control) event counts as a pmf over cells.
+class SccsTrialLaw:
+    """The law of a ``cases``-patient case series' event totals, from
+    1-D tables; ``draw`` draws them.
 
-    Cell k holds ``exposed[k]`` events in the exposure window and
-    ``control[k]`` outside it, with probability ``pmf[k]`` given at least
-    one event; the eventless (0, 0) cell is left out. ``accept`` is the
-    probability that an attempt has an event at all.
+    Each attempted case draws phi from the law, then independent exposed
+    and control counts Binomial(exposure_days, p1 = exp(phi + beta)) and
+    Binomial(control_days, p0 = exp(phi)), and is accepted when it has an
+    event. ``accept`` is the probability that it does, and ``shares`` the
+    probability of each phi atom given that it does. An accepted case has
+    an exposed event with probability ta = qa / (qa + (1 - qa) qb), where
+    qa and qb are the chances of some exposed and some control event.
     """
 
-    pmf: np.ndarray
-    exposed: np.ndarray
-    control: np.ndarray
+    design: SccsDesign
+    cases: int
     accept: float
+    shares: np.ndarray
+    atoms: tuple[_Atom, ...]
 
+    def draw(self, gen: np.random.Generator) -> SccsCounts:
+        """Draw the totals, with the law of summing ``generate_sccs``.
 
-def _binomial_pmf(n: int, p: float) -> np.ndarray:
-    """Binomial(n, p) probabilities of 0..n, from log-gamma terms."""
-    k = np.arange(n + 1)
-    if p == 0.0 or p == 1.0:
-        return (k == (n if p else 0)).astype(np.float64)
-    log_fact = np.array([math.lgamma(j + 1.0) for j in range(n + 1)])
-    log_choose = log_fact[n] - log_fact - log_fact[::-1]
-    return np.exp(log_choose + k * math.log(p) + (n - k) * math.log1p(-p))
-
-
-def sccs_cell_table(design: SccsDesign, params: SccsParams) -> SccsCellTable | None:
-    """The per-case cell pmf of ``draw_sccs_counts``'s law, or None when the
-    design has more than ``_CELL_LIMIT`` cells.
-
-    Given phi, a case's exposed and control counts are independent
-    Binomial(exposure_days, exp(phi + beta)) and Binomial(control_days,
-    exp(phi)); the table mixes their product over the phi law, drops the
-    (0, 0) cell and renormalises. Cells are ordered by falling
-    probability, and cells of probability zero are dropped, so that a
-    multinomial draw over them stops early.
-    """
-    expo, control = design.exposure_days, design.control_days
-    if (expo + 1) * (control + 1) > _CELL_LIMIT:
-        return None
-    joint = np.zeros((expo + 1, control + 1))
-    accept = 0.0
-    for phi, weight in params.phi_law.atoms():
-        p_exposed, p_control = math.exp(phi + params.beta), math.exp(phi)
-        joint += weight * np.outer(
-            _binomial_pmf(expo, p_exposed), _binomial_pmf(control, p_control)
+        The per-case redraws run out exactly when fewer than ``cases`` of
+        the first ``cases * _MAX_ATTEMPTS_PER_CASE`` attempts have an
+        event, so one Binomial(budget, accept) draw decides that
+        (GenerationFailureError). One Multinomial spreads the cases over
+        the atoms, and on each atom K ~ Binomial(m, ta) of its m cases
+        have an exposed event: their exposed total is a Multinomial(K, pa)
+        sum and their control total one Binomial(K * control_days, p0).
+        The other m - K cases add a Multinomial(m - K, pb) sum of control
+        events.
+        """
+        budget = self.cases * _MAX_ATTEMPTS_PER_CASE
+        accepted = int(gen.binomial(budget, self.accept))
+        if accepted < self.cases:
+            raise GenerationFailureError(
+                f"accepted only {accepted}/{self.cases} case series after "
+                f"{budget} attempts; baseline rate too small"
+            )
+        on_atom = (
+            (self.cases,) if len(self.atoms) == 1 else gen.multinomial(self.cases, self.shares)
         )
-        # P(some event) = 1 - (1 - p1)^e (1 - p0)^c, without cancellation.
-        log_none = expo * math.log1p(-p_exposed) if p_exposed < 1.0 else -math.inf
-        log_none += control * math.log1p(-p_control) if p_control < 1.0 else -math.inf
-        accept += weight * -math.expm1(log_none)
-    pmf = joint.ravel()[1:]
-    order = np.argsort(-pmf, kind="stable")
-    order = order[pmf[order] > 0.0]
-    cells = order + 1
-    return SccsCellTable(
-        pmf=pmf[order] / pmf[order].sum(),
-        exposed=cells // (control + 1),
-        control=cells % (control + 1),
-        accept=min(accept, 1.0),
-    )
+        control_days = self.design.control_days
+        nu1 = nu2 = 0
+        for m, atom in zip(on_atom, self.atoms):
+            k = int(gen.binomial(m, atom.ta))
+            if k:
+                nu1 += int(gen.multinomial(k, atom.pa) @ atom.exposed)
+                nu2 += int(gen.binomial(k * control_days, atom.p0))
+            if m - k:
+                nu2 += int(gen.multinomial(m - k, atom.pb) @ atom.control)
+        return SccsCounts(self.design, nu1, nu2)
 
 
-def draw_cell_counts(
-    design: SccsDesign,
-    table: SccsCellTable,
-    cases: int,
-    gen: np.random.Generator,
-) -> SccsCounts:
-    """Draw the event totals of a ``cases``-patient case series from the
-    design's table.
+def sccs_trial_law(design: SccsDesign, params: SccsParams, cases: int) -> SccsTrialLaw:
+    """The trial law of a ``cases``-patient case series under the model.
 
-    Same law as ``draw_sccs_counts``, under the same retry budget. Its
-    redraws run out exactly when fewer than ``cases`` of the first
-    ``cases * _MAX_ATTEMPTS_PER_CASE`` attempts have an event, so one
-    Binomial(budget, accept) draw decides that (GenerationFailureError);
-    the accepted cases' cells are then one Multinomial(cases, pmf) draw.
-    A budget past int64 is an InvalidArgumentError.
+    Its tables hold exposure_days + control_days entries per phi atom and
+    cost one ``math.lgamma`` call a day, so designs longer than
+    ``_MAX_TRIAL_DAYS`` are an InvalidArgumentError. So are sizes whose
+    retry budget or whose cases * total_days, a bound on the event totals
+    and binomial sizes a draw makes, pass int64.
     """
     if cases < 1:
         raise InvalidArgumentError("cases must be at least 1")
-    budget = cases * _MAX_ATTEMPTS_PER_CASE
-    if budget > _MAX_TABLE_BUDGET:
+    if cases * _MAX_ATTEMPTS_PER_CASE > _MAX_INT64:
         raise InvalidArgumentError(
-            f"cases must be at most {_MAX_TABLE_BUDGET // _MAX_ATTEMPTS_PER_CASE}, got {cases}"
+            f"cases must be at most {_MAX_INT64 // _MAX_ATTEMPTS_PER_CASE}, got {cases}"
         )
-    accepted = int(gen.binomial(budget, table.accept))
-    if accepted < cases:
-        raise GenerationFailureError(
-            f"accepted only {accepted}/{cases} case series after "
-            f"{budget} attempts; baseline rate too small"
+    total = design.total_days
+    if total > _MAX_TRIAL_DAYS:
+        raise InvalidArgumentError(
+            f"SCCS trials take designs of at most 2**20 = {_MAX_TRIAL_DAYS} days, "
+            f"got total_days {total}"
         )
-    counts = gen.multinomial(cases, table.pmf)
-    return SccsCounts(design, int(counts @ table.exposed), int(counts @ table.control))
+    if cases * total > _MAX_INT64:
+        raise InvalidArgumentError(
+            f"cases * total_days must be at most 2**63 - 1, got {cases} * {total}"
+        )
+    weights, atoms = [], []
+    for phi, weight in params.phi_law.atoms():
+        p1, p0 = math.exp(phi + params.beta), math.exp(phi)
+        qa, pa, exposed = _positive_binomial(design.exposure_days, p1)
+        qb, pb, control = _positive_binomial(design.control_days, p0)
+        some = qa + (1.0 - qa) * qb
+        weights.append(weight * some)
+        atoms.append(_Atom(qa / some if some else 0.0, p0, pa, exposed, pb, control))
+    accept = math.fsum(weights)
+    shares = np.array(weights) / (accept or 1.0)
+    return SccsTrialLaw(design, cases, min(accept, 1.0), shares, tuple(atoms))
 
 
 def sccs_loglik(dataset: SccsDataset, beta: float) -> float:
@@ -636,7 +624,7 @@ def sccs_mle_closed(dataset: SccsDataset | SccsCounts) -> float:
     in only one period the estimate is a signed-infinity sentinel (+inf if
     all events are exposed, -inf if none are), which the decision rule
     consumes directly. Only ``design``, ``nu1`` and ``nu2`` are read, so
-    the totals ``draw_sccs_counts`` returns serve as well as a case series.
+    the totals ``SccsTrialLaw.draw`` returns serve as well as a case series.
     """
     nu1, nu2 = dataset.nu1, dataset.nu2
     if nu1 == 0 and nu2 == 0:

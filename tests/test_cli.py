@@ -559,6 +559,35 @@ class TestVerify:
         assert out == ""
         assert json.loads(err)["message"].startswith("cases must be at most 9223372036854,")
 
+    @pytest.mark.parametrize("overrides, message", [
+        (("generator.design.total_days=1048577",),
+         "SCCS trials take designs of at most 2**20 = 1048576 days, got total_days 1048577"),
+        (("generator.design.total_days=1048576", "sample_size=8796093022208"),
+         "cases * total_days must be at most 2**63 - 1, got 8796093022208 * 1048576"),
+    ])
+    def test_sccs_trial_limits_exit_2_before_any_trial(self, capsys, monkeypatch, overrides,
+                                                       message):
+        import pacc.harness as harness_mod
+
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness_mod, "run_trial", no_trial)
+        argv = ["verify", "--config", str(CONFIGS / "sccs_verify.json"), "--set", "trials=1"]
+        for override in overrides:
+            argv += ["--set", override]
+        assert _diagnostic(*run_cli(capsys, *argv)) == message
+
+    def test_generate_takes_designs_past_the_trial_day_limit(self, capsys, tmp_path):
+        cfg = json.loads((CONFIGS / "sccs_verify.json").read_text())
+        cfg = write_json(tmp_path / "gen.json", {
+            "method": "sccs", "count": 1, "master_seed": 3, "generator": cfg["generator"],
+        })
+        code, out, _ = run_cli(capsys, "generate", "--config", cfg,
+                               "--set", "generator.design.total_days=1048577")
+        assert code == 0
+        assert json.loads(out)["design"]["total_days"] == 1048577
+
     def test_report_is_rendered_once(self, capsys, tmp_path, monkeypatch):
         # One render a report keeps the benchmark's jsonio spans one a report.
         from pacc import _jsonio

@@ -35,7 +35,7 @@ from pacc.sccs import (
     SccsParams,
     TwoPointLaw,
     law_from_dict,
-    sccs_cell_table,
+    sccs_trial_law,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -302,10 +302,11 @@ class TestVerify:
         import pacc.harness as harness_mod
         from pacc.core import GenerationFailureError
 
-        def exploding_generate(*args, **kwargs):
-            raise GenerationFailureError("retry budget exhausted")
+        class ExplodingLaw:
+            def draw(self, gen):
+                raise GenerationFailureError("retry budget exhausted")
 
-        monkeypatch.setattr(harness_mod, "draw_cell_counts", exploding_generate)
+        monkeypatch.setattr(harness_mod, "sccs_trial_law", lambda *args: ExplodingLaw())
         report = verify(sccs_spec(trials=3))
         assert report.errors == 3
         assert all(not t.correct for t in report.per_trial)
@@ -330,31 +331,35 @@ class TestVerify:
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
 
-    def test_sccs_designs_past_the_cell_cap_redraw_case_by_case(self, monkeypatch):
+    def test_sccs_designs_past_the_old_cell_cap_run_the_same_path(self, monkeypatch):
+        # 1000/200 days once passed the 2-D cell table's cap and was drawn
+        # case by case; every design now draws from its trial law.
         import pacc.harness as harness_mod
-        from pacc.core import GenerationFailureError
 
-        def exploding_generate(*args, **kwargs):
-            raise GenerationFailureError("retry budget exhausted")
+        designs = []
 
-        monkeypatch.setattr(harness_mod, "draw_sccs_counts", exploding_generate)
+        def recording_law(design, params, cases):
+            designs.append(design)
+            return sccs_trial_law(design, params, cases)
+
+        monkeypatch.setattr(harness_mod, "sccs_trial_law", recording_law)
         wide = replace(
             sccs_spec().generator_params, design=SccsDesign(total_days=1000, exposure_days=200)
         )
-        failed = verify(sccs_spec(trials=2, generator_params=wide))
-        assert all("GenerationFailureError" in t.failure for t in failed.per_trial)
+        assert verify(sccs_spec(trials=2, generator_params=wide)).errors == 0
         assert verify(sccs_spec(trials=2)).errors == 0
+        assert designs == [wide.design, sccs_spec().generator_params.design]
 
     def test_trials_are_prepared_once_per_verify_call(self, monkeypatch):
         import pacc.harness as harness_mod
 
         built = []
 
-        def counting_table(design, params):
+        def counting_law(design, params, cases):
             built.append(design)
-            return sccs_cell_table(design, params)
+            return sccs_trial_law(design, params, cases)
 
-        monkeypatch.setattr(harness_mod, "sccs_cell_table", counting_table)
+        monkeypatch.setattr(harness_mod, "sccs_trial_law", counting_law)
         spec = sccs_spec(trials=25, master_seed=1234)
         first = verify(spec)
         assert len(built) == 1
@@ -371,12 +376,12 @@ class TestVerify:
 
         tables = []
 
-        def tracked_table(design, params):
-            table = sccs_cell_table(design, params)
+        def tracked_law(design, params, cases):
+            table = sccs_trial_law(design, params, cases)
             tables.append(weakref.ref(table))
             return table
 
-        monkeypatch.setattr(harness_mod, "sccs_cell_table", tracked_table)
+        monkeypatch.setattr(harness_mod, "sccs_trial_law", tracked_law)
         verify(sccs_spec(trials=6))
         gc.collect()
         assert len(tables) == 1
@@ -410,14 +415,14 @@ class TestVerify:
 
         tables = []
 
-        def tracked_table(design, params):
+        def tracked_law(design, params, cases):
             gc.collect()
             assert all(ref() is None for ref in tables)
-            table = sccs_cell_table(design, params)
+            table = sccs_trial_law(design, params, cases)
             tables.append(weakref.ref(table))
             return table
 
-        monkeypatch.setattr(harness_mod, "sccs_cell_table", tracked_table)
+        monkeypatch.setattr(harness_mod, "sccs_trial_law", tracked_law)
         report = run_command(tmp_path, "sweep", "sccs_sweep", "2", "trials=8")
         assert len(tables) == len(report.grid) == 3
         assert all(r.errors == 0 for r in report.reports)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.stats import binom, binomtest, ks_2samp
+from scipy.signal import fftconvolve
+from scipy.stats import binom, binomtest, chi2, ks_2samp, ttest_1samp
 
 import pacc.sccs as sccs_mod
 from pacc.core import GenerationFailureError, InvalidArgumentError, ModelChoice, split_stream
@@ -13,17 +14,16 @@ from pacc.sccs import (
     SccsDataset,
     SccsDesign,
     SccsParams,
+    SccsTrialLaw,
     TwoPointLaw,
-    draw_cell_counts,
-    draw_sccs_counts,
     generate_sccs,
     law_from_dict,
-    sccs_cell_table,
     sccs_decide,
     sccs_loglik,
     sccs_mle_closed,
     sccs_mle_numeric,
     sccs_sample_size,
+    sccs_trial_law,
 )
 
 DESIGN = SccsDesign(total_days=250, exposure_days=21)
@@ -234,6 +234,42 @@ class TestGeneration:
         assert min(starts) >= 1 and max(starts) <= DESIGN.max_start
 
 
+def one_case_pmf(design: SccsDesign, params: SccsParams) -> tuple[np.ndarray, float]:
+    """The exact law of one accepted case: its (exposed, control) event
+    counts' binomial product mixed over the phi law, without the eventless
+    (0, 0) cell, and the probability that an attempt has an event."""
+    expo, control = design.exposure_days, design.control_days
+    joint = np.zeros((expo + 1, control + 1))
+    for phi, weight in params.phi_law.atoms():
+        joint += weight * np.outer(
+            binom.pmf(np.arange(expo + 1), expo, math.exp(phi + params.beta)),
+            binom.pmf(np.arange(control + 1), control, math.exp(phi)),
+        )
+    accept = 1.0 - joint[0, 0]
+    joint[0, 0] = 0.0
+    return joint / accept, accept
+
+
+def law_pmf(law: SccsTrialLaw) -> np.ndarray:
+    """The one-case (exposed, control) pmf that a trial law's tables give."""
+    expo, control = law.design.exposure_days, law.design.control_days
+    joint = np.zeros((expo + 1, control + 1))
+    for share, atom in zip(law.shares, law.atoms):
+        pa = np.zeros(expo + 1)
+        pa[atom.exposed] = atom.pa
+        pb = np.zeros(control + 1)
+        pb[atom.control] = atom.pb
+        joint += share * atom.ta * np.outer(pa, binom.pmf(np.arange(control + 1), control, atom.p0))
+        joint[0] += share * (1.0 - atom.ta) * pb
+    return joint
+
+
+def draw_totals(law: SccsTrialLaw, seed: int, trials: int) -> np.ndarray:
+    """(nu1, nu2) of ``trials`` draws from the law on streams (seed, 0..)."""
+    drawn = (law.draw(split_stream(seed, i)) for i in range(trials))
+    return np.array([(counts.nu1, counts.nu2) for counts in drawn])
+
+
 class TestCountDraw:
     # Low baselines make about 30% of draws event-free, so the redraw
     # conditioning shapes the law being compared.
@@ -246,21 +282,20 @@ class TestCountDraw:
     @pytest.mark.parametrize("beta", [0.0, math.log(2.0)])
     def test_totals_match_record_level_law(self, law, beta):
         params = SccsParams(phi_law=self.LAWS[law], beta=beta, lambda_floor=0.005)
-        records, counts = [], []
+        records = []
         for i in range(300):
             ds = generate_sccs(DESIGN, params, 100, split_stream(31, i))
             records.append((ds.nu1, ds.nu2))
-            drawn = draw_sccs_counts(DESIGN, params, 100, split_stream(32, i))
-            counts.append((drawn.nu1, drawn.nu2))
-        records, counts = np.array(records), np.array(counts)
+        records = np.array(records)
+        drawn = draw_totals(sccs_trial_law(DESIGN, params, 100), 32, 300)
         for column in (0, 1):
-            assert ks_2samp(records[:, column], counts[:, column]).pvalue >= 1e-3
+            assert ks_2samp(records[:, column], drawn[:, column]).pvalue >= 1e-3
 
     def test_budget_exhaustion_raises(self, monkeypatch):
         monkeypatch.setattr(sccs_mod, "_MAX_ATTEMPTS_PER_CASE", 50)
         params = SccsParams(phi_law=PointLaw(-30.0), beta=0.0, lambda_floor=1e-14)
         with pytest.raises(GenerationFailureError):
-            draw_sccs_counts(DESIGN, params, 3, split_stream(15, 0))
+            sccs_trial_law(DESIGN, params, 3).draw(split_stream(15, 0))
 
     def test_decision_reads_only_the_totals(self):
         ds = random_dataset(22)
@@ -270,71 +305,116 @@ class TestCountDraw:
 
 
 class TestCellTable:
+    """The trial law's 1-D tables, and the totals drawn from them, against
+    the exact one-case law and the record-level ``generate_sccs``."""
+
     LAWS = TestCountDraw.LAWS
 
     def test_pmf_is_the_mixed_binomial_product_without_the_eventless_cell(self):
         design = SccsDesign(total_days=7, exposure_days=2)
         law = TwoPointLaw(math.log(0.05), math.log(0.3), weight_high=0.25)
         params = SccsParams(phi_law=law, beta=math.log(2.0), lambda_floor=0.05)
-        table = sccs_cell_table(design, params)
-        joint = np.zeros((3, 6))
-        for phi, weight in ((law.low, 0.75), (law.high, 0.25)):
-            joint += weight * np.outer(
-                binom.pmf(np.arange(3), 2, math.exp(phi) * 2.0),
-                binom.pmf(np.arange(6), 5, math.exp(phi)),
-            )
-        assert table.accept == pytest.approx(1.0 - joint[0, 0], rel=1e-13)
-        expected = joint[table.exposed, table.control] / (1.0 - joint[0, 0])
-        np.testing.assert_allclose(table.pmf, expected, rtol=1e-12)
-        assert table.pmf.size == 3 * 6 - 1
-        assert not np.any((table.exposed == 0) & (table.control == 0))
-        assert np.all(np.diff(table.pmf) <= 0.0)
+        trial_law = sccs_trial_law(design, params, 10)
+        expected, accept = one_case_pmf(design, params)
+        assert trial_law.accept == pytest.approx(accept, rel=1e-13)
+        np.testing.assert_allclose(law_pmf(trial_law), expected, rtol=1e-12, atol=1e-300)
+        for atom in trial_law.atoms:
+            assert (atom.exposed.tolist(), atom.control.tolist()) == ([1, 2], [1, 2, 3, 4, 5])
 
     @pytest.mark.parametrize("law", sorted(LAWS))
     @pytest.mark.parametrize("beta", [0.0, math.log(2.0)])
     def test_totals_match_per_case_law(self, law, beta):
+        # A trial's totals sum 500 independent cases, so their mean and
+        # variance are 500 times one case's, and near normal.
         params = SccsParams(phi_law=self.LAWS[law], beta=beta, lambda_floor=0.005)
-        table = sccs_cell_table(DESIGN, params)
-        per_case, tabled = [], []
-        for i in range(400):
-            drawn = draw_sccs_counts(DESIGN, params, 500, split_stream(33, i))
-            per_case.append((drawn.nu1, drawn.nu2))
-            drawn = draw_cell_counts(DESIGN, table, 500, split_stream(34, i))
-            tabled.append((drawn.nu1, drawn.nu2))
-        per_case, tabled = np.array(per_case), np.array(tabled)
+        pmf, _ = one_case_pmf(DESIGN, params)
+        trials, cases = 400, 500
+        drawn = draw_totals(sccs_trial_law(DESIGN, params, cases), 34, trials)
+        for column, marginal in enumerate((pmf.sum(axis=1), pmf.sum(axis=0))):
+            values = np.arange(marginal.size)
+            mean = cases * (marginal @ values)
+            variance = cases * (marginal @ values**2) - mean**2 / cases
+            assert ttest_1samp(drawn[:, column], mean).pvalue >= 1e-3
+            scaled = (trials - 1) * drawn[:, column].var(ddof=1) / variance
+            assert 2.0 * min(chi2.cdf(scaled, trials - 1), chi2.sf(scaled, trials - 1)) >= 1e-3
+
+    @pytest.mark.parametrize("law", ["point", "two_point"])
+    def test_decision_rate_matches_the_exact_rate(self, law):
+        # c2's design under M2 at 8 cases, where M1 is chosen often. The
+        # exact rate comes from 8-fold convolution of the one-case pmf;
+        # M1 is chosen where c * nu1 >= sqrt(delta) * e * nu2.
+        laws = {
+            "point": PointLaw(math.log(0.05)),
+            "two_point": TwoPointLaw(math.log(0.05), math.log(0.4), weight_high=0.05),
+        }
+        params = SccsParams(phi_law=laws[law], beta=0.0, lambda_floor=0.05)
+        cases, delta, trials = 8, 2.0, 20_000
+        pmf, _ = one_case_pmf(DESIGN, params)
+        totals = np.ones((1, 1))
+        for _ in range(cases):
+            totals = np.clip(fftconvolve(totals, pmf), 0.0, None)
+        nu1, nu2 = np.ogrid[: totals.shape[0], : totals.shape[1]]
+        chooses_m1 = DESIGN.control_days * nu1 >= math.sqrt(delta) * DESIGN.exposure_days * nu2
+        exact = totals[chooses_m1].sum() / totals.sum()
+        if law == "point":
+            assert exact == pytest.approx(0.1306, abs=5e-5)
+        trial_law = sccs_trial_law(DESIGN, params, cases)
+        chosen = sum(
+            sccs_decide(trial_law.draw(split_stream(40, i)), delta).chosen is ModelChoice.M1
+            for i in range(trials)
+        )
+        assert binomtest(chosen, trials, exact).pvalue >= 1e-3
+
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    def test_designs_past_the_old_cell_cap_draw_the_record_level_law(self, law):
+        # 1000/200 days has 201 * 801 (exposed, control) cells, past the
+        # 2**17 that a 2-D table was once limited to.
+        design = SccsDesign(total_days=1000, exposure_days=200)
+        params = SccsParams(phi_law=self.LAWS[law], beta=math.log(2.0), lambda_floor=0.005)
+        records = []
+        for i in range(200):
+            ds = generate_sccs(design, params, 50, split_stream(41, i))
+            records.append((ds.nu1, ds.nu2))
+        records = np.array(records)
+        drawn = draw_totals(sccs_trial_law(design, params, 50), 42, 200)
         for column in (0, 1):
-            assert ks_2samp(per_case[:, column], tabled[:, column]).pvalue >= 1e-3
+            assert ks_2samp(records[:, column], drawn[:, column]).pvalue >= 1e-3
 
     def test_certain_events_fill_every_day(self):
         params = SccsParams(phi_law=PointLaw(0.0), beta=0.0, lambda_floor=0.5)
-        table = sccs_cell_table(DESIGN, params)
-        assert (table.exposed.tolist(), table.control.tolist(), table.accept) == ([21], [229], 1.0)
-        counts = draw_cell_counts(DESIGN, table, 40, split_stream(35, 0))
+        law = sccs_trial_law(DESIGN, params, 40)
+        (atom,) = law.atoms
+        assert (law.accept, atom.ta, atom.exposed.tolist(), atom.pa.tolist()) == (
+            1.0, 1.0, [21], [1.0]
+        )
+        counts = law.draw(split_stream(35, 0))
         assert (counts.nu1, counts.nu2) == (40 * 21, 40 * 229)
-        assert counts == draw_sccs_counts(DESIGN, params, 40, split_stream(35, 0))
+        records = generate_sccs(DESIGN, params, 40, split_stream(35, 0))
+        assert (records.nu1, records.nu2) == (counts.nu1, counts.nu2)
 
     def test_near_zero_rate_fails_every_trial_on_both_paths(self, monkeypatch):
         monkeypatch.setattr(sccs_mod, "_MAX_ATTEMPTS_PER_CASE", 50)
         params = SccsParams(phi_law=PointLaw(-30.0), beta=0.0, lambda_floor=1e-14)
-        table = sccs_cell_table(DESIGN, params)
+        law = sccs_trial_law(DESIGN, params, 3)
         for i in range(20):
-            with pytest.raises(GenerationFailureError):
-                draw_sccs_counts(DESIGN, params, 3, split_stream(36, i))
             with pytest.raises(GenerationFailureError, match="after 150 attempts"):
-                draw_cell_counts(DESIGN, table, 3, split_stream(36, i))
+                generate_sccs(DESIGN, params, 3, split_stream(36, i))
+            with pytest.raises(GenerationFailureError, match="after 150 attempts"):
+                law.draw(split_stream(36, i))
 
     def test_budget_failure_share_matches_per_case_redraws(self, monkeypatch):
         # About half of all attempts are eventless and each case may take
         # two, so the 40-attempt budget for 20 cases runs out in ~40% of
-        # trials.
+        # trials, for the law's one binomial draw and for generate_sccs's
+        # per-case redraws alike.
         monkeypatch.setattr(sccs_mod, "_MAX_ATTEMPTS_PER_CASE", 2)
         rate = 1.0 - 0.5 ** (1.0 / DESIGN.total_days)
         params = SccsParams(phi_law=PointLaw(math.log(rate)), beta=0.0, lambda_floor=rate / 2)
-        table = sccs_cell_table(DESIGN, params)
-        assert table.accept == pytest.approx(0.5, rel=1e-12)
+        law = sccs_trial_law(DESIGN, params, 20)
+        assert law.accept == pytest.approx(0.5, rel=1e-12)
         draws = {
-            "per_case": (37, lambda gen: draw_sccs_counts(DESIGN, params, 20, gen)),
-            "table": (38, lambda gen: draw_cell_counts(DESIGN, table, 20, gen)),
+            "per_case": (37, lambda gen: generate_sccs(DESIGN, params, 20, gen)),
+            "table": (38, law.draw),
         }
         failed = dict.fromkeys(draws, 0)
         trials = 1000
@@ -354,17 +434,25 @@ class TestCellTable:
 
     def test_budget_past_int64_is_an_invalid_argument(self):
         params = SccsParams(phi_law=PointLaw(math.log(0.02)), beta=0.0, lambda_floor=0.01)
-        table = sccs_cell_table(DESIGN, params)
         most = (2**63 - 1) // 1_000_000
-        counts = draw_cell_counts(DESIGN, table, most, split_stream(39, 0))
+        counts = sccs_trial_law(DESIGN, params, most).draw(split_stream(39, 0))
         assert counts.nu1 + counts.nu2 >= most
         with pytest.raises(InvalidArgumentError, match=f"cases must be at most {most}"):
-            draw_cell_counts(DESIGN, table, most + 1, split_stream(39, 0))
+            sccs_trial_law(DESIGN, params, most + 1)
 
-    def test_designs_past_the_cell_cap_have_no_table(self):
+    def test_days_and_cases_times_days_are_checked_at_their_limits(self):
+        # At 2**20 days and (2**63 - 1) // 2**20 cases both limits are
+        # met exactly: the tables are built and a draw stays in int64.
         params = SccsParams(phi_law=PointLaw(math.log(0.02)), beta=0.0, lambda_floor=0.01)
-        assert sccs_cell_table(SccsDesign(1000, 200), params) is None
-        assert sccs_cell_table(SccsDesign(600, 200), params) is not None
+        days, most = 2**20, (2**63 - 1) // 2**20
+        design = SccsDesign(total_days=days, exposure_days=21)
+        counts = sccs_trial_law(design, params, most).draw(split_stream(43, 0))
+        assert most * 0.02 * days * 0.99 < counts.nu1 + counts.nu2 < most * 0.02 * days * 1.01
+        with pytest.raises(InvalidArgumentError, match=r"cases \* total_days must be at most"):
+            sccs_trial_law(design, params, most + 1)
+        longer = SccsDesign(total_days=days + 1, exposure_days=21)
+        with pytest.raises(InvalidArgumentError, match=r"at most 2\*\*20 = 1048576 days"):
+            sccs_trial_law(longer, params, 1)
 
 
 class TestSampleSize:

@@ -578,10 +578,9 @@ def sccs_trial_law(design: SccsDesign, params: SccsParams, cases: int) -> SccsTr
         qb, pb, control = _positive_binomial(design.control_days, p0)
         some = qa + (1.0 - qa) * qb
         weights.append(weight * some)
-        atoms.append(_Atom(qa / some if some else 0.0, p0, pa, exposed, pb, control))
+        atoms.append(_Atom(qa / some, p0, pa, exposed, pb, control))
     accept = math.fsum(weights)
-    shares = np.array(weights) / (accept or 1.0)
-    return SccsTrialLaw(design, cases, min(accept, 1.0), shares, tuple(atoms))
+    return SccsTrialLaw(design, cases, min(accept, 1.0), np.array(weights) / accept, tuple(atoms))
 
 
 def sccs_loglik(dataset: SccsDataset, beta: float) -> float:

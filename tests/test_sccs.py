@@ -259,7 +259,8 @@ def law_pmf(law: SccsTrialLaw) -> np.ndarray:
         pa[atom.exposed] = atom.pa
         pb = np.zeros(control + 1)
         pb[atom.control] = atom.pb
-        joint += share * atom.ta * np.outer(pa, binom.pmf(np.arange(control + 1), control, atom.p0))
+        b = binom.pmf(np.arange(control + 1), control, atom.p0)
+        joint += share * atom.ta * np.outer(pa, b)
         joint[0] += share * (1.0 - atom.ta) * pb
     return joint
 
@@ -391,6 +392,16 @@ class TestCellTable:
         assert (counts.nu1, counts.nu2) == (40 * 21, 40 * 229)
         records = generate_sccs(DESIGN, params, 40, split_stream(35, 0))
         assert (records.nu1, records.nu2) == (counts.nu1, counts.nu2)
+
+    def test_an_exposed_rate_of_zero_gives_no_exposed_events(self):
+        # exp(phi + beta) underflows to 0, so no case has an exposed event.
+        params = SccsParams(phi_law=PointLaw(math.log(0.02)), beta=-800.0, lambda_floor=0.01)
+        law = sccs_trial_law(DESIGN, params, 40)
+        assert law.atoms[0].ta == 0.0
+        counts = law.draw(split_stream(44, 0))
+        records = generate_sccs(DESIGN, params, 40, split_stream(44, 0))
+        assert counts.nu1 == records.nu1 == 0
+        assert counts.nu2 >= 40 and records.nu2 >= 40
 
     def test_near_zero_rate_fails_every_trial_on_both_paths(self, monkeypatch):
         monkeypatch.setattr(sccs_mod, "_MAX_ATTEMPTS_PER_CASE", 50)

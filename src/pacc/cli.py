@@ -4,10 +4,12 @@ Subcommands: samplesize | generate | estimate | decide | verify | sweep.
 Configs are JSON files; scalar fields can be overridden on the command
 line with repeated ``--set dotted.path=value`` flags, and ``--seed``
 overrides the master seed. Each subcommand takes only the flags it
-reads, and ``main`` builds only the subparser of the command in
-``argv[0]`` (all six when it names none), since building the other
-parsers costs more than most short commands. stdout carries the payload
-JSON, stderr a structured diagnostic on failure.
+reads, all listed in one table, ``_FLAGS``. ``main`` parses a
+well-formed command line from that table alone; help, abbreviations,
+``--flag=value``, ``--`` and every usage error go to the argparse parser
+that ``build_parser`` builds from the same table, and only then is
+argparse imported. stdout carries the payload JSON, stderr a structured
+diagnostic on failure.
 
 Exit codes: 0 success or verification pass, 1 verification fail,
 2 usage or config error, 3 runtime or data error (an allocation too
@@ -21,10 +23,11 @@ corresponding in-process pipeline exactly.
 
 from __future__ import annotations
 
-import argparse
+import csv
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from pacc import _jsonio
 from pacc.core import (
@@ -64,14 +67,6 @@ class CliError(Exception):
         self.code = code
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """A parser whose usage errors (an unknown flag, a flag value that is
-    not a number) end in the same JSON diagnostic as every other exit 2."""
-
-    def error(self, message: str):
-        raise CliError(_EXIT_USAGE, message)
-
-
 def _emit(payload: dict) -> None:
     sys.stdout.write(_jsonio.dumps(payload))
 
@@ -84,6 +79,8 @@ def _parse_override(text: str) -> tuple[list[str], object]:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
+    except (ValueError, RecursionError) as exc:  # a huge int, deep nesting
+        raise CliError(_EXIT_USAGE, f"--set {path}: {exc}") from exc
     return path.split("."), value
 
 
@@ -114,14 +111,14 @@ def _list_index(node: list, key: str, item: str) -> int:
     )
 
 
-def _load_config(args: argparse.Namespace) -> dict:
+def _load_config(args: SimpleNamespace) -> dict:
     if not args.config:
         raise CliError(_EXIT_USAGE, "this command requires --config PATH")
     try:
         config = json.loads(Path(args.config).read_text())
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(_EXIT_USAGE, f"cannot read config {args.config}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise CliError(_EXIT_USAGE, f"malformed JSON config {args.config}: {exc}") from exc
     if not isinstance(config, dict):
         raise CliError(_EXIT_USAGE, "config root must be a JSON object")
@@ -157,7 +154,7 @@ def _build(factory, what: str):
         raise CliError(_EXIT_USAGE, f"invalid {what}: {exc}") from exc
 
 
-def cmd_samplesize(args: argparse.Namespace) -> int:
+def cmd_samplesize(args: SimpleNamespace) -> int:
     # Each flag's dest is the bound's parameter name and its payload key.
     flags = {k: v for k, v in vars(args).items() if k not in ("command", "method")}
     try:
@@ -181,7 +178,7 @@ def _method(config: dict) -> tuple[str, MethodSpec]:
         raise CliError(_EXIT_USAGE, f"unknown method {name!r}") from None
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
+def cmd_generate(args: SimpleNamespace) -> int:
     config = _load_config(args)
     name, method = _method(config)
     count = _config_whole(config, "count")
@@ -218,7 +215,8 @@ def _read_dataset(method: MethodSpec, config: dict):
     fmt = "json" if path.endswith(".json") else "csv"
     try:
         return method.read(text, fmt)
-    except (PaccError, KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (PaccError, KeyError, TypeError, ValueError, OverflowError, RecursionError,
+            csv.Error) as exc:
         raise CliError(_EXIT_RUNTIME, f"cannot parse input {path}: {exc}") from exc
 
 
@@ -241,7 +239,7 @@ def _apply_rule(method: MethodSpec, config: dict, decide: bool):
         raise CliError(_EXIT_RUNTIME, f"cannot use input {config['input']}: {exc}") from exc
 
 
-def cmd_estimate(args: argparse.Namespace) -> int:
+def cmd_estimate(args: SimpleNamespace) -> int:
     config = _load_config(args)
     _, method = _method(config)
     payload = _apply_rule(method, config, decide=False)
@@ -251,7 +249,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_decide(args: argparse.Namespace) -> int:
+def cmd_decide(args: SimpleNamespace) -> int:
     config = _load_config(args)
     name, method = _method(config)
     decision = _apply_rule(method, config, decide=True)
@@ -262,7 +260,7 @@ def cmd_decide(args: argparse.Namespace) -> int:
     return 0
 
 
-def _emit_report(report: Report, args: argparse.Namespace) -> int:
+def _emit_report(report: Report, args: SimpleNamespace) -> int:
     """Print the JSON report; with ``--out`` also write it, reusing the
     printed text for JSON. Returns the exit code."""
     text = report_json(report)
@@ -274,19 +272,19 @@ def _emit_report(report: Report, args: argparse.Namespace) -> int:
     return 0 if report.passed else _EXIT_VERIFY_FAIL
 
 
-def _check_threads(args: argparse.Namespace) -> None:
+def _check_threads(args: SimpleNamespace) -> None:
     if args.threads < 1:
         raise CliError(_EXIT_USAGE, f"--threads must be at least 1, got {args.threads}")
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     _check_threads(args)
     config = _load_config(args)
     spec = _build(lambda: TrialSpec.from_dict(config), "trial spec")
     return _emit_report(verify(spec), args)
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: SimpleNamespace) -> int:
     _check_threads(args)
     config = _load_config(args)
     grid_dicts = config.pop("grid", None)
@@ -308,60 +306,132 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return _emit_report(adversarial_sweep(base, grid), args)
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``pacc`` parser. When ``command`` names a subcommand, only that
-    subparser is registered, built as in the full parser; otherwise (no
-    arguments, ``-h`` or an unknown name) all six are."""
-    parser = _ArgumentParser(
+_REQUIRED = object()  # the default of a flag argparse requires
+
+# Each command's flags, one (flag, kind, default, help) row each; the dest
+# is the flag without its dashes, "-" read as "_", as argparse derives it.
+# A kind of str, int or float converts the flag's value, a tuple lists its
+# choices, bool marks a switch and list a repeatable str flag. samplesize
+# has one table per method.
+_CONFIG_FLAGS = (
+    ("--config", str, None, "JSON config file"),
+    ("--seed", int, None, "override the master seed"),
+    ("--out", str, None, "output path"),
+    ("--set", list, None, "override a config field by dotted path (repeatable)"),
+)
+_FORMAT_FLAG = ("--format", ("json", "csv"), None, None)
+_THREADS_FLAG = ("--threads", int, 1, "accepted for compatibility; trials run on one thread")
+_BOUND_FLAGS = (("--epsilon", float, _REQUIRED, None), ("--delta", float, _REQUIRED, None))
+_FLAGS = {
+    "samplesize": {
+        "sccs": (*_BOUND_FLAGS, ("--lambda-floor", float, _REQUIRED, None)),
+        "propensity": (*_BOUND_FLAGS, ("--n-covariates", int, _REQUIRED, None)),
+        "iv": (
+            *_BOUND_FLAGS,
+            ("--sigma-dy2", float, 1.0, None),
+            ("--sigma-dz2", float, 1.0, None),
+            ("--alpha", float, 1.0, None),
+            ("--sigma-d2", float, 1.0, None),
+        ),
+    },
+    "generate": (*_CONFIG_FLAGS, _FORMAT_FLAG, ("--include-hidden", bool, False, None)),
+    "estimate": _CONFIG_FLAGS,
+    "decide": _CONFIG_FLAGS,
+    "verify": (*_CONFIG_FLAGS, _FORMAT_FLAG, _THREADS_FLAG),
+    "sweep": (*_CONFIG_FLAGS, _FORMAT_FLAG, _THREADS_FLAG),
+}
+
+
+def parse_flags(argv: list[str]) -> SimpleNamespace | None:
+    """What ``build_parser(argv[0]).parse_args(argv)`` gives a well-formed
+    ``argv``: a command (and a samplesize method), then exact flags of its
+    table, each value not starting with "-" and accepted by the flag's
+    converter or choices. Anything else (help, an abbreviation,
+    ``--flag=value``, ``--``, a missing required flag, any usage error)
+    gives None, and argparse parses it."""
+    flags = _FLAGS.get(argv[0]) if argv else None
+    values, start = {"command": argv[0] if argv else None}, 1
+    if isinstance(flags, dict):
+        values["method"] = argv[1] if len(argv) > 1 else None
+        flags, start = flags.get(values["method"]), 2
+    if flags is None:
+        return None
+    table = {}
+    for flag, kind, default, _ in flags:
+        dest = flag[2:].replace("-", "_")
+        table[flag] = dest, kind
+        values[dest] = default
+    tokens = iter(argv[start:])
+    for token in tokens:
+        if token not in table:
+            return None
+        dest, kind = table[token]
+        if kind is bool:
+            values[dest] = True
+            continue
+        value = next(tokens, "-")  # a missing value goes to argparse too
+        if value.startswith("-"):
+            return None
+        if kind is list:
+            values[dest] = [*(values[dest] or ()), value]
+        elif isinstance(kind, tuple):
+            if value not in kind:
+                return None
+            values[dest] = value
+        else:
+            try:
+                values[dest] = kind(value)
+            except ValueError:
+                return None
+    if any(default is _REQUIRED for default in values.values()):
+        return None
+    return SimpleNamespace(**values)
+
+
+def build_parser(command: str | None = None):
+    """The ``pacc`` argparse parser, built from ``_FLAGS``. When ``command``
+    names a subcommand, only that subparser is registered, built as in the
+    full parser; otherwise (no arguments, ``-h`` or an unknown name) all
+    six are. Usage errors raise CliError, so they end in the same JSON
+    diagnostic as every other exit 2."""
+    import argparse
+
+    class ArgumentParser(argparse.ArgumentParser):
+        def error(self, message: str):
+            raise CliError(_EXIT_USAGE, message)
+
+    parser = ArgumentParser(
         prog="pacc",
         description="Simulate, decide, and certify PACC causal discovery procedures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in (command,) if command in _COMMANDS else _COMMANDS:
         if name == "samplesize":
-            _add_samplesize(sub.add_parser(name, help="evaluate a method's sample-size bound"))
-            continue
-        p = sub.add_parser(name, help=f"run the {name} command")
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--seed", type=int, help="override the master seed")
-        p.add_argument("--out", help="output path")
-        p.add_argument(
-            "--set",
-            action="append",
-            metavar="PATH=VALUE",
-            help="override a config field by dotted path (repeatable)",
-        )
-        if name in ("generate", "verify", "sweep"):
-            p.add_argument("--format", choices=["json", "csv"], default=None)
-        if name == "generate":
-            p.add_argument("--include-hidden", action="store_true")
-        if name in ("verify", "sweep"):
-            p.add_argument(
-                "--threads",
-                type=int,
-                default=1,
-                help="accepted for compatibility; trials run on one thread",
-            )
+            size = sub.add_parser(name, help="evaluate a method's sample-size bound")
+            methods = size.add_subparsers(dest="method", required=True)
+            for method, flags in _FLAGS[name].items():
+                _add_flags(methods.add_parser(method), flags)
+        else:
+            _add_flags(sub.add_parser(name, help=f"run the {name} command"), _FLAGS[name])
     return parser
 
 
-def _add_samplesize(size: argparse.ArgumentParser) -> None:
-    size_sub = size.add_subparsers(dest="method", required=True)
-    sccs_p = size_sub.add_parser("sccs")
-    sccs_p.add_argument("--epsilon", type=float, required=True)
-    sccs_p.add_argument("--delta", type=float, required=True)
-    sccs_p.add_argument("--lambda-floor", dest="lambda_floor", type=float, required=True)
-    ps_p = size_sub.add_parser("propensity")
-    ps_p.add_argument("--epsilon", type=float, required=True)
-    ps_p.add_argument("--delta", type=float, required=True)
-    ps_p.add_argument("--n-covariates", dest="n_covariates", type=int, required=True)
-    iv_p = size_sub.add_parser("iv")
-    iv_p.add_argument("--epsilon", type=float, required=True)
-    iv_p.add_argument("--delta", type=float, required=True)
-    iv_p.add_argument("--sigma-dy2", dest="sigma_dy2", type=float, default=1.0)
-    iv_p.add_argument("--sigma-dz2", dest="sigma_dz2", type=float, default=1.0)
-    iv_p.add_argument("--alpha", type=float, default=1.0)
-    iv_p.add_argument("--sigma-d2", dest="sigma_d2", type=float, default=1.0)
+def _add_flags(parser, flags) -> None:
+    for flag, kind, default, help_text in flags:
+        options = {"help": help_text}
+        if default is _REQUIRED:
+            options["required"] = True
+        else:
+            options["default"] = default
+        if kind is bool:
+            options["action"] = "store_true"
+        elif kind is list:
+            options.update(action="append", metavar="PATH=VALUE")
+        elif isinstance(kind, tuple):
+            options["choices"] = kind
+        elif kind is not str:
+            options["type"] = kind
+        parser.add_argument(flag, **options)
 
 
 _COMMANDS = {
@@ -378,7 +448,10 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        args = parse_flags(argv)
+        if args is None:
+            parser = build_parser(argv[0] if argv else None)
+            args = SimpleNamespace(**vars(parser.parse_args(argv)))
         return _COMMANDS[args.command](args)
     except SystemExit as exc:  # --help
         return exc.code if isinstance(exc.code, int) else _EXIT_USAGE

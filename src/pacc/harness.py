@@ -765,6 +765,8 @@ def read_report(path: str | Path) -> Report:
         raise PaccError(f"cannot read report from {path}: {exc}") from exc
     except ValueError as exc:
         raise InvalidArgumentError(f"report {path} is not JSON: {exc}") from None
+    except RecursionError as exc:
+        raise InvalidArgumentError(f"report {path} nests too deeply to read: {exc}") from None
     if type(payload) is not dict or payload.get("schema") != REPORT_SCHEMA:
         raise InvalidArgumentError(f"unrecognised report schema in {path}")
     kind = payload.get("kind")

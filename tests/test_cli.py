@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import re
@@ -5,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pacc import cli
 from pacc.cli import main
@@ -673,6 +676,11 @@ class TestSweep:
         assert code == 2
 
 
+# JSON that Python's json module cannot read: arrays nested past the
+# recursion limit, and an int past the 4,300-digit conversion limit.
+UNREADABLE_JSON = {"deep": "[" * 100_000 + "]" * 100_000, "huge_int": "1" * 5_000}
+
+
 class TestUsage:
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
@@ -829,6 +837,51 @@ class TestUsage:
         assert code == 2
         assert out == ""
         assert json.loads(err)["message"].startswith(f"cannot read config {cfg}: ")
+
+    @pytest.mark.parametrize("kind", sorted(UNREADABLE_JSON))
+    def test_config_json_cannot_read_exits_2(self, capsys, tmp_path, kind):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"method": "iv2sls", "trials": %s}' % UNREADABLE_JSON[kind])
+        message = _diagnostic(*run_cli(capsys, "verify", "--config", str(cfg)))
+        assert message.startswith(f"malformed JSON config {cfg}: ")
+
+    @pytest.mark.parametrize("kind", sorted(UNREADABLE_JSON))
+    def test_set_value_json_cannot_read_exits_2(self, capsys, kind):
+        message = _diagnostic(*run_cli(
+            capsys, "verify", "--config", str(CONFIGS / "iv_verify.json"),
+            "--set", f"trials={UNREADABLE_JSON[kind]}",
+        ))
+        assert message.startswith("--set trials: ")
+
+    def test_set_value_that_is_not_json_is_a_string(self, capsys):
+        message = _diagnostic(*run_cli(
+            capsys, "verify", "--config", str(CONFIGS / "iv_verify.json"), "--set", "trials=[1",
+        ))
+        assert message == "invalid trial spec: trials must be a whole number, got '[1'"
+
+    @pytest.mark.parametrize("method", ["sccs", "propensity"])
+    @pytest.mark.parametrize("kind", sorted(UNREADABLE_JSON))
+    def test_input_json_cannot_read_exits_3(self, capsys, tmp_path, method, kind):
+        data = tmp_path / "data.json"
+        data.write_text('{"patients": %s}' % UNREADABLE_JSON[kind])
+        cfg = write_json(tmp_path / "dec.json", {
+            "method": method, "input": str(data), "delta": 2, "epsilon": 0.2, "master_seed": 1,
+        })
+        code, out, err = run_cli(capsys, "decide", "--config", cfg)
+        assert (code, out) == (3, "")
+        assert json.loads(err)["message"].startswith(f"cannot parse input {data}: ")
+
+    def test_csv_field_past_the_csv_limit_exits_3(self, capsys, tmp_path):
+        data = tmp_path / "iv.csv"
+        data.write_text("d,z,y\n" + "1" * 200_000 + ",1,1\n")
+        cfg = write_json(tmp_path / "dec.json", {
+            "method": "iv2sls", "input": str(data), "delta": 0.5,
+        })
+        code, out, err = run_cli(capsys, "decide", "--config", cfg)
+        assert (code, out) == (3, "")
+        assert json.loads(err)["message"] == (
+            f"cannot parse input {data}: field larger than field limit (131072)"
+        )
 
     @pytest.mark.parametrize("command, flag", [
         ("generate", "--threads=2"),
@@ -1035,8 +1088,9 @@ README_FLAGS = _readme_flags()
 
 
 class TestParser:
-    """Each command builds only its own parser, and what a user sees of the
-    parser is what the README says."""
+    """A well-formed command builds no argparse parser, any other builds
+    only its own, and what a user sees of the parser is what the README
+    says."""
 
     @staticmethod
     def _iv_config(tmp_path, command):
@@ -1084,19 +1138,65 @@ class TestParser:
         assert message.startswith(prefix)
         assert re.findall(r"[a-z]+", message[len(prefix):]) == list(COMMANDS)
 
-    @pytest.mark.parametrize("command", ["verify", "sweep"])
-    def test_a_command_builds_two_parsers(self, capsys, tmp_path, monkeypatch, command):
+    @staticmethod
+    def _count_parsers(monkeypatch) -> list:
+        """The prog of every argparse parser built from now on."""
+        import argparse
+
         built = []
-        init = cli._ArgumentParser.__init__
+        init = argparse.ArgumentParser.__init__
 
         def counting_init(self, *args, **kwargs):
             built.append(kwargs.get("prog"))
             init(self, *args, **kwargs)
 
-        monkeypatch.setattr(cli._ArgumentParser, "__init__", counting_init)
-        code, out, err = run_cli(capsys, command, "--config", self._iv_config(tmp_path, command))
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        return built
+
+    @pytest.mark.parametrize("command", ["verify", "sweep"])
+    def test_a_well_formed_command_builds_no_parser(self, capsys, tmp_path, monkeypatch,
+                                                    command):
+        built = self._count_parsers(monkeypatch)
+        code, out, err = run_cli(
+            capsys, command, "--config", self._iv_config(tmp_path, command), "--seed", "5",
+            "--set", "trials=2", "--threads", "2", "--format", "json",
+        )
         assert code in (0, 1) and json.loads(out)["kind"], err
-        assert built == ["pacc", f"pacc {command}"]
+        assert built == []
+
+    def test_help_and_usage_errors_build_the_parsers(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        built = self._count_parsers(monkeypatch)
+        code, out, err = run_cli(capsys, "verify", "--help")
+        assert (code, err) == (0, "")
+        assert out == (
+            "usage: pacc verify [-h] [--config CONFIG] [--seed SEED] [--out OUT]\n"
+            "                   [--set PATH=VALUE] [--format {json,csv}]\n"
+            "                   [--threads THREADS]\n"
+            "\n"
+            "options:\n"
+            "  -h, --help           show this help message and exit\n"
+            "  --config CONFIG      JSON config file\n"
+            "  --seed SEED          override the master seed\n"
+            "  --out OUT            output path\n"
+            "  --set PATH=VALUE     override a config field by dotted path (repeatable)\n"
+            "  --format {json,csv}\n"
+            "  --threads THREADS    accepted for compatibility; trials run on one thread\n"
+        )
+        assert built == ["pacc", "pacc verify"]
+        built.clear()
+        assert _diagnostic(*run_cli(capsys, "foo")) == (
+            "argument command: invalid choice: 'foo' (choose from 'samplesize', "
+            "'generate', 'estimate', 'decide', 'verify', 'sweep')"
+        )
+        assert built == [
+            "pacc", "pacc samplesize", "pacc samplesize sccs", "pacc samplesize propensity",
+            "pacc samplesize iv", *(f"pacc {name}" for name in COMMANDS[1:]),
+        ]
+        built.clear()
+        message = _diagnostic(*run_cli(capsys, "verify", "--config", "x.json", "--bogus"))
+        assert message == "unrecognized arguments: --bogus"
+        assert built == ["pacc", "pacc verify"]
 
     @pytest.mark.parametrize("command", ["verify", "sweep"])
     @pytest.mark.parametrize("threads", ["0", "-2"])
@@ -1104,3 +1204,134 @@ class TestParser:
         cfg = self._iv_config(tmp_path, command)
         message = _diagnostic(*run_cli(capsys, command, "--config", cfg, "--threads", threads))
         assert message == f"--threads must be at least 1, got {threads}"
+
+
+def _argparse_namespace(argv):
+    """What the argparse parser gives ``argv``, or None when it exits or
+    raises a usage error; help and usage text are swallowed."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return cli.build_parser(argv[0] if argv else None).parse_args(argv)
+        except (cli.CliError, SystemExit):
+            return None
+
+
+def _items(namespace) -> str:
+    # repr tells 5 from 5.0 and keeps nan equal to nan; the order of the
+    # items is the order of a samplesize payload's keys.
+    return repr(list(vars(namespace).items()))
+
+
+_TABLES = {
+    **{(name,): flags for name, flags in cli._FLAGS.items() if name != "samplesize"},
+    **{("samplesize", m): flags for m, flags in cli._FLAGS["samplesize"].items()},
+}
+_ALL_FLAGS = sorted({row[0] for flags in _TABLES.values() for row in flags})
+_VALUES = st.one_of(
+    st.sampled_from([
+        "1", "0", "-1", "2.5", "1e-3", "nan", "inf", "", " 7", "1_000", "json", "csv",
+        "xml", "x.json", "trials=2", "-", "1" * 5000,
+    ]),
+    st.integers().map(str),
+    st.floats().map(str),
+    st.text(max_size=4),
+)
+_FLAG_TOKENS = st.one_of(
+    st.sampled_from(_ALL_FLAGS),
+    st.builds(lambda flag, cut: flag[:cut], st.sampled_from(_ALL_FLAGS), st.integers(3, 8)),
+    st.builds("{}={}".format, st.sampled_from(_ALL_FLAGS), _VALUES),
+    st.sampled_from(["-h", "--help", "--", "--bogus"]),
+)
+
+
+def _required(flags) -> list:
+    """Each required flag of a table, set to 1."""
+    return [token for flag, _, default, _ in flags if default is cli._REQUIRED
+            for token in (flag, "1")]
+
+
+# A command head with the rows of its table: each command, each samplesize
+# method with its required flags set to 1, a method without them, an
+# unknown name and nothing.
+_HEADS = [
+    *(([*head, *_required(flags)], flags) for head, flags in _TABLES.items()),
+    (["samplesize", "sccs"], _TABLES["samplesize", "sccs"]),
+    (["samplesize"], ()), (["verif"], ()), (["foo"], ()), ([], ()),
+]
+
+
+def _valid_values(kind):
+    """Values the flag's converter or choices accept."""
+    if isinstance(kind, tuple):
+        return st.sampled_from(kind)
+    if kind is int:
+        return st.one_of(st.integers(0).map(str), st.sampled_from([" 7", "1_000", "+3"]))
+    if kind is float:
+        return st.one_of(st.floats(0).map(str), st.sampled_from(["nan", "1e-3", " 2", "0_5"]))
+    return st.one_of(st.sampled_from(["x.json", "trials=2", ""]), st.text(max_size=4).filter(
+        lambda text: not text.startswith("-")))
+
+
+@st.composite
+def _argvs(draw):
+    """A head and up to five flags of its own table, each with a value
+    unless it is a switch, the value mostly one its converter accepts; half
+    of them get one more chunk somewhere: any flag with a value, a
+    flag-like token or a value alone."""
+    head, rows = draw(st.sampled_from(_HEADS))
+    tokens = []
+    for flag, kind, _, _ in draw(st.lists(st.sampled_from(rows), max_size=5)) if rows else ():
+        if kind is bool:
+            tokens.append(flag)
+        else:
+            tokens += [flag, draw(st.one_of(_valid_values(kind), _valid_values(kind), _VALUES))]
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(tokens)))
+        tokens[at:at] = draw(st.one_of(
+            st.tuples(st.sampled_from(_ALL_FLAGS), _VALUES),
+            st.tuples(_FLAG_TOKENS),
+            st.tuples(_VALUES),
+        ))
+    return head + tokens
+
+
+class TestTableParser:
+    """``parse_flags`` parses a well-formed command exactly as argparse
+    would, and leaves everything else to argparse."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(argv=_argvs())
+    def test_agrees_with_argparse(self, argv):
+        fast = cli.parse_flags(argv)
+        slow = _argparse_namespace(argv)
+        if slow is None:
+            assert fast is None
+        elif fast is not None:
+            assert _items(fast) == _items(slow)
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--config", "configs/iv_verify.json", "--threads", "2"],
+        ["sweep", "--config", "c.json", "--seed", "7", "--set", "trials=3", "--set",
+         "epsilon=0.2", "--seed", "8", "--format", "csv", "--out", "r.csv"],
+        ["generate", "--include-hidden", "--format", "json", "--include-hidden"],
+        ["estimate"],
+        ["decide", "--config", "", "--out", "d.json"],
+        ["samplesize", "iv", "--delta", "0.5", "--epsilon", "nan", "--alpha", " 2"],
+        ["samplesize", "sccs", "--epsilon", "0.1", "--delta", "inf", "--lambda-floor", "1e-3"],
+        ["samplesize", "propensity", "--n-covariates", "1_0", "--epsilon", "1", "--delta", "1"],
+    ])
+    def test_well_formed_commands_skip_argparse(self, argv):
+        fast = cli.parse_flags(argv)
+        assert fast is not None
+        assert _items(fast) == _items(_argparse_namespace(argv))
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["verify", "-h"], ["verify", "--help"], ["samplesize", "iv", "--help"],
+        ["verify", "--conf", "c.json"], ["verify", "--config=c.json"], ["verify", "--"],
+        ["verify", "--threads", "-2"], ["verify", "--seed", "x"], ["verify", "--format", "xml"],
+        ["verify", "--config"], ["verify", "c.json"], ["decide", "--threads", "2"],
+        ["samplesize"], ["samplesize", "sccs", "--epsilon", "0.1", "--delta", "2"],
+        ["foo"], ["Verify"],
+    ])
+    def test_everything_else_goes_to_argparse(self, argv):
+        assert cli.parse_flags(argv) is None

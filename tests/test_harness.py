@@ -636,6 +636,14 @@ class TestReports:
         with pytest.raises(InvalidArgumentError, match=re.escape(str(path))):
             read_report(path)
 
+    @pytest.mark.parametrize("value", ["[" * 100_000 + "]" * 100_000, "1" * 5_000],
+                             ids=["deep", "huge_int"])
+    def test_reports_json_cannot_read_raise_invalid_argument(self, tmp_path, value):
+        path = tmp_path / "bad.json"
+        path.write_text('{"schema": "pacc-report/1", "errors": %s}' % value)
+        with pytest.raises(InvalidArgumentError, match=re.escape(str(path))):
+            read_report(path)
+
     @pytest.mark.parametrize("path, value", [
         (("per_trial", 0, "correct"), "false"),
         (("per_trial", 0, "correct"), 0),

@@ -71,3 +71,19 @@ def test_verify_loads_no_module_after_import():
         "print(json.dumps(added))\n"
     )
     assert added == {"iv_verify": [], "ps_verify_fast": [], "sccs_verify": []}
+
+
+def test_well_formed_commands_load_no_argparse():
+    # argparse, and the gettext and locale its first message loads, cost
+    # about 5 ms; a command line the flag table parses needs none of them.
+    loaded = run_python(
+        "import contextlib, io, json, sys\n"
+        "import pacc.cli\n"
+        "for argv in (['verify', '--config', 'configs/iv_verify.json'],\n"
+        "             ['sweep', '--config', 'configs/sccs_sweep.json']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        pacc.cli.main([*argv, '--set', 'trials=2'])\n"
+        "print(json.dumps(sorted(m for m in ('argparse', 'gettext', 'locale')\n"
+        "                        if m in sys.modules)))\n"
+    )
+    assert loaded == []

@@ -8,8 +8,9 @@ reads, all listed in one table, ``_FLAGS``. ``main`` parses a
 well-formed command line from that table alone; help, abbreviations,
 ``--flag=value``, ``--`` and every usage error go to the argparse parser
 that ``build_parser`` builds from the same table, and only then is
-argparse imported. stdout carries the payload JSON, stderr a structured
-diagnostic on failure.
+argparse imported, so abbreviations and ``--flag=value`` keep working.
+stdout carries the payload JSON, stderr a structured diagnostic on
+failure.
 
 Exit codes: 0 success or verification pass, 1 verification fail,
 2 usage or config error, 3 runtime or data error (an allocation too

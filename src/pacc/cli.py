@@ -68,8 +68,12 @@ class CliError(Exception):
         self.code = code
 
 
-def _emit(payload: dict) -> None:
-    sys.stdout.write(_jsonio.dumps(payload))
+def _emit(payload: dict, out: str | None = None) -> None:
+    """Print the payload's JSON; with ``out``, also write that text there."""
+    text = _jsonio.dumps(payload)
+    sys.stdout.write(text)
+    if out:
+        Path(out).write_text(text)
 
 
 def _parse_override(text: str) -> tuple[list[str], object]:
@@ -243,10 +247,7 @@ def _apply_rule(method: MethodSpec, config: dict, decide: bool):
 def cmd_estimate(args: SimpleNamespace) -> int:
     config = _load_config(args)
     _, method = _method(config)
-    payload = _apply_rule(method, config, decide=False)
-    _emit(payload)
-    if args.out:
-        Path(args.out).write_text(_jsonio.dumps(payload))
+    _emit(_apply_rule(method, config, decide=False), args.out)
     return 0
 
 
@@ -254,10 +255,7 @@ def cmd_decide(args: SimpleNamespace) -> int:
     config = _load_config(args)
     name, method = _method(config)
     decision = _apply_rule(method, config, decide=True)
-    payload = {"method": name, "decision": decision.to_dict()}
-    _emit(payload)
-    if args.out:
-        Path(args.out).write_text(_jsonio.dumps(payload))
+    _emit({"method": name, "decision": decision.to_dict()}, args.out)
     return 0
 
 

@@ -273,7 +273,10 @@ class TrialSpec:
     The concept names the method. ``epsilon`` is the error budget being
     certified; ``sample_size`` is an explicit count or AUTO to take the
     method's sample-size bound; ``stream_base`` offsets trial stream ids
-    so sweep points never share streams.
+    so sweep points never share streams. The generator block carries no
+    effect, and it must give a valid model under either truth: a spec
+    whose M1 or M2 is invalid is an InvalidArgumentError, whichever truth
+    it runs.
     """
 
     truth: ModelChoice
@@ -296,12 +299,13 @@ class TrialSpec:
                 f"{self.method.value} needs {entry.params_type.__name__} generator params, "
                 f"got {type(self.generator_params).__name__}"
             )
-        params = self.generator_params
-        if entry.truth_params(params, self.concept.delta, False) != params:
+        params, delta = self.generator_params, self.concept.delta
+        if entry.truth_params(params, delta, False) != params:
             raise InvalidArgumentError(
                 "the treatment effect is derived from truth and concept delta; "
                 "leave it out of the generator block or set it to 0"
             )
+        entry.truth_params(params, delta, True)  # M2 is params; M1 must be valid too
         if self.trials < 1:
             raise InvalidArgumentError("trials must be at least 1")
         if not 0.0 < self.epsilon < 1.0:
@@ -439,7 +443,8 @@ def run_trial(
     normals (IV), the event totals from the model's 1-D trial law (SCCS),
     the fitting slice's tallies and the tail's survivors and outcome sums
     per (covariate configuration, arm) cell (propensity). Only propensity
-    trials past the enumeration limit draw records.
+    trials past the enumeration limit draw records: they run the
+    record-level pipeline.
     ``draw_and_decide`` is the spec's prepared trial
     (``MethodSpec.prepare``), which ``verify`` builds once for all of its
     trials; without it, one is prepared for this call. The trial's stream
@@ -622,10 +627,15 @@ def adversarial_sweep(base: TrialSpec, grid: Sequence[GeneratorParams]) -> Sweep
     stream-id ranges: point k's trials take ids from
     ``base.stream_base + k * base.trials`` on.
 
-    Grid points that violate the method's assumptions (positivity, rate
-    floors, outcome validity under either truth), carry an effect or would
-    take stream ids past 2**64 - 1 are rejected up front with a per-point
-    diagnostic rather than silently skipped.
+    Before the first trial, every point's spec is built and its sample
+    size resolved: points that carry an effect, violate the method's
+    assumptions under either truth (positivity, rate floors, outcome
+    validity) or would take stream ids past 2**64 - 1 are rejected with a
+    per-point diagnostic. A point's trial is prepared just before its own
+    trials, so one trial law is held at a time; a point whose trial cannot
+    be prepared (an SCCS design past the trial-day limit, an explicit size
+    below the propensity N1 + N2) stops the sweep with a diagnostic that
+    names it.
     """
     if len(grid) == 0:
         raise InvalidArgumentError("the sweep grid must be nonempty")
@@ -634,8 +644,6 @@ def adversarial_sweep(base: TrialSpec, grid: Sequence[GeneratorParams]) -> Sweep
     for k, point in enumerate(grid):
         try:
             spec_k = _point_spec(base, k, point)
-            for truth in (ModelChoice.M1, ModelChoice.M2):
-                params_for_truth(replace(spec_k, truth=truth))
             resolve_sample_size(spec_k)
         except PaccError as exc:
             problems.append(f"grid point {k}: {exc}")
@@ -645,7 +653,13 @@ def adversarial_sweep(base: TrialSpec, grid: Sequence[GeneratorParams]) -> Sweep
         raise InvalidArgumentError(
             "sweep rejected; assumption-violating grid points:\n" + "\n".join(problems)
         )
-    return SweepReport(base, tuple(grid), tuple(verify(s) for s in specs))
+    reports = []
+    for k, spec_k in enumerate(specs):
+        try:
+            reports.append(verify(spec_k))
+        except InvalidArgumentError as exc:
+            raise InvalidArgumentError(f"grid point {k}: {exc}") from None
+    return SweepReport(base, tuple(grid), tuple(reports))
 
 
 Report = Union[VerificationReport, SweepReport]
@@ -736,7 +750,8 @@ def report_json(report: Report) -> str:
 
 
 def write_report(report: Report, path: str | Path, format: str = "json") -> None:
-    """Write a report as self-contained JSON or as a flattened CSV."""
+    """Write a report as self-contained JSON or as a flattened CSV; a path
+    that cannot be written raises its OSError."""
     if format == "json":
         text = report_json(report)
     elif format == "csv":
@@ -746,10 +761,7 @@ def write_report(report: Report, path: str | Path, format: str = "json") -> None
             text = _sweep_csv(report)
     else:
         raise InvalidArgumentError(f"unknown report format {format!r}")
-    try:
-        Path(path).write_text(text)
-    except OSError as exc:
-        raise PaccError(f"cannot write report to {path}: {exc}") from exc
+    Path(path).write_text(text)
 
 
 def read_report(path: str | Path) -> Report:

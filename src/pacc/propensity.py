@@ -41,7 +41,6 @@ __all__ = [
     "CellCounts",
     "generate_obs",
     "tally_cells",
-    "draw_cells",
     "fit_logistic",
     "l1_propensity_error",
     "rejection_sample",
@@ -348,22 +347,6 @@ def tally_cells(data: ObsDataset) -> CellCounts:
     return CellCounts(configs, totals, treated)
 
 
-def draw_cells(params: PsParams, count: int, gen: np.random.Generator) -> CellCounts:
-    """Draw the cell tallies of ``count`` records from Q * P directly.
-
-    Same law as ``tally_cells(generate_obs(params, count, gen))``:
-    configuration counts are Multinomial(count, Q) and each cell's treated
-    count is Binomial(total, P(Z=1 | x)). Outcomes are not drawn. Past
-    the enumeration limit the records are drawn and tallied instead. A
-    count past int64, which numpy cannot draw, is an InvalidArgumentError.
-    """
-    _check_drawable(count)
-    table = _cell_table(params)
-    if table is None:
-        return tally_cells(generate_obs(params, count, gen))
-    return table.draw_fitting(count, gen)
-
-
 @dataclass(frozen=True, eq=False)
 class _CellTable:
     """What a drawn trial needs of its parameters; ``ps_trial`` builds one
@@ -384,14 +367,15 @@ class _CellTable:
     p_y: np.ndarray
 
     def draw_fitting(self, count: int, gen: np.random.Generator) -> CellCounts:
+        """``tally_cells(generate_obs(params, count, gen))`` in law, outcomes
+        left out: Multinomial(count, Q) configuration counts and per-cell
+        Binomial(total, P(Z=1 | x)) treated counts."""
         totals = gen.multinomial(count, self.q)
         return CellCounts(self.configs, totals, gen.binomial(totals, self.p_treat))
 
 
-def _cell_table(params: PsParams) -> _CellTable | None:
-    """The trial's cell table, or None past the enumeration limit."""
-    if params.n_covariates > _ENUM_LIMIT:
-        return None
+def _cell_table(params: PsParams) -> _CellTable:
+    """The trial's cell table; past the enumeration limit, an InvalidArgumentError."""
     configs, q = config_probabilities(params)
     p_treat = params.propensity(configs)
     outcome = params.outcome_base + configs @ np.asarray(params.confound_weights)
@@ -641,26 +625,26 @@ def ps_trial(
     function of the trial's generator that draws only what the pipeline reads.
 
     The sizes and their checks (fewer than N1 + N2 records, a size past
-    int64) and the cell table run here, once for every trial. A trial draws
-    the N1 fitting slice as cell tallies and the N2 tail as cell counts
-    (``_cell_pipeline``); past the enumeration limit it draws both slices
-    as records. Records beyond N1 + N2 would never be read, so they are
-    not drawn.
+    int64) and the cell table run here, once for every trial. Within the
+    enumeration limit a trial draws the N1 fitting slice as cell tallies
+    and the N2 tail as cell counts (``_cell_pipeline``); past it, a trial
+    is the record-level pipeline on N1 and then N2 drawn records. Records
+    beyond N1 + N2 would never be read, so they are not drawn.
     """
     sizes = _pipeline_sizes(count, delta, epsilon, params.n_covariates)
     _check_drawable(sizes.n1)
     _check_drawable(sizes.n2)
-    table = _cell_table(params)
-    if table is None:
+    if params.n_covariates > _ENUM_LIMIT:
         return lambda gen: ate_decision(
             _pipeline_from_cells(
-                draw_cells(params, sizes.n1, gen),
+                tally_cells(generate_obs(params, sizes.n1, gen)),
                 generate_obs(params, sizes.n2, gen),
                 sizes,
                 gen,
             ).ate,
             delta,
         )
+    table = _cell_table(params)
     return lambda gen: ate_decision(
         _cell_pipeline(table, table.draw_fitting(sizes.n1, gen), sizes, gen).ate, delta
     )

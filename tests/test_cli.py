@@ -247,6 +247,19 @@ class TestEstimateDecide:
         assert cli_decision["chosen"] == expected.chosen.value
         assert cli_decision["statistic"] == expected.statistic
 
+    @pytest.mark.parametrize("command", ["estimate", "decide"])
+    def test_out_holds_the_printed_payload(self, capsys, tmp_path, command):
+        data = tmp_path / "iv.csv"
+        data.write_text("d,z,y\n1,1,1\n-1,0,0\n1,1,1\n-1,0,0\n")
+        cfg = write_json(tmp_path / "cfg.json", {
+            "method": "iv2sls", "input": str(data), "delta": 0.5,
+        })
+        out_path = tmp_path / "payload.json"
+        code, out, _ = run_cli(capsys, command, "--config", cfg, "--out", str(out_path))
+        assert code == 0
+        assert out_path.read_text() == out
+        assert json.loads(out)["method"] == "iv2sls"
+
     def test_decide_exit_code_never_encodes_the_choice(self, capsys, tmp_path):
         data = tmp_path / "iv.csv"
         data.write_text("d,z,y\n1,1,0\n-1,-1,0\n")  # beta_hat = 0 -> M2
@@ -543,6 +556,33 @@ class TestVerify:
         assert code == 0
         assert len(out_path.read_text().splitlines()) == 31
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_unwritable_out_exits_3_with_the_os_error(self, capsys, tmp_path, fmt):
+        # Every --out is written the same way: the OSError reaches main.
+        cfg = write_json(tmp_path / "verify.json", {**IV_VERIFY_CONFIG, "trials": 3})
+        out_path = tmp_path / "missing" / f"report.{fmt}"
+        code, _, err = run_cli(capsys, "verify", "--config", cfg, "--format", fmt,
+                               "--out", str(out_path))
+        assert code == 3
+        assert json.loads(err) == {
+            "error": "FileNotFoundError",
+            "message": f"[Errno 2] No such file or directory: '{out_path}'",
+        }
+
+    def test_pair_invalid_under_the_other_truth_exits_2(self, capsys, monkeypatch):
+        # Truth M2 runs a valid model, but M1's per-day rate would be 0.6 * 2.
+        import pacc.harness as harness_mod
+
+        monkeypatch.setattr(harness_mod, "run_trial", lambda *args: pytest.fail("a trial ran"))
+        message = _diagnostic(*run_cli(
+            capsys, "verify", "--config", str(CONFIGS / "sccs_verify.json"),
+            "--set", "truth=M2", "--set", f"generator.params.phi_law.value={math.log(0.6)!r}",
+        ))
+        assert message == (
+            "invalid trial spec: per-day event probability exp(phi + max(beta, 0)) = 1.2 "
+            "exceeds 1"
+        )
+
     def test_propensity_sample_size_below_n1_plus_n2_exits_2(self, capsys, tmp_path):
         cfg = write_json(tmp_path / "verify.json", {
             "method": "propensity", "truth": "M2", "epsilon": 0.2,
@@ -668,6 +708,19 @@ class TestSweep:
         ))
         assert message == (
             "--set grid.3.params.lambda_floor=0.3: '3' is not an index of a list of 3 entries"
+        )
+
+    def test_point_whose_trial_cannot_be_prepared_is_named(self, capsys, tmp_path):
+        # Points 0-2 are valid; point 3's design is past the trial-day limit,
+        # which only preparing its trial checks.
+        config = json.loads((CONFIGS / "sccs_sweep.json").read_text())
+        config["grid"].append(json.loads(json.dumps(config["grid"][0])))
+        config["grid"][3]["design"]["total_days"] = 2**20 + 1
+        cfg = write_json(tmp_path / "sweep.json", config)
+        message = _diagnostic(*run_cli(capsys, "sweep", "--config", cfg, "--set", "trials=2"))
+        assert message == (
+            "grid point 3: SCCS trials take designs of at most 2**20 = 1048576 days, "
+            "got total_days 1048577"
         )
 
     def test_missing_grid_exits_2(self, capsys, tmp_path):
@@ -925,6 +978,27 @@ class TestUsage:
     def test_missing_config_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "verify")
         assert code == 2
+
+    @pytest.mark.parametrize("command, config, argv, message", [
+        ("verify", IV_VERIFY_CONFIG, ["--set", "trials=0"],
+         "invalid trial spec: trials must be at least 1"),
+        ("verify", IV_VERIFY_CONFIG, ["--set", "sample_size=0"],
+         "invalid trial spec: sample_size must be a positive count or 'auto'"),
+        ("verify", IV_VERIFY_CONFIG, ["--set", "stream_base=-1"],
+         "invalid trial spec: stream_base must be nonnegative"),
+        ("verify", IV_VERIFY_CONFIG, ["--set", "trials"],
+         "--set expects dotted.path=value, got 'trials'"),
+        ("verify", [IV_VERIFY_CONFIG], [], "config root must be a JSON object"),
+        ("estimate", {"input": "iv.csv", "delta": 0.5}, [],
+         "config is missing required field 'method'"),
+        ("generate", {k: v for k, v in SCCS_GENERATE.items() if k != "generator"}, [],
+         "config needs a 'generator' object"),
+        ("generate", SCCS_GENERATE, ["--format", "csv"], "sccs datasets serialise to JSON only"),
+    ], ids=["trials_0", "sample_size_0", "stream_base_negative", "set_without_equals",
+            "list_root", "missing_method", "missing_generator", "sccs_csv"])
+    def test_config_rejections_exit_2(self, capsys, tmp_path, command, config, argv, message):
+        cfg = write_json(tmp_path / "cfg.json", config)
+        assert _diagnostic(*run_cli(capsys, command, "--config", cfg, *argv)) == message
 
 
 def _committed_blocks():

@@ -123,6 +123,21 @@ class TestSpecValidation:
         with pytest.raises(InvalidArgumentError):
             iv_spec(generator_params=IvParams(alpha=1.0, beta=0.3))
 
+    @pytest.mark.parametrize("truth", list(ModelChoice))
+    @pytest.mark.parametrize("spec, params, message", [
+        # exp(phi) * delta = 1.2: a valid M2 whose M1 rate exceeds 1.
+        (sccs_spec, SccsModel(SccsDesign(250, 21), SccsParams(
+            phi_law=PointLaw(math.log(0.6)), beta=0.0, lambda_floor=0.01)),
+         r"= 1\.2 exceeds 1"),
+        # outcome_base + delta + the confounding reaches 1.04 under M1.
+        (ps_spec, replace(ps_spec().generator_params, outcome_base=0.15),
+         r"span \[0\.15, 1\.04\]"),
+    ], ids=["sccs", "propensity"])
+    def test_pair_invalid_under_m1_rejected_whichever_truth_runs(self, truth, spec, params,
+                                                                 message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            spec(truth, generator_params=params)
+
     def test_stream_ids_must_fit_64_bits(self):
         # Checked when the spec is built, not at the first trial past the limit.
         for seed in (-1, 2**64):
@@ -483,6 +498,23 @@ class TestSweep:
         with pytest.raises(InvalidArgumentError, match="grid point 1"):
             adversarial_sweep(base, [good, bad])
 
+    def test_grid_point_whose_trial_cannot_be_prepared_is_named(self, monkeypatch):
+        import pacc.harness as harness_mod
+
+        ran = []
+        run = harness_mod.run_trial
+        monkeypatch.setattr(harness_mod, "run_trial", lambda *args: ran.append(args) or run(*args))
+        # 97,890 records are N1 + N2 for 3 covariates, short of the 125,916 for 4.
+        base = ps_spec(trials=2, sample_size=97_890)
+        wider = PsParams(
+            n_covariates=4, treat_weights=(0.25,) * 4, treat_bias=-0.5, positivity_floor=0.2,
+            outcome_base=0.05, effect=0.0, confound_weights=(0.03,) * 4,
+        )
+        with pytest.raises(InvalidArgumentError,
+                           match=r"^grid point 1: pipeline needs N1 \+ N2 = 125916 records"):
+            adversarial_sweep(base, [base.generator_params, wider])
+        assert [index for _, index, _ in ran] == [0, 1]
+
     def test_grid_point_with_an_effect_is_named(self):
         base = iv_spec(trials=5)
         with pytest.raises(InvalidArgumentError, match="grid point 1: the treatment effect"):
@@ -749,6 +781,15 @@ class TestReports:
             tampered.write_text(json.dumps({**payload, **edits}))
             with pytest.raises(InvalidArgumentError, match=field):
                 read_report(tampered)
+
+    def test_spec_with_an_invalid_pair_is_rejected(self, tmp_path):
+        # A report verified under M2 at a block whose M1 rate would be 1.2.
+        payload = verify(sccs_spec(trials=3)).to_dict()
+        payload["spec"]["generator"]["params"]["phi_law"]["value"] = math.log(0.6)
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(payload))
+        with pytest.raises(InvalidArgumentError, match=r"tampered\.json: .* = 1\.2 exceeds 1"):
+            read_report(tampered)
 
     def test_non_finite_strings_read_back_as_floats(self, tmp_path):
         report = verify(iv_spec(trials=5))

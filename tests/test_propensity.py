@@ -20,6 +20,7 @@ from pacc.propensity import (
     PsParams,
     PsSampleSizes,
     ate,
+    ate_decision,
     _cell_pipeline,
     _cell_table,
     _fit_cells,
@@ -27,7 +28,6 @@ from pacc.propensity import (
     _sigmoid,
     _weighted_median,
     config_probabilities,
-    draw_cells,
     fit_logistic,
     generate_obs,
     l1_propensity_error,
@@ -207,6 +207,7 @@ class TestCellDraw:
         # Two-sample tests over 300 streams each: drawn cell tallies vs
         # tallies of generated records, per cell, and the fits on them.
         params = confounded_params(n=3)
+        table = _cell_table(params)
         tallied, drawn, fit_tallied, fit_drawn = [], [], [], []
         for i in range(300):
             data = generate_obs(params, 2_000, split_stream(33, i))
@@ -214,7 +215,7 @@ class TestCellDraw:
             tallied.append(np.concatenate([cells.totals, cells.treated]))
             model = fit_logistic(data)
             fit_tallied.append(model.weights + (model.bias,))
-            cells = draw_cells(params, 2_000, split_stream(34, i))
+            cells = table.draw_fitting(2_000, split_stream(34, i))
             drawn.append(np.concatenate([cells.totals, cells.treated]))
             model = _fit_cells(cells)
             fit_drawn.append(model.weights + (model.bias,))
@@ -222,14 +223,6 @@ class TestCellDraw:
             a, b = np.array(a, dtype=np.float64), np.array(b, dtype=np.float64)
             for column in range(a.shape[1]):
                 assert ks_2samp(a[:, column], b[:, column]).pvalue >= 1e-3
-
-    def test_beyond_enumeration_limit_tallies_records(self):
-        cells = draw_cells(flat_params(n=21), 50, split_stream(35, 0))
-        assert cells.totals.sum() == 50 and cells.configs.shape[1] == 21
-
-    def test_count_past_int64_rejected(self):
-        with pytest.raises(InvalidArgumentError, match="at most 2\\*\\*63 - 1"):
-            draw_cells(flat_params(), 2**63, split_stream(35, 1))
 
     def test_drawn_pipeline_needs_n1_plus_n2(self):
         # The prepared trial checks the sizes once, before any trial draws.
@@ -251,7 +244,7 @@ class TestCellTail:
         results = []
         for i in range(trials):
             gen = split_stream(seed, i)
-            cells = draw_cells(params, sizes.n1, gen)
+            cells = table.draw_fitting(sizes.n1, gen)
             try:
                 if cell_level:
                     result = _cell_pipeline(table, cells, sizes, gen)
@@ -297,7 +290,7 @@ class TestCellTail:
         sizes = PsSampleSizes(gamma=0.1, n1=200, n3=1, n2=50)
         gen = split_stream(41, 0)
         with pytest.raises(UndefinedAteError, match=r"^both arms .*\(treated=0, control="):
-            _cell_pipeline(table, draw_cells(params, sizes.n1, gen), sizes, gen)
+            _cell_pipeline(table, table.draw_fitting(sizes.n1, gen), sizes, gen)
 
     @pytest.mark.parametrize(
         "values, counts",
@@ -364,11 +357,32 @@ class TestPreparedTrial:
             trial(split_stream(42, 0))
         assert calls == [sizes.n1]
 
+    def test_beyond_enumeration_limit_is_the_record_pipeline(self, monkeypatch):
+        # Past the limit a trial is the record-level pipeline on the
+        # stream's N1 and then N2 records, bit for bit. Small sizes keep
+        # the record draws short.
+        import pacc.propensity as propensity
+
+        sizes = PsSampleSizes(gamma=0.1, n1=300, n3=20, n2=200)
+        monkeypatch.setattr(propensity, "ps_sample_sizes", lambda *args: sizes)
+        params = PsParams(
+            n_covariates=21, treat_weights=(0.06,) * 21, treat_bias=-0.6,
+            positivity_floor=0.2, outcome_base=0.1, effect=0.3,
+            confound_weights=(0.02,) * 21,
+        )
+        trial = ps_trial(params, sizes.total, 0.8, 0.2)
+        for i in range(3):
+            gen = split_stream(44, i)
+            fitting = tally_cells(generate_obs(params, sizes.n1, gen))
+            tail = generate_obs(params, sizes.n2, gen)
+            result = _pipeline_from_cells(fitting, tail, sizes, gen)
+            decision = trial(split_stream(44, i))
+            assert decision.statistic.hex() == result.ate.hex()
+            assert decision == ate_decision(result.ate, 0.8)
+
     def test_trial_is_the_cell_pipeline(self):
         # The prepared trial is the cell table's pipeline on the stream's
         # drawn fitting cells, thresholded at delta / 2.
-        from pacc.propensity import ate_decision
-
         params = confounded_params(effect=0.5)
         sizes = ps_sample_sizes(0.2, 0.8, 5)
         trial = ps_trial(params, sizes.total + 7, 0.8, 0.2)
@@ -654,8 +668,6 @@ class TestPipeline:
         assert wrong <= 1
 
     def test_tie_goes_to_m1(self):
-        from pacc.propensity import ate_decision
-
         tie = ate_decision(0.25, 0.5)
         assert tie.statistic == tie.threshold == 0.25
         assert tie.chosen is ModelChoice.M1

@@ -402,6 +402,32 @@ class TestEstimateDecide:
         message = json.loads(err)["message"]
         assert message.startswith("cannot ") and f" input {data}: " in message
 
+    @pytest.mark.parametrize("method, text, message", [
+        (method, text, message)
+        for method, header, record in (
+            ("iv2sls", "d,z,y", "1,1,1"), ("propensity", "x0,x1,z,y", "1,0,1,1")
+        )
+        for text, message in (
+            ("", "CSV must contain a header and at least one record"),
+            (f"{header}\n", "CSV must contain a header and at least one record"),
+            (f"{header}\n{record}\n{record[2:]}\n",
+             f"every CSV record must have {header.count(',') + 1} values"),
+        )
+    ])
+    def test_csv_reader_rejections_exit_3(self, capsys, tmp_path, method, text, message):
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        cfg = write_json(tmp_path / "dec.json", {
+            "method": method, "input": str(data), "delta": 0.5,
+            "epsilon": 0.2, "master_seed": 1,
+        })
+        code, out, err = run_cli(capsys, "decide", "--config", cfg)
+        assert code == 3
+        assert out == ""
+        assert json.loads(err) == {
+            "error": "CliError", "message": f"cannot parse input {data}: {message}",
+        }
+
     @pytest.mark.parametrize("records", [
         [{"x": [True, 0], "z": 1, "y": 0}],
         [{"x": [1, 0], "z": True, "y": 0}],

@@ -36,6 +36,7 @@ from pacc.core import (
     InvalidArgumentError,
     Method,
     PaccError,
+    error_text,
     real_number,
     split_stream,
     whole_number,
@@ -156,7 +157,7 @@ def _build(factory, what: str):
     try:
         return factory()
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise CliError(_EXIT_USAGE, f"invalid {what}: {exc}") from exc
+        raise CliError(_EXIT_USAGE, f"invalid {what}: {error_text(exc)}") from exc
 
 
 def cmd_samplesize(args: SimpleNamespace) -> int:
@@ -222,7 +223,7 @@ def _read_dataset(method: MethodSpec, config: dict):
         return method.read(text, fmt)
     except (PaccError, KeyError, TypeError, ValueError, OverflowError, RecursionError,
             csv.Error) as exc:
-        raise CliError(_EXIT_RUNTIME, f"cannot parse input {path}: {exc}") from exc
+        raise CliError(_EXIT_RUNTIME, f"cannot parse input {path}: {error_text(exc)}") from exc
 
 
 def _apply_rule(method: MethodSpec, config: dict, decide: bool):
@@ -246,8 +247,8 @@ def _apply_rule(method: MethodSpec, config: dict, decide: bool):
 
 def cmd_estimate(args: SimpleNamespace) -> int:
     config = _load_config(args)
-    _, method = _method(config)
-    _emit(_apply_rule(method, config, decide=False), args.out)
+    name, method = _method(config)
+    _emit({"method": name, **_apply_rule(method, config, decide=False)}, args.out)
     return 0
 
 

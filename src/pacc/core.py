@@ -6,12 +6,14 @@ streams, and the Wilson bound used to certify empirical error rates.
 
 from __future__ import annotations
 
+import csv
 import enum
+import io
 import math
 import threading
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,6 +42,9 @@ __all__ = [
     "real_number",
     "check_u64",
     "check_keys",
+    "csv_text",
+    "csv_records",
+    "error_text",
 ]
 
 _U64_MAX = 2**64 - 1
@@ -170,6 +175,34 @@ def check_keys(block: object, keys: tuple[str, ...], what: str) -> None:
             raise InvalidArgumentError(
                 f"unknown {what} key {key!r}; expected one of {', '.join(keys)}"
             )
+
+
+def error_text(exc: Exception) -> str:
+    """A reader's failure as a diagnostic. A KeyError's own text is the bare
+    key, so its message names the missing field."""
+    if isinstance(exc, KeyError):
+        return f"missing required field {exc.args[0]!r}"
+    return str(exc)
+
+
+def csv_text(rows: Iterable[Sequence[object]]) -> str:
+    """The CSV text of ``rows``, each line ended by a bare newline."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def csv_records(text: str) -> tuple[list[str], list[list[str]]]:
+    """A CSV file's header and its records. A file without a record, or a
+    record whose length differs from the header's, is an
+    InvalidArgumentError; the header's own form is the caller's check."""
+    rows = list(csv.reader(io.StringIO(text)))
+    if len(rows) < 2:
+        raise InvalidArgumentError("CSV must contain a header and at least one record")
+    header, records = rows[0], rows[1:]
+    if any(len(row) != len(header) for row in records):
+        raise InvalidArgumentError(f"every CSV record must have {len(header)} values")
+    return header, records
 
 
 def ceil_bound(name: str, formula: Callable[[], float]) -> int:

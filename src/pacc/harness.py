@@ -10,8 +10,6 @@ calling thread.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, replace
@@ -34,7 +32,10 @@ from pacc.core import (
     PipelineFailureError,
     UndefinedAteError,
     WeakInstrumentError,
+    check_keys,
     check_u64,
+    csv_text,
+    error_text,
     rate_upper_bound,
     real_number,
     rekeyed_generator,
@@ -122,8 +123,10 @@ def _sccs_prepare(spec: TrialSpec, model: SccsModel, size: int) -> DrawAndDecide
 def _iv_auto_size(spec: TrialSpec) -> int:
     """The IV bound at the analytic variances of the worse of the two truths."""
     sizes = []
-    for truth in (ModelChoice.M1, ModelChoice.M2):
-        params = params_for_truth(replace(spec, truth=truth))
+    for is_m1 in (True, False):
+        params = METHODS[spec.method].truth_params(
+            spec.generator_params, spec.concept.delta, is_m1
+        )
         sigma_dy2, sigma_dz2 = iv_analytic_variances(params)
         if sigma_dy2 <= 0.0 or sigma_dz2 <= 0.0:
             raise InvalidArgumentError(
@@ -143,7 +146,6 @@ def _ps_estimate(
 ) -> dict:
     result = ps_pipeline(data, delta, gen, epsilon)
     return {
-        "method": "propensity",
         "statistic": result.ate,
         "survivors": result.survivors,
         "sizes": result.sizes.to_dict(),
@@ -153,7 +155,7 @@ def _ps_estimate(
 
 def _iv_estimate(data: IvDataset, delta, epsilon, rng) -> dict:
     est = two_sls(data)
-    return {"method": "iv2sls", "statistic": est.beta_hat, **est.to_dict()}
+    return {"statistic": est.beta_hat, **est.to_dict()}
 
 
 @dataclass(frozen=True)
@@ -189,6 +191,7 @@ class MethodSpec:
     read: Callable[[str, str], Any]
     # `estimate` and `decide` on a dataset: (dataset, delta, epsilon,
     # decide stream); epsilon and the stream are None unless decide_stream.
+    # The CLI writes "method" ahead of either's payload.
     decide_stream: bool
     estimate: Callable[[Any, float | None, float | None, np.random.Generator | None], dict]
     decide: Callable[[Any, float, float | None, np.random.Generator | None], Decision]
@@ -213,7 +216,6 @@ METHODS: dict[Method, MethodSpec] = {
         read=lambda text, fmt: SccsDataset.from_dict(json.loads(text)),
         decide_stream=False,
         estimate=lambda data, delta, epsilon, rng: {
-            "method": "sccs",
             "estimator": "closed_form",
             "statistic": sccs_mle_closed(data),
             "nu1": data.nu1,
@@ -339,8 +341,14 @@ class TrialSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrialSpec":
+        keys = (
+            "method", "truth", "epsilon", "concept", "generator", "sample_size",
+            "trials", "master_seed", "stream_base",
+        )
+        check_keys(d, keys, "trial spec")
         method = Method(d["method"])
         concept_d = d["concept"]
+        check_keys(concept_d, ("delta", "description"), "concept")
         concept = ConceptSpec(
             delta=real_number(concept_d["delta"], "concept.delta"),
             method=method,
@@ -443,8 +451,8 @@ def run_trial(
     normals (IV), the event totals from the model's 1-D trial law (SCCS),
     the fitting slice's tallies and the tail's survivors and outcome sums
     per (covariate configuration, arm) cell (propensity). Only propensity
-    trials past the enumeration limit draw records: they run the
-    record-level pipeline.
+    trials past the enumeration limit draw records: each is ``ps_decide``
+    on N1 + N2 records from one ``generate_obs`` call.
     ``draw_and_decide`` is the spec's prepared trial
     (``MethodSpec.prepare``), which ``verify`` builds once for all of its
     trials; without it, one is prepared for this call. The trial's stream
@@ -666,41 +674,33 @@ Report = Union[VerificationReport, SweepReport]
 
 
 def _verification_csv(report: VerificationReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["seed", "decision", "statistic", "correct", "failure"])
-    for t in report.per_trial:
-        writer.writerow(
-            [
-                t.seed,
-                "" if t.decision is None else t.decision.value,
-                _jsonio.format_float(t.statistic),
-                int(t.correct),
-                t.failure or "",
-            ]
-        )
-    return buf.getvalue()
+    header = ["seed", "decision", "statistic", "correct", "failure"]
+    return csv_text([header] + [
+        [
+            t.seed,
+            "" if t.decision is None else t.decision.value,
+            _jsonio.format_float(t.statistic),
+            int(t.correct),
+            t.failure or "",
+        ]
+        for t in report.per_trial
+    ])
 
 
 def _sweep_csv(report: SweepReport) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["point", "errors", "trials", "empirical_rate", "upper_bound", "pass", "worst"]
-    )
-    for k, r in enumerate(report.reports):
-        writer.writerow(
-            [
-                k,
-                r.errors,
-                r.trials,
-                _jsonio.format_float(r.empirical_rate),
-                _jsonio.format_float(r.upper_bound),
-                int(r.passed),
-                int(k == report.worst),
-            ]
-        )
-    return buf.getvalue()
+    header = ["point", "errors", "trials", "empirical_rate", "upper_bound", "pass", "worst"]
+    return csv_text([header] + [
+        [
+            k,
+            r.errors,
+            r.trials,
+            _jsonio.format_float(r.empirical_rate),
+            _jsonio.format_float(r.upper_bound),
+            int(r.passed),
+            int(k == report.worst),
+        ]
+        for k, r in enumerate(report.reports)
+    ])
 
 
 def _trial_dicts(report: VerificationReport) -> list[dict]:
@@ -790,4 +790,4 @@ def read_report(path: str | Path) -> Report:
     try:
         return report_type.from_dict(payload)
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
-        raise InvalidArgumentError(f"report {path}: {type(exc).__name__}: {exc}") from None
+        raise InvalidArgumentError(f"report {path}: {error_text(exc)}") from None

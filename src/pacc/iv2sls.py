@@ -8,9 +8,8 @@ diagnostics. The decision rule is two-sided: |beta_hat| > delta/2.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -24,6 +23,8 @@ from pacc.core import (
     WeakInstrumentError,
     ceil_bound,
     check_keys,
+    csv_records,
+    csv_text,
     real_number,
 )
 
@@ -104,32 +105,18 @@ class IvDataset:
         return self.d.size
 
     def to_csv(self, include_hidden: bool = False) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        cols = ["d", "z", "y"] + (["u_hidden"] if include_hidden else [])
-        writer.writerow(cols)
-        for i in range(len(self)):
-            row = [
-                format(self.d[i], ".17g"),
-                format(self.z[i], ".17g"),
-                format(self.y[i], ".17g"),
-            ]
-            if include_hidden:
-                row.append(format(self.u_hidden[i], ".17g"))
-            writer.writerow(row)
-        return buf.getvalue()
+        columns = [self.d, self.z, self.y] + ([self.u_hidden] if include_hidden else [])
+        return csv_text([
+            ["d", "z", "y"] + (["u_hidden"] if include_hidden else []),
+            *([format(c[i], ".17g") for c in columns] for i in range(len(self))),
+        ])
 
     @classmethod
     def from_csv(cls, text: str) -> "IvDataset":
-        rows = list(csv.reader(io.StringIO(text)))
-        if len(rows) < 2:
-            raise InvalidArgumentError("CSV must contain a header and at least one record")
-        header = rows[0]
+        header, records = csv_records(text)
         if header not in (["d", "z", "y"], ["d", "z", "y", "u_hidden"]):
             raise InvalidArgumentError("expected header d,z,y[,u_hidden]")
-        if any(len(row) != len(header) for row in rows[1:]):
-            raise InvalidArgumentError(f"every CSV record must have {len(header)} values")
-        data = np.array([[float(v) for v in row] for row in rows[1:]])
+        data = np.array([[float(v) for v in row] for row in records])
         if not np.all(np.isfinite(data)):
             raise InvalidArgumentError("CSV values must be finite numbers")
         # Contiguous columns: the 2SLS dot products then sum in the same
@@ -188,14 +175,16 @@ def iv_trial(
     count, gen)), delta)``, with the work that depends only on the
     arguments done once.
 
-    delta is checked here, and the threshold, sqrt(count) and count*alpha
-    are computed here. A trial keeps ``draw_iv_sums``' arithmetic in its
-    order, so its decision is the same bit for bit. A finite ratio of a
-    nonzero sum(dz) needs finite sums (0 * inf and inf / inf are NaN);
-    any other trial goes through ``iv_ratio``, which raises its
-    WeakInstrumentError or DegenerateFitError.
+    delta and count (a float's range) are checked here, and the threshold,
+    sqrt(count) and count*alpha are computed here. A trial keeps
+    ``draw_iv_sums``' arithmetic in its order, so its decision is the same
+    bit for bit. A finite ratio of a nonzero sum(dz) needs finite sums
+    (0 * inf and inf / inf are NaN); any other trial goes through
+    ``iv_ratio``, which raises its WeakInstrumentError or DegenerateFitError.
     """
     _check_delta(delta)
+    if count > sys.float_info.max:
+        raise InvalidArgumentError(f"count must be at most {sys.float_info.max!r}, got {count}")
     threshold = delta / 2.0
     sum_dd, root, base = float(count), math.sqrt(count), count * params.alpha
     beta, conf_z, conf_y = params.beta, params.conf_z, params.conf_y

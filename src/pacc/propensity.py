@@ -10,8 +10,6 @@ rejection sampling, and thresholds the ATE of the survivors.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -29,6 +27,8 @@ from pacc.core import (
     UndefinedAteError,
     ceil_bound,
     check_keys,
+    csv_records,
+    csv_text,
     real_number,
     whole_number,
 )
@@ -211,24 +211,18 @@ class ObsDataset:
         return ObsDataset(self.x[i], self.z[i], self.y[i])
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([f"x{j}" for j in range(self.n_covariates)] + ["z", "y"])
-        for i in range(len(self)):
-            writer.writerow([int(v) for v in self.x[i]] + [int(self.z[i]), int(self.y[i])])
-        return buf.getvalue()
+        return csv_text([
+            [f"x{j}" for j in range(self.n_covariates)] + ["z", "y"],
+            *([int(v) for v in self.x[i]] + [int(self.z[i]), int(self.y[i])]
+              for i in range(len(self))),
+        ])
 
     @classmethod
     def from_csv(cls, text: str) -> "ObsDataset":
-        rows = list(csv.reader(io.StringIO(text)))
-        if len(rows) < 2:
-            raise InvalidArgumentError("CSV must contain a header and at least one record")
-        header = rows[0]
+        header, records = csv_records(text)
         if len(header) < 3 or header[-2:] != ["z", "y"]:
             raise InvalidArgumentError("expected header x0..x{n-1},z,y")
-        if any(len(row) != len(header) for row in rows[1:]):
-            raise InvalidArgumentError(f"every CSV record must have {len(header)} values")
-        data = np.array([[int(v) for v in row] for row in rows[1:]])
+        data = np.array([[int(v) for v in row] for row in records])
         return cls(data[:, :-2], data[:, -2], data[:, -1])
 
     def to_json_obj(self) -> list:
@@ -323,13 +317,13 @@ def generate_obs(params: PsParams, count: int, gen: np.random.Generator) -> ObsD
 class CellCounts:
     """Records tallied by covariate configuration.
 
-    Row k of ``configs`` is a 0/1 covariate vector, ``totals[k]`` the
-    number of records carrying it and ``treated[k]`` how many of those
-    have z = 1. The logistic likelihood depends on records only through
-    these counts.
+    Row k of ``design`` is a 0/1 covariate vector and an intercept 1,
+    ``totals[k]`` the number of records carrying it and ``treated[k]`` how
+    many of those have z = 1. The logistic likelihood depends on records
+    only through these counts.
     """
 
-    configs: np.ndarray
+    design: np.ndarray
     totals: np.ndarray
     treated: np.ndarray
 
@@ -344,7 +338,7 @@ def tally_cells(data: ObsDataset) -> CellCounts:
         configs, codes = np.unique(data.x, axis=0, return_inverse=True)
     totals = np.bincount(codes, minlength=configs.shape[0])
     treated = np.bincount(codes, weights=data.z, minlength=configs.shape[0])
-    return CellCounts(configs, totals, treated)
+    return CellCounts(np.column_stack([configs, np.ones(totals.size)]), totals, treated)
 
 
 @dataclass(frozen=True, eq=False)
@@ -354,9 +348,10 @@ class _CellTable:
 
     Over the 2^n covariate configurations: Q and P(Z=1 | x) for the
     fitting slice, and the fit's design matrix (the configurations with an
-    intercept column). Over the (configuration, arm) cells of the tail,
-    every configuration untreated and then every one treated: the cell
-    probabilities Q(x) P(z | x) and the outcome probabilities.
+    intercept column) that every ``draw_fitting`` tally carries. Over the
+    (configuration, arm) cells of the tail, every configuration untreated
+    and then every one treated: the cell probabilities Q(x) P(z | x) and
+    the outcome probabilities.
     """
 
     configs: np.ndarray
@@ -371,7 +366,7 @@ class _CellTable:
         left out: Multinomial(count, Q) configuration counts and per-cell
         Binomial(total, P(Z=1 | x)) treated counts."""
         totals = gen.multinomial(count, self.q)
-        return CellCounts(self.configs, totals, gen.binomial(totals, self.p_treat))
+        return CellCounts(self.design, totals, gen.binomial(totals, self.p_treat))
 
 
 def _cell_table(params: PsParams) -> _CellTable:
@@ -408,13 +403,11 @@ def fit_logistic(data: ObsDataset) -> PropensityModel:
     return _fit_cells(tally_cells(data))
 
 
-def _fit_cells(cells: CellCounts, design: np.ndarray | None = None) -> PropensityModel:
-    """Grouped Newton fit of ``fit_logistic`` on cell tallies weighted by their totals.
-
-    ``design`` is the configurations with an intercept column, one row per
-    cell; without it, the rows of the cells present are built here.
-    """
+def _fit_cells(cells: CellCounts) -> PropensityModel:
+    """Grouped Newton fit of ``fit_logistic`` on cell tallies weighted by their
+    totals, over the design rows of the cells present."""
     present = cells.totals > 0
+    design = cells.design[present]
     totals = cells.totals[present].astype(np.float64)
     treated = cells.treated[present].astype(np.float64)
     n_records = float(totals.sum())
@@ -424,12 +417,6 @@ def _fit_cells(cells: CellCounts, design: np.ndarray | None = None) -> Propensit
             f"all {int(n_records)} records share one treatment arm; "
             "propensity not identifiable"
         )
-    if design is None:
-        design = np.column_stack(
-            [cells.configs[present].astype(np.float64), np.ones(totals.size)]
-        )
-    else:
-        design = design[present]
     coefs = np.zeros(design.shape[1])
     capped = False
     for _ in range(_MAX_ITERS):
@@ -628,22 +615,14 @@ def ps_trial(
     int64) and the cell table run here, once for every trial. Within the
     enumeration limit a trial draws the N1 fitting slice as cell tallies
     and the N2 tail as cell counts (``_cell_pipeline``); past it, a trial
-    is the record-level pipeline on N1 and then N2 drawn records. Records
-    beyond N1 + N2 would never be read, so they are not drawn.
+    is ``ps_decide`` on N1 + N2 records from one ``generate_obs`` call.
+    Records beyond N1 + N2 would never be read, so they are not drawn.
     """
     sizes = _pipeline_sizes(count, delta, epsilon, params.n_covariates)
     _check_drawable(sizes.n1)
     _check_drawable(sizes.n2)
     if params.n_covariates > _ENUM_LIMIT:
-        return lambda gen: ate_decision(
-            _pipeline_from_cells(
-                tally_cells(generate_obs(params, sizes.n1, gen)),
-                generate_obs(params, sizes.n2, gen),
-                sizes,
-                gen,
-            ).ate,
-            delta,
-        )
+        return lambda gen: ps_decide(generate_obs(params, sizes.total, gen), delta, gen, epsilon)
     table = _cell_table(params)
     return lambda gen: ate_decision(
         _cell_pipeline(table, table.draw_fitting(sizes.n1, gen), sizes, gen).ate, delta
@@ -661,7 +640,7 @@ def _cell_pipeline(
     Multinomial(N2, tail) cell counts, Binomial(count, accept) survivors
     and Binomial(survivors, p_y) outcome sums, per cell.
     """
-    model = _fit_cells(cells, table.design)
+    model = _fit_cells(cells)
     counts = gen.multinomial(sizes.n2, table.tail)
     p1 = model.predict(table.configs)
     k = p1.size

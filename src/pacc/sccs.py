@@ -76,9 +76,6 @@ class PointLaw:
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
         return np.full(size, self.value)
 
-    def support(self) -> tuple[float, float]:
-        return (self.value, self.value)
-
     def atoms(self) -> tuple[tuple[float, float], ...]:
         """(value, probability) pairs of the law."""
         return ((self.value, 1.0),)
@@ -103,9 +100,6 @@ class TwoPointLaw:
 
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
         return np.where(gen.random(size) < self.weight_high, self.high, self.low)
-
-    def support(self) -> tuple[float, float]:
-        return (self.low, self.high)
 
     def atoms(self) -> tuple[tuple[float, float], ...]:
         """(value, probability) pairs of the law."""
@@ -197,7 +191,8 @@ class SccsParams:
     def __post_init__(self) -> None:
         if not math.isfinite(self.beta):
             raise InvalidArgumentError("beta must be finite")
-        lo, hi = self.phi_law.support()
+        values = [value for value, _ in self.phi_law.atoms()]
+        lo, hi = min(values), max(values)
         peak = math.exp(hi + max(self.beta, 0.0))
         if peak > 1.0:
             raise InvalidArgumentError(

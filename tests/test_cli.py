@@ -3,6 +3,7 @@ import io
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from pacc import cli
 from pacc.cli import main
-from pacc.core import split_stream
+from pacc.core import InvalidArgumentError, split_stream
+from pacc.harness import read_report
 from pacc.iv2sls import IvParams, generate_iv, iv_decide
 from pacc.propensity import ObsDataset, generate_obs, ps_decide, PsParams
 from pacc.sccs import PointLaw
@@ -1027,6 +1029,54 @@ class TestUsage:
         assert _diagnostic(*run_cli(capsys, command, "--config", cfg, *argv)) == message
 
 
+    @pytest.mark.parametrize("command, name, path", [
+        ("verify", "iv_verify", ("sample_sise",)),
+        ("verify", "iv_verify", ("concept", "descripton")),
+        ("sweep", "sccs_sweep", ("sample_sise",)),
+        ("sweep", "sccs_sweep", ("concept", "descripton")),
+    ])
+    def test_unknown_spec_key_exits_2(self, capsys, command, name, path):
+        message = _diagnostic(*run_cli(
+            capsys, command, "--config", str(CONFIGS / f"{name}.json"),
+            "--set", f"{'.'.join(path)}=24", "--set", "trials=2",
+        ))
+        assert message.startswith("invalid trial spec")
+        assert f"key {path[-1]!r}" in message
+
+    @pytest.mark.parametrize("command, field", [
+        ("verify", "method"), ("generate", "alpha"), ("decide", "design"),
+        ("read_report", "errors"),
+    ])
+    def test_missing_field_is_named(self, capsys, tmp_path, command, field):
+        cases = write_json(tmp_path / "cases.json", {"patients": []})
+        runs = {
+            "verify": ({k: v for k, v in IV_VERIFY_CONFIG.items() if k != field}, 2,
+                       "invalid trial spec"),
+            "generate": ({"method": "iv2sls", "count": 3, "master_seed": 1,
+                          "generator": {"beta": 0.0}}, 2, "invalid generator params"),
+            "decide": ({"method": "sccs", "input": cases, "delta": 2.0}, 3,
+                       f"cannot parse input {cases}"),
+        }
+        if command == "read_report":
+            report = tmp_path / "report.json"
+            cfg = write_json(tmp_path / "cfg.json", IV_VERIFY_CONFIG)
+            run_cli(capsys, "verify", "--config", cfg, "--set", "trials=2", "--out", str(report))
+            payload = json.loads(report.read_text())
+            del payload[field]
+            write_json(report, payload)
+            with pytest.raises(InvalidArgumentError) as info:
+                read_report(report)
+            message, prefix = str(info.value), f"report {report}"
+        else:
+            config, code, prefix = runs[command]
+            got, out, err = run_cli(
+                capsys, command, "--config", write_json(tmp_path / "cfg.json", config)
+            )
+            assert (got, out) == (code, "")
+            message = json.loads(err)["message"]
+        assert message == f"{prefix}: missing required field {field!r}"
+
+
 def _committed_blocks():
     """(method, generator block) of every committed config: its generator,
     or each point of its sweep grid."""
@@ -1133,6 +1183,14 @@ class TestSizeLimits:
         cfg = write_json(tmp_path / "gen.json", {**TestUsage.SCCS_GENERATE, "count": 10**20})
         message = _diagnostic(*run_cli(capsys, "generate", "--config", cfg))
         assert message == "count must lie in [1, 2**63 - 1], got 100000000000000000000"
+
+    def test_iv_size_past_the_float_range_exits_2(self, capsys):
+        size = 10**400
+        message = _diagnostic(*run_cli(
+            capsys, "verify", "--config", str(CONFIGS / "iv_verify.json"),
+            "--set", "trials=2", "--set", f"sample_size={size}",
+        ))
+        assert message == f"count must be at most {sys.float_info.max!r}, got {size}"
 
     @pytest.mark.parametrize("command, name, override, message", [
         ("verify", "iv_verify", f"master_seed={2**64}",

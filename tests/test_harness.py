@@ -791,6 +791,18 @@ class TestReports:
         with pytest.raises(InvalidArgumentError, match=r"tampered\.json: .* = 1\.2 exceeds 1"):
             read_report(tampered)
 
+    @pytest.mark.parametrize("path", [("sample_sise",), ("concept", "descripton")])
+    def test_spec_with_an_unknown_key_is_rejected(self, tmp_path, path):
+        payload = verify(iv_spec(trials=3)).to_dict()
+        target = payload["spec"]
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = 24
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(payload))
+        with pytest.raises(InvalidArgumentError, match=rf"tampered\.json: .*key '{path[-1]}'"):
+            read_report(tampered)
+
     def test_non_finite_strings_read_back_as_floats(self, tmp_path):
         report = verify(iv_spec(trials=5))
         payload = report.to_dict()

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -223,6 +224,14 @@ class TestPreparedTrial:
         with pytest.raises(InvalidArgumentError) as info:
             iv_trial(CONFOUNDED_NULL, 100, delta)
         assert str(info.value) == f"delta must lie in (0, 1), got {delta}"
+
+    def test_count_past_the_float_range_is_rejected_up_front(self):
+        largest = int(sys.float_info.max)
+        iv_trial(CONFOUNDED_NULL, largest, 0.5)
+        for count in (largest + 1, 10**400):
+            with pytest.raises(InvalidArgumentError) as info:
+                iv_trial(CONFOUNDED_NULL, count, 0.5)
+            assert str(info.value) == f"count must be at most {sys.float_info.max!r}, got {count}"
 
 
 class TestSampleSize:

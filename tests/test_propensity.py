@@ -197,7 +197,7 @@ class TestGroupedFit:
         data = generate_obs(confounded_params(n=3), 1_000, split_stream(21, 0))
         cells = tally_cells(data)
         assert cells.totals.sum() == 1_000 and cells.treated.sum() == data.z.sum()
-        for config, total, treated in zip(cells.configs, cells.totals, cells.treated):
+        for config, total, treated in zip(cells.design[:, :-1], cells.totals, cells.treated):
             rows = np.all(data.x == config, axis=1)
             assert total == rows.sum() and treated == data.z[rows].sum()
 
@@ -355,12 +355,11 @@ class TestPreparedTrial:
         trial = ps_trial(flat_params(n=21), sizes.total, 0.8, 0.2)
         with pytest.raises(Drawn):
             trial(split_stream(42, 0))
-        assert calls == [sizes.n1]
+        assert calls == [sizes.total]
 
     def test_beyond_enumeration_limit_is_the_record_pipeline(self, monkeypatch):
-        # Past the limit a trial is the record-level pipeline on the
-        # stream's N1 and then N2 records, bit for bit. Small sizes keep
-        # the record draws short.
+        # Past the limit a trial is ps_decide on the stream's N1 + N2
+        # records, bit for bit. Small sizes keep the record draws short.
         import pacc.propensity as propensity
 
         sizes = PsSampleSizes(gamma=0.1, n1=300, n3=20, n2=200)
@@ -373,12 +372,10 @@ class TestPreparedTrial:
         trial = ps_trial(params, sizes.total, 0.8, 0.2)
         for i in range(3):
             gen = split_stream(44, i)
-            fitting = tally_cells(generate_obs(params, sizes.n1, gen))
-            tail = generate_obs(params, sizes.n2, gen)
-            result = _pipeline_from_cells(fitting, tail, sizes, gen)
+            expected = ps_decide(generate_obs(params, sizes.total, gen), 0.8, gen, 0.2)
             decision = trial(split_stream(44, i))
-            assert decision.statistic.hex() == result.ate.hex()
-            assert decision == ate_decision(result.ate, 0.8)
+            assert decision.statistic.hex() == expected.statistic.hex()
+            assert decision == expected
 
     def test_trial_is_the_cell_pipeline(self):
         # The prepared trial is the cell table's pipeline on the stream's

@@ -78,7 +78,7 @@ class TestDesignAndParams:
     def test_two_point_law_round_trip(self):
         law = TwoPointLaw(low=math.log(0.01), high=math.log(0.1), weight_high=0.3)
         assert law_from_dict(law.to_dict()) == law
-        assert law.support() == (math.log(0.01), math.log(0.1))
+        assert law.atoms() == ((math.log(0.01), 0.7), (math.log(0.1), 0.3))
 
 
 class TestLogLik:

@@ -185,10 +185,12 @@ def error_text(exc: Exception) -> str:
     return str(exc)
 
 
-def csv_text(rows: Iterable[Sequence[object]]) -> str:
-    """The CSV text of ``rows``, each line ended by a bare newline."""
+def csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    """CSV text of a header line and one line per row, each ended by a bare newline."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
 
 

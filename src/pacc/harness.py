@@ -675,7 +675,7 @@ Report = Union[VerificationReport, SweepReport]
 
 def _verification_csv(report: VerificationReport) -> str:
     header = ["seed", "decision", "statistic", "correct", "failure"]
-    return csv_text([header] + [
+    return csv_text(header, (
         [
             t.seed,
             "" if t.decision is None else t.decision.value,
@@ -684,12 +684,12 @@ def _verification_csv(report: VerificationReport) -> str:
             t.failure or "",
         ]
         for t in report.per_trial
-    ])
+    ))
 
 
 def _sweep_csv(report: SweepReport) -> str:
     header = ["point", "errors", "trials", "empirical_rate", "upper_bound", "pass", "worst"]
-    return csv_text([header] + [
+    return csv_text(header, (
         [
             k,
             r.errors,
@@ -700,7 +700,7 @@ def _sweep_csv(report: SweepReport) -> str:
             int(k == report.worst),
         ]
         for k, r in enumerate(report.reports)
-    ])
+    ))
 
 
 def _trial_dicts(report: VerificationReport) -> list[dict]:

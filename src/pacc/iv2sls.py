@@ -106,10 +106,10 @@ class IvDataset:
 
     def to_csv(self, include_hidden: bool = False) -> str:
         columns = [self.d, self.z, self.y] + ([self.u_hidden] if include_hidden else [])
-        return csv_text([
+        return csv_text(
             ["d", "z", "y"] + (["u_hidden"] if include_hidden else []),
-            *([format(c[i], ".17g") for c in columns] for i in range(len(self))),
-        ])
+            ([format(c[i], ".17g") for c in columns] for i in range(len(self))),
+        )
 
     @classmethod
     def from_csv(cls, text: str) -> "IvDataset":

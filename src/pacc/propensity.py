@@ -211,11 +211,11 @@ class ObsDataset:
         return ObsDataset(self.x[i], self.z[i], self.y[i])
 
     def to_csv(self) -> str:
-        return csv_text([
+        return csv_text(
             [f"x{j}" for j in range(self.n_covariates)] + ["z", "y"],
-            *([int(v) for v in self.x[i]] + [int(self.z[i]), int(self.y[i])]
-              for i in range(len(self))),
-        ])
+            ([int(v) for v in self.x[i]] + [int(self.z[i]), int(self.y[i])]
+             for i in range(len(self))),
+        )
 
     @classmethod
     def from_csv(cls, text: str) -> "ObsDataset":

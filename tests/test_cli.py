@@ -1028,7 +1028,6 @@ class TestUsage:
         cfg = write_json(tmp_path / "cfg.json", config)
         assert _diagnostic(*run_cli(capsys, command, "--config", cfg, *argv)) == message
 
-
     @pytest.mark.parametrize("command, name, path", [
         ("verify", "iv_verify", ("sample_sise",)),
         ("verify", "iv_verify", ("concept", "descripton")),

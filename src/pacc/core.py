@@ -7,6 +7,7 @@ streams, and the Wilson bound used to certify empirical error rates.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import enum
 import io
 import math
@@ -42,6 +43,8 @@ __all__ = [
     "real_number",
     "check_u64",
     "check_keys",
+    "record_dict",
+    "record_from_dict",
     "csv_text",
     "csv_records",
     "error_text",
@@ -124,26 +127,6 @@ class ConceptSpec:
             )
 
 
-class Decision(NamedTuple):
-    """Outcome of a decision rule: the chosen model, the statistic, the threshold.
-
-    SCCS and the propensity route choose M1 when ``statistic >= threshold``;
-    the instrumental route when ``|statistic| > threshold``. A named tuple,
-    like the other per-trial records, because it is built once a trial.
-    """
-
-    chosen: ModelChoice
-    statistic: float
-    threshold: float
-
-    def to_dict(self) -> dict:
-        return {
-            "chosen": self.chosen.value,
-            "statistic": self.statistic,
-            "threshold": self.threshold,
-        }
-
-
 def whole_number(value: object, name: str) -> int:
     """A JSON number with a whole, finite value, as an int: a count read with
     ``int()`` would truncate 2.5 and take "21" or true."""
@@ -175,6 +158,63 @@ def check_keys(block: object, keys: tuple[str, ...], what: str) -> None:
             raise InvalidArgumentError(
                 f"unknown {what} key {key!r}; expected one of {', '.join(keys)}"
             )
+
+
+def _fields(record_type: type) -> dict[str, bool]:
+    """A record type's fields in declaration order: name -> its constructor takes it."""
+    if dataclasses.is_dataclass(record_type):
+        return {f.name: f.init for f in dataclasses.fields(record_type)}
+    return dict.fromkeys(record_type._fields, True)
+
+
+def _json_value(value: object) -> object:
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
+    if isinstance(value, enum.Enum):
+        return value.value
+    return list(value) if isinstance(value, tuple) else value
+
+
+def record_dict(record: object) -> dict:
+    """A record's JSON object: its fields in declaration order, each tuple
+    as a list, each enum as its value and each nested record as its own
+    ``to_dict()``. A dataclass or named tuple takes it as its ``to_dict``."""
+    return {name: _json_value(getattr(record, name)) for name in _fields(type(record))}
+
+
+def record_from_dict(
+    record_type: type, block: object, what: str, readers: dict | None = None,
+    defaults: dict | None = None,
+):
+    """The record that ``record_dict`` wrote as ``block``. Its keys must be
+    among the fields (``check_keys``, naming ``what``). A present key is read
+    by ``readers[name](value, name)``, else by ``real_number``; an absent key
+    takes ``defaults[name]``, else raises ``KeyError(name)``, which
+    ``error_text`` words as a missing field. A field the constructor does
+    not take (a law's ``kind``) is a known key but is not read."""
+    readers, defaults = readers or {}, defaults or {}
+    fields = _fields(record_type)
+    check_keys(block, tuple(fields), what)
+    return record_type(**{
+        name: readers.get(name, real_number)(block[name], name) if name in block
+        else defaults[name]
+        for name, taken in fields.items() if taken
+    })
+
+
+class Decision(NamedTuple):
+    """Outcome of a decision rule: the chosen model, the statistic, the threshold.
+
+    SCCS and the propensity route choose M1 when ``statistic >= threshold``;
+    the instrumental route when ``|statistic| > threshold``. A named tuple,
+    like the other per-trial records, because it is built once a trial.
+    """
+
+    chosen: ModelChoice
+    statistic: float
+    threshold: float
+
+    to_dict = record_dict
 
 
 def error_text(exc: Exception) -> str:

@@ -38,6 +38,8 @@ from pacc.core import (
     error_text,
     rate_upper_bound,
     real_number,
+    record_dict,
+    record_from_dict,
     rekeyed_generator,
     whole_number,
 )
@@ -394,32 +396,20 @@ class TrialOutcome(NamedTuple):
     correct: bool
     failure: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "decision": None if self.decision is None else self.decision.value,
-            "statistic": self.statistic,
-            "correct": self.correct,
-            "failure": self.failure,
-        }
+    to_dict = record_dict
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrialOutcome":
-        chosen, failure = d.get("decision"), d.get("failure")
-        try:
-            decision = None if chosen is None else ModelChoice(chosen)
-        except ValueError:
-            raise InvalidArgumentError(
-                f"decision must be 'M1', 'M2' or null, got {chosen!r}"
-            ) from None
-        if failure is not None and type(failure) is not str:
-            raise InvalidArgumentError(f"failure must be a string or null, got {failure!r}")
-        return cls(
-            seed=whole_number(d["seed"], "seed"),
-            decision=decision,
-            statistic=_report_real(d["statistic"], "statistic"),
-            correct=_report_bool(d["correct"], "correct"),
-            failure=failure,
+        return record_from_dict(
+            cls, d, "trial record",
+            readers={
+                "seed": whole_number,
+                "decision": _report_choice,
+                "statistic": _report_real,
+                "correct": _report_bool,
+                "failure": _report_text,
+            },
+            defaults={"decision": None, "failure": None},
         )
 
 
@@ -439,6 +429,19 @@ def _report_bool(value: object, name: str) -> bool:
     if type(value) is bool:
         return value
     raise InvalidArgumentError(f"{name} must be true or false, got {value!r}")
+
+
+def _report_choice(value: object, name: str) -> ModelChoice | None:
+    try:
+        return None if value is None else ModelChoice(value)
+    except ValueError:
+        raise InvalidArgumentError(f"{name} must be 'M1', 'M2' or null, got {value!r}") from None
+
+
+def _report_text(value: object, name: str) -> str | None:
+    if value is None or type(value) is str:
+        return value
+    raise InvalidArgumentError(f"{name} must be a string or null, got {value!r}")
 
 
 def run_trial(

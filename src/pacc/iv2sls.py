@@ -22,10 +22,10 @@ from pacc.core import (
     ModelChoice,
     WeakInstrumentError,
     ceil_bound,
-    check_keys,
     csv_records,
     csv_text,
-    real_number,
+    record_dict,
+    record_from_dict,
 )
 
 __all__ = [
@@ -63,25 +63,13 @@ class IvParams:
         if self.noise_z_sd < 0 or self.noise_y_sd < 0:
             raise InvalidArgumentError("noise scales must be nonnegative")
 
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "conf_z": self.conf_z,
-            "conf_y": self.conf_y,
-            "noise_z_sd": self.noise_z_sd,
-            "noise_y_sd": self.noise_y_sd,
-        }
+    to_dict = record_dict
 
     @classmethod
     def from_dict(cls, d: dict) -> "IvParams":
         """The generator block; every field but ``alpha`` reads as 0 when absent."""
-        keys = ("alpha", "beta", "conf_z", "conf_y", "noise_z_sd", "noise_y_sd")
-        check_keys(d, keys, "IV generator")
-        return cls(
-            alpha=real_number(d["alpha"], "alpha"),
-            **{key: real_number(d.get(key, 0.0), key) for key in keys[1:]},
-        )
+        zeros = dict.fromkeys(("beta", "conf_z", "conf_y", "noise_z_sd", "noise_y_sd"), 0.0)
+        return record_from_dict(cls, d, "IV generator", defaults=zeros)
 
 
 class IvDataset:
@@ -132,8 +120,7 @@ class IvEstimate(NamedTuple):
     alpha_hat: float
     beta_hat: float
 
-    def to_dict(self) -> dict:
-        return {"alpha_hat": self.alpha_hat, "beta_hat": self.beta_hat}
+    to_dict = record_dict
 
 
 def generate_iv(params: IvParams, count: int, gen: np.random.Generator) -> IvDataset:

@@ -26,10 +26,11 @@ from pacc.core import (
     PipelineFailureError,
     UndefinedAteError,
     ceil_bound,
-    check_keys,
     csv_records,
     csv_text,
     real_number,
+    record_dict,
+    record_from_dict,
     whole_number,
 )
 
@@ -136,36 +137,21 @@ class PsParams:
         eta = x @ np.asarray(self.treat_weights) + self.treat_bias
         return _sigmoid(eta)
 
-    def to_dict(self) -> dict:
-        return {
-            "n_covariates": self.n_covariates,
-            "treat_weights": list(self.treat_weights),
-            "treat_bias": self.treat_bias,
-            "positivity_floor": self.positivity_floor,
-            "outcome_base": self.outcome_base,
-            "effect": self.effect,
-            "confound_weights": list(self.confound_weights),
-            "covariate_probs": list(self.covariate_probs),
-        }
+    to_dict = record_dict
 
     @classmethod
     def from_dict(cls, d: dict) -> "PsParams":
-        """The generator block; an absent ``effect`` reads as 0."""
-        keys = (
-            "n_covariates", "treat_weights", "treat_bias", "positivity_floor",
-            "outcome_base", "effect", "confound_weights", "covariate_probs",
-        )
-        check_keys(d, keys, "propensity generator")
-        probs = d.get("covariate_probs")
-        return cls(
-            n_covariates=whole_number(d["n_covariates"], "n_covariates"),
-            treat_weights=_real_numbers(d["treat_weights"], "treat_weights"),
-            treat_bias=real_number(d["treat_bias"], "treat_bias"),
-            positivity_floor=real_number(d["positivity_floor"], "positivity_floor"),
-            outcome_base=real_number(d["outcome_base"], "outcome_base"),
-            effect=real_number(d.get("effect", 0.0), "effect"),
-            confound_weights=_real_numbers(d["confound_weights"], "confound_weights"),
-            covariate_probs=None if probs is None else _real_numbers(probs, "covariate_probs"),
+        """The generator block; an absent ``effect`` reads as 0 and an absent
+        or null ``covariate_probs`` as 0.5 each."""
+        return record_from_dict(
+            cls, d, "propensity generator",
+            readers={
+                "n_covariates": whole_number,
+                "treat_weights": _real_numbers,
+                "confound_weights": _real_numbers,
+                "covariate_probs": lambda v, name: v if v is None else _real_numbers(v, name),
+            },
+            defaults={"effect": 0.0, "covariate_probs": None},
         )
 
 
@@ -287,13 +273,7 @@ class PsSampleSizes:
         return self.n1 + self.n2
 
     def to_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "n1": self.n1,
-            "n3": self.n3,
-            "n2": self.n2,
-            "total": self.total,
-        }
+        return {**record_dict(self), "total": self.total}
 
 
 def generate_obs(params: PsParams, count: int, gen: np.random.Generator) -> ObsDataset:

@@ -12,7 +12,7 @@ confounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import NamedTuple
 
@@ -24,8 +24,8 @@ from pacc.core import (
     InvalidArgumentError,
     ModelChoice,
     ceil_bound,
-    check_keys,
-    real_number,
+    record_dict,
+    record_from_dict,
     whole_number,
 )
 
@@ -71,6 +71,7 @@ _CHUNK_CELLS = 2_000_000
 class PointLaw:
     """Degenerate law: every draw equals ``value``."""
 
+    kind: str = field(default="point", init=False, repr=False)
     value: float
 
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
@@ -80,14 +81,14 @@ class PointLaw:
         """(value, probability) pairs of the law."""
         return ((self.value, 1.0),)
 
-    def to_dict(self) -> dict:
-        return {"kind": "point", "value": self.value}
+    to_dict = record_dict
 
 
 @dataclass(frozen=True)
 class TwoPointLaw:
     """Two-point mixture: ``high`` with probability ``weight_high``, else ``low``."""
 
+    kind: str = field(default="two_point", init=False, repr=False)
     low: float
     high: float
     weight_high: float = 0.5
@@ -105,27 +106,17 @@ class TwoPointLaw:
         """(value, probability) pairs of the law."""
         return ((self.low, 1.0 - self.weight_high), (self.high, self.weight_high))
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "two_point",
-            "low": self.low,
-            "high": self.high,
-            "weight_high": self.weight_high,
-        }
+    to_dict = record_dict
 
 
 def law_from_dict(d: dict) -> PointLaw | TwoPointLaw:
+    """The law that a law's ``kind`` field names; a two-point ``weight_high``
+    reads as 0.5 when absent."""
     kind = d.get("kind")
     if kind == "point":
-        check_keys(d, ("kind", "value"), "point law")
-        return PointLaw(value=real_number(d["value"], "value"))
+        return record_from_dict(PointLaw, d, "point law")
     if kind == "two_point":
-        check_keys(d, ("kind", "low", "high", "weight_high"), "two-point law")
-        return TwoPointLaw(
-            low=real_number(d["low"], "low"),
-            high=real_number(d["high"], "high"),
-            weight_high=real_number(d.get("weight_high", 0.5), "weight_high"),
-        )
+        return record_from_dict(TwoPointLaw, d, "two-point law", defaults={"weight_high": 0.5})
     raise InvalidArgumentError(f"unknown law kind {kind!r}")
 
 
@@ -162,14 +153,12 @@ class SccsDesign:
     def max_start(self) -> int:
         return self.total_days - self.exposure_days + 1
 
-    def to_dict(self) -> dict:
-        return {"total_days": self.total_days, "exposure_days": self.exposure_days}
+    to_dict = record_dict
 
     @classmethod
     def from_dict(cls, d: dict) -> "SccsDesign":
-        keys = ("total_days", "exposure_days")
-        check_keys(d, keys, "SCCS design")
-        return cls(*(whole_number(d[key], key) for key in keys))
+        readers = {"total_days": whole_number, "exposure_days": whole_number}
+        return record_from_dict(cls, d, "SCCS design", readers)
 
 
 @dataclass(frozen=True)
@@ -206,22 +195,13 @@ class SccsParams:
                 f"rate exp({lo}) = {math.exp(lo):.6g}"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "phi_law": self.phi_law.to_dict(),
-            "beta": self.beta,
-            "lambda_floor": self.lambda_floor,
-        }
+    to_dict = record_dict
 
     @classmethod
     def from_dict(cls, d: dict) -> "SccsParams":
         """The params block; an absent ``beta`` reads as 0, no effect."""
-        check_keys(d, ("phi_law", "beta", "lambda_floor"), "SCCS params")
-        return cls(
-            phi_law=law_from_dict(d["phi_law"]),
-            beta=real_number(d.get("beta", 0.0), "beta"),
-            lambda_floor=real_number(d["lambda_floor"], "lambda_floor"),
-        )
+        readers = {"phi_law": lambda law, _: law_from_dict(law)}
+        return record_from_dict(cls, d, "SCCS params", readers, {"beta": 0.0})
 
 
 @dataclass(frozen=True)
@@ -233,13 +213,14 @@ class SccsModel:
     design: SccsDesign
     params: SccsParams
 
-    def to_dict(self) -> dict:
-        return {"design": self.design.to_dict(), "params": self.params.to_dict()}
+    to_dict = record_dict
 
     @classmethod
     def from_dict(cls, d: dict) -> "SccsModel":
-        check_keys(d, ("design", "params"), "SCCS model")
-        return cls(SccsDesign.from_dict(d["design"]), SccsParams.from_dict(d["params"]))
+        return record_from_dict(cls, d, "SCCS model", readers={
+            "design": lambda design, _: SccsDesign.from_dict(design),
+            "params": lambda params, _: SccsParams.from_dict(params),
+        })
 
 
 class SccsDataset:

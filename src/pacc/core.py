@@ -43,6 +43,7 @@ __all__ = [
     "real_number",
     "check_u64",
     "check_keys",
+    "check_array_size",
     "record_dict",
     "record_from_dict",
     "csv_text",
@@ -51,6 +52,9 @@ __all__ = [
 ]
 
 _U64_MAX = 2**64 - 1
+
+# numpy makes no array of more bytes than this ("array is too big").
+_MAX_ARRAY_BYTES = int(np.iinfo(np.intp).max)
 
 
 class PaccError(Exception):
@@ -158,6 +162,17 @@ def check_keys(block: object, keys: tuple[str, ...], what: str) -> None:
             raise InvalidArgumentError(
                 f"unknown {what} key {key!r}; expected one of {', '.join(keys)}"
             )
+
+
+def check_array_size(count: int, width: int) -> None:
+    """A draw of ``count`` records whose widest array holds ``width`` float64
+    values a record; past numpy's array limit it is an InvalidArgumentError
+    before anything is drawn."""
+    if count * width * 8 > _MAX_ARRAY_BYTES:
+        raise InvalidArgumentError(
+            f"drawing {count} x {width} float64 values takes {count * width * 8} bytes, "
+            f"past numpy's array limit of {_MAX_ARRAY_BYTES} bytes"
+        )
 
 
 def _fields(record_type: type) -> dict[str, bool]:

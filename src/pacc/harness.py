@@ -46,6 +46,7 @@ from pacc.core import (
 from pacc.iv2sls import (
     IvDataset,
     IvParams,
+    check_iv_trial,
     generate_iv,
     iv_analytic_variances,
     iv_decide,
@@ -56,6 +57,7 @@ from pacc.iv2sls import (
 from pacc.propensity import (
     ObsDataset,
     PsParams,
+    check_ps_trial,
     generate_obs,
     ps_decide,
     ps_pipeline,
@@ -65,6 +67,7 @@ from pacc.propensity import (
 from pacc.sccs import (
     SccsDataset,
     SccsModel,
+    check_sccs_trial,
     generate_sccs,
     sccs_decide,
     sccs_mle_closed,
@@ -117,9 +120,23 @@ DrawAndDecide = Callable[[np.random.Generator], Decision]
 
 def _sccs_prepare(spec: TrialSpec, model: SccsModel, size: int) -> DrawAndDecide:
     """An SCCS trial: the event totals from the model's trial law, whose
-    1-D tables are built, and whose size limits are checked, here."""
+    1-D tables are built here."""
     law, delta = sccs_trial_law(model.design, model.params, size), spec.concept.delta
     return lambda gen: sccs_decide(law.draw(gen), delta)
+
+
+def _sized(
+    bound: Callable[[TrialSpec], int], check: Callable[[TrialSpec, int], object]
+) -> Callable[[TrialSpec], int]:
+    """A ``MethodSpec.size``: the spec's explicit size, or ``bound(spec)``
+    under AUTO, once ``check(spec, size)`` has passed it."""
+
+    def size(spec: TrialSpec) -> int:
+        count = bound(spec) if spec.sample_size == AUTO else spec.sample_size
+        check(spec, count)
+        return count
+
+    return size
 
 
 def _iv_auto_size(spec: TrialSpec) -> int:
@@ -177,8 +194,11 @@ class MethodSpec:
     # (effect-free params, delta, truth is M1) -> the same params with the
     # truth's effect: delta's under M1, none under M2.
     truth_params: Callable[[GeneratorParams, float, bool], GeneratorParams]
-    # The sample-size bound that AUTO resolves to.
-    auto_size: Callable[[TrialSpec], int]
+    # A spec's sample size: the explicit one or the bound that AUTO
+    # resolves to, passed through the checks `prepare` makes before it
+    # builds anything (the trial-day limit, N1 + N2, int64 and numpy's
+    # array limit).
+    size: Callable[[TrialSpec], int]
     # Trials: (spec, truth params, sample size) -> the prepared trial. The
     # work that depends only on the spec runs in this call, once per verify.
     prepare: Callable[[TrialSpec, Any, int], DrawAndDecide]
@@ -205,8 +225,11 @@ METHODS: dict[Method, MethodSpec] = {
         truth_params=lambda model, delta, is_m1: replace(
             model, params=replace(model.params, beta=math.log(delta) if is_m1 else 0.0)
         ),
-        auto_size=lambda spec: sccs_sample_size(
-            spec.epsilon, spec.concept.delta, spec.generator_params.params.lambda_floor
+        size=_sized(
+            lambda spec: sccs_sample_size(
+                spec.epsilon, spec.concept.delta, spec.generator_params.params.lambda_floor
+            ),
+            lambda spec, size: check_sccs_trial(spec.generator_params.design, size),
         ),
         prepare=_sccs_prepare,
         generate=lambda model, count, rng: generate_sccs(
@@ -230,9 +253,14 @@ METHODS: dict[Method, MethodSpec] = {
         truth_params=lambda params, delta, is_m1: replace(
             params, effect=delta if is_m1 else 0.0
         ),
-        auto_size=lambda spec: ps_sample_sizes(
-            spec.epsilon, spec.concept.delta, spec.generator_params.n_covariates
-        ).total,
+        size=_sized(
+            lambda spec: ps_sample_sizes(
+                spec.epsilon, spec.concept.delta, spec.generator_params.n_covariates
+            ).total,
+            lambda spec, size: check_ps_trial(
+                spec.generator_params, size, spec.concept.delta, spec.epsilon
+            ),
+        ),
         prepare=lambda spec, params, size: ps_trial(
             params, size, spec.concept.delta, spec.epsilon
         ),
@@ -256,7 +284,9 @@ METHODS: dict[Method, MethodSpec] = {
         truth_params=lambda params, delta, is_m1: replace(
             params, beta=delta if is_m1 else 0.0
         ),
-        auto_size=_iv_auto_size,
+        size=_sized(
+            _iv_auto_size, lambda spec, size: check_iv_trial(size, spec.concept.delta)
+        ),
         prepare=lambda spec, params, size: iv_trial(params, size, spec.concept.delta),
         generate=lambda params, count, rng: generate_iv(params, count, rng),
         formats=("csv",),
@@ -379,10 +409,9 @@ def params_for_truth(spec: TrialSpec) -> GeneratorParams:
 
 
 def resolve_sample_size(spec: TrialSpec) -> int:
-    """The explicit sample size, or the method's sample-size bound under AUTO."""
-    if spec.sample_size != AUTO:
-        return spec.sample_size
-    return METHODS[spec.method].auto_size(spec)
+    """The explicit sample size, or the method's sample-size bound under
+    AUTO, checked against the limits of preparing the method's trial."""
+    return METHODS[spec.method].size(spec)
 
 
 class TrialOutcome(NamedTuple):
@@ -639,14 +668,14 @@ def adversarial_sweep(base: TrialSpec, grid: Sequence[GeneratorParams]) -> Sweep
     ``base.stream_base + k * base.trials`` on.
 
     Before the first trial, every point's spec is built and its sample
-    size resolved: points that carry an effect, violate the method's
-    assumptions under either truth (positivity, rate floors, outcome
-    validity) or would take stream ids past 2**64 - 1 are rejected with a
-    per-point diagnostic. A point's trial is prepared just before its own
-    trials, so one trial law is held at a time; a point whose trial cannot
-    be prepared (an SCCS design past the trial-day limit, an explicit size
-    below the propensity N1 + N2) stops the sweep with a diagnostic that
-    names it.
+    size resolved and checked: points that carry an effect, violate the
+    method's assumptions under either truth (positivity, rate floors,
+    outcome validity), would take stream ids past 2**64 - 1, or whose trial
+    could not be prepared (an SCCS design past the trial-day limit, an
+    explicit size below the propensity N1 + N2, records past numpy's array
+    limit) are rejected with a per-point diagnostic, and no trial runs. The
+    check builds nothing: a point's trial is prepared just before its own
+    trials, so one trial law is held at a time.
     """
     if len(grid) == 0:
         raise InvalidArgumentError("the sweep grid must be nonempty")
@@ -664,13 +693,7 @@ def adversarial_sweep(base: TrialSpec, grid: Sequence[GeneratorParams]) -> Sweep
         raise InvalidArgumentError(
             "sweep rejected; assumption-violating grid points:\n" + "\n".join(problems)
         )
-    reports = []
-    for k, spec_k in enumerate(specs):
-        try:
-            reports.append(verify(spec_k))
-        except InvalidArgumentError as exc:
-            raise InvalidArgumentError(f"grid point {k}: {exc}") from None
-    return SweepReport(base, tuple(grid), tuple(reports))
+    return SweepReport(base, tuple(grid), tuple(verify(spec_k) for spec_k in specs))
 
 
 Report = Union[VerificationReport, SweepReport]

@@ -22,6 +22,7 @@ from pacc.core import (
     ModelChoice,
     WeakInstrumentError,
     ceil_bound,
+    check_array_size,
     csv_records,
     csv_text,
     record_dict,
@@ -35,6 +36,7 @@ __all__ = [
     "generate_iv",
     "draw_iv_sums",
     "iv_trial",
+    "check_iv_trial",
     "two_sls",
     "iv_ratio",
     "iv_sample_size",
@@ -127,6 +129,7 @@ def generate_iv(params: IvParams, count: int, gen: np.random.Generator) -> IvDat
     """Draw ``count`` records from the linear SEM."""
     if count < 1:
         raise InvalidArgumentError("count must be at least 1")
+    check_array_size(count, 1)
     d = 2.0 * gen.integers(0, 2, size=count).astype(np.float64) - 1.0
     u = gen.standard_normal(count)
     xi_z = gen.standard_normal(count)
@@ -162,16 +165,14 @@ def iv_trial(
     count, gen)), delta)``, with the work that depends only on the
     arguments done once.
 
-    delta and count (a float's range) are checked here, and the threshold,
+    ``check_iv_trial`` checks delta and count, and the threshold,
     sqrt(count) and count*alpha are computed here. A trial keeps
     ``draw_iv_sums``' arithmetic in its order, so its decision is the same
     bit for bit. A finite ratio of a nonzero sum(dz) needs finite sums
     (0 * inf and inf / inf are NaN); any other trial goes through
     ``iv_ratio``, which raises its WeakInstrumentError or DegenerateFitError.
     """
-    _check_delta(delta)
-    if count > sys.float_info.max:
-        raise InvalidArgumentError(f"count must be at most {sys.float_info.max!r}, got {count}")
+    check_iv_trial(count, delta)
     threshold = delta / 2.0
     sum_dd, root, base = float(count), math.sqrt(count), count * params.alpha
     beta, conf_z, conf_y = params.beta, params.conf_z, params.conf_y
@@ -188,6 +189,14 @@ def iv_trial(
         return Decision(m1 if abs(beta_hat) > threshold else m2, beta_hat, threshold)
 
     return draw_and_decide
+
+
+def check_iv_trial(count: int, delta: float) -> None:
+    """The checks of ``iv_trial``, which build nothing: delta in (0, 1) and
+    a count within a float's range."""
+    _check_delta(delta)
+    if count > sys.float_info.max:
+        raise InvalidArgumentError(f"count must be at most {sys.float_info.max!r}, got {count}")
 
 
 def iv_ratio(sum_dd: float, sum_dz: float, sum_dy: float) -> IvEstimate:

@@ -26,6 +26,7 @@ from pacc.core import (
     PipelineFailureError,
     UndefinedAteError,
     ceil_bound,
+    check_array_size,
     csv_records,
     csv_text,
     real_number,
@@ -49,6 +50,7 @@ __all__ = [
     "ps_sample_sizes",
     "ps_decide",
     "ps_trial",
+    "check_ps_trial",
     "ps_pipeline",
     "ate_decision",
     "lemma1_bound",
@@ -281,6 +283,7 @@ def generate_obs(params: PsParams, count: int, gen: np.random.Generator) -> ObsD
     if count < 1:
         raise InvalidArgumentError("count must be at least 1")
     n = params.n_covariates
+    check_array_size(count, n)
     probs = np.asarray(params.covariate_probs)
     x = (gen.random((count, n)) < probs).astype(np.uint8)
     z = (gen.random(count) < params.propensity(x)).astype(np.uint8)
@@ -591,22 +594,35 @@ def ps_trial(
     """``ps_decide`` on ``count`` records drawn from ``params``, as a
     function of the trial's generator that draws only what the pipeline reads.
 
-    The sizes and their checks (fewer than N1 + N2 records, a size past
-    int64) and the cell table run here, once for every trial. Within the
-    enumeration limit a trial draws the N1 fitting slice as cell tallies
-    and the N2 tail as cell counts (``_cell_pipeline``); past it, a trial
-    is ``ps_decide`` on N1 + N2 records from one ``generate_obs`` call.
-    Records beyond N1 + N2 would never be read, so they are not drawn.
+    The sizes (``check_ps_trial``) and the cell table are made here, once
+    for every trial. Within the enumeration limit a trial draws the N1
+    fitting slice as cell tallies and the N2 tail as cell counts
+    (``_cell_pipeline``); past it, a trial is ``ps_decide`` on N1 + N2
+    records from one ``generate_obs`` call. Records beyond N1 + N2 would
+    never be read, so they are not drawn.
     """
-    sizes = _pipeline_sizes(count, delta, epsilon, params.n_covariates)
-    _check_drawable(sizes.n1)
-    _check_drawable(sizes.n2)
+    sizes = check_ps_trial(params, count, delta, epsilon)
     if params.n_covariates > _ENUM_LIMIT:
         return lambda gen: ps_decide(generate_obs(params, sizes.total, gen), delta, gen, epsilon)
     table = _cell_table(params)
     return lambda gen: ate_decision(
         _cell_pipeline(table, table.draw_fitting(sizes.n1, gen), sizes, gen).ate, delta
     )
+
+
+def check_ps_trial(
+    params: PsParams, count: int, delta: float, epsilon: float
+) -> PsSampleSizes:
+    """The pipeline sizes of ``ps_trial``, checked without building its cell
+    table or drawing. Fewer than N1 + N2 records, an N1 or N2 past int64,
+    or, past the enumeration limit, N1 + N2 records past numpy's array limit
+    is an InvalidArgumentError."""
+    sizes = _pipeline_sizes(count, delta, epsilon, params.n_covariates)
+    _check_drawable(sizes.n1)
+    _check_drawable(sizes.n2)
+    if params.n_covariates > _ENUM_LIMIT:
+        check_array_size(sizes.total, params.n_covariates)
+    return sizes
 
 
 def _cell_pipeline(

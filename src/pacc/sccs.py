@@ -41,6 +41,7 @@ __all__ = [
     "SccsTrialLaw",
     "generate_sccs",
     "sccs_trial_law",
+    "check_sccs_trial",
     "sccs_loglik",
     "sccs_mle_closed",
     "sccs_mle_numeric",
@@ -523,9 +524,26 @@ class SccsTrialLaw:
 
 
 def sccs_trial_law(design: SccsDesign, params: SccsParams, cases: int) -> SccsTrialLaw:
-    """The trial law of a ``cases``-patient case series under the model.
+    """The trial law of a ``cases``-patient case series under the model,
+    once ``check_sccs_trial`` has passed its size."""
+    check_sccs_trial(design, cases)
+    weights, atoms = [], []
+    for phi, weight in params.phi_law.atoms():
+        p1, p0 = math.exp(phi + params.beta), math.exp(phi)
+        qa, pa, exposed = _positive_binomial(design.exposure_days, p1)
+        qb, pb, control = _positive_binomial(design.control_days, p0)
+        some = qa + (1.0 - qa) * qb
+        weights.append(weight * some)
+        atoms.append(_Atom(qa / some, p0, pa, exposed, pb, control))
+    accept = math.fsum(weights)
+    return SccsTrialLaw(design, cases, min(accept, 1.0), np.array(weights) / accept, tuple(atoms))
 
-    Its tables hold exposure_days + control_days entries per phi atom and
+
+def check_sccs_trial(design: SccsDesign, cases: int) -> None:
+    """The size limits of ``sccs_trial_law``, checked without building its
+    tables.
+
+    The tables hold exposure_days + control_days entries per phi atom and
     cost one ``math.lgamma`` call a day, so designs longer than
     ``_MAX_TRIAL_DAYS`` are an InvalidArgumentError. So are sizes whose
     retry budget or whose cases * total_days, a bound on the event totals
@@ -547,16 +565,6 @@ def sccs_trial_law(design: SccsDesign, params: SccsParams, cases: int) -> SccsTr
         raise InvalidArgumentError(
             f"cases * total_days must be at most 2**63 - 1, got {cases} * {total}"
         )
-    weights, atoms = [], []
-    for phi, weight in params.phi_law.atoms():
-        p1, p0 = math.exp(phi + params.beta), math.exp(phi)
-        qa, pa, exposed = _positive_binomial(design.exposure_days, p1)
-        qb, pb, control = _positive_binomial(design.control_days, p0)
-        some = qa + (1.0 - qa) * qb
-        weights.append(weight * some)
-        atoms.append(_Atom(qa / some, p0, pa, exposed, pb, control))
-    accept = math.fsum(weights)
-    return SccsTrialLaw(design, cases, min(accept, 1.0), np.array(weights) / accept, tuple(atoms))
 
 
 def sccs_loglik(dataset: SccsDataset, beta: float) -> float:

@@ -738,18 +738,26 @@ class TestSweep:
             "--set grid.3.params.lambda_floor=0.3: '3' is not an index of a list of 3 entries"
         )
 
-    def test_point_whose_trial_cannot_be_prepared_is_named(self, capsys, tmp_path):
+    def test_point_whose_trial_cannot_be_prepared_is_named(self, capsys, tmp_path,
+                                                           monkeypatch):
         # Points 0-2 are valid; point 3's design is past the trial-day limit,
-        # which only preparing its trial checks.
+        # which the sweep checks before any point's trial runs or law is built.
+        import pacc.harness as harness_mod
+
+        calls = []
+        monkeypatch.setattr(harness_mod, "run_trial", lambda *args: calls.append("trial"))
+        monkeypatch.setattr(harness_mod, "sccs_trial_law", lambda *args: calls.append("law"))
         config = json.loads((CONFIGS / "sccs_sweep.json").read_text())
         config["grid"].append(json.loads(json.dumps(config["grid"][0])))
         config["grid"][3]["design"]["total_days"] = 2**20 + 1
         cfg = write_json(tmp_path / "sweep.json", config)
-        message = _diagnostic(*run_cli(capsys, "sweep", "--config", cfg, "--set", "trials=2"))
+        message = _diagnostic(*run_cli(capsys, "sweep", "--config", cfg, "--set", "trials=200"))
         assert message == (
+            "sweep rejected; assumption-violating grid points:\n"
             "grid point 3: SCCS trials take designs of at most 2**20 = 1048576 days, "
             "got total_days 1048577"
         )
+        assert calls == []
 
     def test_missing_grid_exits_2(self, capsys, tmp_path):
         cfg = write_json(tmp_path / "sweep.json", {**IV_VERIFY_CONFIG})
@@ -1211,6 +1219,49 @@ class TestSizeLimits:
             capsys, command, "--config", str(CONFIGS / f"{name}.json"),
             "--set", override, "--set", "trials=3",
         )).endswith(message)
+        assert ran == []
+
+    # Record draws past numpy's array limit of 2**63 - 1 bytes; nothing is drawn.
+    ARRAY_LIMIT = "bytes, past numpy's array limit of 9223372036854775807 bytes"
+
+    def test_propensity_records_past_the_array_limit_exit_2(self, capsys, tmp_path):
+        cfg = write_json(tmp_path / "gen.json", {
+            "method": "propensity", "count": 10**18, "master_seed": 1,
+            "generator": {**PS_GENERATOR, "effect": 0.0},
+        })
+        assert _diagnostic(*run_cli(capsys, "generate", "--config", cfg)) == (
+            f"drawing {10**18} x 3 float64 values takes {24 * 10**18} " + self.ARRAY_LIMIT
+        )
+
+    def test_iv_records_past_the_array_limit_exit_2(self, capsys, tmp_path):
+        cfg = write_json(tmp_path / "gen.json", {
+            "method": "iv2sls", "count": 2**62, "master_seed": 1,
+            "generator": {"alpha": 1.0, "conf_z": 1.0},
+        })
+        assert _diagnostic(*run_cli(capsys, "generate", "--config", cfg)) == (
+            f"drawing {2**62} x 1 float64 values takes {2**65} " + self.ARRAY_LIMIT
+        )
+
+    def test_propensity_trial_records_past_the_array_limit_exit_2(self, capsys, tmp_path,
+                                                                  monkeypatch):
+        # Past 20 covariates a trial draws N1 + N2 records: about 7.7e16 here.
+        from pacc import harness
+
+        ran = []
+        monkeypatch.setattr(harness, "run_trial", lambda *args: ran.append(args))
+        n = 21
+        cfg = write_json(tmp_path / "cfg.json", {
+            "method": "propensity", "truth": "M2", "epsilon": 8e-7,
+            "concept": {"delta": 0.8}, "sample_size": "auto", "trials": 2, "master_seed": 1,
+            "generator": {
+                "n_covariates": n, "treat_weights": [0.01] * n, "treat_bias": 0.0,
+                "positivity_floor": 0.2, "outcome_base": 0.05,
+                "confound_weights": [0.001] * n,
+            },
+        })
+        message = _diagnostic(*run_cli(capsys, "verify", "--config", cfg))
+        pattern = r"drawing \d+ x 21 float64 values takes \d+ " + re.escape(self.ARRAY_LIMIT)
+        assert re.fullmatch(pattern, message)
         assert ran == []
 
     def test_memory_error_exits_3(self, capsys, monkeypatch):

@@ -3,7 +3,7 @@ import io
 import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +177,49 @@ GENERATOR_BLOCKS = {
 }
 
 
+_reals = st.floats(-1e6, 1e6)
+_point_laws = st.builds(PointLaw, st.floats(-8.0, -1.0))
+_two_point_laws = st.tuples(st.floats(-8.0, -1.0), st.floats(-8.0, -1.0),
+                            st.floats(0.01, 0.99)).map(
+    lambda t: TwoPointLaw(min(t[:2]), max(t[:2]), t[2])
+)
+_designs = st.integers(2, 2**53).flatmap(
+    lambda total: st.builds(SccsDesign, st.just(total), st.integers(1, total - 1))
+)
+# The floor is a share of the smallest baseline rate.
+_sccs_params = st.tuples(_point_laws | _two_point_laws, st.floats(-1.0, 1.0),
+                         st.floats(0.01, 1.0)).map(
+    lambda t: SccsParams(t[0], t[1], t[2] * math.exp(min(v for v, _ in t[0].atoms())))
+)
+
+
+def _ps_params(n: int):
+    return st.builds(
+        PsParams,
+        n_covariates=st.just(n),
+        treat_weights=st.tuples(*[st.floats(-0.5, 0.5)] * n),
+        treat_bias=st.floats(-0.5, 0.5),
+        positivity_floor=st.floats(0.001, 0.05),
+        outcome_base=st.floats(0.3, 0.4),
+        effect=st.floats(-0.1, 0.1),
+        confound_weights=st.tuples(*[st.floats(-0.04, 0.04)] * n),
+        covariate_probs=st.none() | st.tuples(*[st.floats(0.05, 0.95)] * n),
+    )
+
+
+# Valid blocks of each of the seven generator-block types.
+BLOCK_STRATEGIES = {
+    "iv": st.builds(IvParams, _reals.filter(bool), _reals, _reals, _reals,
+                    st.floats(0.0, 1e6), st.floats(0.0, 1e6)),
+    "propensity": st.integers(1, 4).flatmap(_ps_params),
+    "sccs_model": st.builds(SccsModel, _designs, _sccs_params),
+    "sccs_params": _sccs_params,
+    "sccs_design": _designs,
+    "point_law": _point_laws,
+    "two_point_law": _two_point_laws,
+}
+
+
 class TestGeneratorBlocks:
     @pytest.mark.parametrize("name", GENERATOR_BLOCKS)
     def test_every_written_key_reads_back(self, name):
@@ -189,17 +232,50 @@ class TestGeneratorBlocks:
         with pytest.raises(InvalidArgumentError, match="unknown .* key 'zz'"):
             parse({**block, "zz": 0.0})
 
-    @pytest.mark.parametrize("parse, block, effect", [
-        (IvParams.from_dict, {"alpha": 1.0}, lambda p: p.beta),
+    @pytest.mark.parametrize("name, message", [
+        ("iv", "IV generator key 'zz'; expected one of "
+               "alpha, beta, conf_z, conf_y, noise_z_sd, noise_y_sd"),
+        ("propensity", "propensity generator key 'zz'; expected one of n_covariates, "
+                       "treat_weights, treat_bias, positivity_floor, outcome_base, effect, "
+                       "confound_weights, covariate_probs"),
+        ("sccs_model", "SCCS model key 'zz'; expected one of design, params"),
+        ("sccs_params", "SCCS params key 'zz'; expected one of phi_law, beta, lambda_floor"),
+        ("sccs_design", "SCCS design key 'zz'; expected one of total_days, exposure_days"),
+        ("point_law", "point law key 'zz'; expected one of kind, value"),
+        ("two_point_law", "two-point law key 'zz'; expected one of kind, low, high, weight_high"),
+    ])
+    def test_unknown_key_message_lists_the_keys_in_order(self, name, message):
+        parse, block = GENERATOR_BLOCKS[name]
+        with pytest.raises(InvalidArgumentError) as info:
+            parse({**block, "zz": 0.0})
+        assert str(info.value) == f"unknown {message}"
+
+    # (parser, a block without the keys that have defaults, the record's
+    # values for those keys), for every block key with an absent default.
+    @pytest.mark.parametrize("parse, block, defaults", [
+        (IvParams.from_dict, {"alpha": 1.0},
+         lambda p: (p.beta, p.conf_z, p.conf_y, p.noise_z_sd, p.noise_y_sd) == (0.0,) * 5),
         (PsParams.from_dict, {k: v for k, v in GENERATOR_BLOCKS["propensity"][1].items()
-                              if k != "effect"}, lambda p: p.effect),
+                              if k not in ("effect", "covariate_probs")},
+         lambda p: (p.effect, p.covariate_probs) == (0.0, (0.5,) * 3)),
         (SccsModel.from_dict, {"design": SccsDesign(250, 21).to_dict(),
                                "params": {"phi_law": PointLaw(-4.0).to_dict(),
                                           "lambda_floor": 0.01}},
-         lambda m: m.params.beta),
-    ])
-    def test_absent_effect_reads_as_0(self, parse, block, effect):
-        assert effect(parse(block)) == 0.0
+         lambda m: m.params.beta == 0.0),
+        (law_from_dict, {"kind": "two_point", "low": -4.0, "high": -3.0},
+         lambda law: law.weight_high == 0.5),
+    ], ids=["iv", "propensity", "sccs_model", "two_point_law"])
+    def test_absent_keys_read_as_their_defaults(self, parse, block, defaults):
+        assert defaults(parse(block))
+
+    @pytest.mark.parametrize("name", BLOCK_STRATEGIES)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_written_blocks_read_back_with_keys_in_field_order(self, name, data):
+        block = data.draw(BLOCK_STRATEGIES[name])
+        written = block.to_dict()
+        assert list(written) == [f.name for f in fields(block)]
+        assert GENERATOR_BLOCKS[name][0](written) == block
 
 
 class TestTruthAndSizes:
@@ -510,10 +586,12 @@ class TestSweep:
             n_covariates=4, treat_weights=(0.25,) * 4, treat_bias=-0.5, positivity_floor=0.2,
             outcome_base=0.05, effect=0.0, confound_weights=(0.03,) * 4,
         )
-        with pytest.raises(InvalidArgumentError,
-                           match=r"^grid point 1: pipeline needs N1 \+ N2 = 125916 records"):
+        with pytest.raises(InvalidArgumentError, match=(
+            r"^sweep rejected; assumption-violating grid points:\n"
+            r"grid point 1: pipeline needs N1 \+ N2 = 125916 records, got 97890$"
+        )):
             adversarial_sweep(base, [base.generator_params, wider])
-        assert [index for _, index, _ in ran] == [0, 1]
+        assert ran == []
 
     def test_grid_point_with_an_effect_is_named(self):
         base = iv_spec(trials=5)

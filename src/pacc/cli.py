@@ -37,6 +37,7 @@ from pacc.core import (
     Method,
     PaccError,
     error_text,
+    json_string,
     real_number,
     split_stream,
     whole_number,
@@ -134,21 +135,14 @@ def _load_config(args: SimpleNamespace) -> dict:
     return config
 
 
-def _config_value(config: dict, key: str, caster):
+def _config_value(config: dict, key: str, reader):
+    """Config field ``key`` as ``reader(value, key)`` reads it, or a usage error."""
     if key not in config:
         raise CliError(_EXIT_USAGE, f"config is missing required field {key!r}")
     try:
-        return caster(config[key])
+        return reader(config[key], key)
     except (TypeError, ValueError, OverflowError) as exc:
         raise CliError(_EXIT_USAGE, f"config field {key!r}: {exc}") from exc
-
-
-def _config_whole(config: dict, key: str) -> int:
-    return _config_value(config, key, lambda value: whole_number(value, key))
-
-
-def _config_real(config: dict, key: str) -> float:
-    return _config_value(config, key, lambda value: real_number(value, key))
 
 
 def _build(factory, what: str):
@@ -177,7 +171,7 @@ def cmd_samplesize(args: SimpleNamespace) -> int:
 
 
 def _method(config: dict) -> tuple[str, MethodSpec]:
-    name = _config_value(config, "method", str)
+    name = _config_value(config, "method", json_string)
     try:
         return name, METHODS[Method(name)]
     except ValueError:
@@ -187,8 +181,8 @@ def _method(config: dict) -> tuple[str, MethodSpec]:
 def cmd_generate(args: SimpleNamespace) -> int:
     config = _load_config(args)
     name, method = _method(config)
-    count = _config_whole(config, "count")
-    seed = _config_whole(config, "master_seed")
+    count = _config_value(config, "count", whole_number)
+    seed = _config_value(config, "master_seed", whole_number)
     if not 1 <= count <= 2**63 - 1:
         raise CliError(_EXIT_USAGE, f"count must lie in [1, 2**63 - 1], got {count}")
     block = config.get("generator")
@@ -213,7 +207,7 @@ def cmd_generate(args: SimpleNamespace) -> int:
 
 
 def _read_dataset(method: MethodSpec, config: dict):
-    path = _config_value(config, "input", str)
+    path = _config_value(config, "input", json_string)
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -233,10 +227,10 @@ def _apply_rule(method: MethodSpec, config: dict, decide: bool):
     error."""
     delta = epsilon = rng = None
     if decide or method.decide_stream:
-        delta = _config_real(config, "delta")
+        delta = _config_value(config, "delta", real_number)
     if method.decide_stream:
-        epsilon = _config_real(config, "epsilon")
-        rng = split_stream(_config_whole(config, "master_seed"), DECIDE_STREAM_ID)
+        epsilon = _config_value(config, "epsilon", real_number)
+        rng = split_stream(_config_value(config, "master_seed", whole_number), DECIDE_STREAM_ID)
     dataset = _read_dataset(method, config)
     rule = method.decide if decide else method.estimate
     try:

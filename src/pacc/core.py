@@ -41,6 +41,7 @@ __all__ = [
     "ceil_bound",
     "whole_number",
     "real_number",
+    "json_string",
     "check_u64",
     "check_keys",
     "check_array_size",
@@ -150,6 +151,13 @@ def real_number(value: object, name: str) -> float:
         if math.isfinite(number):
             return number
     raise InvalidArgumentError(f"{name} must be a finite number, got {value!r}")
+
+
+def json_string(value: object, name: str) -> str:
+    """A JSON string: a field read with ``str()`` would take null as "None"."""
+    if type(value) is str:
+        return value
+    raise InvalidArgumentError(f"{name} must be a string, got {value!r}")
 
 
 def check_keys(block: object, keys: tuple[str, ...], what: str) -> None:

@@ -36,10 +36,10 @@ from pacc.core import (
     check_u64,
     csv_text,
     error_text,
+    json_string,
     rate_upper_bound,
     real_number,
     record_dict,
-    record_from_dict,
     rekeyed_generator,
     whole_number,
 )
@@ -384,7 +384,7 @@ class TrialSpec:
         concept = ConceptSpec(
             delta=real_number(concept_d["delta"], "concept.delta"),
             method=method,
-            description=str(concept_d.get("description", "")),
+            description=json_string(concept_d.get("description", ""), "concept.description"),
         )
         size = d.get("sample_size", AUTO)
         if size != AUTO:
@@ -427,20 +427,6 @@ class TrialOutcome(NamedTuple):
 
     to_dict = record_dict
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrialOutcome":
-        return record_from_dict(
-            cls, d, "trial record",
-            readers={
-                "seed": whole_number,
-                "decision": _report_choice,
-                "statistic": _report_real,
-                "correct": _report_bool,
-                "failure": _report_text,
-            },
-            defaults={"decision": None, "failure": None},
-        )
-
 
 # The strings _jsonio writes for non-finite floats.
 _NON_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
@@ -453,13 +439,6 @@ def _report_real(value: object, name: str) -> float:
     return real_number(value, name)
 
 
-def _report_bool(value: object, name: str) -> bool:
-    """A report's flag: a JSON boolean, which ``bool()`` would not insist on."""
-    if type(value) is bool:
-        return value
-    raise InvalidArgumentError(f"{name} must be true or false, got {value!r}")
-
-
 def _report_choice(value: object, name: str) -> ModelChoice | None:
     try:
         return None if value is None else ModelChoice(value)
@@ -467,10 +446,12 @@ def _report_choice(value: object, name: str) -> ModelChoice | None:
         raise InvalidArgumentError(f"{name} must be 'M1', 'M2' or null, got {value!r}") from None
 
 
-def _report_text(value: object, name: str) -> str | None:
-    if value is None or type(value) is str:
-        return value
-    raise InvalidArgumentError(f"{name} must be a string or null, got {value!r}")
+# A trial record's draw: each field's reader. The spec gives its other fields.
+_DRAWS = {
+    "decision": _report_choice,
+    "statistic": _report_real,
+    "failure": lambda value, name: None if value is None else json_string(value, name),
+}
 
 
 def run_trial(
@@ -509,13 +490,15 @@ def run_trial(
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """A spec's trial outcomes, certified against its epsilon. The error
-    count, the rate, its Wilson upper bound and the verdict are derived
-    from the outcomes, so they cannot contradict them."""
+    """A spec's trial outcomes, certified against its epsilon. Every other
+    field it writes is derived from the two, so it cannot contradict them."""
 
     spec: TrialSpec
-    resolved_sample_size: int
     per_trial: tuple[TrialOutcome, ...]
+
+    @cached_property
+    def resolved_sample_size(self) -> int:
+        return resolve_sample_size(self.spec)
 
     @property
     def trials(self) -> int:
@@ -537,18 +520,6 @@ class VerificationReport:
     def passed(self) -> bool:
         return self.upper_bound <= self.spec.epsilon
 
-    def _summary(self) -> dict:
-        """The fields derived from the spec and the trials."""
-        return {
-            "resolved_sample_size": self.resolved_sample_size,
-            "errors": self.errors,
-            "trials": self.trials,
-            "empirical_rate": self.empirical_rate,
-            "upper_bound": self.upper_bound,
-            "confidence": CONFIDENCE,
-            "pass": self.passed,
-        }
-
     def to_dict(self) -> dict:
         return self._dict(_trial_dicts)
 
@@ -558,34 +529,60 @@ class VerificationReport:
             "schema": REPORT_SCHEMA,
             "kind": "verification",
             "spec": self.spec.to_dict(),
-            **self._summary(),
+            "resolved_sample_size": self.resolved_sample_size,
+            "errors": self.errors,
+            "trials": self.trials,
+            "empirical_rate": self.empirical_rate,
+            "upper_bound": self.upper_bound,
+            "confidence": CONFIDENCE,
+            "pass": self.passed,
             "per_trial": per_trial(self),
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "VerificationReport":
-        """The report that ``spec`` and ``per_trial`` certify. A summary
-        field, a record's seed or a record's ``correct`` that disagrees
-        with them is an InvalidArgumentError naming the field."""
+    def from_dict(cls, d: dict, name: str = "per_trial") -> "VerificationReport":
+        """The report of ``d``'s spec whose trials drew what its records (at
+        ``name`` in the file) hold: a decision, a statistic and a failure
+        each. The spec gives their seeds, ``correct`` and number."""
         spec = TrialSpec.from_dict(d["spec"])
-        per_trial = tuple(TrialOutcome.from_dict(t) for t in d["per_trial"])
-        _check_derived("len(per_trial)", len(per_trial), spec.trials)
-        for i, t in enumerate(per_trial):
-            _check_derived(f"per_trial[{i}].seed", t.seed, spec.stream_base + i)
-            _check_derived(f"per_trial[{i}].correct", t.correct, t.decision is spec.truth)
-        report = cls(spec, resolve_sample_size(spec), per_trial)
-        for key, derived in report._summary().items():
-            _check_derived(key, d[key], derived)
-        return report
+        per_trial = []
+        for i, record in enumerate(d["per_trial"]):
+            where = f"{name}[{i}]"
+            check_keys(record, TrialOutcome._fields, where)
+            draw = {key: read(record.get(key), f"{where}.{key}") for key, read in _DRAWS.items()}
+            correct = draw["decision"] is spec.truth
+            per_trial.append(TrialOutcome(seed=spec.stream_base + i, correct=correct, **draw))
+        if len(per_trial) != spec.trials:
+            raise InvalidArgumentError(
+                f"len({name}) is {len(per_trial)}, but the spec gives {spec.trials} trials"
+            )
+        return cls(spec, tuple(per_trial))
 
 
-def _check_derived(name: str, value: object, derived: object) -> None:
-    """A report field must read as ``write_report`` would write what the
-    spec and the trials give: same value, same JSON type."""
-    if _jsonio.dumps(value) != _jsonio.dumps(derived):
+def _check_written(value: object, derived: object, name: str = "") -> None:
+    """``value``, read from a report file at ``name``, must be what
+    ``write_report`` writes for the rebuilt report's ``derived``: an object
+    with the same keys, an array of the same length, a scalar with the same
+    ``_jsonio`` text. Objects and arrays are compared before the scalars
+    beside them, which are derived from them, so an error names its source."""
+    if type(derived) is dict:
+        check_keys(value, tuple(derived), name or "report")
+        paths = {key: f"{name}.{key}" if name else key for key in derived}
+        missing = [path for key, path in paths.items() if key not in value]
+        if missing:
+            raise KeyError(missing[0])  # error_text: "missing required field"
+        members = [(value[key], derived[key], path) for key, path in paths.items()]
+    elif type(derived) is list and type(value) is list:
+        _check_written(len(value), len(derived), f"len({name})")
+        members = [(v, dv, f"{name}[{i}]") for i, (v, dv) in enumerate(zip(value, derived))]
+    elif type(value) in (dict, list) or _jsonio.dumps(value) != _jsonio.dumps(derived):
         raise InvalidArgumentError(
-            f"{name} is {value!r}, but the spec and the trials give {derived!r}"
+            f"{name} is {value!r}, but the spec and the draws give {derived!r}"
         )
+    else:
+        return
+    for member in sorted(members, key=lambda m: type(m[1]) not in (dict, list)):
+        _check_written(*member)
 
 
 def verify(spec: TrialSpec) -> VerificationReport:
@@ -602,17 +599,21 @@ def verify(spec: TrialSpec) -> VerificationReport:
     size = resolve_sample_size(spec)
     draw_and_decide = METHODS[spec.method].prepare(spec, params_for_truth(spec), size)
     outcomes = [run_trial(spec, i, draw_and_decide) for i in range(spec.trials)]
-    return VerificationReport(spec, size, tuple(outcomes))
+    return VerificationReport(spec, tuple(outcomes))
 
 
 @dataclass(frozen=True)
 class SweepReport:
-    """verify() at every grid point. The worst point and the verdict are
-    derived from the point reports."""
+    """verify() at every grid point. The grid (each point spec's generator
+    block), the worst point and the verdict are derived from the point
+    reports."""
 
     base: TrialSpec
-    grid: tuple[GeneratorParams, ...]
     reports: tuple[VerificationReport, ...]
+
+    @property
+    def grid(self) -> tuple[GeneratorParams, ...]:
+        return tuple(r.spec.generator_params for r in self.reports)
 
     @property
     def worst(self) -> int:
@@ -640,20 +641,16 @@ class SweepReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepReport":
-        """The sweep of ``base`` over ``grid``; a point spec, ``worst`` or
-        ``pass`` that disagrees with them and the point reports is an
-        InvalidArgumentError naming the field."""
+        """The sweep of ``d``'s base over its grid: each point's records
+        under the point spec that the base and the grid give."""
         base = TrialSpec.from_dict(d["base"])
-        grid = tuple(METHODS[base.method].params_type.from_dict(g) for g in d["grid"])
-        reports = tuple(VerificationReport.from_dict(r) for r in d["reports"])
-        _check_derived("len(reports)", len(reports), len(grid))
-        for k, (point, report) in enumerate(zip(grid, reports)):
-            derived = _point_spec(base, k, point).to_dict()
-            _check_derived(f"reports[{k}].spec", report.spec.to_dict(), derived)
-        sweep = cls(base, grid, reports)
-        _check_derived("worst", d["worst"], sweep.worst)
-        _check_derived("pass", d["pass"], sweep.passed)
-        return sweep
+        grid = [METHODS[base.method].params_type.from_dict(g) for g in d["grid"]]
+        return cls(base, tuple(
+            VerificationReport.from_dict(
+                {**r, "spec": _point_spec(base, k, point).to_dict()}, f"reports[{k}].per_trial"
+            )
+            for k, (point, r) in enumerate(zip(grid, d["reports"]))
+        ))
 
 
 def _point_spec(base: TrialSpec, k: int, point: GeneratorParams) -> TrialSpec:
@@ -693,7 +690,7 @@ def adversarial_sweep(base: TrialSpec, grid: Sequence[GeneratorParams]) -> Sweep
         raise InvalidArgumentError(
             "sweep rejected; assumption-violating grid points:\n" + "\n".join(problems)
         )
-    return SweepReport(base, tuple(grid), tuple(verify(spec_k) for spec_k in specs))
+    return SweepReport(base, tuple(verify(spec_k) for spec_k in specs))
 
 
 Report = Union[VerificationReport, SweepReport]
@@ -791,10 +788,11 @@ def write_report(report: Report, path: str | Path, format: str = "json") -> None
 
 
 def read_report(path: str | Path) -> Report:
-    """Read back a JSON report written by write_report, rebuilding what
-    ``verify`` derives from the spec and the trials; any other file, or
-    one whose fields contradict each other, raises InvalidArgumentError
-    naming the path."""
+    """Read back a JSON report written by write_report. The report is
+    rebuilt from its spec and its draws (each record's decision, statistic
+    and failure), and the file must be what write_report writes for it,
+    field for field (``_check_written``); any other file raises
+    InvalidArgumentError naming the path."""
     try:
         text = Path(path).read_text()
         # -0 is how _jsonio writes the float -0.0.
@@ -807,13 +805,11 @@ def read_report(path: str | Path) -> Report:
         raise InvalidArgumentError(f"report {path} nests too deeply to read: {exc}") from None
     if type(payload) is not dict or payload.get("schema") != REPORT_SCHEMA:
         raise InvalidArgumentError(f"unrecognised report schema in {path}")
-    kind = payload.get("kind")
-    if kind not in ("verification", "sweep"):
-        raise InvalidArgumentError(
-            f"report {path}: kind must be 'verification' or 'sweep', got {kind!r}"
-        )
-    report_type = SweepReport if kind == "sweep" else VerificationReport
+    # Any kind but "sweep" is read as a verification, whose "kind" it contradicts.
+    report_type = SweepReport if payload.get("kind") == "sweep" else VerificationReport
     try:
-        return report_type.from_dict(payload)
+        report = report_type.from_dict(payload)
+        _check_written(payload, report.to_dict())
     except (KeyError, ValueError, TypeError, AttributeError) as exc:
         raise InvalidArgumentError(f"report {path}: {error_text(exc)}") from None
+    return report

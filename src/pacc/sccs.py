@@ -113,6 +113,8 @@ class TwoPointLaw:
 def law_from_dict(d: dict) -> PointLaw | TwoPointLaw:
     """The law that a law's ``kind`` field names; a two-point ``weight_high``
     reads as 0.5 when absent."""
+    if type(d) is not dict:
+        raise InvalidArgumentError(f"the phi law must be a JSON object, got {d!r}")
     kind = d.get("kind")
     if kind == "point":
         return record_from_dict(PointLaw, d, "point law")

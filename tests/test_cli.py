@@ -872,6 +872,44 @@ class TestUsage:
         assert out == ""
         assert set(json.loads(err)) == {"error", "message"}
 
+    @pytest.mark.parametrize("value", [[1], 5], ids=["list", "number"])
+    @pytest.mark.parametrize("command", ["generate", "verify", "read_report"])
+    def test_non_object_phi_law_is_named(self, capsys, tmp_path, command, value):
+        if command == "generate":
+            config = json.loads(json.dumps(self.SCCS_GENERATE))
+        else:
+            config = json.loads((CONFIGS / "sccs_verify.json").read_text())
+        cfg = write_json(tmp_path / "cfg.json", config)
+        if command == "read_report":
+            report = tmp_path / "report.json"
+            run_cli(capsys, "verify", "--config", cfg, "--set", "trials=2", "--out", str(report))
+            payload = json.loads(report.read_text())
+            payload["spec"]["generator"]["params"]["phi_law"] = value
+            write_json(report, payload)
+            with pytest.raises(InvalidArgumentError) as info:
+                read_report(report)
+            message, prefix = str(info.value), f"report {report}"
+        else:
+            config["generator"]["params"]["phi_law"] = value
+            write_json(tmp_path / "cfg.json", config)
+            message = _diagnostic(*run_cli(capsys, command, "--config", cfg))
+            prefix = "invalid generator params" if command == "generate" else "invalid trial spec"
+        assert message == f"{prefix}: the phi law must be a JSON object, got {value!r}"
+
+    @pytest.mark.parametrize("command, config, message", [
+        ("verify", {**IV_VERIFY_CONFIG, "concept": {"delta": 0.5, "description": None}},
+         "invalid trial spec: concept.description must be a string, got None"),
+        ("verify", {**IV_VERIFY_CONFIG, "concept": {"delta": 0.5, "description": {"a": [1]}}},
+         "invalid trial spec: concept.description must be a string, got {'a': [1]}"),
+        ("decide", {"method": "iv2sls", "input": None, "delta": 0.5},
+         "config field 'input': input must be a string, got None"),
+        ("decide", {"method": None, "input": "iv.csv", "delta": 0.5},
+         "config field 'method': method must be a string, got None"),
+    ], ids=["description_null", "description_object", "input_null", "method_null"])
+    def test_non_string_text_fields_exit_2(self, capsys, tmp_path, command, config, message):
+        cfg = write_json(tmp_path / "cfg.json", config)
+        assert _diagnostic(*run_cli(capsys, command, "--config", cfg)) == message
+
     @pytest.mark.parametrize("command, name, path, value", [
         ("verify", "iv_verify", ("concept", "delta"), "0.5"),
         ("verify", "iv_verify", ("epsilon",), "0.1"),

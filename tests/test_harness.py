@@ -891,6 +891,96 @@ class TestReports:
         stats = [t.statistic for t in read_report(path).per_trial[:3]]
         assert math.isnan(stats[0]) and stats[1] == math.inf and stats[2] == -math.inf
 
+    # Each path is added (with 0) when absent and deleted when present.
+    @pytest.mark.parametrize("sweep, path, message", [
+        (False, ("note",), "unknown report key 'note'"),
+        (False, ("spec", "note"), "unknown trial spec key 'note'"),
+        (False, ("per_trial", 1, "note"), "unknown per_trial[1] key 'note'"),
+        (True, ("reports", 1, "note"), "unknown reports[1] key 'note'"),
+        (True, ("reports", 1, "spec", "note"), "unknown reports[1].spec key 'note'"),
+        (True, ("reports", 1, "per_trial", 0, "note"),
+         "unknown reports[1].per_trial[0] key 'note'"),
+        (False, ("per_trial", 0, "failure"), "missing required field 'per_trial[0].failure'"),
+        (False, ("spec", "stream_base"), "missing required field 'spec.stream_base'"),
+        (False, ("spec", "concept", "description"),
+         "missing required field 'spec.concept.description'"),
+        (True, ("reports", 0, "per_trial", 2, "failure"),
+         "missing required field 'reports[0].per_trial[2].failure'"),
+        (True, ("reports", 1, "spec", "sample_size"),
+         "missing required field 'reports[1].spec.sample_size'"),
+    ])
+    def test_unknown_and_missing_keys_are_named(self, tmp_path, sweep, path, message):
+        base = iv_spec(trials=3)
+        report = adversarial_sweep(base, [base.generator_params] * 2) if sweep else verify(base)
+        payload = report.to_dict()
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        if path[-1] in target:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = 0
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(payload))
+        with pytest.raises(InvalidArgumentError) as info:
+            read_report(tampered)
+        assert str(info.value).startswith(f"report {tampered}: {message}")
+
+    # Per method: a spec whose trials write awkward statistics (IV's -0.0,
+    # SCCS's infinity sentinels) and a second sweep point.
+    ROUND_TRIPS = {
+        Method.IV2SLS: (
+            iv_spec(ModelChoice.M2, generator_params=IvParams(alpha=-1.0, beta=0.0),
+                    trials=12, sample_size=100),
+            IvParams(alpha=1.0, beta=0.0, conf_z=1.0, conf_y=1.0),
+        ),
+        Method.SCCS: (
+            sccs_spec(trials=40, sample_size=1),
+            SccsModel(SccsDesign(20, 10), sccs_spec().generator_params.params),
+        ),
+        Method.PROPENSITY: (
+            ps_spec(trials=12),
+            replace(ps_spec().generator_params, confound_weights=(0.0,) * 3),
+        ),
+    }
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_written_reports_read_back_byte_for_byte(self, tmp_path, monkeypatch, method):
+        import pacc.harness as harness_mod
+        from pacc.core import PipelineFailureError
+
+        entry = harness_mod.METHODS[method]
+
+        def prepare_halting(spec, params, size):
+            """The method's trial, halted on about one stream in four."""
+            draw_and_decide = entry.prepare(spec, params, size)
+
+            def trial(gen):
+                if gen.integers(4) == 0:
+                    raise PipelineFailureError('too few "survivors" \u2264 N3')
+                return draw_and_decide(gen)
+            return trial
+
+        monkeypatch.setitem(harness_mod.METHODS, method, replace(entry, prepare=prepare_halting))
+        spec, other_point = self.ROUND_TRIPS[method]
+        verified = verify(spec)
+        swept = adversarial_sweep(spec, [spec.generator_params, other_point])
+        records = [t for r in (verified, *swept.reports) for t in r.per_trial]
+        assert any(t.failure and math.isnan(t.statistic) for t in records)
+        assert any(t.decision is not None for t in records)
+        texts = {t for r in (verified, *swept.reports) for t in report_json(r).split("\n")}
+        if method is Method.IV2SLS:
+            assert '      "statistic": -0,' in texts
+        if method is Method.SCCS:
+            assert {'      "statistic": "inf",', '      "statistic": "-inf",'} <= texts
+        for k, report in enumerate((verified, swept)):
+            path, again_path = tmp_path / f"{k}.json", tmp_path / f"{k}_again.json"
+            write_report(report, path)
+            again = read_report(path)
+            assert type(again) is type(report)
+            write_report(again, again_path)
+            assert again_path.read_bytes() == path.read_bytes()
+
 
 class TestReportJson:
     """``report_json`` writes exactly ``dumps(report.to_dict())``."""
@@ -974,13 +1064,6 @@ class TestRecords:
             setattr(record, field, getattr(record, field))
         with pytest.raises(AttributeError):
             record.extra = 1
-
-    def test_trial_record_round_trip(self):
-        outcome = TrialOutcome(seed=3, decision=None, statistic=math.inf, correct=False,
-                               failure="WeakInstrumentError: zero")
-        assert TrialOutcome.from_dict(json.loads(dumps(outcome.to_dict()))) == outcome
-        assert outcome.to_dict() == {"seed": 3, "decision": None, "statistic": math.inf,
-                                     "correct": False, "failure": "WeakInstrumentError: zero"}
 
 
 class TestMonotoneEvidence:

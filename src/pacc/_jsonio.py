@@ -28,19 +28,16 @@ from __future__ import annotations
 
 import math
 from json.encoder import encode_basestring_ascii as quote
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 __all__ = ["Rendered", "dumps", "float_text", "format_float", "quote"]
 
 
-class Rendered:
+class Rendered(NamedTuple):
     """A value whose JSON text ``render(pad)`` returns, written by ``dumps``
     as is; the text must lay itself out as ``dumps`` would at ``pad``."""
 
-    __slots__ = ("render",)
-
-    def __init__(self, render: Callable[[str], str]) -> None:
-        self.render = render
+    render: Callable[[str], str]
 
 
 def format_float(value: float) -> str:
@@ -94,7 +91,7 @@ def _text(obj: Any, pad: str) -> str:
         return "null"
     if kind is Rendered:
         return obj.render(pad)
-    # Subclasses of the types above (bool has none).
+    # Subclasses of the types above (bool has none; Rendered's tuple is matched above).
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):

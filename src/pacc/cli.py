@@ -337,7 +337,7 @@ _FLAGS = {
 
 
 def parse_flags(argv: list[str]) -> SimpleNamespace | None:
-    """What ``build_parser(argv[0]).parse_args(argv)`` gives a well-formed
+    """What ``build_parser().parse_args(argv)`` gives a well-formed
     ``argv``: a command (and a samplesize method), then exact flags of its
     table, each value not starting with "-" and accepted by the flag's
     converter or choices. Anything else (help, an abbreviation,
@@ -382,11 +382,9 @@ def parse_flags(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**values)
 
 
-def build_parser(command: str | None = None):
-    """The ``pacc`` argparse parser, built from ``_FLAGS``. When ``command``
-    names a subcommand, only that subparser is registered, built as in the
-    full parser; otherwise (no arguments, ``-h`` or an unknown name) all
-    six are. Usage errors raise CliError, so they end in the same JSON
+def build_parser():
+    """The ``pacc`` argparse parser with all six subcommands, built from
+    ``_FLAGS``. Usage errors raise CliError, so they end in the same JSON
     diagnostic as every other exit 2."""
     import argparse
 
@@ -399,7 +397,7 @@ def build_parser(command: str | None = None):
         description="Simulate, decide, and certify PACC causal discovery procedures.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in (command,) if command in _COMMANDS else _COMMANDS:
+    for name in _COMMANDS:
         if name == "samplesize":
             size = sub.add_parser(name, help="evaluate a method's sample-size bound")
             methods = size.add_subparsers(dest="method", required=True)
@@ -444,8 +442,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parse_flags(argv)
         if args is None:
-            parser = build_parser(argv[0] if argv else None)
-            args = SimpleNamespace(**vars(parser.parse_args(argv)))
+            args = SimpleNamespace(**vars(build_parser().parse_args(argv)))
         return _COMMANDS[args.command](args)
     except SystemExit as exc:  # --help
         return exc.code if isinstance(exc.code, int) else _EXIT_USAGE

@@ -12,7 +12,6 @@ import enum
 import io
 import math
 import threading
-from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -105,7 +104,7 @@ class ModelChoice(str, enum.Enum):
     M2 = "M2"
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ConceptSpec:
     """A minimum-effect concept: the method that tests it and the separation delta.
 
@@ -199,9 +198,9 @@ def _json_value(value: object) -> object:
 
 
 def record_dict(record: object) -> dict:
-    """A record's JSON object: its fields in declaration order, each tuple
-    as a list, each enum as its value and each nested record as its own
-    ``to_dict()``. A dataclass or named tuple takes it as its ``to_dict``."""
+    """A record's JSON object, the ``to_dict`` of dataclasses and named
+    tuples: fields in declaration order, a nested record (a named tuple
+    too) as its ``to_dict()``, another tuple as a list, an enum as its value."""
     return {name: _json_value(getattr(record, name)) for name in _fields(type(record))}
 
 
@@ -229,8 +228,10 @@ class Decision(NamedTuple):
     """Outcome of a decision rule: the chosen model, the statistic, the threshold.
 
     SCCS and the propensity route choose M1 when ``statistic >= threshold``;
-    the instrumental route when ``|statistic| > threshold``. A named tuple,
-    like the other per-trial records, because it is built once a trial.
+    the instrumental route when ``|statistic| > threshold``. Every record,
+    this one included, is a ``typing.NamedTuple`` unless a frozen dataclass
+    validates (``__post_init__``), caches (``functools.cached_property``)
+    or is a prepared table compared by identity (``eq=False``).
     """
 
     chosen: ModelChoice

@@ -177,8 +177,7 @@ def _iv_estimate(data: IvDataset, delta, epsilon, rng) -> dict:
     return {"statistic": est.beta_hat, **est.to_dict()}
 
 
-@dataclass(frozen=True)
-class MethodSpec:
+class MethodSpec(NamedTuple):
     """The parts of one procedure that ``verify`` and the CLI dispatch on.
 
     Each procedure is a model pair that differs in one effect, a
@@ -222,8 +221,8 @@ class MethodSpec:
 METHODS: dict[Method, MethodSpec] = {
     Method.SCCS: MethodSpec(
         params_type=SccsModel,
-        truth_params=lambda model, delta, is_m1: replace(
-            model, params=replace(model.params, beta=math.log(delta) if is_m1 else 0.0)
+        truth_params=lambda model, delta, is_m1: model._replace(
+            params=replace(model.params, beta=math.log(delta) if is_m1 else 0.0)
         ),
         size=_sized(
             lambda spec: sccs_sample_size(
@@ -604,12 +603,16 @@ def verify(spec: TrialSpec) -> VerificationReport:
 
 @dataclass(frozen=True)
 class SweepReport:
-    """verify() at every grid point. The grid (each point spec's generator
-    block), the worst point and the verdict are derived from the point
-    reports."""
+    """verify() at every grid point, of which there is at least one. The
+    grid (each point spec's generator block), the worst point and the
+    verdict are derived from the point reports."""
 
     base: TrialSpec
     reports: tuple[VerificationReport, ...]
+
+    def __post_init__(self) -> None:
+        if not self.reports:
+            raise InvalidArgumentError("the sweep grid must be nonempty")
 
     @property
     def grid(self) -> tuple[GeneratorParams, ...]:
@@ -674,8 +677,6 @@ def adversarial_sweep(base: TrialSpec, grid: Sequence[GeneratorParams]) -> Sweep
     check builds nothing: a point's trial is prepared just before its own
     trials, so one trial law is held at a time.
     """
-    if len(grid) == 0:
-        raise InvalidArgumentError("the sweep grid must be nonempty")
     problems = []
     specs = []
     for k, point in enumerate(grid):

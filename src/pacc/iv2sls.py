@@ -62,6 +62,9 @@ class IvParams:
     def __post_init__(self) -> None:
         if self.alpha == 0.0 or not math.isfinite(self.alpha):
             raise InvalidArgumentError("alpha must be nonzero and finite (relevance)")
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise InvalidArgumentError(f"{name} must be finite, got {value}")
         if self.noise_z_sd < 0 or self.noise_y_sd < 0:
             raise InvalidArgumentError("noise scales must be nonnegative")
 

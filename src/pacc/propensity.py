@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -296,8 +296,7 @@ def generate_obs(params: PsParams, count: int, gen: np.random.Generator) -> ObsD
     return ObsDataset(x, z, y)
 
 
-@dataclass(frozen=True, eq=False)
-class CellCounts:
+class CellCounts(NamedTuple):
     """Records tallied by covariate configuration.
 
     Row k of ``design`` is a 0/1 covariate vector and an intercept 1,
@@ -515,8 +514,7 @@ def ps_sample_sizes(epsilon: float, delta: float, n_covariates: int) -> PsSample
     return PsSampleSizes(gamma=gamma, n1=n1, n3=n3, n2=n2)
 
 
-@dataclass(frozen=True)
-class PsPipelineResult:
+class PsPipelineResult(NamedTuple):
     """Intermediate products of the decision pipeline, for reporting."""
 
     model: PropensityModel

@@ -75,6 +75,10 @@ class PointLaw:
     kind: str = field(default="point", init=False, repr=False)
     value: float
 
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.value):
+            raise InvalidArgumentError(f"value must be a finite number, got {self.value!r}")
+
     def sample(self, gen: np.random.Generator, size: int) -> np.ndarray:
         return np.full(size, self.value)
 
@@ -207,8 +211,7 @@ class SccsParams:
         return record_from_dict(cls, d, "SCCS params", readers, {"beta": 0.0})
 
 
-@dataclass(frozen=True)
-class SccsModel:
+class SccsModel(NamedTuple):
     """One SCCS model: the observation design and the event rates. Its
     dict form is the generator block of ``generate``, ``verify`` and
     ``sweep``."""
@@ -358,8 +361,7 @@ def _whole_days(values: list, what: str, patient_of) -> np.ndarray:
     return days
 
 
-@dataclass(frozen=True)
-class SccsCounts:
+class SccsCounts(NamedTuple):
     """Sufficient statistics of a case series for the closed-form estimator:
     the design and the exposed (``nu1``) and unexposed (``nu2``) event totals."""
 

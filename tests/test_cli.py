@@ -1413,6 +1413,10 @@ class TestParser:
     def test_help_and_usage_errors_build_the_parsers(self, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
         built = self._count_parsers(monkeypatch)
+        all_parsers = [
+            "pacc", "pacc samplesize", "pacc samplesize sccs", "pacc samplesize propensity",
+            "pacc samplesize iv", *(f"pacc {name}" for name in COMMANDS[1:]),
+        ]
         code, out, err = run_cli(capsys, "verify", "--help")
         assert (code, err) == (0, "")
         assert out == (
@@ -1429,20 +1433,17 @@ class TestParser:
             "  --format {json,csv}\n"
             "  --threads THREADS    accepted for compatibility; trials run on one thread\n"
         )
-        assert built == ["pacc", "pacc verify"]
+        assert built == all_parsers
         built.clear()
         assert _diagnostic(*run_cli(capsys, "foo")) == (
             "argument command: invalid choice: 'foo' (choose from 'samplesize', "
             "'generate', 'estimate', 'decide', 'verify', 'sweep')"
         )
-        assert built == [
-            "pacc", "pacc samplesize", "pacc samplesize sccs", "pacc samplesize propensity",
-            "pacc samplesize iv", *(f"pacc {name}" for name in COMMANDS[1:]),
-        ]
+        assert built == all_parsers
         built.clear()
         message = _diagnostic(*run_cli(capsys, "verify", "--config", "x.json", "--bogus"))
         assert message == "unrecognized arguments: --bogus"
-        assert built == ["pacc", "pacc verify"]
+        assert built == all_parsers
 
     @pytest.mark.parametrize("command", ["verify", "sweep"])
     @pytest.mark.parametrize("threads", ["0", "-2"])
@@ -1457,7 +1458,7 @@ def _argparse_namespace(argv):
     raises a usage error; help and usage text are swallowed."""
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         try:
-            return cli.build_parser(argv[0] if argv else None).parse_args(argv)
+            return cli.build_parser().parse_args(argv)
         except (cli.CliError, SystemExit):
             return None
 

@@ -1,3 +1,7 @@
+import dataclasses
+import functools
+import importlib
+import inspect
 import math
 import sys
 import threading
@@ -221,3 +225,20 @@ class TestConceptSpec:
 def test_decision_to_dict():
     d = Decision(chosen=ModelChoice.M1, statistic=1.25, threshold=0.25)
     assert d.to_dict() == {"chosen": "M1", "statistic": 1.25, "threshold": 0.25}
+
+
+def test_dataclasses_validate_cache_or_compare_by_identity():
+    """The record rule of ``Decision``'s docstring: a frozen dataclass
+    defines ``__post_init__``, holds a ``cached_property`` or keeps
+    ``object.__eq__``; every other record is a named tuple."""
+    offenders = []
+    for name in ("pacc.core", "pacc.sccs", "pacc.propensity", "pacc.iv2sls", "pacc.harness"):
+        module = importlib.import_module(name)
+        for cls in vars(module).values():
+            if not (inspect.isclass(cls) and cls.__module__ == name
+                    and dataclasses.is_dataclass(cls)):
+                continue
+            caches = any(isinstance(v, functools.cached_property) for v in vars(cls).values())
+            if not ("__post_init__" in vars(cls) or caches or cls.__eq__ is object.__eq__):
+                offenders.append(f"{name}.{cls.__name__}")
+    assert offenders == []

@@ -274,7 +274,8 @@ class TestGeneratorBlocks:
     def test_written_blocks_read_back_with_keys_in_field_order(self, name, data):
         block = data.draw(BLOCK_STRATEGIES[name])
         written = block.to_dict()
-        assert list(written) == [f.name for f in fields(block)]
+        names = block._fields if isinstance(block, tuple) else [f.name for f in fields(block)]
+        assert list(written) == list(names)
         assert GENERATOR_BLOCKS[name][0](written) == block
 
 
@@ -434,8 +435,8 @@ class TestVerify:
             return sccs_trial_law(design, params, cases)
 
         monkeypatch.setattr(harness_mod, "sccs_trial_law", recording_law)
-        wide = replace(
-            sccs_spec().generator_params, design=SccsDesign(total_days=1000, exposure_days=200)
+        wide = sccs_spec().generator_params._replace(
+            design=SccsDesign(total_days=1000, exposure_days=200)
         )
         assert verify(sccs_spec(trials=2, generator_params=wide)).errors == 0
         assert verify(sccs_spec(trials=2)).errors == 0
@@ -728,23 +729,32 @@ class TestReports:
 
     # Each returns the file's text from a valid report's payload; the text is
     # written as Latin-1, so "\xff" is a byte that is not UTF-8.
-    @pytest.mark.parametrize("make_text", [
-        lambda payload: "not json",
-        lambda payload: "\xff",
-        lambda payload: json.dumps([payload]),
-        lambda payload: json.dumps("pacc-report/1"),
-        lambda payload: json.dumps({k: v for k, v in payload.items() if k != "errors"}),
-        lambda payload: json.dumps({**payload, "per_trial": 5}),
-        lambda payload: json.dumps({**payload, "per_trial": [1]}),
-        lambda payload: json.dumps({**payload, "spec": {**payload["spec"], "method": "probit"}}),
+    # Each also gives words its diagnostic holds beside the path.
+    @pytest.mark.parametrize("make_text, words", [
+        (lambda payload: "not json", "is not JSON"),
+        (lambda payload: "\xff", "is not JSON"),
+        (lambda payload: json.dumps([payload]), "unrecognised report schema"),
+        (lambda payload: json.dumps("pacc-report/1"), "unrecognised report schema"),
+        (lambda payload: json.dumps({k: v for k, v in payload.items() if k != "errors"}),
+         "missing required field 'errors'"),
+        (lambda payload: json.dumps({**payload, "per_trial": 5}), ""),
+        (lambda payload: json.dumps({**payload, "per_trial": [1]}),
+         "per_trial[0] must be a JSON object"),
+        (lambda payload: json.dumps({**payload, "spec": {**payload["spec"], "method": "probit"}}),
+         "'probit' is not a valid Method"),
+        (lambda payload: json.dumps({
+            "schema": "pacc-report/1", "kind": "sweep", "base": payload["spec"], "grid": [],
+            "reports": [], "worst": 0, "pass": True,
+        }), "the sweep grid must be nonempty"),
     ], ids=["not_json", "not_utf8", "list", "string", "missing_field", "number_for_list",
-            "number_for_record", "unknown_method"])
-    def test_unreadable_reports_raise_invalid_argument(self, tmp_path, make_text):
+            "number_for_record", "unknown_method", "empty_sweep"])
+    def test_unreadable_reports_raise_invalid_argument(self, tmp_path, make_text, words):
         payload = verify(iv_spec(trials=2)).to_dict()
         path = tmp_path / "bad.json"
         path.write_bytes(make_text(payload).encode("latin-1"))
-        with pytest.raises(InvalidArgumentError, match=re.escape(str(path))):
+        with pytest.raises(InvalidArgumentError, match=re.escape(str(path))) as raised:
             read_report(path)
+        assert words in str(raised.value)
 
     @pytest.mark.parametrize("value", ["[" * 100_000 + "]" * 100_000, "1" * 5_000],
                              ids=["deep", "huge_int"])
@@ -961,7 +971,7 @@ class TestReports:
                 return draw_and_decide(gen)
             return trial
 
-        monkeypatch.setitem(harness_mod.METHODS, method, replace(entry, prepare=prepare_halting))
+        monkeypatch.setitem(harness_mod.METHODS, method, entry._replace(prepare=prepare_halting))
         spec, other_point = self.ROUND_TRIPS[method]
         verified = verify(spec)
         swept = adversarial_sweep(spec, [spec.generator_params, other_point])
@@ -1009,7 +1019,7 @@ class TestReportJson:
         base = sccs_spec(trials=40, sample_size=1)
         grid = [
             base.generator_params,
-            replace(base.generator_params, design=SccsDesign(20, 10)),
+            base.generator_params._replace(design=SccsDesign(20, 10)),
         ]
         report = adversarial_sweep(base, grid)
         stats = {t.statistic for r in report.reports for t in r.per_trial}

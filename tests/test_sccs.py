@@ -75,6 +75,11 @@ class TestDesignAndParams:
         with pytest.raises(InvalidArgumentError):
             SccsParams(phi_law=PointLaw(math.log(0.01)), beta=0.0, lambda_floor=0.02)
 
+    def test_point_law_value_must_be_finite(self):
+        # A NaN law passed the rate checks and failed inside numpy's binomial.
+        with pytest.raises(InvalidArgumentError, match="value must be a finite number"):
+            PointLaw(math.nan)
+
     def test_two_point_law_round_trip(self):
         law = TwoPointLaw(low=math.log(0.01), high=math.log(0.1), weight_high=0.3)
         assert law_from_dict(law.to_dict()) == law

@@ -65,7 +65,7 @@ class TestGenerate:
     @pytest.mark.parametrize("name", ["beta", "conf_z", "conf_y", "noise_z_sd", "noise_y_sd"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_fields_rejected_by_name(self, name, value):
-        # Accepted, they made every verify trial a DegenerateFitError.
+        # Built, such params would make every verify trial a DegenerateFitError.
         with pytest.raises(InvalidArgumentError, match=f"^{name} must be finite"):
             IvParams(**{"alpha": 1.0, "beta": 0.0, name: value})
 

@@ -76,7 +76,7 @@ class TestDesignAndParams:
             SccsParams(phi_law=PointLaw(math.log(0.01)), beta=0.0, lambda_floor=0.02)
 
     def test_point_law_value_must_be_finite(self):
-        # A NaN law passed the rate checks and failed inside numpy's binomial.
+        # NaN passes SccsParams' rate comparisons, so the law itself rejects it.
         with pytest.raises(InvalidArgumentError, match="value must be a finite number"):
             PointLaw(math.nan)
 

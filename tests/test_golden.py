@@ -1,8 +1,9 @@
 """Golden outputs of the CLI: verify/sweep reports and generate/estimate/decide chains.
 
 Each case runs the ``pacc`` entry point in-process and compares its output
-byte for byte with a committed file under ``tests/golden/``. Generated
-dataset files are compared by sha256 (``tests/golden/datasets.sha256``).
+byte for byte with a committed file under ``tests/golden/``. Reports are
+pinned as written by ``--out``, in JSON and in CSV. Generated dataset files
+are compared by sha256 (``tests/golden/datasets.sha256``).
 
 Regenerate the fixtures, only when an output change is intended, with
 ``PYTHONPATH=src python tests/test_golden.py``. It prints one line per
@@ -28,12 +29,24 @@ from pacc.propensity import ps_sample_sizes
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
+CSV = ("--format", "csv")
+
+# (command, config, fixture, extra flags): a report of 20 trials a point.
 REPORT_CASES = (
-    ("verify", "sccs_verify"),
-    ("verify", "ps_verify_fast"),
-    ("verify", "iv_verify"),
-    ("sweep", "sccs_sweep"),
+    ("verify", "sccs_verify", "sccs_verify.report.json", ()),
+    ("verify", "ps_verify_fast", "ps_verify_fast.report.json", ()),
+    ("verify", "iv_verify", "iv_verify.report.json", ()),
+    ("sweep", "sccs_sweep", "sccs_sweep.report.json", ()),
+    ("verify", "iv_verify", "iv_verify.report.csv", CSV),
+    ("sweep", "sccs_sweep", "sccs_sweep.report.csv", CSV),
+    # One case a trial in a 20-day design: the statistics include inf and -inf.
+    ("verify", "sccs_verify", "sccs_verify_one_case.report.csv", (
+        *CSV, "--set", "sample_size=1", "--set", "generator.design.total_days=20",
+        "--set", "generator.design.exposure_days=10",
+    )),
 )
+# A case's id: "iv_verify" for iv_verify.report.json, "iv_verify.csv" for its CSV.
+REPORT_IDS = [case[2].replace(".report", "").removesuffix(".json") for case in REPORT_CASES]
 
 PS_GENERATOR = {
     "n_covariates": 3,
@@ -105,11 +118,12 @@ def run(*argv: str) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-def report_bytes(command: str, name: str, work: Path) -> bytes:
-    out_path = work / f"{name}.report.json"
+def report_bytes(case, work: Path) -> bytes:
+    command, config, fixture, flags = case
+    out_path = work / fixture
     code, _ = run(
-        command, "--config", str(ROOT / "configs" / f"{name}.json"),
-        "--set", "trials=20", "--threads", "2", "--out", str(out_path),
+        command, "--config", str(ROOT / "configs" / f"{config}.json"),
+        "--set", "trials=20", "--threads", "2", *flags, "--out", str(out_path),
     )
     assert code in (0, 1)
     return out_path.read_bytes()
@@ -142,13 +156,12 @@ def expected_digest(data_name: str) -> str:
     raise KeyError(data_name)
 
 
-@pytest.mark.parametrize("command, name", REPORT_CASES, ids=[n for _, n in REPORT_CASES])
-def test_report_bytes(tmp_path, command, name):
-    expected = (GOLDEN / f"{name}.report.json").read_bytes()
-    assert report_bytes(command, name, tmp_path) == expected
+@pytest.mark.parametrize("case", REPORT_CASES, ids=REPORT_IDS)
+def test_report_bytes(tmp_path, case):
+    assert report_bytes(case, tmp_path) == (GOLDEN / case[2]).read_bytes()
 
 
-@pytest.mark.parametrize("name", [n for _, n in REPORT_CASES])
+@pytest.mark.parametrize("name", [n for n in REPORT_IDS if "." not in n])
 def test_report_fixture_round_trips(tmp_path, name):
     # read_report rebuilds every field verify derives; writing what it read
     # gives back the fixture's bytes.
@@ -182,10 +195,8 @@ def _write_fixtures() -> None:
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        for command, name in REPORT_CASES:
-            _write_fixture(
-                GOLDEN / f"{name}.report.json", report_bytes(command, name, work)
-            )
+        for case in REPORT_CASES:
+            _write_fixture(GOLDEN / case[2], report_bytes(case, work))
         digests = []
         for case in CHAIN_CASES:
             for key, produced in chain_outputs(case, work).items():

@@ -3,7 +3,8 @@
 Floats are written with 17 significant digits so that re-parsing
 reproduces the exact double and reports are byte-identical across runs.
 Non-finite floats become the strings "inf", "-inf" and "nan", which plain
-JSON cannot carry as numbers; ``float`` reads them back.
+JSON cannot carry as numbers; ``NON_FINITE`` maps them back. ``loads``
+reads the text back, ``-0`` as the float -0.0.
 
 ``dumps`` renders in one pass: a recursive helper returns each value's
 text, and a non-empty object or array is its members' texts joined with
@@ -26,11 +27,15 @@ non-str key, is a TypeError.
 
 from __future__ import annotations
 
+import json
 import math
 from json.encoder import encode_basestring_ascii as quote
 from typing import Any, Callable, NamedTuple
 
-__all__ = ["Rendered", "dumps", "float_text", "format_float", "quote"]
+__all__ = ["NON_FINITE", "Rendered", "dumps", "float_text", "format_float", "loads", "quote"]
+
+# The 17-digit text of each non-finite float, which JSON writes as a string.
+NON_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
 
 
 class Rendered(NamedTuple):
@@ -41,17 +46,14 @@ class Rendered(NamedTuple):
 
 
 def format_float(value: float) -> str:
-    if math.isnan(value):
-        return "nan"
-    if math.isinf(value):
-        return "inf" if value > 0 else "-inf"
+    """A float's 17-digit text, which for a non-finite float is its name."""
     return format(value, ".17g")
 
 
 def float_text(value: float) -> str:
     """The JSON text of a float: its 17-digit form, or a quoted name."""
     text = format_float(value)
-    return text if math.isfinite(value) else f'"{text}"'
+    return f'"{text}"' if text in NON_FINITE else text
 
 
 def _key_text(key: Any) -> str:
@@ -107,3 +109,9 @@ def _text(obj: Any, pad: str) -> str:
 
 def dumps(obj: Any) -> str:
     return _text(obj, "") + "\n"
+
+
+def loads(text: str) -> Any:
+    """The value of JSON text. ``-0``, which ``dumps`` writes for -0.0, reads
+    as -0.0; a non-finite float's name stays a str (see ``NON_FINITE``)."""
+    return json.loads(text, parse_int=lambda s: -0.0 if s == "-0" else int(s))

@@ -84,6 +84,7 @@ __all__ = [
     "TrialOutcome",
     "VerificationReport",
     "SweepReport",
+    "Report",
     "run_trial",
     "verify",
     "adversarial_sweep",
@@ -427,17 +428,6 @@ class TrialOutcome(NamedTuple):
     to_dict = record_dict
 
 
-# The strings _jsonio writes for non-finite floats.
-_NON_FINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
-
-
-def _report_real(value: object, name: str) -> float:
-    """A report's float field: a finite number or a non-finite float's string."""
-    if type(value) is str and value in _NON_FINITE:
-        return _NON_FINITE[value]
-    return real_number(value, name)
-
-
 def _report_choice(value: object, name: str) -> ModelChoice | None:
     try:
         return None if value is None else ModelChoice(value)
@@ -448,7 +438,11 @@ def _report_choice(value: object, name: str) -> ModelChoice | None:
 # A trial record's draw: each field's reader. The spec gives its other fields.
 _DRAWS = {
     "decision": _report_choice,
-    "statistic": _report_real,
+    # A finite number or a non-finite float's name.
+    "statistic": lambda value, name: (
+        _jsonio.NON_FINITE[value] if type(value) is str and value in _jsonio.NON_FINITE
+        else real_number(value, name)
+    ),
     "failure": lambda value, name: None if value is None else json_string(value, name),
 }
 
@@ -697,34 +691,17 @@ def adversarial_sweep(base: TrialSpec, grid: Sequence[GeneratorParams]) -> Sweep
 Report = Union[VerificationReport, SweepReport]
 
 
-def _verification_csv(report: VerificationReport) -> str:
-    header = ["seed", "decision", "statistic", "correct", "failure"]
-    return csv_text(header, (
-        [
-            t.seed,
-            "" if t.decision is None else t.decision.value,
-            _jsonio.format_float(t.statistic),
-            int(t.correct),
-            t.failure or "",
-        ]
-        for t in report.per_trial
-    ))
+def _csv_field(value: object) -> object:
+    """A report value's CSV field: a bool is 1 or 0, a float its
+    ``_jsonio.format_float`` text; ``csv`` writes null as an empty field."""
+    if isinstance(value, bool):
+        return int(value)
+    return _jsonio.format_float(value) if isinstance(value, float) else value
 
 
-def _sweep_csv(report: SweepReport) -> str:
-    header = ["point", "errors", "trials", "empirical_rate", "upper_bound", "pass", "worst"]
-    return csv_text(header, (
-        [
-            k,
-            r.errors,
-            r.trials,
-            _jsonio.format_float(r.empirical_rate),
-            _jsonio.format_float(r.upper_bound),
-            int(r.passed),
-            int(k == report.worst),
-        ]
-        for k, r in enumerate(report.reports)
-    ))
+def _csv(rows: Sequence[dict]) -> str:
+    """The CSV text of rows that share the first row's keys, its header."""
+    return csv_text(list(rows[0]), ([_csv_field(v) for v in row.values()] for row in rows))
 
 
 def _trial_dicts(report: VerificationReport) -> list[dict]:
@@ -762,27 +739,30 @@ def _trial_rows(per_trial: Sequence[TrialOutcome], pad: str) -> str:
     return f"[\n{rows}\n{pad}]"
 
 
-def _rendered_trials(report: VerificationReport) -> _jsonio.Rendered:
-    return _jsonio.Rendered(partial(_trial_rows, report.per_trial))
-
-
 def report_json(report: Report) -> str:
     """The report's JSON text, ``_jsonio.dumps(report.to_dict())``, in one
     ``dumps`` call that writes each point's per-trial records through
     ``_trial_rows`` instead of one dict a record."""
-    return _jsonio.dumps(report._dict(_rendered_trials))
+    return _jsonio.dumps(report._dict(
+        lambda r: _jsonio.Rendered(partial(_trial_rows, r.per_trial))
+    ))
 
 
 def write_report(report: Report, path: str | Path, format: str = "json") -> None:
-    """Write a report as self-contained JSON or as a flattened CSV; a path
-    that cannot be written raises its OSError."""
+    """Write a report as self-contained JSON or as CSV, whose rows are a
+    verification's records or a sweep's points; a path that cannot be
+    written raises its OSError."""
     if format == "json":
         text = report_json(report)
+    elif format == "csv" and isinstance(report, SweepReport):
+        text = _csv([
+            {"point": k, "errors": r.errors, "trials": r.trials,
+             "empirical_rate": r.empirical_rate, "upper_bound": r.upper_bound,
+             "pass": r.passed, "worst": k == report.worst}
+            for k, r in enumerate(report.reports)
+        ])
     elif format == "csv":
-        if isinstance(report, VerificationReport):
-            text = _verification_csv(report)
-        else:
-            text = _sweep_csv(report)
+        text = _csv(_trial_dicts(report))
     else:
         raise InvalidArgumentError(f"unknown report format {format!r}")
     Path(path).write_text(text)
@@ -795,9 +775,7 @@ def read_report(path: str | Path) -> Report:
     field for field (``_check_written``); any other file raises
     InvalidArgumentError naming the path."""
     try:
-        text = Path(path).read_text()
-        # -0 is how _jsonio writes the float -0.0.
-        payload = json.loads(text, parse_int=lambda s: -0.0 if s == "-0" else int(s))
+        payload = _jsonio.loads(Path(path).read_text())
     except OSError as exc:
         raise PaccError(f"cannot read report from {path}: {exc}") from exc
     except ValueError as exc:

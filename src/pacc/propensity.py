@@ -52,7 +52,9 @@ __all__ = [
     "ps_trial",
     "check_ps_trial",
     "ps_pipeline",
+    "PsPipelineResult",
     "ate_decision",
+    "config_probabilities",
     "lemma1_bound",
 ]
 

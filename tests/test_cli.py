@@ -359,6 +359,9 @@ class TestEstimateDecide:
         })),
         # Well-formed, but far fewer records than N1 + N2 = 305,240.
         ("propensity", "obs.csv", "x0,z,y\n1,1,0\n0,0,1\n"),
+        # No z,y columns, and no records.
+        ("propensity", "obs.csv", "x0,x1,q\n0,1,0\n"),
+        ("propensity", "obs.json", "[]"),
         # An integer field past the int range, and numbers past int64.
         ("sccs", "cases.json", '{"design": {"total_days": Infinity, "exposure_days": 21}, '
             '"patients": [{"exposure_start": 121, "event_days": [2]}]}'),
@@ -1068,8 +1071,20 @@ class TestUsage:
         ("generate", {k: v for k, v in SCCS_GENERATE.items() if k != "generator"}, [],
          "config needs a 'generator' object"),
         ("generate", SCCS_GENERATE, ["--format", "csv"], "sccs datasets serialise to JSON only"),
+        ("verify", IV_VERIFY_CONFIG, ["--set", "generator.noise_y_sd=-1"],
+         "invalid trial spec: noise scales must be nonnegative"),
+        ("generate", PS_GENERATE, ["--set", "generator.n_covariates=0"],
+         "invalid generator params: n_covariates must be at least 1"),
+        ("generate", SCCS_GENERATE, ["--set", "generator.design.exposure_days=0"],
+         "invalid generator params: exposure_days must be at least 1"),
+        ("generate", SCCS_GENERATE, ["--set", "generator.params.lambda_floor=1.5"],
+         "invalid generator params: lambda_floor must lie in (0, 1)"),
+        ("generate", SCCS_GENERATE, [
+            "--set", 'generator.params.phi_law={"kind": "two_point", "low": -3, "high": -4}',
+        ], "invalid generator params: two-point law requires low <= high"),
     ], ids=["trials_0", "sample_size_0", "stream_base_negative", "set_without_equals",
-            "list_root", "missing_method", "missing_generator", "sccs_csv"])
+            "list_root", "missing_method", "missing_generator", "sccs_csv", "negative_noise",
+            "n_covariates_0", "exposure_days_0", "lambda_floor_1.5", "low_above_high"])
     def test_config_rejections_exit_2(self, capsys, tmp_path, command, config, argv, message):
         cfg = write_json(tmp_path / "cfg.json", config)
         assert _diagnostic(*run_cli(capsys, command, "--config", cfg, *argv)) == message

@@ -5,6 +5,7 @@ import inspect
 import math
 import sys
 import threading
+import typing
 
 import numpy as np
 import pytest
@@ -149,6 +150,15 @@ class TestRekeyedGenerator:
         with pytest.raises(InvalidArgumentError):
             rekeyed_generator(seed, stream)
 
+    @pytest.mark.parametrize("seed,stream", [
+        (np.uint64(2**64 - 1), 7), (20240501, np.int64(3)), (np.uint32(9), np.uint64(2**63)),
+    ])
+    def test_numpy_integer_keys_draw_as_ints(self, seed, stream):
+        # Such keys take the checked path, which converts them to ints.
+        self._assert_same_draws(
+            rekeyed_generator(seed, stream), split_stream(int(seed), int(stream))
+        )
+
 
 class TestRealNumber:
     @pytest.mark.parametrize("value", [0, 2, -3, 0.5, -1e300])
@@ -221,6 +231,14 @@ class TestConceptSpec:
             with pytest.raises(InvalidArgumentError):
                 ConceptSpec(bad, method)
 
+    @pytest.mark.parametrize("method", list(Method))
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_delta_is_rejected(self, method, delta):
+        with pytest.raises(InvalidArgumentError) as info:
+            ConceptSpec(delta, method)
+        message = f"delta must be finite, got {delta}"
+        assert (info.type, str(info.value)) == (InvalidArgumentError, message)
+
 
 def test_decision_to_dict():
     d = Decision(chosen=ModelChoice.M1, statistic=1.25, threshold=0.25)
@@ -242,3 +260,21 @@ def test_dataclasses_validate_cache_or_compare_by_identity():
             if not ("__post_init__" in vars(cls) or caches or cls.__eq__ is object.__eq__):
                 offenders.append(f"{name}.{cls.__name__}")
     assert offenders == []
+
+
+@pytest.mark.parametrize("name", [
+    "pacc.core", "pacc.sccs", "pacc.propensity", "pacc.iv2sls", "pacc.harness", "pacc._jsonio",
+])
+def test_all_names_every_public_definition(name):
+    """``__all__`` holds every public class, function and Union alias the
+    module defines, and names nothing the module lacks."""
+    module = importlib.import_module(name)
+    defined = {
+        key for key, value in vars(module).items()
+        if not key.startswith("_") and (
+            (inspect.isclass(value) or inspect.isfunction(value)) and value.__module__ == name
+            or typing.get_origin(value) is typing.Union
+        )
+    }
+    assert sorted(defined - set(module.__all__)) == []
+    assert sorted(set(module.__all__) - set(vars(module))) == []

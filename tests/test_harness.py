@@ -12,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 
 from pacc._jsonio import dumps
 from pacc.cli import main
-from pacc.core import ConceptSpec, Decision, InvalidArgumentError, Method, ModelChoice
+from pacc.core import (
+    ConceptSpec, Decision, InvalidArgumentError, Method, ModelChoice, PaccError,
+)
 from pacc.harness import (
     AUTO,
     TrialOutcome,
@@ -683,6 +685,32 @@ class TestReports:
         path = tmp_path / "sweep.csv"
         write_report(report, path, format="csv")
         assert len(path.read_text().splitlines()) == 3 + 1
+
+    def test_csv_rows_are_the_records(self, tmp_path):
+        # Null is an empty field, a bool 1 or 0 and a float its 17-digit text.
+        report = replace(verify(iv_spec(trials=5)), per_trial=TestReportJson.CRAFTED)
+        path = tmp_path / "report.csv"
+        write_report(report, path, format="csv")
+        assert path.read_text(encoding="utf-8") == (
+            "seed,decision,statistic,correct,failure\n"
+            '0,,nan,0,"PipelineFailureError: ""N3"" \\ caf\u00e9 \u2603"\n'
+            "1,M2,-0,0,\n"
+            "2,M1,0.10000000000000001,1,\n"
+            '3,,nan,0,"WeakInstrumentError: tab\there\nnewline"\n'
+            "4,M1,4.9406564584124654e-324,1,\n"
+        )
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda path: write_report(verify(iv_spec(trials=2)), path, format="xml"),
+         InvalidArgumentError, "unknown report format 'xml'"),
+        (read_report, PaccError, "cannot read report from {path}: [Errno 2] "),
+    ], ids=["unknown_format", "missing_file"])
+    def test_report_io_rejections(self, tmp_path, call, error, message):
+        path = tmp_path / "missing" / "report"
+        with pytest.raises(error) as info:
+            call(path)
+        assert info.type is error
+        assert str(info.value).startswith(message.format(path=path))
 
     def test_sweep_json_round_trip(self, tmp_path):
         base = iv_spec(trials=5)

@@ -69,6 +69,20 @@ class TestGenerate:
         with pytest.raises(InvalidArgumentError, match=f"^{name} must be finite"):
             IvParams(**{"alpha": 1.0, "beta": 0.0, name: value})
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: IvParams(alpha=1.0, beta=0.0, noise_y_sd=-0.5),
+         "noise scales must be nonnegative"),
+        (lambda: IvDataset(np.zeros(3), np.zeros(3), np.zeros(2), np.zeros(3)),
+         "d, z, y, u_hidden must be equal-length vectors"),
+        (lambda: generate_iv(CONFOUNDED_NULL, 0, split_stream(1, 0)), "count must be at least 1"),
+        (lambda: ols_slope(IvDataset(np.ones(3), np.ones(3), np.arange(3.0), np.zeros(3))),
+         "z has zero variance"),
+    ], ids=["negative_noise", "unequal_lengths", "count_0", "constant_z"])
+    def test_invalid_arguments_are_rejected(self, call, message):
+        with pytest.raises(InvalidArgumentError) as info:
+            call()
+        assert (info.type, str(info.value)) == (InvalidArgumentError, message)
+
 
 class TestTwoSls:
     def test_hand_arithmetic(self):

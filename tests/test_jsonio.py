@@ -2,16 +2,25 @@
 
 import json
 import math
+from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pacc._jsonio import Rendered, dumps, format_float
-from pacc.core import ModelChoice
+from pacc._jsonio import NON_FINITE, Rendered, dumps, format_float, loads
+from pacc.core import Decision, ModelChoice
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+class _Count(int):
+    pass
+
+
+class _Items(list):
+    pass
 
 # JSON values without floats, which json.dumps(indent=2) lays out exactly as
 # dumps does.
@@ -66,6 +75,24 @@ def test_format_float_names_non_finite_values():
     assert [format_float(v) for v in (math.nan, math.inf, -math.inf, 2.5)] == [
         "nan", "inf", "-inf", "2.5",
     ]
+    assert [format_float(v) for v in NON_FINITE.values()] == list(NON_FINITE)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(value=st.floats())
+def test_loads_reads_back_what_dumps_writes(value):
+    [text] = loads(dumps([value]))
+    read = NON_FINITE[text] if type(text) is str else text
+    # The 17-digit text is exact and tells -0.0 from 0.0.
+    assert format_float(read) == format_float(value)
+
+
+def test_loads_reads_minus_zero_as_a_float():
+    assert [(v, type(v)) for v in loads("[-0, 0, -3, 2.5]")] == [
+        (-0.0, float), (0, int), (-3, int), (2.5, float),
+    ]
+    assert math.copysign(1.0, loads("-0")) == -1.0
+    assert loads('{"a": "inf"}') == {"a": "inf"}
 
 
 @pytest.mark.parametrize("value, text", [
@@ -89,6 +116,11 @@ def test_format_float_names_non_finite_values():
      '{\n  "M2": [\n    1,\n    {\n      "b": null\n    }\n  ]\n}'),
     ({"é": 1.5, "k": [True, -0.0]},
      '{\n  "\\u00e9": 1.5,\n  "k": [\n    true,\n    -0\n  ]\n}'),
+    # Subclasses of int, dict, list and tuple render as their base type.
+    (_Count(7), "7"),
+    (OrderedDict([("b", _Count(1)), ("a", [])]), '{\n  "b": 1,\n  "a": []\n}'),
+    (_Items(["x", _Items()]), '[\n  "x",\n  []\n]'),
+    (Decision(ModelChoice.M1, 0.5, -0.0), '[\n  "M1",\n  0.5,\n  -0\n]'),
 ])
 def test_value_text(value, text):
     assert dumps(value) == text + "\n"

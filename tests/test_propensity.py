@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -87,6 +88,39 @@ class TestPsParams:
     def test_round_trip(self):
         p = confounded_params(effect=0.3)
         assert PsParams.from_dict(p.to_dict()) == p
+
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: replace(flat_params(1), n_covariates=0),
+         "n_covariates must be at least 1"),
+        (lambda: replace(flat_params(), treat_weights=(0.0,) * 4),
+         "weight vectors must have length n_covariates"),
+        (lambda: replace(flat_params(), covariate_probs=(0.5,) * 4),
+         "covariate_probs must have length n_covariates"),
+        (lambda: replace(flat_params(), covariate_probs=(0.5,) * 4 + (1.0,)),
+         "covariate probabilities must lie in (0, 1)"),
+        (lambda: ObsDataset(np.zeros(3), np.zeros(3), np.zeros(3)),
+         "x must be a 2-D 0/1 matrix"),
+        (lambda: ObsDataset(np.zeros((3, 2)), np.zeros(2), np.zeros(3)),
+         "z and y must be vectors matching x rows"),
+        (lambda: ObsDataset(np.zeros((3, 2)), np.zeros(3), np.zeros((3, 1))),
+         "z and y must be vectors matching x rows"),
+        (lambda: ObsDataset.from_csv("x0,x1,q\n0,1,0\n"), "expected header x0..x{n-1},z,y"),
+        (lambda: ObsDataset.from_json_obj([]), "cannot build a dataset from zero records"),
+        (lambda: PropensityModel(weights=(0.0, math.nan), bias=0.0),
+         "model coefficients must be finite"),
+        (lambda: PropensityModel(weights=(0.0,), bias=math.inf),
+         "model coefficients must be finite"),
+        (lambda: PsSampleSizes(gamma=0.1, n1=0, n3=1, n2=1), "sample sizes must be at least 1"),
+        (lambda: generate_obs(flat_params(), 0, split_stream(1, 0)), "count must be at least 1"),
+        (lambda: ps_sample_sizes(0.2, 0.5, 0), "n_covariates must be at least 1"),
+    ], ids=["n_covariates_0", "weights_length", "probs_length", "prob_1", "x_1d",
+            "z_length", "y_2d", "csv_without_z_y", "json_empty", "weight_nan", "bias_inf",
+            "size_0", "generate_0", "sizes_0_covariates"])
+    def test_invalid_arguments_are_rejected(self, call, message):
+        with pytest.raises(InvalidArgumentError) as info:
+            call()
+        assert (info.type, str(info.value)) == (InvalidArgumentError, message)
 
 
 class TestGenerateObs:
@@ -586,6 +620,18 @@ class TestRejectionSamplingBound:
     def test_vacuous_region_rejected(self):
         with pytest.raises(InvalidArgumentError):
             lemma1_bound(0.3, 0.1, 0.2, 1.0)
+
+    @pytest.mark.parametrize("args, message", [
+        ((-0.1, 0.1, 0.5, 1.0), "epsilon and gamma must be nonnegative"),
+        ((0.1, -0.1, 0.5, 1.0), "epsilon and gamma must be nonnegative"),
+        ((0.1, 0.1, 0.0, 1.0), "delta_marginal must lie in (0, 1]"),
+        ((0.1, 0.1, 1.5, 1.0), "delta_marginal must lie in (0, 1]"),
+        ((0.1, 0.1, 0.5, 0.0), "the function ceiling m must be positive"),
+    ])
+    def test_invalid_arguments_are_rejected(self, args, message):
+        with pytest.raises(InvalidArgumentError) as info:
+            lemma1_bound(*args)
+        assert (info.type, str(info.value)) == (InvalidArgumentError, message)
 
     def test_enumerated_instances_respect_bound(self):
         # Random logistic truth / approximation pairs over 3 binary

@@ -16,6 +16,7 @@ from pacc.sccs import (
     SccsParams,
     SccsTrialLaw,
     TwoPointLaw,
+    check_sccs_trial,
     generate_sccs,
     law_from_dict,
     sccs_decide,
@@ -84,6 +85,37 @@ class TestDesignAndParams:
         law = TwoPointLaw(low=math.log(0.01), high=math.log(0.1), weight_high=0.3)
         assert law_from_dict(law.to_dict()) == law
         assert law.atoms() == ((math.log(0.01), 0.7), (math.log(0.1), 0.3))
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: TwoPointLaw(low=-2.0, high=-3.0), "two-point law requires low <= high"),
+        (lambda: TwoPointLaw(low=-3.0, high=-2.0, weight_high=1.0),
+         "weight_high must lie in (0, 1)"),
+        (lambda: TwoPointLaw(low=-3.0, high=-2.0, weight_high=0.0),
+         "weight_high must lie in (0, 1)"),
+        (lambda: SccsDesign(total_days=250, exposure_days=0), "exposure_days must be at least 1"),
+        (lambda: SccsParams(PointLaw(math.log(0.05)), beta=math.nan, lambda_floor=0.01),
+         "beta must be finite"),
+        (lambda: SccsParams(PointLaw(math.log(0.05)), beta=-math.inf, lambda_floor=0.01),
+         "beta must be finite"),
+        (lambda: SccsParams(PointLaw(math.log(0.05)), beta=0.0, lambda_floor=1.5),
+         "lambda_floor must lie in (0, 1)"),
+        (lambda: SccsParams(PointLaw(math.log(0.05)), beta=0.0, lambda_floor=0.0),
+         "lambda_floor must lie in (0, 1)"),
+        (lambda: generate_sccs(
+            DESIGN, SccsParams(PointLaw(math.log(0.05)), 0.0, 0.01), 0, split_stream(1, 0)
+        ), "cases must be at least 1"),
+        (lambda: check_sccs_trial(DESIGN, 0), "cases must be at least 1"),
+        (lambda: sccs_mle_closed(SccsCounts(DESIGN, 0, 0)),
+         "a valid case series has at least one event"),
+        (lambda: sccs_decide(SccsCounts(DESIGN, 1, 1), 1.0),
+         "delta must exceed 1 on the risk-ratio scale, got 1.0"),
+    ], ids=["low_above_high", "weight_1", "weight_0", "exposure_days_0", "beta_nan",
+            "beta_minus_inf", "floor_1.5", "floor_0", "generate_0_cases", "trial_0_cases",
+            "no_events", "delta_1"])
+    def test_invalid_arguments_are_rejected(self, call, message):
+        with pytest.raises(InvalidArgumentError) as info:
+            call()
+        assert (info.type, str(info.value)) == (InvalidArgumentError, message)
 
 
 class TestLogLik:

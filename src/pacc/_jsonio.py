@@ -95,7 +95,8 @@ def _text(obj: Any, pad: str) -> str:
         return obj.render(pad)
     # Subclasses of the types above (bool has none; Rendered's tuple is matched above).
     if isinstance(obj, int):
-        return str(obj)
+        # int's own text, as json.dumps writes it, whatever the subclass's __str__.
+        return int.__repr__(obj)
     if isinstance(obj, float):
         return float_text(obj)
     if isinstance(obj, str):

@@ -36,6 +36,7 @@ __all__ = [
     "Decision",
     "split_stream",
     "rekeyed_generator",
+    "stream_normals",
     "rate_upper_bound",
     "ceil_bound",
     "whole_number",
@@ -315,29 +316,11 @@ def split_stream(master_seed: int, stream_id: int) -> np.random.Generator:
 _thread_local = threading.local()
 
 
-def rekeyed_generator(master_seed: int, stream_id: int) -> np.random.Generator:
-    """The calling thread's generator, positioned at the start of stream
-    (master_seed, stream_id).
-
-    It draws exactly what ``split_stream(master_seed, stream_id)`` would:
-    the Philox state is set to counter 0, that key, an empty buffer and no
-    held 32-bit half, which is the state a fresh Philox starts in. The
-    thread keeps one such state dict and replaces only its key, since the
-    setter copies the values out. Re-keying one generator costs about a
-    twentieth of building one. The next call on the same thread re-keys
-    the same generator, so a caller finishes with one stream before it
-    asks for the next.
-    """
-    # Trials pass plain ints in range; anything else takes the full checks.
-    if not (
-        type(master_seed) is int
-        and type(stream_id) is int
-        and 0 <= master_seed <= _U64_MAX
-        and 0 <= stream_id <= _U64_MAX
-    ):
-        check_u64(master_seed, "master_seed")
-        check_u64(stream_id, "stream_id")
-        master_seed, stream_id = int(master_seed), int(stream_id)
+def _thread_generator() -> tuple[np.random.Generator, dict]:
+    """The calling thread's Philox generator and the state dict that re-keys
+    it: counter 0, an empty buffer and no held 32-bit half, the state a
+    fresh Philox starts in. The setter copies the values out, so only the
+    key is replaced before each use."""
     held = getattr(_thread_local, "held", None)
     if held is None:
         state = {
@@ -349,10 +332,53 @@ def rekeyed_generator(master_seed: int, stream_id: int) -> np.random.Generator:
             "uinteger": 0,
         }
         held = _thread_local.held = (np.random.Generator(np.random.Philox(0)), state)
-    gen, state = held
+    return held
+
+
+def rekeyed_generator(master_seed: int, stream_id: int) -> np.random.Generator:
+    """The calling thread's generator, positioned at the start of stream
+    (master_seed, stream_id).
+
+    It draws exactly what ``split_stream(master_seed, stream_id)`` would,
+    since its state is the one a fresh Philox with that key starts in.
+    Re-keying one generator costs about a twentieth of building one. The
+    next call on the same thread (or ``stream_normals``) re-keys the same
+    generator, so a caller finishes with one stream before it asks for
+    the next.
+    """
+    # Trials pass plain ints in range; anything else takes the full checks.
+    if not (
+        type(master_seed) is int
+        and type(stream_id) is int
+        and 0 <= master_seed <= _U64_MAX
+        and 0 <= stream_id <= _U64_MAX
+    ):
+        check_u64(master_seed, "master_seed")
+        check_u64(stream_id, "stream_id")
+        master_seed, stream_id = int(master_seed), int(stream_id)
+    gen, state = _thread_generator()
     state["state"]["key"] = (master_seed, stream_id)
     gen.bit_generator.state = state
     return gen
+
+
+def stream_normals(master_seed: int, first: int, count: int, width: int) -> np.ndarray:
+    """A (count, width) array whose row k holds the first ``width`` standard
+    normals of stream (master_seed, first + k): the values
+    ``rekeyed_generator(master_seed, first + k).standard_normal(width)``
+    draws. Each row is filled in place by the thread's re-keyed generator."""
+    check_u64(master_seed, "master_seed")
+    check_u64(first, "first stream id")
+    check_u64(first + count - 1 if count else first, "last stream id")
+    master_seed, first = int(master_seed), int(first)
+    out = np.empty((count, width))
+    gen, state = _thread_generator()
+    bit_generator, keyed, fill = gen.bit_generator, state["state"], gen.standard_normal
+    for stream_id, row in zip(range(first, first + count), out):
+        keyed["key"] = (master_seed, stream_id)
+        bit_generator.state = state
+        fill(out=row)
+    return out
 
 
 def rate_upper_bound(errors: int, trials: int, confidence: float = 0.95) -> float:

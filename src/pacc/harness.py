@@ -32,6 +32,7 @@ from pacc.core import (
     PipelineFailureError,
     UndefinedAteError,
     WeakInstrumentError,
+    check_array_size,
     check_keys,
     check_u64,
     csv_text,
@@ -41,6 +42,7 @@ from pacc.core import (
     real_number,
     record_dict,
     rekeyed_generator,
+    stream_normals,
     whole_number,
 )
 from pacc.iv2sls import (
@@ -49,9 +51,9 @@ from pacc.iv2sls import (
     check_iv_trial,
     generate_iv,
     iv_analytic_variances,
+    iv_block,
     iv_decide,
     iv_sample_size,
-    iv_trial,
     two_sls,
 )
 from pacc.propensity import (
@@ -115,8 +117,28 @@ _TRIAL_FAILURES = (
 
 GeneratorParams = Union[SccsModel, PsParams, IvParams]
 
-# A prepared trial: maps a trial's generator to its decision.
+# A prepared trial of a per-trial method: maps a trial's generator to its decision.
 DrawAndDecide = Callable[[np.random.Generator], Decision]
+
+# A prepared block of trials: (first index, count) -> the outcomes of
+# trials first, ..., first + count - 1, in index order.
+TrialBlock = Callable[[int, int], Sequence["TrialOutcome"]]
+
+
+def _per_trial(
+    prepare: Callable[[TrialSpec, Any, int], DrawAndDecide],
+) -> Callable[[TrialSpec, Any, int], TrialBlock]:
+    """A ``MethodSpec.prepare`` from a per-trial one: the block runs
+    ``run_trial`` on each index in turn with the trial ``prepare`` built,
+    looked up through this module at run time."""
+
+    def prepare_block(spec: TrialSpec, params: Any, size: int) -> TrialBlock:
+        draw_and_decide = prepare(spec, params, size)
+        return lambda first, count: [
+            run_trial(spec, i, draw_and_decide) for i in range(first, first + count)
+        ]
+
+    return prepare_block
 
 
 def _sccs_prepare(spec: TrialSpec, model: SccsModel, size: int) -> DrawAndDecide:
@@ -124,6 +146,40 @@ def _sccs_prepare(spec: TrialSpec, model: SccsModel, size: int) -> DrawAndDecide
     1-D tables are built here."""
     law, delta = sccs_trial_law(model.design, model.params, size), spec.concept.delta
     return lambda gen: sccs_decide(law.draw(gen), delta)
+
+
+# A trial's choice, indexed by whether it chose M1.
+_CHOICES = np.array([ModelChoice.M2, ModelChoice.M1], dtype=object)
+
+
+def _iv_prepare(spec: TrialSpec, params: IvParams, size: int) -> TrialBlock:
+    """IV trials as one block: the three standard normals of every trial's
+    stream in one array (``stream_normals``), decided row by row with array
+    arithmetic (``iv_block``)."""
+    delta, is_m1 = spec.concept.delta, spec.truth is ModelChoice.M1
+
+    def block(first: int, count: int) -> list[TrialOutcome]:
+        stream = spec.stream_base + first
+        normals = stream_normals(spec.master_seed, stream, count, 3)
+        m1, beta_hat, halts = iv_block(params, size, delta, normals)
+        chosen, correct, failures = _CHOICES[m1.astype(np.intp)], m1 == is_m1, [None] * count
+        for i, exc in halts.items():
+            chosen[i], correct[i], failures[i] = None, False, _failure_text(exc)
+        # _make takes each row's tuple as is, at about four fifths of the
+        # constructor's cost per record.
+        return list(map(TrialOutcome._make, zip(
+            range(stream, stream + count), chosen.tolist(), beta_hat.tolist(),
+            correct.tolist(), failures,
+        )))
+
+    return block
+
+
+def _iv_check(spec: TrialSpec, size: int) -> None:
+    """The checks of an IV block: ``iv_block``'s, and its normals, one row
+    of three a trial, within numpy's array limit."""
+    check_iv_trial(size, spec.concept.delta)
+    check_array_size(spec.trials, 3)
 
 
 def _sized(
@@ -197,11 +253,13 @@ class MethodSpec(NamedTuple):
     # A spec's sample size: the explicit one or the bound that AUTO
     # resolves to, passed through the checks `prepare` makes before it
     # builds anything (the trial-day limit, N1 + N2, int64 and numpy's
-    # array limit).
+    # array limit for records or for IV's block of normals).
     size: Callable[[TrialSpec], int]
-    # Trials: (spec, truth params, sample size) -> the prepared trial. The
+    # Trials: (spec, truth params, sample size) -> the prepared block. The
     # work that depends only on the spec runs in this call, once per verify.
-    prepare: Callable[[TrialSpec, Any, int], DrawAndDecide]
+    # SCCS and propensity decide one trial at a time (`_per_trial`); IV
+    # decides a block as arrays.
+    prepare: Callable[[TrialSpec, Any, int], TrialBlock]
     # `generate`: (params, count, stream) -> a dataset.
     generate: Callable[[Any, int, np.random.Generator], Any]
     # Dataset files: formats (the default first), whether they can carry
@@ -231,7 +289,7 @@ METHODS: dict[Method, MethodSpec] = {
             ),
             lambda spec, size: check_sccs_trial(spec.generator_params.design, size),
         ),
-        prepare=_sccs_prepare,
+        prepare=_per_trial(_sccs_prepare),
         generate=lambda model, count, rng: generate_sccs(
             model.design, model.params, count, rng
         ),
@@ -261,8 +319,8 @@ METHODS: dict[Method, MethodSpec] = {
                 spec.generator_params, size, spec.concept.delta, spec.epsilon
             ),
         ),
-        prepare=lambda spec, params, size: ps_trial(
-            params, size, spec.concept.delta, spec.epsilon
+        prepare=_per_trial(
+            lambda spec, params, size: ps_trial(params, size, spec.concept.delta, spec.epsilon)
         ),
         generate=lambda params, count, rng: generate_obs(params, count, rng),
         formats=("csv", "json"),
@@ -284,10 +342,8 @@ METHODS: dict[Method, MethodSpec] = {
         truth_params=lambda params, delta, is_m1: replace(
             params, beta=delta if is_m1 else 0.0
         ),
-        size=_sized(
-            _iv_auto_size, lambda spec, size: check_iv_trial(size, spec.concept.delta)
-        ),
-        prepare=lambda spec, params, size: iv_trial(params, size, spec.concept.delta),
+        size=_sized(_iv_auto_size, _iv_check),
+        prepare=_iv_prepare,
         generate=lambda params, count, rng: generate_iv(params, count, rng),
         formats=("csv",),
         hidden_column=True,
@@ -447,6 +503,10 @@ _DRAWS = {
 }
 
 
+def _failure_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
 def run_trial(
     spec: TrialSpec, index: int, draw_and_decide: DrawAndDecide | None = None
 ) -> TrialOutcome:
@@ -458,26 +518,29 @@ def run_trial(
     the fitting slice's tallies and the tail's survivors and outcome sums
     per (covariate configuration, arm) cell (propensity). Only propensity
     trials past the enumeration limit draw records: each is ``ps_decide``
-    on N1 + N2 records from one ``generate_obs`` call.
-    ``draw_and_decide`` is the spec's prepared trial
-    (``MethodSpec.prepare``), which ``verify`` builds once for all of its
-    trials; without it, one is prepared for this call. The trial's stream
-    (master_seed, stream_base + index) comes from this thread's re-keyed
-    generator, which draws what a fresh one would. A pipeline halt (too
-    few rejection survivors, generation retry exhaustion, degenerate
-    estimators) counts as an incorrect trial with the failure recorded,
-    preserving the union-bound accounting.
+    on N1 + N2 records from one ``generate_obs`` call. The trial's stream
+    is (master_seed, stream_base + index).
+
+    ``draw_and_decide`` is a per-trial method's prepared trial, which its
+    block (``_per_trial``) passes to every call; the trial's generator is
+    this thread's re-keyed one, which draws what a fresh one would.
+    Without it, the spec's trials are prepared (``MethodSpec.prepare``) and
+    a block of this one trial runs. A pipeline halt (too few rejection
+    survivors, generation retry exhaustion, degenerate estimators) counts
+    as an incorrect trial with the failure recorded, preserving the
+    union-bound accounting.
     """
     if draw_and_decide is None:
-        draw_and_decide = METHODS[spec.method].prepare(
+        block = METHODS[spec.method].prepare(
             spec, params_for_truth(spec), resolve_sample_size(spec)
         )
+        return block(index, 1)[0]
     stream_id = spec.stream_base + index
     gen = rekeyed_generator(spec.master_seed, stream_id)
     try:
         chosen, statistic, _ = draw_and_decide(gen)
     except _TRIAL_FAILURES as exc:
-        return TrialOutcome(stream_id, None, math.nan, False, f"{type(exc).__name__}: {exc}")
+        return TrialOutcome(stream_id, None, math.nan, False, _failure_text(exc))
     return TrialOutcome(stream_id, chosen, statistic, chosen is spec.truth)
 
 
@@ -581,18 +644,16 @@ def _check_written(value: object, derived: object, name: str = "") -> None:
 def verify(spec: TrialSpec) -> VerificationReport:
     """Run the spec's trials and certify the error rate against epsilon.
 
-    The spec's trial is prepared once, and each trial is one ``run_trial``
-    call with it, looked up through this module at run time; nothing
-    prepared outlives the call. The trials run in index order on the
-    calling thread: they are short and interpreter-bound, so a second
-    thread would not pay for its start-up and hand-offs. Passing means the
-    one-sided Wilson upper bound (at ``CONFIDENCE``) on the error
-    probability does not exceed epsilon.
+    The spec's trials are prepared once (``MethodSpec.prepare``) and run
+    as one block; nothing prepared outlives the call. The trials run in
+    index order on the calling thread: they are short and
+    interpreter-bound, so a second thread would not pay for its start-up
+    and hand-offs. Passing means the one-sided Wilson upper bound (at
+    ``CONFIDENCE``) on the error probability does not exceed epsilon.
     """
     size = resolve_sample_size(spec)
-    draw_and_decide = METHODS[spec.method].prepare(spec, params_for_truth(spec), size)
-    outcomes = [run_trial(spec, i, draw_and_decide) for i in range(spec.trials)]
-    return VerificationReport(spec, tuple(outcomes))
+    block = METHODS[spec.method].prepare(spec, params_for_truth(spec), size)
+    return VerificationReport(spec, tuple(block(0, spec.trials)))
 
 
 @dataclass(frozen=True)

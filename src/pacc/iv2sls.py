@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from pacc.core import (
     DegenerateFitError,
     InvalidArgumentError,
     ModelChoice,
+    PaccError,
     WeakInstrumentError,
     ceil_bound,
     check_array_size,
@@ -35,7 +36,7 @@ __all__ = [
     "IvEstimate",
     "generate_iv",
     "draw_iv_sums",
-    "iv_trial",
+    "iv_block",
     "check_iv_trial",
     "two_sls",
     "iv_ratio",
@@ -142,6 +143,17 @@ def generate_iv(params: IvParams, count: int, gen: np.random.Generator) -> IvDat
     return IvDataset(d, z, y, u)
 
 
+def _iv_sums(params: IvParams, count: int, g1, g2, g3):
+    """(sum(d^2), sum(dz), sum(dy)) from the three standard normals of a
+    trial (see ``draw_iv_sums``), each a float or an array of one a trial.
+    Over arrays every operation is the same IEEE double operation, in the
+    same order, as over floats, so each trial's sums are the same bits."""
+    root = math.sqrt(count)
+    sum_dz = count * params.alpha + root * (params.conf_z * g1 + params.noise_z_sd * g2)
+    sum_dy = params.beta * sum_dz + root * (params.conf_y * g1 + params.noise_y_sd * g3)
+    return float(count), sum_dz, sum_dy
+
+
 def draw_iv_sums(
     params: IvParams, count: int, gen: np.random.Generator
 ) -> tuple[float, float, float]:
@@ -154,48 +166,40 @@ def draw_iv_sums(
     sum(dy) = beta*sum(dz) + sqrt(count)*(conf_y*G1 + noise_y_sd*G3).
     Returns (sum(d^2), sum(dz), sum(dy)).
     """
-    g1, g2, g3 = gen.standard_normal(3).tolist()
-    root = math.sqrt(count)
-    sum_dz = count * params.alpha + root * (params.conf_z * g1 + params.noise_z_sd * g2)
-    sum_dy = params.beta * sum_dz + root * (params.conf_y * g1 + params.noise_y_sd * g3)
-    return float(count), sum_dz, sum_dy
+    return _iv_sums(params, count, *gen.standard_normal(3).tolist())
 
 
-def iv_trial(
-    params: IvParams, count: int, delta: float
-) -> Callable[[np.random.Generator], Decision]:
-    """A trial's draw-and-decide: ``iv_rule(iv_ratio(*draw_iv_sums(params,
-    count, gen)), delta)``, with the work that depends only on the
-    arguments done once.
+def iv_block(
+    params: IvParams, count: int, delta: float, normals: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, dict[int, PaccError]]:
+    """Decide a block of trials, one a row of ``normals`` (G1, G2, G3 of
+    ``draw_iv_sums``): row i's decision is ``iv_rule(iv_ratio(*sums),
+    delta)`` on the sums those normals give, bit for bit.
 
-    ``check_iv_trial`` checks delta and count, and the threshold,
-    sqrt(count) and count*alpha are computed here. A trial keeps
-    ``draw_iv_sums``' arithmetic in its order, so its decision is the same
-    bit for bit. A finite ratio of a nonzero sum(dz) needs finite sums
-    (0 * inf and inf / inf are NaN); any other trial goes through
-    ``iv_ratio``, which raises its WeakInstrumentError or DegenerateFitError.
+    Returns whether each row chooses M1, each row's beta_hat, and the error
+    of each row whose ratio is undefined, by row index; such a row chooses
+    neither and its beta_hat is NaN. A finite ratio of a nonzero sum(dz)
+    needs finite sums (0 * inf and inf / inf are NaN), so only rows whose
+    array ratio is not finite go through ``iv_ratio``, which raises their
+    WeakInstrumentError or DegenerateFitError.
     """
     check_iv_trial(count, delta)
     threshold = delta / 2.0
-    sum_dd, root, base = float(count), math.sqrt(count), count * params.alpha
-    beta, conf_z, conf_y = params.beta, params.conf_z, params.conf_y
-    noise_z, noise_y = params.noise_z_sd, params.noise_y_sd
-    m1, m2, isfinite = ModelChoice.M1, ModelChoice.M2, math.isfinite
-
-    def draw_and_decide(gen: np.random.Generator) -> Decision:
-        g1, g2, g3 = gen.standard_normal(3).tolist()
-        sum_dz = base + root * (conf_z * g1 + noise_z * g2)
-        sum_dy = beta * sum_dz + root * (conf_y * g1 + noise_y * g3)
-        beta_hat = sum_dy / sum_dz if sum_dz else math.nan
-        if not isfinite(beta_hat):
-            return iv_rule(iv_ratio(sum_dd, sum_dz, sum_dy), delta)
-        return Decision(m1 if abs(beta_hat) > threshold else m2, beta_hat, threshold)
-
-    return draw_and_decide
+    # Overflow and 0/0 are the undefined rows, which iv_ratio words.
+    with np.errstate(all="ignore"):
+        sum_dd, sum_dz, sum_dy = _iv_sums(params, count, *normals.T)
+        beta_hat = sum_dy / sum_dz
+    halts = {}
+    for i in np.flatnonzero(~np.isfinite(beta_hat)).tolist():
+        try:
+            beta_hat[i] = iv_ratio(sum_dd, float(sum_dz[i]), float(sum_dy[i])).beta_hat
+        except (WeakInstrumentError, DegenerateFitError) as exc:
+            beta_hat[i], halts[i] = math.nan, exc
+    return np.abs(beta_hat) > threshold, beta_hat, halts
 
 
 def check_iv_trial(count: int, delta: float) -> None:
-    """The checks of ``iv_trial``, which build nothing: delta in (0, 1) and
+    """The checks of ``iv_block``, which build nothing: delta in (0, 1) and
     a count within a float's range."""
     _check_delta(delta)
     if count > sys.float_info.max:

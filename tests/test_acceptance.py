@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s``. The calibration
-criteria run Monte Carlo campaigns at bound-prescribed sample sizes and
-take several minutes end to end.
+criteria run Monte Carlo campaigns at bound-prescribed sample sizes; the
+whole file takes a few seconds (9 passed in 1.5-3 s on a 2-core VM with
+Python 3.11 and numpy 2.4).
 """
 
 import json

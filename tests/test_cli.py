@@ -34,6 +34,17 @@ def write_json(path, payload):
     return str(path)
 
 
+def no_trial_may_run(monkeypatch) -> list:
+    """Record, in the list returned, every call that would run a trial: a
+    per-trial method's ``run_trial`` or the draw of an IV block's normals."""
+    from pacc import harness
+
+    ran = []
+    monkeypatch.setattr(harness, "run_trial", lambda *args: ran.append(args))
+    monkeypatch.setattr(harness, "stream_normals", lambda *args: ran.append(args))
+    return ran
+
+
 IV_VERIFY_CONFIG = {
     "method": "iv2sls",
     "truth": "M2",
@@ -1264,10 +1275,7 @@ class TestSizeLimits:
     def test_stream_ids_past_64_bits_exit_2_before_any_trial(
         self, capsys, monkeypatch, command, name, override, message
     ):
-        from pacc import harness
-
-        ran = []
-        monkeypatch.setattr(harness, "run_trial", lambda *args: ran.append(args))
+        ran = no_trial_may_run(monkeypatch)
         assert _diagnostic(*run_cli(
             capsys, command, "--config", str(CONFIGS / f"{name}.json"),
             "--set", override, "--set", "trials=3",
@@ -1276,6 +1284,26 @@ class TestSizeLimits:
 
     # Record draws past numpy's array limit of 2**63 - 1 bytes; nothing is drawn.
     ARRAY_LIMIT = "bytes, past numpy's array limit of 9223372036854775807 bytes"
+
+    @pytest.mark.parametrize("command, name", [("verify", "iv_verify"), ("sweep", None)])
+    def test_iv_block_past_the_array_limit_exits_2_before_any_trial(
+        self, capsys, monkeypatch, tmp_path, command, name
+    ):
+        # 2**62 trials' normals, three a trial, take 2**62 * 24 bytes.
+        ran = no_trial_may_run(monkeypatch)
+        config = json.loads((CONFIGS / "iv_verify.json").read_text())
+        if command == "sweep":
+            generator = config.pop("generator")
+            config["grid"] = [generator, {**generator, "conf_y": 0.5}]
+        cfg = write_json(tmp_path / "cfg.json", {**config, "trials": 2**62})
+        message = _diagnostic(*run_cli(capsys, command, "--config", cfg))
+        assert message.endswith(
+            f"drawing {2**62} x 3 float64 values takes {24 * 2**62} " + self.ARRAY_LIMIT
+        )
+        if command == "sweep":
+            assert message.startswith("sweep rejected; assumption-violating grid points:\n"
+                                      "grid point 0: drawing")
+        assert ran == []
 
     def test_propensity_records_past_the_array_limit_exit_2(self, capsys, tmp_path):
         cfg = write_json(tmp_path / "gen.json", {
@@ -1317,17 +1345,17 @@ class TestSizeLimits:
         assert re.fullmatch(pattern, message)
         assert ran == []
 
-    def test_memory_error_exits_3(self, capsys, monkeypatch):
-        from pacc import harness
-
-        def out_of_memory(spec, index, draw_and_decide=None):
-            raise MemoryError("Unable to allocate 355. TiB")
-
-        monkeypatch.setattr(harness, "run_trial", out_of_memory)
-        code, out, err = run_cli(capsys, "verify", "--config", str(CONFIGS / "iv_verify.json"))
+    def test_memory_error_exits_3(self, capsys):
+        # The block's normals, 3e17 x 3 float64 values (6.25 EiB), are within
+        # numpy's array limit but past any machine's address space, so the
+        # allocation fails at once.
+        code, out, err = run_cli(capsys, "verify", "--config", str(CONFIGS / "iv_verify.json"),
+                                 "--set", f"trials={3 * 10**17}")
         assert code == 3
         assert out == ""
-        assert json.loads(err) == {"error": "MemoryError", "message": "Unable to allocate 355. TiB"}
+        diagnostic = json.loads(err)
+        assert diagnostic["error"] == "MemoryError"
+        assert diagnostic["message"].startswith("Unable to allocate 6.25 EiB")
 
 
 COMMANDS = ("samplesize", "generate", "estimate", "decide", "verify", "sweep")

@@ -10,8 +10,9 @@ nothing on stdout and one JSON diagnostic on stderr; and it must raise
 no warning.
 
 The committed ``verify`` and ``sweep`` configs are mutated the same way
-and run with a stub in place of ``harness.run_trial``, so that no mutated
-size or rate reaches a draw. Each run must end with exit 0 or 1 and a
+and run with stubs in place of ``harness.run_trial`` (SCCS and propensity
+trials) and ``harness.stream_normals`` (IV trials' normals), so that no
+mutated size or rate reaches a draw. Each run must end with exit 0 or 1 and a
 report, or exit 2 with one JSON diagnostic, and raise no warning.
 
 Each float flag of ``samplesize`` takes each CSV mutant string in turn,
@@ -28,6 +29,7 @@ import warnings
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -194,6 +196,10 @@ def _fixed_outcome(spec, index, sample_size=None):
     )
 
 
+def _fixed_normals(master_seed, first, count, width):
+    return np.full((count, width), 0.5)
+
+
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(case=mutated_configs())
 def test_verify_on_a_mutated_config_exits_0_1_or_2(case):
@@ -201,7 +207,8 @@ def test_verify_on_a_mutated_config_exits_0_1_or_2(case):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "config.json"
         cfg.write_text(json.dumps(config))
-        with mock.patch.object(harness, "run_trial", _fixed_outcome):
+        with mock.patch.object(harness, "run_trial", _fixed_outcome), \
+                mock.patch.object(harness, "stream_normals", _fixed_normals):
             code, out, err = _run([command, "--config", str(cfg), "--set", "trials=2",
                                    "--threads", "1"])
     assert code in (0, 1, 2), err.getvalue()

@@ -21,6 +21,7 @@ from pacc.core import (
     real_number,
     rekeyed_generator,
     split_stream,
+    stream_normals,
 )
 
 
@@ -158,6 +159,29 @@ class TestRekeyedGenerator:
         self._assert_same_draws(
             rekeyed_generator(seed, stream), split_stream(int(seed), int(stream))
         )
+
+
+class TestStreamNormals:
+    @pytest.mark.parametrize("width", [1, 3, 7])
+    def test_rows_are_each_streams_first_normals(self, width):
+        for seed, first in [(20240501, 0), (2**64 - 1, 2**64 - 40), (0, 2**63)]:
+            # A stream left mid-buffer must not reach the first row.
+            rekeyed_generator(seed, first).integers(0, 1000, size=3, dtype=np.int32)
+            rows = stream_normals(seed, first, 40, width)
+            assert rows.shape == (40, width)
+            for k, row in enumerate(rows):
+                want = split_stream(seed, first + k).standard_normal(width)
+                assert row.tobytes() == want.tobytes()
+
+    def test_no_rows(self):
+        assert stream_normals(1, 2**64 - 1, 0, 3).shape == (0, 3)
+
+    @pytest.mark.parametrize("seed, first, count", [
+        (-1, 0, 1), (2**64, 0, 1), (0, -1, 1), (0, 2**64, 1), (0, 2**64 - 2, 3), (True, 0, 1),
+    ])
+    def test_rejects_stream_ids_past_64_bits(self, seed, first, count):
+        with pytest.raises(InvalidArgumentError):
+            stream_normals(seed, first, count, 3)
 
 
 class TestRealNumber:

@@ -5,6 +5,7 @@ import math
 import re
 from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from pacc._jsonio import dumps
 from pacc.cli import main
 from pacc.core import (
-    ConceptSpec, Decision, InvalidArgumentError, Method, ModelChoice, PaccError,
+    ConceptSpec, Decision, DegenerateFitError, InvalidArgumentError, Method, ModelChoice,
+    PaccError, WeakInstrumentError, split_stream, stream_normals,
 )
 from pacc.harness import (
     AUTO,
@@ -28,7 +30,7 @@ from pacc.harness import (
     verify,
     write_report,
 )
-from pacc.iv2sls import IvEstimate, IvParams
+from pacc.iv2sls import IvEstimate, IvParams, draw_iv_sums, iv_ratio, iv_rule
 from pacc.propensity import PsParams
 from pacc.sccs import (
     PointLaw,
@@ -41,6 +43,16 @@ from pacc.sccs import (
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+DEGENERATE = "DegenerateFitError: the 2SLS sums or ratios overflow the float range"
+
+
+def halting_normals(master_seed, first, count, width):
+    """``stream_normals`` with G1 infinite on about one stream in four, whose
+    IV trial then halts with DEGENERATE: 0 * inf or inf - inf is NaN."""
+    normals = stream_normals(master_seed, first, count, width)
+    normals[stream_normals(master_seed ^ 1, first, count, 1)[:, 0] > 0.67, 0] = math.inf
+    return normals
 
 
 def run_command(tmp_path, command, name, threads, *overrides):
@@ -352,6 +364,74 @@ class TestRunTrial:
         assert outcome.statistic == run_trial(sccs_spec(), 103).statistic
 
 
+def bits(outcomes):
+    """Trial outcomes with each statistic as its exact bits."""
+    return [(*t[:2], t.statistic.hex(), *t[3:]) for t in outcomes]
+
+
+class TestIvBlock:
+    """A verify's IV trials are one block, decided as the per-trial
+    reference ``iv_rule(iv_ratio(*draw_iv_sums(...)))`` decides each."""
+
+    NOISY = IvParams(alpha=1.0, beta=0.0, conf_z=1.0, conf_y=1.0, noise_z_sd=0.5,
+                     noise_y_sd=0.7)
+
+    @staticmethod
+    def reference(spec, index, gen):
+        """Trial ``index`` of ``spec`` decided one at a time on ``gen``."""
+        stream_id = spec.stream_base + index
+        sums = draw_iv_sums(params_for_truth(spec), resolve_sample_size(spec), gen)
+        try:
+            chosen, statistic, _ = iv_rule(iv_ratio(*sums), spec.concept.delta)
+        except (WeakInstrumentError, DegenerateFitError) as exc:
+            return TrialOutcome(stream_id, None, math.nan, False, f"{type(exc).__name__}: {exc}")
+        return TrialOutcome(stream_id, chosen, statistic, chosen is spec.truth)
+
+    @pytest.mark.parametrize("truth", list(ModelChoice))
+    @pytest.mark.parametrize("size", [24, 1280])
+    @pytest.mark.parametrize("params", [IvParams(alpha=1.0, beta=0.0), NOISY],
+                             ids=["noiseless", "noisy"])
+    @pytest.mark.parametrize("master_seed, stream_base, trials", [
+        (20240501, 0, 2000), (2**64 - 2, 10**6, 300), (2**64 - 1, 2**64 - 1, 1),
+    ], ids=["2000_streams", "high_seed", "one_trial"])
+    def test_block_matches_the_per_trial_reference_bit_for_bit(
+        self, truth, size, params, master_seed, stream_base, trials
+    ):
+        spec = iv_spec(truth, generator_params=params, sample_size=size, trials=trials,
+                       master_seed=master_seed, stream_base=stream_base)
+        expected = [
+            self.reference(spec, i, split_stream(master_seed, stream_base + i))
+            for i in range(trials)
+        ]
+        assert bits(verify(spec).per_trial) == bits(expected)
+        assert bits([run_trial(spec, trials - 1)]) == bits(expected[-1:])
+
+    @pytest.mark.parametrize("truth", list(ModelChoice))
+    def test_degenerate_rows_halt_in_place(self, monkeypatch, truth):
+        # 64 + 8 * (-8 + 0.5 * 0) = 0 is a zero sum(dz); 8 * 1e308 overflows.
+        import pacc.harness as harness_mod
+
+        degenerate = {2: (-8.0, 0.0, 0.3), 3: (1e308, 0.0, 0.0), 7: (-8.0, 0.0, -1.0),
+                      8: (0.0, 0.0, -1e308), 9: (-1e308, 1e308, 0.0)}
+
+        def normals_with_degenerate_rows(*args):
+            normals = stream_normals(*args)
+            for i, row in degenerate.items():
+                normals[i] = row
+            return normals
+
+        monkeypatch.setattr(harness_mod, "stream_normals", normals_with_degenerate_rows)
+        spec = iv_spec(truth, generator_params=self.NOISY, sample_size=64, trials=12,
+                       stream_base=5)
+        gens = [SimpleNamespace(standard_normal=lambda size, row=row: np.array(row))
+                for row in normals_with_degenerate_rows(spec.master_seed, 5, 12, 3)]
+        expected = [self.reference(spec, i, gen) for i, gen in enumerate(gens)]
+        failures = [t.failure.partition(":")[0] if t.failure else None for t in expected]
+        assert failures == [None] * 2 + ["WeakInstrumentError", "DegenerateFitError"] + [None] * 3 \
+            + ["WeakInstrumentError", "DegenerateFitError", "DegenerateFitError"] + [None] * 2
+        assert bits(verify(spec).per_trial) == bits(expected)
+
+
 class TestVerify:
     def test_aggregation_identity(self):
         spec = iv_spec(trials=40)
@@ -483,20 +563,29 @@ class TestVerify:
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_every_index_runs_once_with_the_same_trial(self, monkeypatch, tmp_path, threads):
+        # IV's trials are one block: one prepare, and one draw of the
+        # normals of streams 0-8, each once.
         import pacc.harness as harness_mod
 
-        calls = []
+        entry = harness_mod.METHODS[Method.IV2SLS]
+        prepared, draws = [], []
 
-        def recording_run_trial(spec, index, draw_and_decide=None):
-            calls.append((index, draw_and_decide))
-            return run_trial(spec, index, draw_and_decide)
+        def recording_prepare(spec, params, size):
+            prepared.append(spec)
+            return entry.prepare(spec, params, size)
 
-        monkeypatch.setattr(harness_mod, "run_trial", recording_run_trial)
+        def recording_normals(master_seed, first, count, width):
+            draws.append((first, count, width))
+            return stream_normals(master_seed, first, count, width)
+
+        monkeypatch.setitem(harness_mod.METHODS, Method.IV2SLS,
+                            entry._replace(prepare=recording_prepare))
+        monkeypatch.setattr(harness_mod, "run_trial", lambda *args: pytest.fail("run_trial"))
+        monkeypatch.setattr(harness_mod, "stream_normals", recording_normals)
         report = run_command(tmp_path, "verify", "iv_verify", threads, "trials=9")
-        assert [index for index, _ in calls] == list(range(9))
-        prepared = calls[0][1]
-        assert callable(prepared)
-        assert all(trial is prepared for _, trial in calls)
+        assert prepared == [report.spec]
+        assert draws == [(0, 9, 3)]
+        monkeypatch.undo()
         assert report.per_trial == tuple(run_trial(report.spec, i) for i in range(9))
 
     def test_one_table_per_sweep_point(self, monkeypatch, tmp_path):
@@ -526,18 +615,23 @@ class TestVerify:
 
         import pacc.harness as harness_mod
 
-        seen = set()
+        seen = {"sccs": set(), "iv2sls": set()}
 
         def recording_run_trial(spec, index, draw_and_decide=None):
-            seen.add((threading.get_ident(), threading.active_count()))
+            seen[spec.method.value].add((threading.get_ident(), threading.active_count()))
             return run_trial(spec, index, draw_and_decide)
 
+        def recording_normals(*args):
+            seen["iv2sls"].add((threading.get_ident(), threading.active_count()))
+            return stream_normals(*args)
+
         monkeypatch.setattr(harness_mod, "run_trial", recording_run_trial)
+        monkeypatch.setattr(harness_mod, "stream_normals", recording_normals)
         caller = (threading.get_ident(), threading.active_count())
         for threads in ("1", "2", "4", "8"):
             run_command(tmp_path, "verify", "iv_verify", threads, "trials=9")
             run_command(tmp_path, "sweep", "sccs_sweep", threads, "trials=4")
-        assert seen == {caller}
+        assert seen == {"sccs": {caller}, "iv2sls": {caller}}
         assert threading.active_count() == caller[1]
 
 
@@ -606,6 +700,7 @@ class TestSweep:
 
         ran = []
         monkeypatch.setattr(harness_mod, "run_trial", lambda *args: ran.append(args))
+        monkeypatch.setattr(harness_mod, "stream_normals", lambda *args: ran.append(args))
         # Points 0 and 1 fit; point 2's last stream id would be 2**64.
         base = iv_spec(trials=3, stream_base=2**64 - 8)
         with pytest.raises(InvalidArgumentError, match=r"grid point 2: stream_base \+ trials"):
@@ -987,19 +1082,20 @@ class TestReports:
         import pacc.harness as harness_mod
         from pacc.core import PipelineFailureError
 
-        entry = harness_mod.METHODS[method]
+        run = harness_mod.run_trial
 
-        def prepare_halting(spec, params, size):
+        def run_halting(spec, index, draw_and_decide=None):
             """The method's trial, halted on about one stream in four."""
-            draw_and_decide = entry.prepare(spec, params, size)
-
             def trial(gen):
                 if gen.integers(4) == 0:
                     raise PipelineFailureError('too few "survivors" \u2264 N3')
                 return draw_and_decide(gen)
-            return trial
+            return run(spec, index, trial)
 
-        monkeypatch.setitem(harness_mod.METHODS, method, entry._replace(prepare=prepare_halting))
+        if method is Method.IV2SLS:
+            monkeypatch.setattr(harness_mod, "stream_normals", halting_normals)
+        else:
+            monkeypatch.setattr(harness_mod, "run_trial", run_halting)
         spec, other_point = self.ROUND_TRIPS[method]
         verified = verify(spec)
         swept = adversarial_sweep(spec, [spec.generator_params, other_point])
@@ -1057,18 +1153,10 @@ class TestReportJson:
 
     def test_halted_trials(self, monkeypatch):
         import pacc.harness as harness_mod
-        from pacc.core import PipelineFailureError
 
-        def halt_some_trials(params, count, delta):
-            def draw_and_decide(gen):
-                if gen.integers(2):
-                    raise PipelineFailureError('only 3 "survivors" \u2264 N3')
-                return Decision(ModelChoice.M2, float(gen.standard_normal()), delta / 2)
-            return draw_and_decide
-
-        monkeypatch.setattr(harness_mod, "iv_trial", halt_some_trials)
+        monkeypatch.setattr(harness_mod, "stream_normals", halting_normals)
         report = verify(iv_spec(ModelChoice.M2, trials=30))
-        assert 0 < report.errors < 30
+        assert {t.failure for t in report.per_trial} == {None, DEGENERATE}
         assert report_json(report) == dumps(report.to_dict())
 
     @settings(derandomize=True, max_examples=200, deadline=None)

@@ -20,11 +20,11 @@ from pacc.iv2sls import (
     draw_iv_sums,
     generate_iv,
     iv_analytic_variances,
+    iv_block,
     iv_decide,
     iv_ratio,
     iv_rule,
     iv_sample_size,
-    iv_trial,
     ols_slope,
     two_sls,
 )
@@ -205,19 +205,34 @@ def outcome(draw):
     return chosen, statistic.hex(), threshold.hex()
 
 
+def block_outcomes(params, count, delta, normals):
+    """``iv_block``'s decision of each row, as ``outcome`` gives it."""
+    m1, beta_hat, halts = iv_block(params, count, delta, np.array(normals, dtype=float))
+    threshold = (delta / 2.0).hex()
+    return [
+        (type(halts[i]), str(halts[i])) if i in halts
+        else (ModelChoice.M1 if m1[i] else ModelChoice.M2, float(beta_hat[i]).hex(), threshold)
+        for i in range(len(m1))
+    ]
+
+
 class TestPreparedTrial:
+    """``iv_block`` decides each row as ``iv_rule(iv_ratio(*draw_iv_sums(...)))``."""
+
     @pytest.mark.parametrize("params, count, delta", [
         (TestDrawnSums.NOISY, 1280, 0.5),
         (IvParams(alpha=-0.3, beta=0.2, conf_z=2.0, conf_y=-1.0, noise_y_sd=0.1), 24, 0.4),
         (IvParams(alpha=1.0, beta=0.0), 7, 0.9),
     ])
     def test_decisions_match_the_reference_bit_for_bit(self, params, count, delta):
-        trial = iv_trial(params, count, delta)
-        for i in range(1000):
-            expected = outcome(lambda: iv_rule(
+        expected = [
+            outcome(lambda: iv_rule(
                 iv_ratio(*draw_iv_sums(params, count, split_stream(47, i))), delta
             ))
-            assert outcome(lambda: trial(split_stream(47, i))) == expected
+            for i in range(1000)
+        ]
+        normals = [split_stream(47, i).standard_normal(3) for i in range(1000)]
+        assert block_outcomes(params, count, delta, normals) == expected
 
     @pytest.mark.parametrize("params, count, normals, error", [
         # 4 + sqrt(4) * -2 = 0: the stage-II ratio is undefined.
@@ -234,24 +249,29 @@ class TestPreparedTrial:
         (IvParams(alpha=1.0, beta=1e308), 100, (0.0, 0.0, 0.0), DegenerateFitError),
     ])
     def test_degenerate_draws_raise_as_the_reference_does(self, params, count, normals, error):
-        expected = outcome(lambda: iv_rule(
-            iv_ratio(*draw_iv_sums(params, count, FixedNormals(*normals))), 0.5
-        ))
-        assert expected[0] is error
-        assert outcome(lambda: iv_trial(params, count, 0.5)(FixedNormals(*normals))) == expected
+        # The degenerate row sits between two ordinary ones, which keep their places.
+        rows = [(0.25, -0.5, 1.0), normals, (-1.5, 0.75, 0.125)]
+        expected = [
+            outcome(lambda: iv_rule(
+                iv_ratio(*draw_iv_sums(params, count, FixedNormals(*row))), 0.5
+            ))
+            for row in rows
+        ]
+        assert expected[1][0] is error
+        assert block_outcomes(params, count, 0.5, rows) == expected
 
     @pytest.mark.parametrize("delta", [0.0, 1.0, -0.5, math.nan])
     def test_delta_is_checked_once_up_front(self, delta):
         with pytest.raises(InvalidArgumentError) as info:
-            iv_trial(CONFOUNDED_NULL, 100, delta)
+            iv_block(CONFOUNDED_NULL, 100, delta, np.zeros((2, 3)))
         assert str(info.value) == f"delta must lie in (0, 1), got {delta}"
 
     def test_count_past_the_float_range_is_rejected_up_front(self):
         largest = int(sys.float_info.max)
-        iv_trial(CONFOUNDED_NULL, largest, 0.5)
+        iv_block(CONFOUNDED_NULL, largest, 0.5, np.zeros((2, 3)))
         for count in (largest + 1, 10**400):
             with pytest.raises(InvalidArgumentError) as info:
-                iv_trial(CONFOUNDED_NULL, count, 0.5)
+                iv_block(CONFOUNDED_NULL, count, 0.5, np.zeros((2, 3)))
             assert str(info.value) == f"count must be at most {sys.float_info.max!r}, got {count}"
 
 

@@ -1,5 +1,6 @@
 """The deterministic JSON renderer behind every report, payload and dataset file."""
 
+import enum
 import json
 import math
 from collections import OrderedDict
@@ -21,6 +22,15 @@ class _Count(int):
 
 class _Items(list):
     pass
+
+
+class _Flag(int):
+    def __str__(self):
+        return "flag"
+
+
+class _Level(enum.IntEnum):
+    HIGH = 2
 
 # JSON values without floats, which json.dumps(indent=2) lays out exactly as
 # dumps does.
@@ -121,6 +131,11 @@ def test_loads_reads_minus_zero_as_a_float():
     (OrderedDict([("b", _Count(1)), ("a", [])]), '{\n  "b": 1,\n  "a": []\n}'),
     (_Items(["x", _Items()]), '[\n  "x",\n  []\n]'),
     (Decision(ModelChoice.M1, 0.5, -0.0), '[\n  "M1",\n  0.5,\n  -0\n]'),
+    # An int subclass is written as int's own text, as json.dumps writes it,
+    # whatever its __str__ (an IntEnum member's is its name on Python 3.10).
+    (_Flag(3), "3"),
+    ([_Flag(-4)], "[\n  -4\n]"),
+    (_Level.HIGH, "2"),
 ])
 def test_value_text(value, text):
     assert dumps(value) == text + "\n"

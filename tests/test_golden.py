@@ -2,8 +2,9 @@
 
 Each case runs the ``pacc`` entry point in-process and compares its output
 byte for byte with a committed file under ``tests/golden/``. Reports are
-pinned as written by ``--out``, in JSON and in CSV. Generated dataset files
-are compared by sha256 (``tests/golden/datasets.sha256``).
+pinned as written by ``--out``, in JSON and in CSV; a 2,000-trial
+propensity report is pinned by its sha256. Generated dataset files are
+compared by sha256 (``tests/golden/datasets.sha256``).
 
 Regenerate the fixtures, only when an output change is intended, with
 ``PYTHONPATH=src python tests/test_golden.py``. It prints one line per
@@ -45,6 +46,8 @@ REPORT_CASES = (
         "--set", "generator.design.exposure_days=10",
     )),
 )
+# A larger propensity report, pinned by the sha256 of its bytes: (config, trials, fixture).
+DIGEST_CASE = ("ps_verify_fast", 2000, "ps_verify_fast_2000.report.sha256")
 # A case's id: "iv_verify" for iv_verify.report.json, "iv_verify.csv" for its CSV.
 REPORT_IDS = [case[2].replace(".report", "").removesuffix(".json") for case in REPORT_CASES]
 
@@ -118,15 +121,23 @@ def run(*argv: str) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-def report_bytes(case, work: Path) -> bytes:
+def report_bytes(case, work: Path, trials: int = 20) -> bytes:
     command, config, fixture, flags = case
     out_path = work / fixture
     code, _ = run(
         command, "--config", str(ROOT / "configs" / f"{config}.json"),
-        "--set", "trials=20", "--threads", "2", *flags, "--out", str(out_path),
+        "--set", f"trials={trials}", "--threads", "2", *flags, "--out", str(out_path),
     )
     assert code in (0, 1)
     return out_path.read_bytes()
+
+
+def digest_line(work: Path) -> bytes:
+    """The sha256 line of DIGEST_CASE's verify report."""
+    config, trials, fixture = DIGEST_CASE
+    name = f"{config}_{trials}.report.json"
+    produced = report_bytes(("verify", config, name, ()), work, trials)
+    return f"{hashlib.sha256(produced).hexdigest()}  {name}\n".encode()
 
 
 def chain_outputs(case, work: Path) -> dict[str, bytes]:
@@ -159,6 +170,10 @@ def expected_digest(data_name: str) -> str:
 @pytest.mark.parametrize("case", REPORT_CASES, ids=REPORT_IDS)
 def test_report_bytes(tmp_path, case):
     assert report_bytes(case, tmp_path) == (GOLDEN / case[2]).read_bytes()
+
+
+def test_report_digest(tmp_path):
+    assert digest_line(tmp_path) == (GOLDEN / DIGEST_CASE[2]).read_bytes()
 
 
 @pytest.mark.parametrize("name", [n for n in REPORT_IDS if "." not in n])
@@ -197,6 +212,7 @@ def _write_fixtures() -> None:
         work = Path(tmp)
         for case in REPORT_CASES:
             _write_fixture(GOLDEN / case[2], report_bytes(case, work))
+        _write_fixture(GOLDEN / DIGEST_CASE[2], digest_line(work))
         digests = []
         for case in CHAIN_CASES:
             for key, produced in chain_outputs(case, work).items():

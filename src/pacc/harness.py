@@ -117,7 +117,7 @@ _TRIAL_FAILURES = (
 
 GeneratorParams = Union[SccsModel, PsParams, IvParams]
 
-# A prepared trial of a per-trial method: maps a trial's generator to its decision.
+# A prepared SCCS trial: maps a trial's generator to its decision.
 DrawAndDecide = Callable[[np.random.Generator], Decision]
 
 # A prepared block of trials: (first index, count) -> the outcomes of
@@ -125,54 +125,54 @@ DrawAndDecide = Callable[[np.random.Generator], Decision]
 TrialBlock = Callable[[int, int], Sequence["TrialOutcome"]]
 
 
-def _per_trial(
-    prepare: Callable[[TrialSpec, Any, int], DrawAndDecide],
-) -> Callable[[TrialSpec, Any, int], TrialBlock]:
-    """A ``MethodSpec.prepare`` from a per-trial one: the block runs
-    ``run_trial`` on each index in turn with the trial ``prepare`` built,
-    looked up through this module at run time."""
-
-    def prepare_block(spec: TrialSpec, params: Any, size: int) -> TrialBlock:
-        draw_and_decide = prepare(spec, params, size)
-        return lambda first, count: [
-            run_trial(spec, i, draw_and_decide) for i in range(first, first + count)
-        ]
-
-    return prepare_block
-
-
-def _sccs_prepare(spec: TrialSpec, model: SccsModel, size: int) -> DrawAndDecide:
-    """An SCCS trial: the event totals from the model's trial law, whose
-    1-D tables are built here."""
+def _sccs_prepare(spec: TrialSpec, model: SccsModel, size: int) -> TrialBlock:
+    """SCCS trials, one at a time: ``run_trial`` on each index in turn, looked
+    up through this module at run time, with the trial that draws the event
+    totals from the model's trial law, whose 1-D tables are built here."""
     law, delta = sccs_trial_law(model.design, model.params, size), spec.concept.delta
-    return lambda gen: sccs_decide(law.draw(gen), delta)
+
+    def draw_and_decide(gen: np.random.Generator) -> Decision:
+        return sccs_decide(law.draw(gen), delta)
+
+    return lambda first, count: [
+        run_trial(spec, i, draw_and_decide) for i in range(first, first + count)
+    ]
 
 
 # A trial's choice, indexed by whether it chose M1.
 _CHOICES = np.array([ModelChoice.M2, ModelChoice.M1], dtype=object)
 
 
-def _iv_prepare(spec: TrialSpec, params: IvParams, size: int) -> TrialBlock:
-    """IV trials as one block: the three standard normals of every trial's
-    stream in one array (``stream_normals``), decided row by row with array
-    arithmetic (``iv_block``)."""
-    delta, is_m1 = spec.concept.delta, spec.truth is ModelChoice.M1
+def _array_block(spec: TrialSpec, trials: Callable[[int, int, int], tuple]) -> TrialBlock:
+    """A block decided as arrays: ``trials(master_seed, first stream,
+    count)`` gives whether each trial chose M1, its statistic, and the
+    error of each that halted (whose statistic is NaN), by row index."""
+    is_m1 = spec.truth is ModelChoice.M1
 
     def block(first: int, count: int) -> list[TrialOutcome]:
         stream = spec.stream_base + first
-        normals = stream_normals(spec.master_seed, stream, count, 3)
-        m1, beta_hat, halts = iv_block(params, size, delta, normals)
+        m1, statistic, halts = trials(spec.master_seed, stream, count)
         chosen, correct, failures = _CHOICES[m1.astype(np.intp)], m1 == is_m1, [None] * count
         for i, exc in halts.items():
             chosen[i], correct[i], failures[i] = None, False, _failure_text(exc)
         # _make takes each row's tuple as is, at about four fifths of the
         # constructor's cost per record.
         return list(map(TrialOutcome._make, zip(
-            range(stream, stream + count), chosen.tolist(), beta_hat.tolist(),
+            range(stream, stream + count), chosen.tolist(), statistic.tolist(),
             correct.tolist(), failures,
         )))
 
     return block
+
+
+def _iv_prepare(spec: TrialSpec, params: IvParams, size: int) -> TrialBlock:
+    """IV trials: the three standard normals of every trial's stream in one
+    array (``stream_normals``), decided row by row with array arithmetic
+    (``iv_block``)."""
+    delta = spec.concept.delta
+    return _array_block(spec, lambda master_seed, stream, count: iv_block(
+        params, size, delta, stream_normals(master_seed, stream, count, 3)
+    ))
 
 
 def _iv_check(spec: TrialSpec, size: int) -> None:
@@ -257,8 +257,8 @@ class MethodSpec(NamedTuple):
     size: Callable[[TrialSpec], int]
     # Trials: (spec, truth params, sample size) -> the prepared block. The
     # work that depends only on the spec runs in this call, once per verify.
-    # SCCS and propensity decide one trial at a time (`_per_trial`); IV
-    # decides a block as arrays.
+    # SCCS decides one trial at a time (`run_trial`); IV and propensity
+    # decide a block as arrays, each stream drawing what its trial reads.
     prepare: Callable[[TrialSpec, Any, int], TrialBlock]
     # `generate`: (params, count, stream) -> a dataset.
     generate: Callable[[Any, int, np.random.Generator], Any]
@@ -289,7 +289,7 @@ METHODS: dict[Method, MethodSpec] = {
             ),
             lambda spec, size: check_sccs_trial(spec.generator_params.design, size),
         ),
-        prepare=_per_trial(_sccs_prepare),
+        prepare=_sccs_prepare,
         generate=lambda model, count, rng: generate_sccs(
             model.design, model.params, count, rng
         ),
@@ -319,8 +319,8 @@ METHODS: dict[Method, MethodSpec] = {
                 spec.generator_params, size, spec.concept.delta, spec.epsilon
             ),
         ),
-        prepare=_per_trial(
-            lambda spec, params, size: ps_trial(params, size, spec.concept.delta, spec.epsilon)
+        prepare=lambda spec, params, size: _array_block(
+            spec, ps_trial(params, size, spec.concept.delta, spec.epsilon)
         ),
         generate=lambda params, count, rng: generate_obs(params, count, rng),
         formats=("csv", "json"),
@@ -521,14 +521,15 @@ def run_trial(
     on N1 + N2 records from one ``generate_obs`` call. The trial's stream
     is (master_seed, stream_base + index).
 
-    ``draw_and_decide`` is a per-trial method's prepared trial, which its
-    block (``_per_trial``) passes to every call; the trial's generator is
-    this thread's re-keyed one, which draws what a fresh one would.
-    Without it, the spec's trials are prepared (``MethodSpec.prepare``) and
-    a block of this one trial runs. A pipeline halt (too few rejection
-    survivors, generation retry exhaustion, degenerate estimators) counts
-    as an incorrect trial with the failure recorded, preserving the
-    union-bound accounting.
+    Without ``draw_and_decide``, the spec's trials are prepared
+    (``MethodSpec.prepare``) and a block of this one trial runs, which
+    for IV and propensity is the array block of one row. With it, the
+    call is one trial of an SCCS block, which passes its prepared trial;
+    the trial's generator is this thread's re-keyed one, which draws what
+    a fresh one would. A pipeline halt (too few rejection survivors,
+    generation retry exhaustion, degenerate estimators) counts as an
+    incorrect trial with the failure recorded, preserving the union-bound
+    accounting.
     """
     if draw_and_decide is None:
         block = METHODS[spec.method].prepare(

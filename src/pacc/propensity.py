@@ -23,6 +23,7 @@ from pacc.core import (
     InsufficientDataError,
     InvalidArgumentError,
     ModelChoice,
+    PaccError,
     PipelineFailureError,
     UndefinedAteError,
     ceil_bound,
@@ -32,6 +33,7 @@ from pacc.core import (
     real_number,
     record_dict,
     record_from_dict,
+    rekeyed_generator,
     whole_number,
 )
 
@@ -62,6 +64,10 @@ _ENUM_LIMIT = 20  # exact enumeration over 2^n covariate configurations
 _WEIGHT_CAP = 30.0  # |weight| beyond this is treated as separation
 _MAX_ITERS = 200  # Newton updates per logistic fit
 _SCORE_TOL = 1e-8  # max-norm of the mean score at which a fit has converged
+# Design entries (trials x cells x (n + 1)) fitted as one stack: 2 MiB a
+# temporary, 1/84 of one trial at the enumeration limit. Larger run no faster.
+_CELL_BUDGET = 2**18
+_HALTS = (DegenerateFitError, PipelineFailureError, UndefinedAteError)  # a trial's failures
 
 
 def _sigmoid(eta: np.ndarray) -> np.ndarray:
@@ -327,8 +333,8 @@ def tally_cells(data: ObsDataset) -> CellCounts:
 
 @dataclass(frozen=True, eq=False)
 class _CellTable:
-    """What a drawn trial needs of its parameters; ``ps_trial`` builds one
-    for all of its trials.
+    """What a block of cell-level trials (``_cell_trials``) needs of its
+    parameters; ``ps_trial`` builds one for all of its trials.
 
     Over the 2^n covariate configurations: Q and P(Z=1 | x) for the
     fitting slice, and the fit's design matrix (the configurations with an
@@ -384,41 +390,59 @@ def fit_logistic(data: ObsDataset) -> PropensityModel:
     of diverging. The Newton steps run on the cell tallies, one row per
     covariate configuration present, which gives the per-record MLE.
     """
-    return _fit_cells(tally_cells(data))
+    return _fitted_model(tally_cells(data))
 
 
-def _fit_cells(cells: CellCounts) -> PropensityModel:
-    """Grouped Newton fit of ``fit_logistic`` on cell tallies weighted by their
-    totals, over the design rows of the cells present."""
-    present = cells.totals > 0
-    design = cells.design[present]
-    totals = cells.totals[present].astype(np.float64)
-    treated = cells.treated[present].astype(np.float64)
-    n_records = float(totals.sum())
-    n_treated = float(treated.sum())
-    if n_treated == 0 or n_treated == n_records:
-        raise DegenerateFitError(
-            f"all {int(n_records)} records share one treatment arm; "
-            "propensity not identifiable"
-        )
-    coefs = np.zeros(design.shape[1])
-    capped = False
-    for _ in range(_MAX_ITERS):
-        p = _sigmoid(design @ coefs)
-        score = design.T @ (treated - totals * p) / n_records
-        if np.abs(score).max() < _SCORE_TOL:
-            break
-        w = totals * p * (1.0 - p)
-        hess = design.T @ (design * w[:, None]) / n_records
-        hess.flat[:: hess.shape[0] + 1] += 1e-12  # the diagonal
-        coefs = coefs + np.linalg.solve(hess, score)
-        if np.abs(coefs).max() > _WEIGHT_CAP:
-            coefs = np.clip(coefs, -_WEIGHT_CAP, _WEIGHT_CAP)
-            capped = True
-            break
-    return PropensityModel(
-        weights=tuple(coefs[:-1]), bias=float(coefs[-1]), capped=capped
-    )
+def _fitted_model(cells: CellCounts) -> PropensityModel:
+    """``_fit_cells`` on one trial's tallies, as a model or its DegenerateFitError."""
+    coefs, capped, halts = _fit_cells(cells.design, cells.totals[None], cells.treated[None])
+    if halts:
+        raise halts[0]
+    return PropensityModel(tuple(coefs[0, :-1]), float(coefs[0, -1]), bool(capped[0]))
+
+
+def _fit_cells(
+    design: np.ndarray, totals: np.ndarray, treated: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, dict[int, DegenerateFitError]]:
+    """The grouped Newton fit of ``fit_logistic`` for a stack of trials, row
+    i on ``totals[i]`` and ``treated[i]`` over its cells present: each row's
+    weights then bias (0 if degenerate), whether it was capped, and each
+    DegenerateFitError by row. Rows with the same cells present are one
+    stack of matrix-vector products, which give each row the bits its own
+    products would; each row stops on its own."""
+    totals, treated = totals.astype(np.float64), treated.astype(np.float64)
+    n_records, n_treated = totals.sum(axis=1, keepdims=True), treated.sum(axis=1)
+    coefs, capped = np.zeros((len(totals), design.shape[1])), np.zeros(len(totals), dtype=bool)
+    degenerate = (n_treated == 0) | (n_treated == n_records[:, 0])
+    halts = {i: DegenerateFitError(f"all {int(n_records[i, 0])} records share one treatment "
+                                   "arm; propensity not identifiable")
+             for i in np.flatnonzero(degenerate).tolist()}
+    groups = {}  # the rows to fit, by the bytes of their present-cell mask
+    for i, mask in zip(np.flatnonzero(~degenerate).tolist(), totals[~degenerate] > 0):
+        groups.setdefault(mask.tobytes(), []).append(i)
+    for key, rows in groups.items():
+        mask, rows = np.frombuffer(key, dtype=bool), np.array(rows)
+        x, t, z, n, c = design[mask], totals[rows][:, mask], treated[rows][:, mask], \
+            n_records[rows], coefs[rows]
+        for _ in range(_MAX_ITERS):
+            p = _sigmoid((x @ c[:, :, None])[:, :, 0])
+            score = (x.T @ (z - t * p)[:, :, None])[:, :, 0] / n
+            done = np.abs(score).max(axis=1) < _SCORE_TOL  # NaN is not done
+            if done.any():
+                coefs[rows[done]] = c[done]
+                rows, t, z, n, c, p, score = (a[~done] for a in (rows, t, z, n, c, p, score))
+            if not rows.size:
+                break
+            hess = x.T @ (x * (t * p * (1.0 - p))[:, :, None]) / n[:, :, None]
+            hess.reshape(rows.size, -1)[:, :: x.shape[1] + 1] += 1e-12  # the diagonals
+            c = c + np.linalg.solve(hess, score[:, :, None])[:, :, 0]
+            over = np.abs(c).max(axis=1) > _WEIGHT_CAP
+            if over.any():
+                coefs[rows[over]] = np.clip(c[over], -_WEIGHT_CAP, _WEIGHT_CAP)
+                capped[rows[over]] = True
+                rows, t, z, n, c = (a[~over] for a in (rows, t, z, n, c))
+        coefs[rows] = c
+    return coefs, capped, halts
 
 
 def _enumerate_support(n: int) -> np.ndarray:
@@ -558,7 +582,7 @@ def _pipeline_from_cells(
     sizes: PsSampleSizes,
     gen: np.random.Generator,
 ) -> PsPipelineResult:
-    model = _fit_cells(cells)
+    model = _fitted_model(cells)
     adjusted = rejection_sample(tail, model, gen)
     _check_survivors(len(adjusted), sizes)
     return PsPipelineResult(
@@ -590,24 +614,37 @@ def ps_decide(
 
 def ps_trial(
     params: PsParams, count: int, delta: float, epsilon: float
-) -> Callable[[np.random.Generator], Decision]:
-    """``ps_decide`` on ``count`` records drawn from ``params``, as a
-    function of the trial's generator that draws only what the pipeline reads.
-
-    The sizes (``check_ps_trial``) and the cell table are made here, once
-    for every trial. Within the enumeration limit a trial draws the N1
-    fitting slice as cell tallies and the N2 tail as cell counts
-    (``_cell_pipeline``); past it, a trial is ``ps_decide`` on N1 + N2
-    records from one ``generate_obs`` call. Records beyond N1 + N2 would
-    never be read, so they are not drawn.
-    """
+) -> Callable[[int, int, int], tuple[np.ndarray, np.ndarray, dict[int, PaccError]]]:
+    """``ps_decide`` on ``count`` records drawn from ``params``, for a block:
+    (master_seed, first, trials) -> whether each trial chooses M1, its ATE
+    (NaN if it halted) and each halt's error by row, trial i on stream
+    (master_seed, first + i). The sizes and the cell table are made once.
+    Trials run through ``_cell_trials`` in chunks of ``_CELL_BUDGET``
+    design entries; past the enumeration limit, each is ``ps_decide`` on
+    the N1 + N2 records of one ``generate_obs`` call."""
     sizes = check_ps_trial(params, count, delta, epsilon)
-    if params.n_covariates > _ENUM_LIMIT:
-        return lambda gen: ps_decide(generate_obs(params, sizes.total, gen), delta, gen, epsilon)
-    table = _cell_table(params)
-    return lambda gen: ate_decision(
-        _cell_pipeline(table, table.draw_fitting(sizes.n1, gen), sizes, gen).ate, delta
-    )
+    table = _cell_table(params) if params.n_covariates <= _ENUM_LIMIT else None
+
+    def trials(master_seed: int, first: int, count: int):
+        statistic, halts = np.full(count, math.nan), {}
+        if table is None:
+            for i in range(count):
+                gen = rekeyed_generator(master_seed, first + i)
+                try:
+                    data = generate_obs(params, sizes.total, gen)
+                    statistic[i] = ps_pipeline(data, delta, gen, epsilon).ate
+                except _HALTS as exc:
+                    halts[i] = exc
+            return statistic >= delta / 2.0, statistic, halts
+        chunk = max(1, _CELL_BUDGET // table.design.size)
+        for start in range(0, count, chunk):
+            block = _cell_trials(table, sizes, master_seed, first + start,
+                                 min(chunk, count - start))
+            statistic[start : start + chunk] = block.statistic
+            halts.update((start + i, exc) for i, exc in block.halts.items())
+        return statistic >= delta / 2.0, statistic, halts
+
+    return trials
 
 
 def check_ps_trial(
@@ -625,49 +662,83 @@ def check_ps_trial(
     return sizes
 
 
-def _cell_pipeline(
-    table: _CellTable, cells: CellCounts, sizes: PsSampleSizes, gen: np.random.Generator
-) -> PsPipelineResult:
-    """``_pipeline_from_cells`` with the N2 tail drawn as cell counts.
+class _CellBlock(NamedTuple):
+    """What ``_cell_trials`` gives, row i for the trial on the i-th stream."""
+
+    coefs: np.ndarray  # (trials, n + 1): the fitted weights, then the bias
+    capped: np.ndarray  # (trials,): whether the fit hit the weight cap
+    accept: np.ndarray  # (trials, tail cells): the acceptance probabilities
+    survivors: np.ndarray  # (trials,): the tail records kept, 0 before the tail
+    statistic: np.ndarray  # (trials,): the ATE, NaN where the trial halted
+    halts: dict[int, PaccError]  # the error of each trial that halted
+
+
+def _cell_trials(
+    table: _CellTable, sizes: PsSampleSizes, master_seed: int, first: int, count: int
+) -> _CellBlock:
+    """``_pipeline_from_cells`` on each of ``count`` streams from (master_seed,
+    first) on, with the N1 fitting slice drawn as cell tallies
+    (``draw_fitting``) and the N2 tail as cell counts.
 
     A tail record reaches the ATE only through its cell: its acceptance
     probability is fixed per cell once the per-arm medians are, and its
     outcome is independent of acceptance given (x, z). So the same law is
     Multinomial(N2, tail) cell counts, Binomial(count, accept) survivors
-    and Binomial(survivors, p_y) outcome sums, per cell.
+    and Binomial(survivors, p_y) outcome sums, per cell. Each stream draws
+    the tallies and tail counts, and keeps its state until every trial is
+    fitted (``_fit_cells``) and its medians taken; then it draws survivors
+    and outcome sums, as a trial on its own would.
     """
-    model = _fit_cells(cells)
-    counts = gen.multinomial(sizes.n2, table.tail)
-    p1 = model.predict(table.configs)
-    k = p1.size
-    p_arm = np.concatenate([1.0 - p1, p1])
-    accept = np.ones(2 * k)
-    for arm in (slice(None, k), slice(k, None)):
-        if counts[arm].any():
-            med = _weighted_median(p_arm[arm], counts[arm])
-            accept[arm] = np.minimum(med / p_arm[arm], 1.0)
-    kept = gen.binomial(counts, accept)
-    n0, n1 = int(kept[:k].sum()), int(kept[k:].sum())
-    _check_survivors(n0 + n1, sizes)
-    _check_both_arms(n1, n0)
-    outcomes = gen.binomial(kept, table.p_y)
-    statistic = int(outcomes[k:].sum()) / n1 - int(outcomes[:k].sum()) / n0
-    return PsPipelineResult(model=model, sizes=sizes, survivors=n0 + n1, ate=statistic)
+    k = table.q.size
+    totals = np.empty((count, k), dtype=np.int64)
+    treated, counts, states = np.empty_like(totals), np.empty((count, 2 * k), np.int64), []
+    for i in range(count):
+        gen = rekeyed_generator(master_seed, first + i)
+        totals[i], treated[i] = table.draw_fitting(sizes.n1, gen)[1:]
+        counts[i] = gen.multinomial(sizes.n2, table.tail)
+        states.append(gen.bit_generator.state)
+    coefs, capped, halts = _fit_cells(table.design, totals, treated)
+    p1 = _sigmoid((table.configs @ coefs[:, :-1, None])[:, :, 0] + coefs[:, -1:])
+    # Row 2i holds trial i's untreated cells, row 2i + 1 its treated ones.
+    p_arm = np.concatenate([1.0 - p1, p1], axis=1).reshape(2 * count, k)
+    accept, arms = np.ones_like(p_arm), counts.reshape(2 * count, k)
+    filled = arms.any(axis=1)
+    med = _weighted_median(p_arm[filled], arms[filled])
+    accept[filled] = np.minimum(med[:, None] / p_arm[filled], 1.0)
+    accept = accept.reshape(count, 2 * k)
+    survivors, statistic = np.zeros(count, dtype=np.int64), np.full(count, math.nan)
+    for i, state in enumerate(states):
+        if i in halts:
+            continue
+        gen.bit_generator.state = state
+        kept = gen.binomial(counts[i], accept[i])
+        n0, n1 = kept.reshape(2, k).sum(axis=1).tolist()
+        survivors[i] = n0 + n1
+        try:
+            _check_survivors(n0 + n1, sizes)
+            _check_both_arms(n1, n0)
+        except _HALTS as exc:
+            halts[i] = exc
+            continue
+        y0, y1 = gen.binomial(kept, table.p_y).reshape(2, k).sum(axis=1).tolist()
+        statistic[i] = y1 / n1 - y0 / n0
+    return _CellBlock(coefs, capped, accept, survivors, statistic, halts)
 
 
-def _weighted_median(values: np.ndarray, counts: np.ndarray) -> float:
-    """``np.median(np.repeat(values, counts))`` without the repeat.
+def _weighted_median(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Row i is ``np.median(np.repeat(values[i], counts[i]))``, without the repeat.
 
     numpy's median is the mean ``(lo + hi) / 2`` of the two middle order
     statistics of an even count, and the middle one of an odd count, where
-    ``lo`` and ``hi`` coincide. The total count must be positive.
+    ``lo`` and ``hi`` coincide. Every row's total count must be positive.
     """
-    order = np.argsort(values, kind="stable")
-    ranks = np.cumsum(counts[order])
-    total = int(ranks[-1])
-    middle = np.searchsorted(ranks, [(total - 1) // 2, total // 2], side="right")
-    lo, hi = values[order[middle]]
-    return float((lo + hi) / 2)
+    order = np.argsort(values, axis=1, kind="stable")
+    ranks = np.cumsum(np.take_along_axis(counts, order, axis=1), axis=1)
+    total = ranks[:, -1:]
+    # The middle order statistics' positions, as searchsorted(side="right") finds them.
+    middle = (ranks[:, None, :] <= np.stack([(total - 1) // 2, total // 2], axis=1)).sum(axis=2)
+    lo, hi = np.take_along_axis(values, np.take_along_axis(order, middle, axis=1), axis=1).T
+    return (lo + hi) / 2
 
 
 def lemma1_bound(epsilon: float, gamma: float, delta_marginal: float, m: float) -> float:

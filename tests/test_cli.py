@@ -18,6 +18,8 @@ from pacc.iv2sls import IvParams, generate_iv, iv_decide
 from pacc.propensity import ObsDataset, generate_obs, ps_decide, PsParams
 from pacc.sccs import PointLaw
 
+from conftest import wrap_blocks
+
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 README = CONFIGS.parent / "README.md"
@@ -32,17 +34,6 @@ def run_cli(capsys, *argv):
 def write_json(path, payload):
     path.write_text(json.dumps(payload))
     return str(path)
-
-
-def no_trial_may_run(monkeypatch) -> list:
-    """Record, in the list returned, every call that would run a trial: a
-    per-trial method's ``run_trial`` or the draw of an IV block's normals."""
-    from pacc import harness
-
-    ran = []
-    monkeypatch.setattr(harness, "run_trial", lambda *args: ran.append(args))
-    monkeypatch.setattr(harness, "stream_normals", lambda *args: ran.append(args))
-    return ran
 
 
 IV_VERIFY_CONFIG = {
@@ -611,11 +602,8 @@ class TestVerify:
             "message": f"[Errno 2] No such file or directory: '{out_path}'",
         }
 
-    def test_pair_invalid_under_the_other_truth_exits_2(self, capsys, monkeypatch):
+    def test_pair_invalid_under_the_other_truth_exits_2(self, capsys, no_trial_may_run):
         # Truth M2 runs a valid model, but M1's per-day rate would be 0.6 * 2.
-        import pacc.harness as harness_mod
-
-        monkeypatch.setattr(harness_mod, "run_trial", lambda *args: pytest.fail("a trial ran"))
         message = _diagnostic(*run_cli(
             capsys, "verify", "--config", str(CONFIGS / "sccs_verify.json"),
             "--set", "truth=M2", "--set", f"generator.params.phi_law.value={math.log(0.6)!r}",
@@ -624,6 +612,7 @@ class TestVerify:
             "invalid trial spec: per-day event probability exp(phi + max(beta, 0)) = 1.2 "
             "exceeds 1"
         )
+        assert no_trial_may_run == []
 
     def test_propensity_sample_size_below_n1_plus_n2_exits_2(self, capsys, tmp_path):
         cfg = write_json(tmp_path / "verify.json", {
@@ -650,18 +639,13 @@ class TestVerify:
         (("generator.design.total_days=1048576", "sample_size=8796093022208"),
          "cases * total_days must be at most 2**63 - 1, got 8796093022208 * 1048576"),
     ])
-    def test_sccs_trial_limits_exit_2_before_any_trial(self, capsys, monkeypatch, overrides,
-                                                       message):
-        import pacc.harness as harness_mod
-
-        def no_trial(*args):
-            raise AssertionError("a trial ran")
-
-        monkeypatch.setattr(harness_mod, "run_trial", no_trial)
+    def test_sccs_trial_limits_exit_2_before_any_trial(self, capsys, no_trial_may_run,
+                                                       overrides, message):
         argv = ["verify", "--config", str(CONFIGS / "sccs_verify.json"), "--set", "trials=1"]
         for override in overrides:
             argv += ["--set", override]
         assert _diagnostic(*run_cli(capsys, *argv)) == message
+        assert no_trial_may_run == []
 
     def test_generate_takes_designs_past_the_trial_day_limit(self, capsys, tmp_path):
         cfg = json.loads((CONFIGS / "sccs_verify.json").read_text())
@@ -759,7 +743,7 @@ class TestSweep:
         import pacc.harness as harness_mod
 
         calls = []
-        monkeypatch.setattr(harness_mod, "run_trial", lambda *args: calls.append("trial"))
+        wrap_blocks(monkeypatch.setitem, lambda spec, block: lambda *args: calls.append("trial"))
         monkeypatch.setattr(harness_mod, "sccs_trial_law", lambda *args: calls.append("law"))
         config = json.loads((CONFIGS / "sccs_sweep.json").read_text())
         config["grid"].append(json.loads(json.dumps(config["grid"][0])))
@@ -1273,24 +1257,22 @@ class TestSizeLimits:
          "grid point 2: stream_base + trials - 1 must fit in an unsigned 64-bit word"),
     ], ids=["master_seed", "stream_base", "sweep_point"])
     def test_stream_ids_past_64_bits_exit_2_before_any_trial(
-        self, capsys, monkeypatch, command, name, override, message
+        self, capsys, no_trial_may_run, command, name, override, message
     ):
-        ran = no_trial_may_run(monkeypatch)
         assert _diagnostic(*run_cli(
             capsys, command, "--config", str(CONFIGS / f"{name}.json"),
             "--set", override, "--set", "trials=3",
         )).endswith(message)
-        assert ran == []
+        assert no_trial_may_run == []
 
     # Record draws past numpy's array limit of 2**63 - 1 bytes; nothing is drawn.
     ARRAY_LIMIT = "bytes, past numpy's array limit of 9223372036854775807 bytes"
 
     @pytest.mark.parametrize("command, name", [("verify", "iv_verify"), ("sweep", None)])
     def test_iv_block_past_the_array_limit_exits_2_before_any_trial(
-        self, capsys, monkeypatch, tmp_path, command, name
+        self, capsys, no_trial_may_run, tmp_path, command, name
     ):
         # 2**62 trials' normals, three a trial, take 2**62 * 24 bytes.
-        ran = no_trial_may_run(monkeypatch)
         config = json.loads((CONFIGS / "iv_verify.json").read_text())
         if command == "sweep":
             generator = config.pop("generator")
@@ -1303,7 +1285,7 @@ class TestSizeLimits:
         if command == "sweep":
             assert message.startswith("sweep rejected; assumption-violating grid points:\n"
                                       "grid point 0: drawing")
-        assert ran == []
+        assert no_trial_may_run == []
 
     def test_propensity_records_past_the_array_limit_exit_2(self, capsys, tmp_path):
         cfg = write_json(tmp_path / "gen.json", {
@@ -1324,12 +1306,8 @@ class TestSizeLimits:
         )
 
     def test_propensity_trial_records_past_the_array_limit_exit_2(self, capsys, tmp_path,
-                                                                  monkeypatch):
+                                                                  no_trial_may_run):
         # Past 20 covariates a trial draws N1 + N2 records: about 7.7e16 here.
-        from pacc import harness
-
-        ran = []
-        monkeypatch.setattr(harness, "run_trial", lambda *args: ran.append(args))
         n = 21
         cfg = write_json(tmp_path / "cfg.json", {
             "method": "propensity", "truth": "M2", "epsilon": 8e-7,
@@ -1343,7 +1321,7 @@ class TestSizeLimits:
         message = _diagnostic(*run_cli(capsys, "verify", "--config", cfg))
         pattern = r"drawing \d+ x 21 float64 values takes \d+ " + re.escape(self.ARRAY_LIMIT)
         assert re.fullmatch(pattern, message)
-        assert ran == []
+        assert no_trial_may_run == []
 
     def test_memory_error_exits_3(self, capsys):
         # The block's normals, 3e17 x 3 float64 values (6.25 EiB), are within

@@ -10,9 +10,9 @@ nothing on stdout and one JSON diagnostic on stderr; and it must raise
 no warning.
 
 The committed ``verify`` and ``sweep`` configs are mutated the same way
-and run with stubs in place of ``harness.run_trial`` (SCCS and propensity
-trials) and ``harness.stream_normals`` (IV trials' normals), so that no
-mutated size or rate reaches a draw. Each run must end with exit 0 or 1 and a
+and run with a stub in place of every method's block of trials
+(``conftest.wrap_blocks``), so that no mutated size or rate reaches a
+draw. Each run must end with exit 0 or 1 and a
 report, or exit 2 with one JSON diagnostic, and raise no warning.
 
 Each float flag of ``samplesize`` takes each CSV mutant string in turn,
@@ -24,18 +24,21 @@ import contextlib
 import copy
 import io
 import json
+import operator
 import tempfile
 import warnings
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pacc import harness
 from pacc.cli import main
 from pacc.core import ModelChoice
+
+from conftest import wrap_blocks
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -190,14 +193,12 @@ def mutated_configs(draw):
     return command, config
 
 
-def _fixed_outcome(spec, index, sample_size=None):
-    return harness.TrialOutcome(
-        seed=index, decision=ModelChoice.M2, statistic=0.0, correct=True
-    )
-
-
-def _fixed_normals(master_seed, first, count, width):
-    return np.full((count, width), 0.5)
+def _fixed_outcomes(spec, first, count):
+    return [
+        harness.TrialOutcome(seed=spec.stream_base + i, decision=ModelChoice.M2,
+                             statistic=0.0, correct=True)
+        for i in range(first, first + count)
+    ]
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
@@ -207,8 +208,8 @@ def test_verify_on_a_mutated_config_exits_0_1_or_2(case):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "config.json"
         cfg.write_text(json.dumps(config))
-        with mock.patch.object(harness, "run_trial", _fixed_outcome), \
-                mock.patch.object(harness, "stream_normals", _fixed_normals):
+        with mock.patch.dict(harness.METHODS):
+            wrap_blocks(operator.setitem, lambda spec, block: partial(_fixed_outcomes, spec))
             code, out, err = _run([command, "--config", str(cfg), "--set", "trials=2",
                                    "--threads", "1"])
     assert code in (0, 1, 2), err.getvalue()

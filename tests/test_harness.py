@@ -42,6 +42,8 @@ from pacc.sccs import (
     sccs_trial_law,
 )
 
+from conftest import wrap_blocks
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 DEGENERATE = "DegenerateFitError: the 2SLS sums or ratios overflow the float range"
@@ -454,21 +456,34 @@ class TestVerify:
         expected = verify(reports[0].spec).to_dict()
         assert all(report.to_dict() == expected for report in reports)
 
-    def test_sweep_points_and_trials_run_in_order(self, monkeypatch, tmp_path):
-        import pacc.harness as harness_mod
-
+    @pytest.mark.parametrize("name", ["sccs_sweep", "ps_verify_fast", "iv_verify"])
+    def test_sweep_points_and_trials_run_in_order(self, monkeypatch, tmp_path, name):
+        # Each point's block runs once, in point order, and its records
+        # come back in stream order: a verify config sweeps three copies
+        # of its generator.
+        config = json.loads((CONFIGS / f"{name}.json").read_text())
+        if "grid" not in config:
+            config["grid"] = [config.pop("generator")] * 3
+        (tmp_path / "sweep.json").write_text(json.dumps(config))
         calls = []
 
-        def recording_run_trial(spec, index, draw_and_decide=None):
-            calls.append(spec.stream_base + index)
-            return run_trial(spec, index, draw_and_decide)
+        def recording(spec, block):
+            def run(first, count):
+                stream = spec.stream_base + first
+                calls.append(list(range(stream, stream + count)))
+                return block(first, count)
+            return run
 
-        monkeypatch.setattr(harness_mod, "run_trial", recording_run_trial)
+        wrap_blocks(monkeypatch.setitem, recording)
         for threads in ("1", "3", "4"):
             calls.clear()
-            report = run_command(tmp_path, "sweep", "sccs_sweep", threads, "trials=7")
-            assert calls == list(range(3 * 7))
-            assert [t.seed for r in report.reports for t in r.per_trial] == calls
+            out = tmp_path / f"report_{threads}.json"
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["sweep", "--config", str(tmp_path / "sweep.json"), "--threads",
+                             threads, "--set", "trials=7", "--out", str(out)]) in (0, 1)
+            report = read_report(out)
+            assert calls == [list(range(k * 7, k * 7 + 7)) for k in range(3)]
+            assert [t.seed for r in report.reports for t in r.per_trial] == sum(calls, [])
 
     def test_failed_trials_count_as_errors(self, monkeypatch):
         # A pipeline halt must become an incorrect trial with the reason
@@ -611,27 +626,28 @@ class TestVerify:
         assert all(r.errors == 0 for r in report.reports)
 
     def test_trials_run_on_the_calling_thread(self, monkeypatch, tmp_path):
+        # Every trial of every method keys its stream on the thread's
+        # generator (core._thread_generator): each key is taken on the
+        # calling thread, with no other thread started.
         import threading
 
-        import pacc.harness as harness_mod
+        import pacc.core as core_mod
 
-        seen = {"sccs": set(), "iv2sls": set()}
+        seen = set()
+        thread_generator = core_mod._thread_generator
 
-        def recording_run_trial(spec, index, draw_and_decide=None):
-            seen[spec.method.value].add((threading.get_ident(), threading.active_count()))
-            return run_trial(spec, index, draw_and_decide)
+        def recording_thread_generator():
+            seen.add((threading.get_ident(), threading.active_count()))
+            return thread_generator()
 
-        def recording_normals(*args):
-            seen["iv2sls"].add((threading.get_ident(), threading.active_count()))
-            return stream_normals(*args)
-
-        monkeypatch.setattr(harness_mod, "run_trial", recording_run_trial)
-        monkeypatch.setattr(harness_mod, "stream_normals", recording_normals)
+        monkeypatch.setattr(core_mod, "_thread_generator", recording_thread_generator)
         caller = (threading.get_ident(), threading.active_count())
         for threads in ("1", "2", "4", "8"):
-            run_command(tmp_path, "verify", "iv_verify", threads, "trials=9")
-            run_command(tmp_path, "sweep", "sccs_sweep", threads, "trials=4")
-        assert seen == {"sccs": {caller}, "iv2sls": {caller}}
+            for command, name in (("verify", "iv_verify"), ("verify", "ps_verify_fast"),
+                                  ("sweep", "sccs_sweep")):
+                seen.clear()
+                run_command(tmp_path, command, name, threads, "trials=9")
+                assert seen == {caller}
         assert threading.active_count() == caller[1]
 
 
@@ -671,12 +687,7 @@ class TestSweep:
         with pytest.raises(InvalidArgumentError, match="grid point 1"):
             adversarial_sweep(base, [good, bad])
 
-    def test_grid_point_whose_trial_cannot_be_prepared_is_named(self, monkeypatch):
-        import pacc.harness as harness_mod
-
-        ran = []
-        run = harness_mod.run_trial
-        monkeypatch.setattr(harness_mod, "run_trial", lambda *args: ran.append(args) or run(*args))
+    def test_grid_point_whose_trial_cannot_be_prepared_is_named(self, no_trial_may_run):
         # 97,890 records are N1 + N2 for 3 covariates, short of the 125,916 for 4.
         base = ps_spec(trials=2, sample_size=97_890)
         wider = PsParams(
@@ -688,24 +699,19 @@ class TestSweep:
             r"grid point 1: pipeline needs N1 \+ N2 = 125916 records, got 97890$"
         )):
             adversarial_sweep(base, [base.generator_params, wider])
-        assert ran == []
+        assert no_trial_may_run == []
 
     def test_grid_point_with_an_effect_is_named(self):
         base = iv_spec(trials=5)
         with pytest.raises(InvalidArgumentError, match="grid point 1: the treatment effect"):
             adversarial_sweep(base, [base.generator_params, IvParams(alpha=1.0, beta=0.3)])
 
-    def test_grid_point_past_64_bit_stream_ids_is_named(self, monkeypatch):
-        import pacc.harness as harness_mod
-
-        ran = []
-        monkeypatch.setattr(harness_mod, "run_trial", lambda *args: ran.append(args))
-        monkeypatch.setattr(harness_mod, "stream_normals", lambda *args: ran.append(args))
+    def test_grid_point_past_64_bit_stream_ids_is_named(self, no_trial_may_run):
         # Points 0 and 1 fit; point 2's last stream id would be 2**64.
         base = iv_spec(trials=3, stream_base=2**64 - 8)
         with pytest.raises(InvalidArgumentError, match=r"grid point 2: stream_base \+ trials"):
             adversarial_sweep(base, [base.generator_params] * 3)
-        assert ran == []
+        assert no_trial_may_run == []
 
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -1080,6 +1086,7 @@ class TestReports:
     @pytest.mark.parametrize("method", list(Method))
     def test_written_reports_read_back_byte_for_byte(self, tmp_path, monkeypatch, method):
         import pacc.harness as harness_mod
+        import pacc.propensity as propensity
         from pacc.core import PipelineFailureError
 
         run = harness_mod.run_trial
@@ -1094,6 +1101,10 @@ class TestReports:
 
         if method is Method.IV2SLS:
             monkeypatch.setattr(harness_mod, "stream_normals", halting_normals)
+        elif method is Method.PROPENSITY:
+            # Pipeline sizes whose tails keep N3 records about half the time.
+            sizes = propensity.PsSampleSizes(gamma=0.1, n1=400, n3=57, n2=60)
+            monkeypatch.setattr(propensity, "ps_sample_sizes", lambda *args: sizes)
         else:
             monkeypatch.setattr(harness_mod, "run_trial", run_halting)
         spec, other_point = self.ROUND_TRIPS[method]

@@ -1,9 +1,12 @@
 import math
+import re
 import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.stats import binomtest, ks_2samp
 
 from pacc.core import (
@@ -22,9 +25,9 @@ from pacc.propensity import (
     PsSampleSizes,
     ate,
     ate_decision,
-    _cell_pipeline,
     _cell_table,
-    _fit_cells,
+    _cell_trials,
+    _fitted_model,
     _pipeline_from_cells,
     _sigmoid,
     _weighted_median,
@@ -251,7 +254,7 @@ class TestCellDraw:
             fit_tallied.append(model.weights + (model.bias,))
             cells = table.draw_fitting(2_000, split_stream(34, i))
             drawn.append(np.concatenate([cells.totals, cells.treated]))
-            model = _fit_cells(cells)
+            model = _fitted_model(cells)
             fit_drawn.append(model.weights + (model.bias,))
         for a, b in ((tallied, drawn), (fit_tallied, fit_drawn)):
             a, b = np.array(a, dtype=np.float64), np.array(b, dtype=np.float64)
@@ -275,16 +278,20 @@ class TestCellTail:
         # (survivors, ATE) per trial, or the trial's failure kind. Both
         # sides fit on their own drawn N1 cells.
         table = _cell_table(params)
+        if cell_level:
+            block = _cell_trials(table, sizes, seed, 0, trials)
+            return [
+                type(block.halts[i]).__name__ if i in block.halts
+                else (int(block.survivors[i]), float(block.statistic[i]))
+                for i in range(trials)
+            ]
         results = []
         for i in range(trials):
             gen = split_stream(seed, i)
             cells = table.draw_fitting(sizes.n1, gen)
             try:
-                if cell_level:
-                    result = _cell_pipeline(table, cells, sizes, gen)
-                else:
-                    tail = generate_obs(params, sizes.n2, gen)
-                    result = _pipeline_from_cells(cells, tail, sizes, gen)
+                tail = generate_obs(params, sizes.n2, gen)
+                result = _pipeline_from_cells(cells, tail, sizes, gen)
             except (PipelineFailureError, UndefinedAteError) as exc:
                 results.append(type(exc).__name__)
             else:
@@ -322,10 +329,22 @@ class TestCellTail:
         table = _cell_table(params)
         table = type(table)(**{**vars(table), "tail": np.repeat([0.25, 0.0], 4)})
         sizes = PsSampleSizes(gamma=0.1, n1=200, n3=1, n2=50)
-        gen = split_stream(41, 0)
-        with pytest.raises(UndefinedAteError, match=r"^both arms .*\(treated=0, control="):
-            _cell_pipeline(table, table.draw_fitting(sizes.n1, gen), sizes, gen)
+        block = _cell_trials(table, sizes, 41, 0, 1)
+        assert list(block.halts) == [0] and math.isnan(block.statistic[0])
+        assert type(block.halts[0]) is UndefinedAteError
+        assert re.match(r"^both arms .*\(treated=0, control=", str(block.halts[0]))
 
+
+def median_cases(rows=st.integers(1, 6)):
+    """(values, counts) of equal shape, every row with a positive total:
+    few distinct values, so cells tie, and many zero counts."""
+    return st.tuples(rows, st.integers(1, 12)).flatmap(lambda shape: st.tuples(
+        arrays(np.float64, shape, elements=st.sampled_from([0.1, 0.2, 1 / 3, 0.1 + 0.2, 0.7])),
+        arrays(np.int64, shape, elements=st.sampled_from([0, 0, 1, 2, 7, 10**6])),
+    )).filter(lambda case: bool(case[1].sum(axis=1).all()))
+
+
+class TestWeightedMedian:
     @pytest.mark.parametrize(
         "values, counts",
         [
@@ -340,22 +359,239 @@ class TestCellTail:
             ([1 / 3, 0.1 + 0.2, 2 / 7], [5, 5, 0]),  # inexact midpoint
         ],
     )
-    def test_weighted_median_is_numpy_median(self, values, counts):
-        values, counts = np.array(values), np.array(counts)
-        expected = np.median(np.repeat(values, counts))
-        assert _weighted_median(values, counts).hex() == float(expected).hex()
+    def test_is_numpy_median(self, values, counts):
+        values, counts = np.array([values]), np.array([counts])
+        expected = np.median(np.repeat(values[0], counts[0]))
+        assert _weighted_median(values, counts)[0].hex() == float(expected).hex()
 
-    def test_weighted_median_random_cells(self):
+    @settings(max_examples=300, deadline=None)
+    @given(case=median_cases())
+    def test_each_row_is_numpy_median(self, case):
+        values, counts = case
+        got = _weighted_median(values, counts)
+        expected = [np.median(np.repeat(v, c)) for v, c in zip(values, counts)]
+        assert [v.hex() for v in got.tolist()] == [float(v).hex() for v in expected]
+
+    def test_random_cells(self):
         gen = np.random.default_rng(42)
-        for _ in range(500):
-            k = int(gen.integers(1, 40))
-            # Few distinct values, so cells tie; many zero counts.
-            values = gen.choice(gen.random(max(1, k // 2)), size=k)
-            counts = gen.poisson(gen.choice([0.3, 2.0, 50.0]), size=k)
-            if counts.sum() == 0:
-                counts[int(gen.integers(k))] = 1
-            expected = np.median(np.repeat(values, counts))
-            assert _weighted_median(values, counts).hex() == float(expected).hex()
+        for _ in range(100):
+            rows, k = int(gen.integers(1, 8)), int(gen.integers(1, 40))
+            values = gen.choice(gen.random(max(1, k // 2)), size=(rows, k))
+            counts = gen.poisson(gen.choice([0.3, 2.0, 50.0]), size=(rows, k))
+            counts[counts.sum(axis=1) == 0, 0] = 1
+            expected = [np.median(np.repeat(v, c)) for v, c in zip(values, counts)]
+            got = _weighted_median(values, counts)
+            assert [v.hex() for v in got.tolist()] == [float(v).hex() for v in expected]
+
+
+def reference_fit(cells):
+    """The per-trial grouped Newton fit on one trial's tallies: (coefficients,
+    capped), or its DegenerateFitError."""
+    present = cells.totals > 0
+    design = cells.design[present]
+    totals = cells.totals[present].astype(np.float64)
+    treated = cells.treated[present].astype(np.float64)
+    n_records = float(totals.sum())
+    n_treated = float(treated.sum())
+    if n_treated == 0 or n_treated == n_records:
+        raise DegenerateFitError(
+            f"all {int(n_records)} records share one treatment arm; "
+            "propensity not identifiable"
+        )
+    coefs = np.zeros(design.shape[1])
+    for _ in range(200):
+        p = _sigmoid(design @ coefs)
+        score = design.T @ (treated - totals * p) / n_records
+        if np.abs(score).max() < 1e-8:
+            break
+        w = totals * p * (1.0 - p)
+        hess = design.T @ (design * w[:, None]) / n_records
+        hess.flat[:: hess.shape[0] + 1] += 1e-12
+        coefs = coefs + np.linalg.solve(hess, score)
+        if np.abs(coefs).max() > 30.0:
+            return np.clip(coefs, -30.0, 30.0), True
+    return coefs, False
+
+
+def reference_median(values, counts):
+    """The per-arm weighted median of one trial."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.cumsum(counts[order])
+    total = int(ranks[-1])
+    middle = np.searchsorted(ranks, [(total - 1) // 2, total // 2], side="right")
+    lo, hi = values[order[middle]]
+    return float((lo + hi) / 2)
+
+
+def reference_trial(table, sizes, gen):
+    """One cell-level trial on ``gen``, drawn and decided on its own:
+    {coefs, capped, accept, survivors, statistic, failure}, the entries
+    it reaches before a halt."""
+    cells = table.draw_fitting(sizes.n1, gen)
+    try:
+        coefs, capped = reference_fit(cells)
+    except DegenerateFitError as exc:
+        return {"failure": f"DegenerateFitError: {exc}"}
+    out = {"coefs": coefs, "capped": capped}
+    counts = gen.multinomial(sizes.n2, table.tail)
+    model = PropensityModel(weights=tuple(coefs[:-1]), bias=float(coefs[-1]))
+    p1 = model.predict(table.configs)
+    k = p1.size
+    p_arm = np.concatenate([1.0 - p1, p1])
+    accept = np.ones(2 * k)
+    for arm in (slice(None, k), slice(k, None)):
+        if counts[arm].any():
+            med = reference_median(p_arm[arm], counts[arm])
+            accept[arm] = np.minimum(med / p_arm[arm], 1.0)
+    out["accept"] = accept
+    kept = gen.binomial(counts, accept)
+    n0, n1 = int(kept[:k].sum()), int(kept[k:].sum())
+    out["survivors"] = n0 + n1
+    if n0 + n1 < sizes.n3:
+        out["failure"] = (
+            f"PipelineFailureError: rejection sampling kept {n0 + n1} records, "
+            f"fewer than N3 = {sizes.n3}"
+        )
+        return out
+    if n1 == 0 or n0 == 0:
+        out["failure"] = (
+            f"UndefinedAteError: both arms are required for an ATE (treated={n1}, control={n0})"
+        )
+        return out
+    outcomes = gen.binomial(kept, table.p_y)
+    out["statistic"] = int(outcomes[k:].sum()) / n1 - int(outcomes[:k].sum()) / n0
+    return out
+
+
+def block_rows(block):
+    """``reference_trial``'s dict for each row of a ``_cell_trials`` block."""
+    rows = []
+    for i in range(len(block.statistic)):
+        exc = block.halts.get(i)
+        row = {} if type(exc) is DegenerateFitError else {
+            "coefs": block.coefs[i], "capped": bool(block.capped[i]),
+            "accept": block.accept[i], "survivors": int(block.survivors[i]),
+        }
+        if exc is None:
+            row["statistic"] = float(block.statistic[i])
+        else:
+            row["failure"] = f"{type(exc).__name__}: {exc}"
+            assert math.isnan(block.statistic[i])
+        rows.append(row)
+    return rows
+
+
+def bits(rows):
+    """Each row's entries with arrays and floats as their bytes."""
+    return [
+        {key: np.asarray(v).tobytes() if isinstance(v, (float, np.ndarray)) else v
+         for key, v in row.items()}
+        for row in rows
+    ]
+
+
+# Three covariates, 6 fitting records and a 6-record tail that must keep
+# all 6: trials fit over cells with differing present masks, and a block
+# mixes degenerate and capped fits, too few survivors, a one-arm tail and ATEs.
+MIXED = (confounded_params(n=3, effect=0.3), PsSampleSizes(gamma=0.1, n1=6, n3=6, n2=6))
+
+
+class TestCellBlock:
+    """A block of cell-level trials (``_cell_trials``) against the per-trial
+    reference above, bit for bit: each stream decided on its own."""
+
+    @pytest.mark.parametrize("params, sizes", [
+        MIXED,
+        (confounded_params(effect=0.5), ps_sample_sizes(0.2, 0.8, 5)),
+        (flat_params(n=2), PsSampleSizes(gamma=0.1, n1=40, n3=30, n2=60)),
+    ], ids=["mixed", "ps_verify_fast_sizes", "two_covariates"])
+    @pytest.mark.parametrize("master_seed, first, count", [
+        (20240503, 0, 400), (2**64 - 1, 2**64 - 300, 300), (7, 12345, 1),
+    ], ids=["400_streams", "top_of_the_key_range", "block_of_one"])
+    def test_matches_the_per_trial_reference(self, params, sizes, master_seed, first, count):
+        # A capped fit can predict a cell's arm with probability 0, whose
+        # acceptance median / 0 is inf before the clip to 1.
+        table = _cell_table(params)
+        with np.errstate(divide="ignore"):
+            expected = [reference_trial(table, sizes, split_stream(master_seed, first + i))
+                        for i in range(count)]
+            block = _cell_trials(table, sizes, master_seed, first, count)
+        assert bits(block_rows(block)) == bits(expected)
+
+    def test_mixed_block_reaches_every_branch(self):
+        # Within its first 40 rows, the mixed block of the test above
+        # interleaves every outcome, capped and uncapped fits, and fits over
+        # differing present cells, so a row out of step with its stream shows.
+        params, sizes = MIXED
+        table = _cell_table(params)
+        with np.errstate(divide="ignore"):
+            block = _cell_trials(table, sizes, 20240503, 0, 40)
+        kinds = {type(block.halts[i]).__name__ if i in block.halts else "ate" for i in range(40)}
+        assert kinds == {"DegenerateFitError", "PipelineFailureError", "UndefinedAteError", "ate"}
+        fitted = [i for i in range(40) if type(block.halts.get(i)) is not DegenerateFitError]
+        assert 0 < block.capped[fitted].sum() < len(fitted)
+        masks = {tuple(table.draw_fitting(sizes.n1, split_stream(20240503, i)).totals > 0)
+                 for i in fitted}
+        assert len(masks) > 1
+
+    def test_chunks_give_the_block(self, monkeypatch):
+        # A budget of one trial's design entries runs the block in chunks
+        # of one, with the same outcomes.
+        import pacc.propensity as propensity
+
+        params, sizes = MIXED
+        monkeypatch.setattr(propensity, "ps_sample_sizes", lambda *args: sizes)
+        with np.errstate(divide="ignore"):
+            whole = ps_trial(params, sizes.total, 0.3, 0.2)(20240503, 0, 60)
+            monkeypatch.setattr(propensity, "_CELL_BUDGET", _cell_table(params).design.size)
+            chunked = ps_trial(params, sizes.total, 0.3, 0.2)(20240503, 0, 60)
+        assert whole[0].tolist() == chunked[0].tolist()
+        assert whole[1].tobytes() == chunked[1].tobytes()
+        assert [(i, str(e)) for i, e in sorted(whole[2].items())] \
+            == [(i, str(e)) for i, e in sorted(chunked[2].items())]
+
+
+class TestVerifyBlock:
+    """A propensity verify records each trial as the per-trial reference
+    decides it, halts in place."""
+
+    @pytest.mark.parametrize("truth", list(ModelChoice))
+    @pytest.mark.parametrize("master_seed, stream_base, trials", [
+        (20240503, 0, 200), (2**64 - 1, 2**64 - 150, 150), (3, 77, 1),
+    ], ids=["200_streams", "top_of_the_key_range", "one_trial"])
+    def test_records_match_the_reference(self, monkeypatch, truth, master_seed, stream_base,
+                                         trials):
+        import pacc.propensity as propensity
+        from pacc.core import ConceptSpec, Method
+        from pacc.harness import TrialSpec, run_trial, verify
+
+        params, sizes = MIXED
+        monkeypatch.setattr(propensity, "ps_sample_sizes", lambda *args: sizes)
+        spec = TrialSpec(
+            truth=truth, concept=ConceptSpec(0.3, Method.PROPENSITY),
+            generator_params=replace(params, effect=0.0), trials=trials,
+            master_seed=master_seed, epsilon=0.2, sample_size=sizes.total,
+            stream_base=stream_base,
+        )
+        table = _cell_table(replace(params, effect=0.3 if truth is ModelChoice.M1 else 0.0))
+        expected = []
+        with np.errstate(divide="ignore"):
+            for i in range(trials):
+                trial = reference_trial(table, sizes, split_stream(master_seed, stream_base + i))
+                if "failure" in trial:
+                    expected.append((stream_base + i, None, math.nan.hex(), False,
+                                     trial["failure"]))
+                else:
+                    chosen = ate_decision(trial["statistic"], 0.3).chosen
+                    expected.append((stream_base + i, chosen, trial["statistic"].hex(),
+                                     chosen is truth, None))
+            report = verify(spec)
+            last = run_trial(spec, trials - 1)
+        def record(t):
+            return (t.seed, t.decision, t.statistic.hex(), t.correct, t.failure)
+
+        assert [record(t) for t in report.per_trial] == expected
+        assert record(last) == expected[-1]
 
 
 class TestPreparedTrial:
@@ -386,43 +622,51 @@ class TestPreparedTrial:
 
         monkeypatch.setattr(propensity, "generate_obs", stub)
         sizes = ps_sample_sizes(0.2, 0.8, 21)
-        trial = ps_trial(flat_params(n=21), sizes.total, 0.8, 0.2)
+        trials = ps_trial(flat_params(n=21), sizes.total, 0.8, 0.2)
         with pytest.raises(Drawn):
-            trial(split_stream(42, 0))
+            trials(42, 0, 1)
         assert calls == [sizes.total]
 
     def test_beyond_enumeration_limit_is_the_record_pipeline(self, monkeypatch):
-        # Past the limit a trial is ps_decide on the stream's N1 + N2
-        # records, bit for bit. Small sizes keep the record draws short.
+        # Past the limit each trial of a block is ps_decide on its stream's
+        # N1 + N2 records, bit for bit, halts in place. Small sizes keep
+        # the record draws short; 4 fitting records often share one arm.
         import pacc.propensity as propensity
 
-        sizes = PsSampleSizes(gamma=0.1, n1=300, n3=20, n2=200)
+        sizes = PsSampleSizes(gamma=0.1, n1=4, n3=25, n2=40)
         monkeypatch.setattr(propensity, "ps_sample_sizes", lambda *args: sizes)
         params = PsParams(
             n_covariates=21, treat_weights=(0.06,) * 21, treat_bias=-0.6,
             positivity_floor=0.2, outcome_base=0.1, effect=0.3,
             confound_weights=(0.02,) * 21,
         )
-        trial = ps_trial(params, sizes.total, 0.8, 0.2)
-        for i in range(3):
-            gen = split_stream(44, i)
-            expected = ps_decide(generate_obs(params, sizes.total, gen), 0.8, gen, 0.2)
-            decision = trial(split_stream(44, i))
-            assert decision.statistic.hex() == expected.statistic.hex()
-            assert decision == expected
+        expected = []
+        for i in range(40):
+            gen = split_stream(2**64 - 1, 2**64 - 40 + i)
+            try:
+                decision = ps_decide(generate_obs(params, sizes.total, gen), 0.8, gen, 0.2)
+            except (DegenerateFitError, PipelineFailureError, UndefinedAteError) as exc:
+                expected.append((False, math.nan, f"{type(exc).__name__}: {exc}"))
+            else:
+                expected.append((decision.chosen is ModelChoice.M1, decision.statistic, None))
+        m1, statistic, halts = ps_trial(params, sizes.total, 0.8, 0.2)(2**64 - 1, 2**64 - 40, 40)
+        got = [(bool(m1[i]), float(statistic[i]),
+                f"{type(halts[i]).__name__}: {halts[i]}" if i in halts else None)
+               for i in range(40)]
+        assert [(a, s.hex(), f) for a, s, f in got] == [(a, s.hex(), f) for a, s, f in expected]
+        kinds = {f.partition(":")[0] if f else None for _, _, f in expected}
+        assert {None, "DegenerateFitError", "PipelineFailureError"} <= kinds
 
-    def test_trial_is_the_cell_pipeline(self):
-        # The prepared trial is the cell table's pipeline on the stream's
-        # drawn fitting cells, thresholded at delta / 2.
+    def test_trials_decide_the_cell_block(self):
+        # The prepared trials are the cell block of their streams,
+        # thresholded at delta / 2.
         params = confounded_params(effect=0.5)
         sizes = ps_sample_sizes(0.2, 0.8, 5)
-        trial = ps_trial(params, sizes.total + 7, 0.8, 0.2)
-        table = _cell_table(params)
-        for i in range(3):
-            decision = trial(split_stream(43, i))
-            gen = split_stream(43, i)
-            result = _cell_pipeline(table, table.draw_fitting(sizes.n1, gen), sizes, gen)
-            assert decision == ate_decision(result.ate, 0.8)
+        m1, statistic, halts = ps_trial(params, sizes.total + 7, 0.8, 0.2)(43, 10, 30)
+        block = _cell_trials(_cell_table(params), sizes, 43, 10, 30)
+        assert statistic.tobytes() == block.statistic.tobytes() and halts == block.halts == {}
+        assert m1.tolist() == [ate_decision(s, 0.8).chosen is ModelChoice.M1
+                               for s in statistic.tolist()]
 
 
 class TestL1Error:

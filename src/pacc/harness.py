@@ -23,15 +23,10 @@ from pacc import _jsonio
 from pacc.core import (
     ConceptSpec,
     Decision,
-    DegenerateFitError,
-    GenerationFailureError,
     InvalidArgumentError,
     Method,
     ModelChoice,
     PaccError,
-    PipelineFailureError,
-    UndefinedAteError,
-    WeakInstrumentError,
     check_array_size,
     check_keys,
     check_u64,
@@ -41,7 +36,6 @@ from pacc.core import (
     rate_upper_bound,
     real_number,
     record_dict,
-    rekeyed_generator,
     stream_normals,
     whole_number,
 )
@@ -74,7 +68,7 @@ from pacc.sccs import (
     sccs_decide,
     sccs_mle_closed,
     sccs_sample_size,
-    sccs_trial_law,
+    sccs_trial,
 )
 
 __all__ = [
@@ -104,75 +98,7 @@ REPORT_SCHEMA = "pacc-report/1"
 # Confidence level of the one-sided Wilson bound that verify certifies.
 CONFIDENCE = 0.95
 
-# Decide/generate failures that count as an incorrect trial rather than
-# aborting the whole verification run.
-_TRIAL_FAILURES = (
-    PipelineFailureError,
-    GenerationFailureError,
-    UndefinedAteError,
-    WeakInstrumentError,
-    DegenerateFitError,
-)
-
-
 GeneratorParams = Union[SccsModel, PsParams, IvParams]
-
-# A prepared SCCS trial: maps a trial's generator to its decision.
-DrawAndDecide = Callable[[np.random.Generator], Decision]
-
-# A prepared block of trials: (first index, count) -> the outcomes of
-# trials first, ..., first + count - 1, in index order.
-TrialBlock = Callable[[int, int], Sequence["TrialOutcome"]]
-
-
-def _sccs_prepare(spec: TrialSpec, model: SccsModel, size: int) -> TrialBlock:
-    """SCCS trials, one at a time: ``run_trial`` on each index in turn, looked
-    up through this module at run time, with the trial that draws the event
-    totals from the model's trial law, whose 1-D tables are built here."""
-    law, delta = sccs_trial_law(model.design, model.params, size), spec.concept.delta
-
-    def draw_and_decide(gen: np.random.Generator) -> Decision:
-        return sccs_decide(law.draw(gen), delta)
-
-    return lambda first, count: [
-        run_trial(spec, i, draw_and_decide) for i in range(first, first + count)
-    ]
-
-
-# A trial's choice, indexed by whether it chose M1.
-_CHOICES = np.array([ModelChoice.M2, ModelChoice.M1], dtype=object)
-
-
-def _array_block(spec: TrialSpec, trials: Callable[[int, int, int], tuple]) -> TrialBlock:
-    """A block decided as arrays: ``trials(master_seed, first stream,
-    count)`` gives whether each trial chose M1, its statistic, and the
-    error of each that halted (whose statistic is NaN), by row index."""
-    is_m1 = spec.truth is ModelChoice.M1
-
-    def block(first: int, count: int) -> list[TrialOutcome]:
-        stream = spec.stream_base + first
-        m1, statistic, halts = trials(spec.master_seed, stream, count)
-        chosen, correct, failures = _CHOICES[m1.astype(np.intp)], m1 == is_m1, [None] * count
-        for i, exc in halts.items():
-            chosen[i], correct[i], failures[i] = None, False, _failure_text(exc)
-        # _make takes each row's tuple as is, at about four fifths of the
-        # constructor's cost per record.
-        return list(map(TrialOutcome._make, zip(
-            range(stream, stream + count), chosen.tolist(), statistic.tolist(),
-            correct.tolist(), failures,
-        )))
-
-    return block
-
-
-def _iv_prepare(spec: TrialSpec, params: IvParams, size: int) -> TrialBlock:
-    """IV trials: the three standard normals of every trial's stream in one
-    array (``stream_normals``), decided row by row with array arithmetic
-    (``iv_block``)."""
-    delta = spec.concept.delta
-    return _array_block(spec, lambda master_seed, stream, count: iv_block(
-        params, size, delta, stream_normals(master_seed, stream, count, 3)
-    ))
 
 
 def _iv_check(spec: TrialSpec, size: int) -> None:
@@ -255,11 +181,12 @@ class MethodSpec(NamedTuple):
     # builds anything (the trial-day limit, N1 + N2, int64 and numpy's
     # array limit for records or for IV's block of normals).
     size: Callable[[TrialSpec], int]
-    # Trials: (spec, truth params, sample size) -> the prepared block. The
-    # work that depends only on the spec runs in this call, once per verify.
-    # SCCS decides one trial at a time (`run_trial`); IV and propensity
-    # decide a block as arrays, each stream drawing what its trial reads.
-    prepare: Callable[[TrialSpec, Any, int], TrialBlock]
+    # Trials: (spec, truth params, sample size) -> trials(master_seed,
+    # first stream, count), which gives whether each trial chose M1, its
+    # statistic (NaN where it halted) and each halt's error by row. The
+    # work that depends only on the spec runs in this call, once per verify;
+    # each stream then draws what its trial reads.
+    prepare: Callable[[TrialSpec, Any, int], Callable[[int, int, int], tuple]]
     # `generate`: (params, count, stream) -> a dataset.
     generate: Callable[[Any, int, np.random.Generator], Any]
     # Dataset files: formats (the default first), whether they can carry
@@ -289,7 +216,9 @@ METHODS: dict[Method, MethodSpec] = {
             ),
             lambda spec, size: check_sccs_trial(spec.generator_params.design, size),
         ),
-        prepare=_sccs_prepare,
+        prepare=lambda spec, model, size: sccs_trial(
+            model.design, model.params, size, spec.concept.delta
+        ),
         generate=lambda model, count, rng: generate_sccs(
             model.design, model.params, count, rng
         ),
@@ -319,8 +248,8 @@ METHODS: dict[Method, MethodSpec] = {
                 spec.generator_params, size, spec.concept.delta, spec.epsilon
             ),
         ),
-        prepare=lambda spec, params, size: _array_block(
-            spec, ps_trial(params, size, spec.concept.delta, spec.epsilon)
+        prepare=lambda spec, params, size: ps_trial(
+            params, size, spec.concept.delta, spec.epsilon
         ),
         generate=lambda params, count, rng: generate_obs(params, count, rng),
         formats=("csv", "json"),
@@ -343,7 +272,11 @@ METHODS: dict[Method, MethodSpec] = {
             params, beta=delta if is_m1 else 0.0
         ),
         size=_sized(_iv_auto_size, _iv_check),
-        prepare=_iv_prepare,
+        # The normals of every trial's stream in one array, decided row by
+        # row with array arithmetic.
+        prepare=lambda spec, params, size: lambda master_seed, first, count: iv_block(
+            params, size, spec.concept.delta, stream_normals(master_seed, first, count, 3)
+        ),
         generate=lambda params, count, rng: generate_iv(params, count, rng),
         formats=("csv",),
         hidden_column=True,
@@ -507,10 +440,31 @@ def _failure_text(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def run_trial(
-    spec: TrialSpec, index: int, draw_and_decide: DrawAndDecide | None = None
-) -> TrialOutcome:
-    """Draw one sample from the truth model and apply the method's rule.
+# A trial's choice, indexed by whether it chose M1.
+_CHOICES = np.array([ModelChoice.M2, ModelChoice.M1], dtype=object)
+
+
+def _block(spec: TrialSpec, first: int, count: int) -> list[TrialOutcome]:
+    """Trials first, ..., first + count - 1 of the spec, in index order,
+    prepared (``MethodSpec.prepare``) and run as one block."""
+    trials = METHODS[spec.method].prepare(spec, params_for_truth(spec), resolve_sample_size(spec))
+    stream = spec.stream_base + first
+    m1, statistic, halts = trials(spec.master_seed, stream, count)
+    chosen, correct = _CHOICES[m1.astype(np.intp)], m1 == (spec.truth is ModelChoice.M1)
+    failures = [None] * count
+    for i, exc in halts.items():
+        chosen[i], correct[i], failures[i] = None, False, _failure_text(exc)
+    # _make takes each row's tuple as is, at about four fifths of the
+    # constructor's cost per record.
+    return list(map(TrialOutcome._make, zip(
+        range(stream, stream + count), chosen.tolist(), statistic.tolist(),
+        correct.tolist(), failures,
+    )))
+
+
+def run_trial(spec: TrialSpec, index: int) -> TrialOutcome:
+    """Draw one sample from the truth model and apply the method's rule:
+    the spec's block of this one trial.
 
     Trials draw only what their decisions read, with the law of the
     record-level generators: the three 2SLS sums from three standard
@@ -519,30 +473,12 @@ def run_trial(
     per (covariate configuration, arm) cell (propensity). Only propensity
     trials past the enumeration limit draw records: each is ``ps_decide``
     on N1 + N2 records from one ``generate_obs`` call. The trial's stream
-    is (master_seed, stream_base + index).
-
-    Without ``draw_and_decide``, the spec's trials are prepared
-    (``MethodSpec.prepare``) and a block of this one trial runs, which
-    for IV and propensity is the array block of one row. With it, the
-    call is one trial of an SCCS block, which passes its prepared trial;
-    the trial's generator is this thread's re-keyed one, which draws what
-    a fresh one would. A pipeline halt (too few rejection survivors,
-    generation retry exhaustion, degenerate estimators) counts as an
-    incorrect trial with the failure recorded, preserving the union-bound
-    accounting.
+    is (master_seed, stream_base + index). A pipeline halt (too few
+    rejection survivors, generation retry exhaustion, degenerate
+    estimators) counts as an incorrect trial with the failure recorded,
+    preserving the union-bound accounting.
     """
-    if draw_and_decide is None:
-        block = METHODS[spec.method].prepare(
-            spec, params_for_truth(spec), resolve_sample_size(spec)
-        )
-        return block(index, 1)[0]
-    stream_id = spec.stream_base + index
-    gen = rekeyed_generator(spec.master_seed, stream_id)
-    try:
-        chosen, statistic, _ = draw_and_decide(gen)
-    except _TRIAL_FAILURES as exc:
-        return TrialOutcome(stream_id, None, math.nan, False, _failure_text(exc))
-    return TrialOutcome(stream_id, chosen, statistic, chosen is spec.truth)
+    return _block(spec, index, 1)[0]
 
 
 @dataclass(frozen=True)
@@ -646,15 +582,14 @@ def verify(spec: TrialSpec) -> VerificationReport:
     """Run the spec's trials and certify the error rate against epsilon.
 
     The spec's trials are prepared once (``MethodSpec.prepare``) and run
-    as one block; nothing prepared outlives the call. The trials run in
-    index order on the calling thread: they are short and
-    interpreter-bound, so a second thread would not pay for its start-up
-    and hand-offs. Passing means the one-sided Wilson upper bound (at
-    ``CONFIDENCE``) on the error probability does not exceed epsilon.
+    as one block, which every method decides as arrays; nothing prepared
+    outlives the call. The trials run in index order on the calling
+    thread: they are short and interpreter-bound, so a second thread would
+    not pay for its start-up and hand-offs. Passing means the one-sided
+    Wilson upper bound (at ``CONFIDENCE``) on the error probability does
+    not exceed epsilon.
     """
-    size = resolve_sample_size(spec)
-    block = METHODS[spec.method].prepare(spec, params_for_truth(spec), size)
-    return VerificationReport(spec, tuple(block(0, spec.trials)))
+    return VerificationReport(spec, tuple(_block(spec, 0, spec.trials)))
 
 
 @dataclass(frozen=True)

@@ -484,10 +484,17 @@ def rejection_sample(
     accept = np.ones(len(data))
     for arm_mask in (treated, ~treated):
         if arm_mask.any():
-            med = float(np.median(p_arm[arm_mask]))
-            accept[arm_mask] = np.minimum(med / p_arm[arm_mask], 1.0)
+            accept[arm_mask] = _acceptance(float(np.median(p_arm[arm_mask])), p_arm[arm_mask])
     keep = gen.random(len(data)) < accept
     return ObsDataset(data.x[keep], data.z[keep], data.y[keep])
+
+
+def _acceptance(med, p_arm: np.ndarray) -> np.ndarray:
+    """min(med / p_arm, 1). A capped fit can round p_arm to 0: such a record
+    is kept with probability 1 under a positive median, and 0 under a zero
+    one, as ``random() < med / p_arm`` keeps it, without dividing by 0."""
+    positive = np.broadcast_to(np.asarray(med) > 0, p_arm.shape).astype(np.float64)
+    return np.minimum(np.divide(med, p_arm, out=positive, where=p_arm > 0), 1.0)
 
 
 def ate(data: ObsDataset) -> float:
@@ -704,7 +711,7 @@ def _cell_trials(
     accept, arms = np.ones_like(p_arm), counts.reshape(2 * count, k)
     filled = arms.any(axis=1)
     med = _weighted_median(p_arm[filled], arms[filled])
-    accept[filled] = np.minimum(med[:, None] / p_arm[filled], 1.0)
+    accept[filled] = _acceptance(med[:, None], p_arm[filled])
     accept = accept.reshape(count, 2 * k)
     survivors, statistic = np.zeros(count, dtype=np.int64), np.full(count, math.nan)
     for i, state in enumerate(states):

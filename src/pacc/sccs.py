@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from pacc.core import (
     ceil_bound,
     record_dict,
     record_from_dict,
+    rekeyed_generator,
     whole_number,
 )
 
@@ -41,6 +42,7 @@ __all__ = [
     "SccsTrialLaw",
     "generate_sccs",
     "sccs_trial_law",
+    "sccs_trial",
     "check_sccs_trial",
     "sccs_loglik",
     "sccs_mle_closed",
@@ -541,6 +543,28 @@ def sccs_trial_law(design: SccsDesign, params: SccsParams, cases: int) -> SccsTr
         atoms.append(_Atom(qa / some, p0, pa, exposed, pb, control))
     accept = math.fsum(weights)
     return SccsTrialLaw(design, cases, min(accept, 1.0), np.array(weights) / accept, tuple(atoms))
+
+
+def sccs_trial(
+    design: SccsDesign, params: SccsParams, cases: int, delta: float
+) -> Callable[[int, int, int], tuple[np.ndarray, np.ndarray, dict[int, GenerationFailureError]]]:
+    """``sccs_decide`` on the event totals of a ``cases``-patient case
+    series, for a block: (master_seed, first, trials) -> whether each trial
+    chooses M1, its estimate (NaN if its draw ran out of redraws) and each
+    such halt's error by row, trial i on stream (master_seed, first + i).
+    The trial law is built once."""
+    law, threshold = sccs_trial_law(design, params, cases), math.log(delta) / 2.0
+
+    def trials(master_seed: int, first: int, count: int):
+        statistic, halts = np.full(count, math.nan), {}
+        for i in range(count):
+            try:
+                statistic[i] = sccs_mle_closed(law.draw(rekeyed_generator(master_seed, first + i)))
+            except GenerationFailureError as exc:
+                halts[i] = exc
+        return statistic >= threshold, statistic, halts
+
+    return trials
 
 
 def check_sccs_trial(design: SccsDesign, cases: int) -> None:

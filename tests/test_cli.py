@@ -1,8 +1,11 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -514,7 +517,47 @@ class TestEstimateDecide:
         assert "epsilon must lie in (0, 1)" in json.loads(err)["message"]
 
 
+# Weights of 15 on two rare covariates: fits on the few records that carry
+# them are capped, and predict some cells' arm with probability 0.
+CAPPED_PS_CONFIG = {
+    "method": "propensity",
+    "truth": "M2",
+    "epsilon": 0.99,
+    "concept": {"delta": 0.99},
+    "generator": {
+        "n_covariates": 3,
+        "treat_weights": [15, 15, 0],
+        "treat_bias": -10,
+        "covariate_probs": [0.0005, 0.0005, 0.5],
+        "positivity_floor": 1e-9,
+        "outcome_base": 0.005,
+        "confound_weights": [0, 0, 0],
+    },
+    "sample_size": "auto",
+    "trials": 3000,
+    "master_seed": 7,
+}
+
+
 class TestVerify:
+    def test_capped_propensity_fits_write_nothing_to_stderr(self, tmp_path):
+        # In a fresh interpreter, whose warnings print to stderr: the capped
+        # fits' acceptance takes its limits without a division by zero, and
+        # the report keeps the bytes the unguarded division gave.
+        cfg = write_json(tmp_path / "capped.json", CAPPED_PS_CONFIG)
+        out_path = tmp_path / "report.json"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (str(CONFIGS.parent / "src"), os.environ.get("PYTHONPATH")) if p
+        )}
+        done = subprocess.run(
+            [sys.executable, "-m", "pacc.cli", "verify", "--config", cfg, "--out", str(out_path)],
+            env=env, capture_output=True, text=True,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+            "1f6075c1b7e979f5e9e6b42c6fb52bd65a953e9791e2d894ea05706826c27c7c"
+        )
+
     def test_calibrated_config_exits_0(self, capsys, tmp_path):
         cfg = write_json(tmp_path / "verify.json", IV_VERIFY_CONFIG)
         out_path = tmp_path / "report.json"
@@ -740,11 +783,11 @@ class TestSweep:
                                                            monkeypatch):
         # Points 0-2 are valid; point 3's design is past the trial-day limit,
         # which the sweep checks before any point's trial runs or law is built.
-        import pacc.harness as harness_mod
+        import pacc.sccs as sccs_mod
 
         calls = []
-        wrap_blocks(monkeypatch.setitem, lambda spec, block: lambda *args: calls.append("trial"))
-        monkeypatch.setattr(harness_mod, "sccs_trial_law", lambda *args: calls.append("law"))
+        wrap_blocks(monkeypatch.setitem, lambda spec, trials: lambda *args: calls.append("trial"))
+        monkeypatch.setattr(sccs_mod, "sccs_trial_law", lambda *args: calls.append("law"))
         config = json.loads((CONFIGS / "sccs_sweep.json").read_text())
         config["grid"].append(json.loads(json.dumps(config["grid"][0])))
         config["grid"][3]["design"]["total_days"] = 2**20 + 1

@@ -15,7 +15,7 @@ from pacc._jsonio import dumps
 from pacc.cli import main
 from pacc.core import (
     ConceptSpec, Decision, DegenerateFitError, InvalidArgumentError, Method, ModelChoice,
-    PaccError, WeakInstrumentError, split_stream, stream_normals,
+    GenerationFailureError, PaccError, WeakInstrumentError, split_stream, stream_normals,
 )
 from pacc.harness import (
     AUTO,
@@ -39,6 +39,7 @@ from pacc.sccs import (
     SccsParams,
     TwoPointLaw,
     law_from_dict,
+    sccs_decide,
     sccs_trial_law,
 )
 
@@ -434,6 +435,57 @@ class TestIvBlock:
         assert bits(verify(spec).per_trial) == bits(expected)
 
 
+class TestSccsBlock:
+    """A verify's SCCS trials are one block, decided as the per-trial
+    reference ``sccs_decide(law.draw(...), delta)`` decides each."""
+
+    TWO_POINT = SccsParams(TwoPointLaw(math.log(0.01), math.log(0.1), 0.3), 0.0, 0.01)
+    # About 3 of 3,000,000 attempts keep a case, so some streams run out of
+    # redraws and halt.
+    HALTING = SccsModel(SccsDesign(20, 10), SccsParams(PointLaw(-16.8), 0.0, 1e-9))
+
+    @staticmethod
+    def reference(spec, index):
+        """Trial ``index`` of ``spec`` decided one at a time on a fresh generator."""
+        stream_id = spec.stream_base + index
+        model = params_for_truth(spec)
+        law = sccs_trial_law(model.design, model.params, resolve_sample_size(spec))
+        try:
+            chosen, statistic, _ = sccs_decide(
+                law.draw(split_stream(spec.master_seed, stream_id)), spec.concept.delta
+            )
+        except GenerationFailureError as exc:
+            return TrialOutcome(stream_id, None, math.nan, False, f"{type(exc).__name__}: {exc}")
+        return TrialOutcome(stream_id, chosen, statistic, chosen is spec.truth)
+
+    @pytest.mark.parametrize("truth", list(ModelChoice))
+    @pytest.mark.parametrize("params", [None, TWO_POINT], ids=["point", "two_point"])
+    @pytest.mark.parametrize("master_seed, stream_base, trials", [
+        (20240501, 0, 2000), (2**64 - 2, 10**6, 300), (2**64 - 1, 2**64 - 1, 1),
+    ], ids=["2000_streams", "high_seed", "one_trial"])
+    def test_block_matches_the_per_trial_reference_bit_for_bit(
+        self, truth, params, master_seed, stream_base, trials
+    ):
+        model = sccs_spec().generator_params
+        spec = sccs_spec(truth, generator_params=model._replace(params=params or model.params),
+                         sample_size=40, trials=trials, master_seed=master_seed,
+                         stream_base=stream_base)
+        expected = [self.reference(spec, i) for i in range(trials)]
+        assert bits(verify(spec).per_trial) == bits(expected)
+        assert bits([run_trial(spec, trials - 1)]) == bits(expected[-1:])
+
+    @pytest.mark.parametrize("truth", list(ModelChoice))
+    def test_halted_streams_halt_in_place(self, truth):
+        spec = sccs_spec(truth, generator_params=self.HALTING, sample_size=3, trials=200,
+                         stream_base=5)
+        expected = [self.reference(spec, i) for i in range(200)]
+        halted = [t for t in expected if t.failure]
+        assert 0 < len(halted) < 200
+        assert all(t.failure.startswith("GenerationFailureError: accepted only ") and
+                   t.decision is None and math.isnan(t.statistic) for t in halted)
+        assert bits(verify(spec).per_trial) == bits(expected)
+
+
 class TestVerify:
     def test_aggregation_identity(self):
         spec = iv_spec(trials=40)
@@ -467,11 +519,10 @@ class TestVerify:
         (tmp_path / "sweep.json").write_text(json.dumps(config))
         calls = []
 
-        def recording(spec, block):
-            def run(first, count):
-                stream = spec.stream_base + first
-                calls.append(list(range(stream, stream + count)))
-                return block(first, count)
+        def recording(spec, trials):
+            def run(master_seed, first, count):
+                calls.append(list(range(first, first + count)))
+                return trials(master_seed, first, count)
             return run
 
         wrap_blocks(monkeypatch.setitem, recording)
@@ -488,14 +539,14 @@ class TestVerify:
     def test_failed_trials_count_as_errors(self, monkeypatch):
         # A pipeline halt must become an incorrect trial with the reason
         # recorded, never a discarded one.
-        import pacc.harness as harness_mod
+        import pacc.sccs as sccs_mod
         from pacc.core import GenerationFailureError
 
         class ExplodingLaw:
             def draw(self, gen):
                 raise GenerationFailureError("retry budget exhausted")
 
-        monkeypatch.setattr(harness_mod, "sccs_trial_law", lambda *args: ExplodingLaw())
+        monkeypatch.setattr(sccs_mod, "sccs_trial_law", lambda *args: ExplodingLaw())
         report = verify(sccs_spec(trials=3))
         assert report.errors == 3
         assert all(not t.correct for t in report.per_trial)
@@ -523,7 +574,7 @@ class TestVerify:
     def test_sccs_designs_past_the_old_cell_cap_run_the_same_path(self, monkeypatch):
         # 1000/200 days once passed the 2-D cell table's cap and was drawn
         # case by case; every design now draws from its trial law.
-        import pacc.harness as harness_mod
+        import pacc.sccs as sccs_mod
 
         designs = []
 
@@ -531,7 +582,7 @@ class TestVerify:
             designs.append(design)
             return sccs_trial_law(design, params, cases)
 
-        monkeypatch.setattr(harness_mod, "sccs_trial_law", recording_law)
+        monkeypatch.setattr(sccs_mod, "sccs_trial_law", recording_law)
         wide = sccs_spec().generator_params._replace(
             design=SccsDesign(total_days=1000, exposure_days=200)
         )
@@ -540,7 +591,7 @@ class TestVerify:
         assert designs == [wide.design, sccs_spec().generator_params.design]
 
     def test_trials_are_prepared_once_per_verify_call(self, monkeypatch):
-        import pacc.harness as harness_mod
+        import pacc.sccs as sccs_mod
 
         built = []
 
@@ -548,7 +599,7 @@ class TestVerify:
             built.append(design)
             return sccs_trial_law(design, params, cases)
 
-        monkeypatch.setattr(harness_mod, "sccs_trial_law", counting_law)
+        monkeypatch.setattr(sccs_mod, "sccs_trial_law", counting_law)
         spec = sccs_spec(trials=25, master_seed=1234)
         first = verify(spec)
         assert len(built) == 1
@@ -561,7 +612,7 @@ class TestVerify:
         import gc
         import weakref
 
-        import pacc.harness as harness_mod
+        import pacc.sccs as sccs_mod
 
         tables = []
 
@@ -570,7 +621,7 @@ class TestVerify:
             tables.append(weakref.ref(table))
             return table
 
-        monkeypatch.setattr(harness_mod, "sccs_trial_law", tracked_law)
+        monkeypatch.setattr(sccs_mod, "sccs_trial_law", tracked_law)
         verify(sccs_spec(trials=6))
         gc.collect()
         assert len(tables) == 1
@@ -609,7 +660,7 @@ class TestVerify:
         import gc
         import weakref
 
-        import pacc.harness as harness_mod
+        import pacc.sccs as sccs_mod
 
         tables = []
 
@@ -620,7 +671,7 @@ class TestVerify:
             tables.append(weakref.ref(table))
             return table
 
-        monkeypatch.setattr(harness_mod, "sccs_trial_law", tracked_law)
+        monkeypatch.setattr(sccs_mod, "sccs_trial_law", tracked_law)
         report = run_command(tmp_path, "sweep", "sccs_sweep", "2", "trials=8")
         assert len(tables) == len(report.grid) == 3
         assert all(r.errors == 0 for r in report.reports)
@@ -1087,17 +1138,18 @@ class TestReports:
     def test_written_reports_read_back_byte_for_byte(self, tmp_path, monkeypatch, method):
         import pacc.harness as harness_mod
         import pacc.propensity as propensity
-        from pacc.core import PipelineFailureError
+        import pacc.sccs as sccs_mod
+        from pacc.core import GenerationFailureError
 
-        run = harness_mod.run_trial
+        def halting_law(*args, trial_law=sccs_mod.sccs_trial_law):
+            """The SCCS trial law, halted on about one stream in four."""
+            law = trial_law(*args)
 
-        def run_halting(spec, index, draw_and_decide=None):
-            """The method's trial, halted on about one stream in four."""
-            def trial(gen):
+            def draw(gen):
                 if gen.integers(4) == 0:
-                    raise PipelineFailureError('too few "survivors" \u2264 N3')
-                return draw_and_decide(gen)
-            return run(spec, index, trial)
+                    raise GenerationFailureError('too few "survivors" \u2264 N3')
+                return law.draw(gen)
+            return SimpleNamespace(draw=draw)
 
         if method is Method.IV2SLS:
             monkeypatch.setattr(harness_mod, "stream_normals", halting_normals)
@@ -1106,7 +1158,7 @@ class TestReports:
             sizes = propensity.PsSampleSizes(gamma=0.1, n1=400, n3=57, n2=60)
             monkeypatch.setattr(propensity, "ps_sample_sizes", lambda *args: sizes)
         else:
-            monkeypatch.setattr(harness_mod, "run_trial", run_halting)
+            monkeypatch.setattr(sccs_mod, "sccs_trial_law", halting_law)
         spec, other_point = self.ROUND_TRIPS[method]
         verified = verify(spec)
         swept = adversarial_sweep(spec, [spec.generator_params, other_point])

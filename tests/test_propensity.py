@@ -442,7 +442,11 @@ def reference_trial(table, sizes, gen):
     for arm in (slice(None, k), slice(k, None)):
         if counts[arm].any():
             med = reference_median(p_arm[arm], counts[arm])
-            accept[arm] = np.minimum(med / p_arm[arm], 1.0)
+            # A record is kept when random() < med / p_arm: always at
+            # med / 0 = inf, never at 0 / 0 = NaN.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = med / p_arm[arm]
+            accept[arm] = np.where(np.isnan(ratio), 0.0, np.minimum(ratio, 1.0))
     out["accept"] = accept
     kept = gen.binomial(counts, accept)
     n0, n1 = int(kept[:k].sum()), int(kept[k:].sum())
@@ -495,6 +499,11 @@ def bits(rows):
 # mixes degenerate and capped fits, too few survivors, a one-arm tail and ATEs.
 MIXED = (confounded_params(n=3, effect=0.3), PsSampleSizes(gamma=0.1, n1=6, n3=6, n2=6))
 
+# MIXED's model with 4 fitting records: some capped fits predict a cell's
+# arm with probability 0 where that arm's tail median is positive, and
+# some where it is 0 too.
+CAPPED = (MIXED[0], PsSampleSizes(gamma=0.1, n1=4, n3=6, n2=6))
+
 
 class TestCellBlock:
     """A block of cell-level trials (``_cell_trials``) against the per-trial
@@ -502,21 +511,40 @@ class TestCellBlock:
 
     @pytest.mark.parametrize("params, sizes", [
         MIXED,
+        CAPPED,
         (confounded_params(effect=0.5), ps_sample_sizes(0.2, 0.8, 5)),
         (flat_params(n=2), PsSampleSizes(gamma=0.1, n1=40, n3=30, n2=60)),
-    ], ids=["mixed", "ps_verify_fast_sizes", "two_covariates"])
+    ], ids=["mixed", "capped", "ps_verify_fast_sizes", "two_covariates"])
     @pytest.mark.parametrize("master_seed, first, count", [
         (20240503, 0, 400), (2**64 - 1, 2**64 - 300, 300), (7, 12345, 1),
     ], ids=["400_streams", "top_of_the_key_range", "block_of_one"])
     def test_matches_the_per_trial_reference(self, params, sizes, master_seed, first, count):
-        # A capped fit can predict a cell's arm with probability 0, whose
-        # acceptance median / 0 is inf before the clip to 1.
         table = _cell_table(params)
-        with np.errstate(divide="ignore"):
-            expected = [reference_trial(table, sizes, split_stream(master_seed, first + i))
-                        for i in range(count)]
-            block = _cell_trials(table, sizes, master_seed, first, count)
+        expected = [reference_trial(table, sizes, split_stream(master_seed, first + i))
+                    for i in range(count)]
+        block = _cell_trials(table, sizes, master_seed, first, count)
         assert bits(block_rows(block)) == bits(expected)
+
+    def test_capped_block_reaches_both_limits(self):
+        # In the capped block of the test above, a filled arm's cell with
+        # p_arm = 0 takes acceptance 1 under a positive median on some
+        # streams and 0 under a zero median on others.
+        params, sizes = CAPPED
+        table = _cell_table(params)
+        block = _cell_trials(table, sizes, 20240503, 0, 400)
+        k = table.q.size
+        p1 = _sigmoid((table.configs @ block.coefs[:, :-1, None])[:, :, 0] + block.coefs[:, -1:])
+        limits = set()
+        for i in range(400):
+            if type(block.halts.get(i)) is DegenerateFitError:
+                continue
+            gen = split_stream(20240503, i)
+            table.draw_fitting(sizes.n1, gen)
+            counts = gen.multinomial(sizes.n2, table.tail).reshape(2, k)
+            for arm, p_arm in enumerate((1.0 - p1[i], p1[i])):
+                if counts[arm].any():
+                    limits.update(block.accept[i, arm * k:(arm + 1) * k][p_arm == 0].tolist())
+        assert limits == {0.0, 1.0}
 
     def test_mixed_block_reaches_every_branch(self):
         # Within its first 40 rows, the mixed block of the test above
@@ -524,8 +552,7 @@ class TestCellBlock:
         # differing present cells, so a row out of step with its stream shows.
         params, sizes = MIXED
         table = _cell_table(params)
-        with np.errstate(divide="ignore"):
-            block = _cell_trials(table, sizes, 20240503, 0, 40)
+        block = _cell_trials(table, sizes, 20240503, 0, 40)
         kinds = {type(block.halts[i]).__name__ if i in block.halts else "ate" for i in range(40)}
         assert kinds == {"DegenerateFitError", "PipelineFailureError", "UndefinedAteError", "ate"}
         fitted = [i for i in range(40) if type(block.halts.get(i)) is not DegenerateFitError]
@@ -541,10 +568,9 @@ class TestCellBlock:
 
         params, sizes = MIXED
         monkeypatch.setattr(propensity, "ps_sample_sizes", lambda *args: sizes)
-        with np.errstate(divide="ignore"):
-            whole = ps_trial(params, sizes.total, 0.3, 0.2)(20240503, 0, 60)
-            monkeypatch.setattr(propensity, "_CELL_BUDGET", _cell_table(params).design.size)
-            chunked = ps_trial(params, sizes.total, 0.3, 0.2)(20240503, 0, 60)
+        whole = ps_trial(params, sizes.total, 0.3, 0.2)(20240503, 0, 60)
+        monkeypatch.setattr(propensity, "_CELL_BUDGET", _cell_table(params).design.size)
+        chunked = ps_trial(params, sizes.total, 0.3, 0.2)(20240503, 0, 60)
         assert whole[0].tolist() == chunked[0].tolist()
         assert whole[1].tobytes() == chunked[1].tobytes()
         assert [(i, str(e)) for i, e in sorted(whole[2].items())] \
@@ -575,18 +601,16 @@ class TestVerifyBlock:
         )
         table = _cell_table(replace(params, effect=0.3 if truth is ModelChoice.M1 else 0.0))
         expected = []
-        with np.errstate(divide="ignore"):
-            for i in range(trials):
-                trial = reference_trial(table, sizes, split_stream(master_seed, stream_base + i))
-                if "failure" in trial:
-                    expected.append((stream_base + i, None, math.nan.hex(), False,
-                                     trial["failure"]))
-                else:
-                    chosen = ate_decision(trial["statistic"], 0.3).chosen
-                    expected.append((stream_base + i, chosen, trial["statistic"].hex(),
-                                     chosen is truth, None))
-            report = verify(spec)
-            last = run_trial(spec, trials - 1)
+        for i in range(trials):
+            trial = reference_trial(table, sizes, split_stream(master_seed, stream_base + i))
+            if "failure" in trial:
+                expected.append((stream_base + i, None, math.nan.hex(), False, trial["failure"]))
+            else:
+                chosen = ate_decision(trial["statistic"], 0.3).chosen
+                expected.append((stream_base + i, chosen, trial["statistic"].hex(),
+                                 chosen is truth, None))
+        report = verify(spec)
+        last = run_trial(spec, trials - 1)
         def record(t):
             return (t.seed, t.decision, t.statistic.hex(), t.correct, t.failure)
 
@@ -759,6 +783,21 @@ class TestRejectionSampling:
             n_in = int(((x == xx) & (z == zz)).sum())
             n_out = int(((out.x[:, 0] == xx) & (out.z == zz)).sum())
             assert n_out / n_in == pytest.approx(exp_rate, abs=0.02)
+
+    def test_capped_fit_keeps_a_zero_probability_arm_always_or_never(self):
+        # P'(x = 1) rounds to 1, so an untreated record at x = 1 has p_arm 0.
+        # Under a positive untreated median it is always kept (med / 0 is
+        # inf); where the median is 0 too, never (0 / 0), as no record of
+        # that arm is (0 / p_arm). No warning.
+        model = PropensityModel(weights=(60.0,), bias=0.0)
+        assert model.predict(np.ones((1, 1)))[0] == 1.0
+        for x0, kept in (([1, 0, 0], [1, 1, 1]), ([1, 1, 0], [0, 0, 0])):
+            x = np.array([*x0, 0, 1], dtype=np.uint8)[:, None]
+            z = np.array([0, 0, 0, 1, 1], dtype=np.uint8)
+            data = ObsDataset(x, z, np.zeros(5, dtype=np.uint8))
+            out = rejection_sample(data, model, split_stream(11, 0))
+            assert int((out.z == 0).sum()) == sum(kept)
+            assert int(((out.z == 0) & (out.x[:, 0] == 1)).sum()) == sum(kept[:x0.count(1)])
 
     def test_acceptance_probabilities_in_unit_interval(self):
         data = generate_obs(confounded_params(), 5_000, split_stream(10, 0))

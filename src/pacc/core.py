@@ -41,6 +41,7 @@ __all__ = [
     "ceil_bound",
     "whole_number",
     "real_number",
+    "exp_or_inf",
     "json_string",
     "check_u64",
     "check_keys",
@@ -151,6 +152,14 @@ def real_number(value: object, name: str) -> float:
         if math.isfinite(number):
             return number
     raise InvalidArgumentError(f"{name} must be a finite number, got {value!r}")
+
+
+def exp_or_inf(x: float) -> float:
+    """``math.exp(x)``, or inf where that overflows the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def json_string(value: object, name: str) -> str:

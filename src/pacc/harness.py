@@ -81,7 +81,6 @@ __all__ = [
     "VerificationReport",
     "SweepReport",
     "Report",
-    "run_trial",
     "verify",
     "adversarial_sweep",
     "write_report",
@@ -436,49 +435,23 @@ _DRAWS = {
 }
 
 
-def _failure_text(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
 # A trial's choice, indexed by whether it chose M1.
 _CHOICES = np.array([ModelChoice.M2, ModelChoice.M1], dtype=object)
 
 
-def _block(spec: TrialSpec, first: int, count: int) -> list[TrialOutcome]:
-    """Trials first, ..., first + count - 1 of the spec, in index order,
-    prepared (``MethodSpec.prepare``) and run as one block."""
-    trials = METHODS[spec.method].prepare(spec, params_for_truth(spec), resolve_sample_size(spec))
-    stream = spec.stream_base + first
-    m1, statistic, halts = trials(spec.master_seed, stream, count)
-    chosen, correct = _CHOICES[m1.astype(np.intp)], m1 == (spec.truth is ModelChoice.M1)
-    failures = [None] * count
-    for i, exc in halts.items():
-        chosen[i], correct[i], failures[i] = None, False, _failure_text(exc)
+def _records(
+    spec: TrialSpec, decisions: Sequence, statistics: Sequence, failures: Sequence
+) -> tuple[TrialOutcome, ...]:
+    """The spec's trial records, trial i's from its decision, statistic and
+    failure: its stream id is ``stream_base + i``, and it is correct when
+    its decision is the truth, which a halt's absent decision never is."""
+    base, truth = spec.stream_base, spec.truth
     # _make takes each row's tuple as is, at about four fifths of the
     # constructor's cost per record.
-    return list(map(TrialOutcome._make, zip(
-        range(stream, stream + count), chosen.tolist(), statistic.tolist(),
-        correct.tolist(), failures,
+    return tuple(map(TrialOutcome._make, zip(
+        range(base, base + len(decisions)), decisions, statistics,
+        [decision is truth for decision in decisions], failures,
     )))
-
-
-def run_trial(spec: TrialSpec, index: int) -> TrialOutcome:
-    """Draw one sample from the truth model and apply the method's rule:
-    the spec's block of this one trial.
-
-    Trials draw only what their decisions read, with the law of the
-    record-level generators: the three 2SLS sums from three standard
-    normals (IV), the event totals from the model's 1-D trial law (SCCS),
-    the fitting slice's tallies and the tail's survivors and outcome sums
-    per (covariate configuration, arm) cell (propensity). Only propensity
-    trials past the enumeration limit draw records: each is ``ps_decide``
-    on N1 + N2 records from one ``generate_obs`` call. The trial's stream
-    is (master_seed, stream_base + index). A pipeline halt (too few
-    rejection survivors, generation retry exhaustion, degenerate
-    estimators) counts as an incorrect trial with the failure recorded,
-    preserving the union-bound accounting.
-    """
-    return _block(spec, index, 1)[0]
 
 
 @dataclass(frozen=True)
@@ -533,23 +506,23 @@ class VerificationReport:
         }
 
     @classmethod
-    def from_dict(cls, d: dict, name: str = "per_trial") -> "VerificationReport":
-        """The report of ``d``'s spec whose trials drew what its records (at
-        ``name`` in the file) hold: a decision, a statistic and a failure
-        each. The spec gives their seeds, ``correct`` and number."""
-        spec = TrialSpec.from_dict(d["spec"])
-        per_trial = []
+    def from_dict(
+        cls, d: dict, name: str = "per_trial", spec: TrialSpec | None = None
+    ) -> "VerificationReport":
+        """The report of ``spec`` (by default ``d``'s) whose trials drew
+        what ``d``'s records (at ``name`` in the file) hold: a decision, a
+        statistic and a failure each. The spec gives their number."""
+        spec = spec or TrialSpec.from_dict(d["spec"])
+        draws = []
         for i, record in enumerate(d["per_trial"]):
             where = f"{name}[{i}]"
             check_keys(record, TrialOutcome._fields, where)
-            draw = {key: read(record.get(key), f"{where}.{key}") for key, read in _DRAWS.items()}
-            correct = draw["decision"] is spec.truth
-            per_trial.append(TrialOutcome(seed=spec.stream_base + i, correct=correct, **draw))
-        if len(per_trial) != spec.trials:
+            draws.append([read(record.get(key), f"{where}.{key}") for key, read in _DRAWS.items()])
+        if len(draws) != spec.trials:
             raise InvalidArgumentError(
-                f"len({name}) is {len(per_trial)}, but the spec gives {spec.trials} trials"
+                f"len({name}) is {len(draws)}, but the spec gives {spec.trials} trials"
             )
-        return cls(spec, tuple(per_trial))
+        return cls(spec, _records(spec, *zip(*draws)))
 
 
 def _check_written(value: object, derived: object, name: str = "") -> None:
@@ -581,15 +554,32 @@ def _check_written(value: object, derived: object, name: str = "") -> None:
 def verify(spec: TrialSpec) -> VerificationReport:
     """Run the spec's trials and certify the error rate against epsilon.
 
-    The spec's trials are prepared once (``MethodSpec.prepare``) and run
-    as one block, which every method decides as arrays; nothing prepared
-    outlives the call. The trials run in index order on the calling
-    thread: they are short and interpreter-bound, so a second thread would
-    not pay for its start-up and hand-offs. Passing means the one-sided
-    Wilson upper bound (at ``CONFIDENCE``) on the error probability does
-    not exceed epsilon.
+    Each trial draws a sample from the truth's model and applies the
+    method's rule, drawing only what the decision reads, with the law of
+    the record-level generators: the three 2SLS sums from three standard
+    normals (IV), the event totals from the model's 1-D trial law (SCCS),
+    the fitting slice's tallies and the tail's survivors and outcome sums
+    per (covariate configuration, arm) cell (propensity). Only propensity
+    trials past the enumeration limit draw records: each is ``ps_decide``
+    on N1 + N2 records from one ``generate_obs`` call. Trial i owns stream
+    (master_seed, stream_base + i). A pipeline halt (too few rejection
+    survivors, generation retry exhaustion, degenerate estimators) counts
+    as an incorrect trial with the failure recorded, preserving the
+    union-bound accounting.
+
+    The trials are prepared once (``MethodSpec.prepare``) and run as one
+    block, which every method decides as arrays; nothing prepared outlives
+    the call. They run in index order on the calling thread: they are
+    short and interpreter-bound, so a second thread would not pay for its
+    start-up and hand-offs. Passing means the one-sided Wilson upper bound
+    (at ``CONFIDENCE``) on the error probability does not exceed epsilon.
     """
-    return VerificationReport(spec, tuple(_block(spec, 0, spec.trials)))
+    trials = METHODS[spec.method].prepare(spec, params_for_truth(spec), resolve_sample_size(spec))
+    m1, statistic, halts = trials(spec.master_seed, spec.stream_base, spec.trials)
+    decisions, failures = _CHOICES[m1.astype(np.intp)].tolist(), [None] * spec.trials
+    for i, exc in halts.items():
+        decisions[i], failures[i] = None, f"{type(exc).__name__}: {exc}"
+    return VerificationReport(spec, _records(spec, decisions, statistic.tolist(), failures))
 
 
 @dataclass(frozen=True)
@@ -640,9 +630,7 @@ class SweepReport:
         base = TrialSpec.from_dict(d["base"])
         grid = [METHODS[base.method].params_type.from_dict(g) for g in d["grid"]]
         return cls(base, tuple(
-            VerificationReport.from_dict(
-                {**r, "spec": _point_spec(base, k, point).to_dict()}, f"reports[{k}].per_trial"
-            )
+            VerificationReport.from_dict(r, f"reports[{k}].per_trial", _point_spec(base, k, point))
             for k, (point, r) in enumerate(zip(grid, d["reports"]))
         ))
 

@@ -30,6 +30,7 @@ from pacc.core import (
     check_array_size,
     csv_records,
     csv_text,
+    exp_or_inf,
     real_number,
     record_dict,
     record_from_dict,
@@ -45,7 +46,6 @@ __all__ = [
     "CellCounts",
     "generate_obs",
     "tally_cells",
-    "fit_logistic",
     "l1_propensity_error",
     "rejection_sample",
     "ate",
@@ -123,8 +123,8 @@ class PsParams:
         # extremes of the monotone logistic index.
         lo = self.treat_bias + sum(min(w, 0.0) for w in self.treat_weights)
         hi = self.treat_bias + sum(max(w, 0.0) for w in self.treat_weights)
-        p_lo = 1.0 / (1.0 + math.exp(-lo))
-        p_hi = 1.0 / (1.0 + math.exp(-hi))
+        p_lo = 1.0 / (1.0 + exp_or_inf(-lo))
+        p_hi = 1.0 / (1.0 + exp_or_inf(-hi))
         if not (self.positivity_floor < p_lo and p_hi < 1.0 - self.positivity_floor):
             raise InvalidArgumentError(
                 f"positivity violated: propensity range [{p_lo:.6g}, {p_hi:.6g}] "
@@ -380,8 +380,9 @@ def _check_drawable(count: int) -> None:
         raise InvalidArgumentError(f"count must be at most 2**63 - 1, got {count}")
 
 
-def fit_logistic(data: ObsDataset) -> PropensityModel:
-    """Fit P(Z=1 | x) by full-batch Newton ascent on the Bernoulli likelihood.
+def _fitted_model(cells: CellCounts) -> PropensityModel:
+    """Fit P(Z=1 | x) by full-batch Newton ascent on the Bernoulli likelihood
+    of one trial's tallies (``_fit_cells``).
 
     Stops when the max-norm of the mean score drops below ``_SCORE_TOL`` or
     after ``_MAX_ITERS`` updates. Data with a single treatment arm cannot
@@ -390,11 +391,6 @@ def fit_logistic(data: ObsDataset) -> PropensityModel:
     of diverging. The Newton steps run on the cell tallies, one row per
     covariate configuration present, which gives the per-record MLE.
     """
-    return _fitted_model(tally_cells(data))
-
-
-def _fitted_model(cells: CellCounts) -> PropensityModel:
-    """``_fit_cells`` on one trial's tallies, as a model or its DegenerateFitError."""
     coefs, capped, halts = _fit_cells(cells.design, cells.totals[None], cells.treated[None])
     if halts:
         raise halts[0]
@@ -404,7 +400,7 @@ def _fitted_model(cells: CellCounts) -> PropensityModel:
 def _fit_cells(
     design: np.ndarray, totals: np.ndarray, treated: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, dict[int, DegenerateFitError]]:
-    """The grouped Newton fit of ``fit_logistic`` for a stack of trials, row
+    """The grouped Newton fit of ``_fitted_model`` for a stack of trials, row
     i on ``totals[i]`` and ``treated[i]`` over its cells present: each row's
     weights then bias (0 if degenerate), whether it was capped, and each
     DegenerateFitError by row. Rows with the same cells present are one

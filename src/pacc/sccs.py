@@ -24,6 +24,7 @@ from pacc.core import (
     InvalidArgumentError,
     ModelChoice,
     ceil_bound,
+    exp_or_inf,
     record_dict,
     record_from_dict,
     rekeyed_generator,
@@ -191,7 +192,7 @@ class SccsParams:
             raise InvalidArgumentError("beta must be finite")
         values = [value for value, _ in self.phi_law.atoms()]
         lo, hi = min(values), max(values)
-        peak = math.exp(hi + max(self.beta, 0.0))
+        peak = exp_or_inf(hi + max(self.beta, 0.0))
         if peak > 1.0:
             raise InvalidArgumentError(
                 f"per-day event probability exp(phi + max(beta, 0)) = {peak:.6g} exceeds 1"

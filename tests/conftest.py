@@ -2,15 +2,25 @@
 
 Every method's trials run through its ``harness.METHODS`` entry: ``prepare``
 builds the ``trials(master_seed, first stream, count)`` function that
-``verify`` and ``run_trial`` call, which gives whether each trial chose M1,
-its statistic and each halt's error by row. A wrapper there covers each
-method's trials, whatever they draw and however they decide.
+``verify`` calls, which gives whether each trial chose M1, its statistic
+and each halt's error by row. A wrapper there covers each method's trials,
+whatever they draw and however they decide. ``run_trial`` picks out one
+trial of a spec through the same ``verify``.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from pacc import harness
+
+
+def run_trial(spec, index):
+    """Trial ``index`` of ``spec``: the record of a one-trial verify on its
+    stream, (master_seed, stream_base + index)."""
+    one = replace(spec, trials=1, stream_base=spec.stream_base + index)
+    return harness.verify(one).per_trial[0]
 
 
 def wrap_blocks(setitem, wrap) -> None:

@@ -657,6 +657,21 @@ class TestVerify:
         )
         assert no_trial_may_run == []
 
+    @pytest.mark.parametrize("name, override, message", [
+        ("ps_verify_fast", "generator.treat_bias=-1000",
+         "positivity violated: propensity range [0, 0] leaves (0.2, 0.8)"),
+        ("sccs_verify", "generator.params.phi_law.value=1000",
+         "per-day event probability exp(phi + max(beta, 0)) = inf exceeds 1"),
+    ], ids=["propensity_index", "sccs_rate"])
+    def test_overflowing_generator_exits_2(self, capsys, no_trial_may_run, name, override,
+                                           message):
+        # exp overflows on the way to the propensity or the rate, which
+        # the range check then rejects.
+        assert _diagnostic(*run_cli(
+            capsys, "verify", "--config", str(CONFIGS / f"{name}.json"), "--set", override,
+        )) == f"invalid trial spec: {message}"
+        assert no_trial_may_run == []
+
     def test_propensity_sample_size_below_n1_plus_n2_exits_2(self, capsys, tmp_path):
         cfg = write_json(tmp_path / "verify.json", {
             "method": "propensity", "truth": "M2", "epsilon": 0.2,

@@ -26,7 +26,6 @@ from pacc.harness import (
     read_report,
     report_json,
     resolve_sample_size,
-    run_trial,
     verify,
     write_report,
 )
@@ -43,7 +42,7 @@ from pacc.sccs import (
     sccs_trial_law,
 )
 
-from conftest import wrap_blocks
+from conftest import run_trial, wrap_blocks
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -646,7 +645,6 @@ class TestVerify:
 
         monkeypatch.setitem(harness_mod.METHODS, Method.IV2SLS,
                             entry._replace(prepare=recording_prepare))
-        monkeypatch.setattr(harness_mod, "run_trial", lambda *args: pytest.fail("run_trial"))
         monkeypatch.setattr(harness_mod, "stream_normals", recording_normals)
         report = run_command(tmp_path, "verify", "iv_verify", threads, "trials=9")
         assert prepared == [report.spec]
@@ -1057,6 +1055,21 @@ class TestReports:
         tampered = tmp_path / "tampered.json"
         tampered.write_text(json.dumps(payload))
         with pytest.raises(InvalidArgumentError, match=r"tampered\.json: .* = 1\.2 exceeds 1"):
+            read_report(tampered)
+
+    @pytest.mark.parametrize("spec, path, value, message", [
+        (sccs_spec(trials=3), ("params", "phi_law", "value"), 1000, "= inf exceeds 1"),
+        (ps_spec(trials=3), ("treat_bias",), -1000, "positivity violated"),
+    ], ids=["sccs_rate", "propensity_index"])
+    def test_spec_whose_rate_overflows_is_rejected(self, tmp_path, spec, path, value, message):
+        payload = verify(spec).to_dict()
+        block = payload["spec"]["generator"]
+        for key in path[:-1]:
+            block = block[key]
+        block[path[-1]] = value
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(payload))
+        with pytest.raises(InvalidArgumentError, match=rf"tampered\.json: .*{message}"):
             read_report(tampered)
 
     @pytest.mark.parametrize("path", [("sample_sise",), ("concept", "descripton")])

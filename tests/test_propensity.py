@@ -32,7 +32,6 @@ from pacc.propensity import (
     _sigmoid,
     _weighted_median,
     config_probabilities,
-    fit_logistic,
     generate_obs,
     l1_propensity_error,
     lemma1_bound,
@@ -83,6 +82,17 @@ class TestPsParams:
                 effect=0.1,
                 confound_weights=(0.0, 0.0),
             )
+
+    @pytest.mark.parametrize("treat_bias, weight, message", [
+        (-1000.0, 0.0, "[0, 0] leaves (0.2, 0.8)"),
+        (0.0, -1000.0, "[0, 0.5] leaves (0.2, 0.8)"),
+    ], ids=["bias", "weight"])
+    def test_overflowing_index_violates_positivity(self, treat_bias, weight, message):
+        # exp(-index) overflows past an index of about -709: that
+        # propensity is 0, not an OverflowError.
+        with pytest.raises(InvalidArgumentError) as info:
+            replace(flat_params(n=1), treat_bias=treat_bias, treat_weights=(weight,))
+        assert str(info.value) == f"positivity violated: propensity range {message}"
 
     def test_outcome_validity_gate(self):
         with pytest.raises(InvalidArgumentError):
@@ -149,7 +159,7 @@ class TestFitLogistic:
     def test_recovers_known_weights(self):
         params = confounded_params()
         data = generate_obs(params, 100_000, split_stream(5, 0))
-        model = fit_logistic(data)
+        model = _fitted_model(tally_cells(data))
         for w_hat, w in zip(model.weights, params.treat_weights):
             assert abs(w_hat - w) <= 0.1
         assert abs(model.bias - params.treat_bias) <= 0.1
@@ -157,7 +167,7 @@ class TestFitLogistic:
 
     def test_null_weights_stay_small(self):
         data = generate_obs(flat_params(), 100_000, split_stream(6, 0))
-        model = fit_logistic(data)
+        model = _fitted_model(tally_cells(data))
         assert all(abs(w) <= 0.05 for w in model.weights)
 
     def test_single_arm_rejected(self):
@@ -165,14 +175,14 @@ class TestFitLogistic:
         z = np.ones(50, dtype=np.uint8)
         y = np.zeros(50, dtype=np.uint8)
         with pytest.raises(DegenerateFitError):
-            fit_logistic(ObsDataset(x, z, y))
+            _fitted_model(tally_cells(ObsDataset(x, z, y)))
 
     def test_separation_reports_capped_model(self):
         # z == x0 exactly: perfectly separable.
         x = np.array([[1], [0]] * 100, dtype=np.uint8)
         z = x[:, 0].copy()
         y = np.zeros(200, dtype=np.uint8)
-        model = fit_logistic(ObsDataset(x, z, y))
+        model = _fitted_model(tally_cells(ObsDataset(x, z, y)))
         assert model.capped
         assert all(math.isfinite(w) for w in model.weights)
 
@@ -226,7 +236,7 @@ class TestGroupedFit:
     )
     def test_matches_per_record_newton(self, params, count, seed):
         data = generate_obs(params, count, split_stream(seed, 0))
-        model = fit_logistic(data)
+        model = _fitted_model(tally_cells(data))
         fitted = np.array(model.weights + (model.bias,))
         assert np.max(np.abs(fitted - per_record_newton(data))) <= 1e-10
 
@@ -250,7 +260,7 @@ class TestCellDraw:
             data = generate_obs(params, 2_000, split_stream(33, i))
             cells = tally_cells(data)
             tallied.append(np.concatenate([cells.totals, cells.treated]))
-            model = fit_logistic(data)
+            model = _fitted_model(tally_cells(data))
             fit_tallied.append(model.weights + (model.bias,))
             cells = table.draw_fitting(2_000, split_stream(34, i))
             drawn.append(np.concatenate([cells.totals, cells.treated]))
@@ -307,6 +317,33 @@ class TestCellTail:
         assert all(type(r) is tuple for r in records + cells)
         records, cells = np.array(records), np.array(cells)
         for column in range(2):
+            assert ks_2samp(records[:, column], cells[:, column]).pvalue >= 1e-3
+
+    def test_capped_fits_match_the_record_pipeline(self, monkeypatch):
+        # Rare covariates that all but fix treatment: most fits are
+        # separated and stop at the weight cap, and a capped fit can round
+        # an untreated cell's fitted probability to 0. Survivors, ATE and
+        # whether the fit capped, from the cell block against ps_pipeline
+        # on generate_obs records at the same sizes.
+        import pacc.propensity as propensity
+
+        params = PsParams(
+            n_covariates=3, treat_weights=(15.0, 15.0, 0.0), treat_bias=-10.0,
+            positivity_floor=1e-9, outcome_base=0.005, effect=0.0,
+            confound_weights=(0.0,) * 3, covariate_probs=(0.0005, 0.0005, 0.5),
+        )
+        sizes = PsSampleSizes(gamma=0.1, n1=20_000, n3=1, n2=20_000)
+        block = _cell_trials(_cell_table(params), sizes, 7, 0, 1_000)
+        assert block.halts == {} and block.capped.sum() > 500
+        cells = np.column_stack([block.survivors, block.statistic, block.capped])
+        monkeypatch.setattr(propensity, "ps_sample_sizes", lambda *args: sizes)
+        records = []
+        for i in range(300):
+            gen = split_stream(8, i)
+            result = ps_pipeline(generate_obs(params, sizes.total, gen), 0.99, gen, 0.99)
+            records.append((result.survivors, result.ate, result.model.capped))
+        records = np.array(records, dtype=np.float64)
+        for column in range(3):
             assert ks_2samp(records[:, column], cells[:, column]).pvalue >= 1e-3
 
     def test_halt_frequency_matches_record_level(self):
@@ -589,7 +626,8 @@ class TestVerifyBlock:
                                          trials):
         import pacc.propensity as propensity
         from pacc.core import ConceptSpec, Method
-        from pacc.harness import TrialSpec, run_trial, verify
+        from conftest import run_trial
+        from pacc.harness import TrialSpec, verify
 
         params, sizes = MIXED
         monkeypatch.setattr(propensity, "ps_sample_sizes", lambda *args: sizes)
@@ -801,7 +839,7 @@ class TestRejectionSampling:
 
     def test_acceptance_probabilities_in_unit_interval(self):
         data = generate_obs(confounded_params(), 5_000, split_stream(10, 0))
-        model = fit_logistic(data)
+        model = _fitted_model(tally_cells(data))
         out = rejection_sample(data, model, split_stream(10, 1))
         assert 0 <= len(out) <= len(data)
 
@@ -819,7 +857,7 @@ class TestRejectionSampling:
         for i in range(reps):
             gen = split_stream(2_000 + i, 0)
             data = generate_obs(params, 4_000, gen)
-            model = fit_logistic(data[:2_000])
+            model = _fitted_model(tally_cells(data[:2_000]))
             tail = data[2_000:]
             out = rejection_sample(tail, model, gen)
             if mean_abs_smd(out) < mean_abs_smd(tail):

@@ -72,6 +72,18 @@ class TestDesignAndParams:
         with pytest.raises(InvalidArgumentError):
             SccsParams(phi_law=PointLaw(math.log(0.6)), beta=math.log(2), lambda_floor=0.1)
 
+    @pytest.mark.parametrize("phi_law, beta", [
+        (PointLaw(1000.0), 0.0), (TwoPointLaw(-3.0, 709.0, 0.5), 1.0),
+    ], ids=["point", "two_point_with_beta"])
+    def test_overflowing_rate_exceeds_1(self, phi_law, beta):
+        # exp(phi + max(beta, 0)) overflows past about 709.78: that rate is
+        # inf, not an OverflowError.
+        with pytest.raises(InvalidArgumentError) as info:
+            SccsParams(phi_law=phi_law, beta=beta, lambda_floor=0.01)
+        assert str(info.value) == (
+            "per-day event probability exp(phi + max(beta, 0)) = inf exceeds 1"
+        )
+
     def test_lambda_floor_below_min_rate(self):
         with pytest.raises(InvalidArgumentError):
             SccsParams(phi_law=PointLaw(math.log(0.01)), beta=0.0, lambda_floor=0.02)

@@ -11,9 +11,8 @@ import dataclasses
 import enum
 import io
 import math
-import threading
 from statistics import NormalDist
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,7 +34,7 @@ __all__ = [
     "ConceptSpec",
     "Decision",
     "split_stream",
-    "rekeyed_generator",
+    "streams",
     "stream_normals",
     "rate_upper_bound",
     "ceil_bound",
@@ -321,72 +320,50 @@ def split_stream(master_seed: int, stream_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-# One Philox generator per thread, with the state dict that re-keys it.
-_thread_local = threading.local()
+def streams(master_seed: int, first: int, count: int) -> Iterator[np.random.Generator]:
+    """The generators of streams (master_seed, first) to (master_seed,
+    first + count - 1), in order: each draws exactly what ``split_stream``
+    with its key would. The seed and the first and last ids are checked
+    when the walk is made, before anything is drawn.
 
-
-def _thread_generator() -> tuple[np.random.Generator, dict]:
-    """The calling thread's Philox generator and the state dict that re-keys
-    it: counter 0, an empty buffer and no held 32-bit half, the state a
-    fresh Philox starts in. The setter copies the values out, so only the
-    key is replaced before each use."""
-    held = getattr(_thread_local, "held", None)
-    if held is None:
-        state = {
-            "bit_generator": "Philox",
-            "state": {"counter": (0, 0, 0, 0), "key": (0, 0)},
-            "buffer": (0, 0, 0, 0),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        held = _thread_local.held = (np.random.Generator(np.random.Philox(0)), state)
-    return held
-
-
-def rekeyed_generator(master_seed: int, stream_id: int) -> np.random.Generator:
-    """The calling thread's generator, positioned at the start of stream
-    (master_seed, stream_id).
-
-    It draws exactly what ``split_stream(master_seed, stream_id)`` would,
-    since its state is the one a fresh Philox with that key starts in.
-    Re-keying one generator costs about a twentieth of building one. The
-    next call on the same thread (or ``stream_normals``) re-keys the same
-    generator, so a caller finishes with one stream before it asks for
-    the next.
+    The walk builds one Philox generator and re-keys it for each stream
+    to the state a fresh one starts in: counter 0, the key, an empty
+    buffer and no held 32-bit half. Re-keying costs about a twentieth of
+    building. Every stream of a walk is that one generator, so a caller
+    finishes with one stream before it takes the next.
     """
-    # Trials pass plain ints in range; anything else takes the full checks.
-    if not (
-        type(master_seed) is int
-        and type(stream_id) is int
-        and 0 <= master_seed <= _U64_MAX
-        and 0 <= stream_id <= _U64_MAX
-    ):
-        check_u64(master_seed, "master_seed")
-        check_u64(stream_id, "stream_id")
-        master_seed, stream_id = int(master_seed), int(stream_id)
-    gen, state = _thread_generator()
-    state["state"]["key"] = (master_seed, stream_id)
-    gen.bit_generator.state = state
-    return gen
+    check_u64(master_seed, "master_seed")
+    check_u64(first, "first stream id")
+    first = int(first)
+    check_u64(first + count - 1 if count else first, "last stream id")
+    return _walk(int(master_seed), first, count)
+
+
+def _walk(master_seed: int, first: int, count: int) -> Iterator[np.random.Generator]:
+    gen = np.random.Generator(np.random.Philox(0))
+    # The setter copies the values out, so only the key changes per stream.
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": (0, 0, 0, 0), "key": (0, 0)},
+        "buffer": (0, 0, 0, 0),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    keyed, bit_generator = state["state"], gen.bit_generator
+    for stream_id in range(first, first + count):
+        keyed["key"] = (master_seed, stream_id)
+        bit_generator.state = state
+        yield gen
 
 
 def stream_normals(master_seed: int, first: int, count: int, width: int) -> np.ndarray:
     """A (count, width) array whose row k holds the first ``width`` standard
-    normals of stream (master_seed, first + k): the values
-    ``rekeyed_generator(master_seed, first + k).standard_normal(width)``
-    draws. Each row is filled in place by the thread's re-keyed generator."""
-    check_u64(master_seed, "master_seed")
-    check_u64(first, "first stream id")
-    check_u64(first + count - 1 if count else first, "last stream id")
-    master_seed, first = int(master_seed), int(first)
+    normals of stream (master_seed, first + k), each filled in place by
+    its generator from ``streams``."""
     out = np.empty((count, width))
-    gen, state = _thread_generator()
-    bit_generator, keyed, fill = gen.bit_generator, state["state"], gen.standard_normal
-    for stream_id, row in zip(range(first, first + count), out):
-        keyed["key"] = (master_seed, stream_id)
-        bit_generator.state = state
-        fill(out=row)
+    for gen, row in zip(streams(master_seed, first, count), out):
+        gen.standard_normal(out=row)
     return out
 
 

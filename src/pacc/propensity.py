@@ -34,7 +34,7 @@ from pacc.core import (
     real_number,
     record_dict,
     record_from_dict,
-    rekeyed_generator,
+    streams,
     whole_number,
 )
 
@@ -631,20 +631,19 @@ def ps_trial(
     def trials(master_seed: int, first: int, count: int):
         statistic, halts = np.full(count, math.nan), {}
         if table is None:
-            for i in range(count):
-                gen = rekeyed_generator(master_seed, first + i)
+            for i, gen in enumerate(streams(master_seed, first, count)):
                 try:
                     data = generate_obs(params, sizes.total, gen)
                     statistic[i] = ps_pipeline(data, delta, gen, epsilon).ate
                 except _HALTS as exc:
                     halts[i] = exc
-            return statistic >= delta / 2.0, statistic, halts
-        chunk = max(1, _CELL_BUDGET // table.design.size)
-        for start in range(0, count, chunk):
-            block = _cell_trials(table, sizes, master_seed, first + start,
-                                 min(chunk, count - start))
-            statistic[start : start + chunk] = block.statistic
-            halts.update((start + i, exc) for i, exc in block.halts.items())
+        else:
+            chunk = max(1, _CELL_BUDGET // table.design.size)
+            for start in range(0, count, chunk):
+                block = _cell_trials(table, sizes, master_seed, first + start,
+                                     min(chunk, count - start))
+                statistic[start : start + chunk] = block.statistic
+                halts.update((start + i, exc) for i, exc in block.halts.items())
         return statistic >= delta / 2.0, statistic, halts
 
     return trials
@@ -695,8 +694,7 @@ def _cell_trials(
     k = table.q.size
     totals = np.empty((count, k), dtype=np.int64)
     treated, counts, states = np.empty_like(totals), np.empty((count, 2 * k), np.int64), []
-    for i in range(count):
-        gen = rekeyed_generator(master_seed, first + i)
+    for i, gen in enumerate(streams(master_seed, first, count)):
         totals[i], treated[i] = table.draw_fitting(sizes.n1, gen)[1:]
         counts[i] = gen.multinomial(sizes.n2, table.tail)
         states.append(gen.bit_generator.state)

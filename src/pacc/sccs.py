@@ -27,7 +27,7 @@ from pacc.core import (
     exp_or_inf,
     record_dict,
     record_from_dict,
-    rekeyed_generator,
+    streams,
     whole_number,
 )
 
@@ -558,9 +558,9 @@ def sccs_trial(
 
     def trials(master_seed: int, first: int, count: int):
         statistic, halts = np.full(count, math.nan), {}
-        for i in range(count):
+        for i, gen in enumerate(streams(master_seed, first, count)):
             try:
-                statistic[i] = sccs_mle_closed(law.draw(rekeyed_generator(master_seed, first + i)))
+                statistic[i] = sccs_mle_closed(law.draw(gen))
             except GenerationFailureError as exc:
                 halts[i] = exc
         return statistic >= threshold, statistic, halts

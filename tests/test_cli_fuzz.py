@@ -15,6 +15,13 @@ and run with a stub in place of every method's trials
 mutated size or rate reaches a draw. Each run must end with exit 0 or 1 and a
 report, or exit 2 with one JSON diagnostic, and raise no warning.
 
+They are also run with their real trials, two a run, after one or two of
+their numbers are scaled or set to an extreme: seeds, sizes, rates and
+days reach the stream walk and every method's trial block. Each run must
+end with exit 0 or 1, nothing on stderr and a report that ``read_report``
+reads back to the same text, or exit 2 or 3 with one JSON diagnostic, and
+raise no warning.
+
 Each float flag of ``samplesize`` takes each CSV mutant string in turn,
 the other flags valid. Each run must end with exit 0 and a sample size,
 or exit 2 with one JSON diagnostic, and raise no warning.
@@ -35,6 +42,7 @@ from hypothesis import given, settings, strategies as st
 
 from pacc import harness
 from pacc.cli import main
+from pacc.harness import read_report, report_json
 
 from conftest import no_trials, wrap_blocks
 
@@ -96,6 +104,13 @@ def _paths(node, prefix=()):
             yield from _paths(child, prefix + (key,))
 
 
+def _at(node, path):
+    """The node that ``path`` leads to from ``node``."""
+    for key in path:
+        node = node[key]
+    return node
+
+
 @st.composite
 def mutated_inputs(draw):
     name = draw(st.sampled_from(sorted(BASES)))
@@ -107,10 +122,7 @@ def mutated_inputs(draw):
         if not paths:
             break
         path = draw(st.sampled_from(paths))
-        parent = doc
-        for key in path[:-1]:
-            parent = parent[key]
-        key = path[-1]
+        parent, key = _at(doc, path[:-1]), path[-1]
         op = draw(st.sampled_from(["replace", "replace", "replace", "delete", "repeat"]))
         if op == "replace" and (kind == "json" or len(path) == 2):
             parent[key] = copy.deepcopy(draw(st.sampled_from(_MUTANTS[kind])))
@@ -180,10 +192,7 @@ def mutated_configs(draw):
     config = copy.deepcopy(config)
     for _ in range(draw(st.integers(1, 2))):
         path = draw(st.sampled_from(list(_paths(config))))
-        parent = config
-        for key in path[:-1]:
-            parent = parent[key]
-        key = path[-1]
+        parent, key = _at(config, path[:-1]), path[-1]
         if isinstance(parent, dict) and draw(st.integers(0, 4)) == 0:
             parent["zz"] = parent.pop(key)
         else:
@@ -210,6 +219,52 @@ def test_verify_on_a_mutated_config_exits_0_1_or_2(case):
     else:
         assert err.getvalue() == ""
         assert json.loads(out.getvalue())["kind"] in ("verification", "sweep")
+
+
+# A number of a committed config is scaled by one of these, or set to one
+# of the extremes: a seed or count at the top of the 64-bit range, the
+# smallest count, a rate or size near the ends of the float range.
+_SCALES = [-1, 0, 0.5, 2, 1e-3, 1e3]
+_EXTREMES = [2**64 - 1, 1, 1e-300, 1e300]
+
+
+@st.composite
+def perturbed_configs(draw):
+    """A committed config with one or two of its numbers scaled or set to
+    an extreme. A trial's work does not grow with its sample size (SCCS
+    and propensity trials draw counts, IV trials three normals), only
+    with an SCCS design's days, which the trial-day limit caps; so each
+    run stays short."""
+    command, config = draw(st.sampled_from(CONFIG_RUNS))
+    config = copy.deepcopy(config)
+    for _ in range(draw(st.integers(1, 2))):
+        numbers = [p for p in _paths(config) if type(_at(config, p)) in (int, float)]
+        path = draw(st.sampled_from(numbers))
+        parent = _at(config, path[:-1])
+        if draw(st.booleans()):
+            parent[path[-1]] *= draw(st.sampled_from(_SCALES))
+        else:
+            parent[path[-1]] = draw(st.sampled_from(_EXTREMES))
+    return command, config
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(case=perturbed_configs())
+def test_real_trials_on_a_mutated_config_exit_0_1_2_or_3(case):
+    command, config = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, report = Path(tmp) / "config.json", Path(tmp) / "report.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = _run([command, "--config", str(cfg), "--set", "trials=2",
+                               "--threads", "1", "--out", str(report)])
+        assert code in (0, 1, 2, 3), err.getvalue()
+        if code in (0, 1):
+            assert err.getvalue() == ""
+            assert report_json(read_report(report)) == out.getvalue()
+            return
+    assert out.getvalue() == ""
+    diagnostic = json.loads(err.getvalue())
+    assert isinstance(diagnostic, dict) and set(diagnostic) == {"error", "message"}
 
 
 # Valid flags of each `samplesize` method; --n-covariates is the one

@@ -19,9 +19,9 @@ from pacc.core import (
     ModelChoice,
     rate_upper_bound,
     real_number,
-    rekeyed_generator,
     split_stream,
     stream_normals,
+    streams,
 )
 
 
@@ -85,54 +85,69 @@ def _key_pairs():
 KEY_PAIRS = _key_pairs()
 
 
-class TestRekeyedGenerator:
-    def _assert_same_draws(self, rekeyed, fresh):
-        for got, want in zip(_draws(rekeyed), _draws(fresh)):
-            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+def _same_draws(gen, fresh):
+    return [np.asarray(d).tobytes() for d in _draws(gen)] == [
+        np.asarray(d).tobytes() for d in _draws(fresh)
+    ]
 
+
+class TestStreams:
     def test_draws_equal_a_fresh_generator(self):
         assert len(set(KEY_PAIRS)) == 200
         for seed, stream in KEY_PAIRS:
-            self._assert_same_draws(
-                rekeyed_generator(seed, stream), split_stream(seed, stream)
-            )
+            (gen,) = streams(seed, stream, 1)
+            assert _same_draws(gen, split_stream(seed, stream))
 
-    def test_reuses_one_generator_per_thread(self):
-        assert rekeyed_generator(1, 2) is rekeyed_generator(3, 4)
+    def test_a_walk_draws_each_stream_in_order(self):
+        for seed, first in [(20240501, 0), (2**64 - 1, 2**64 - 30), (0, 2**63)]:
+            walked = 0
+            for k, gen in enumerate(streams(seed, first, 30)):
+                assert _same_draws(gen, split_stream(seed, first + k))
+                walked += 1
+            assert walked == 30
 
-    def test_rekey_after_a_stream_stopped_mid_buffer(self):
+    def test_one_generator_per_walk(self):
+        assert len({id(gen) for gen in streams(1, 2, 5)}) == 1
+
+    def test_a_new_generator_per_call(self):
+        walks = [streams(1, 2, 1), streams(1, 2, 1)]
+        first, second = (next(walk) for walk in walks)
+        assert first is not second
+        assert _same_draws(first, second)
+
+    def test_next_stream_after_one_stopped_mid_buffer(self):
         # An odd number of 32-bit draws leaves half a word held back and a
-        # partly used Philox buffer; re-keying must drop both.
+        # partly used Philox buffer; the walk's next stream must drop both.
         for k, (seed, stream) in enumerate(KEY_PAIRS[:40]):
-            gen = rekeyed_generator(stream, seed)
+            first = min(stream, 2**64 - 2)
+            walk = streams(seed, first, 2)
+            gen = next(walk)
             gen.integers(0, 1000, size=2 * k + 1, dtype=np.int32)
             assert gen.bit_generator.state["has_uint32"] == 1
             gen.random(k % 3)
-            self._assert_same_draws(
-                rekeyed_generator(seed, stream), split_stream(seed, stream)
-            )
+            assert _same_draws(next(walk), split_stream(seed, first + 1))
 
     def test_threads_at_once(self):
-        # More threads than cores re-key and draw in lockstep, switching
-        # often: with one shared generator their streams would interleave.
-        threads_n = 4
+        # More threads than cores, each walking its own streams, draw in
+        # lockstep and switch often: no walk's stream may reach another's.
+        threads_n, count = 4, 25
         barrier = threading.Barrier(threads_n, timeout=60)
         results = {}
+        walks = [(seed, min(stream, 2**64 - count)) for seed, stream in KEY_PAIRS[:threads_n]]
 
-        def worker(k, pairs):
+        def worker(k, seed, first):
             out = []
-            for seed, stream in pairs:
-                gen = rekeyed_generator(seed, stream)
+            for gen in streams(seed, first, count):
                 barrier.wait()
                 out.append([np.asarray(d).tobytes() for d in _draws(gen)])
                 barrier.wait()
             results[k] = out
 
-        shares = [KEY_PAIRS[k::threads_n][:25] for k in range(threads_n)]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threads = [threading.Thread(target=worker, args=item) for item in enumerate(shares)]
+            threads = [threading.Thread(target=worker, args=(k, *walk))
+                       for k, walk in enumerate(walks)]
             for t in threads:
                 t.start()
             for t in threads:
@@ -140,33 +155,37 @@ class TestRekeyedGenerator:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        for k, pairs in enumerate(shares):
-            assert len(results[k]) == len(pairs)
-            for got, (seed, stream) in zip(results[k], pairs):
-                fresh = split_stream(seed, stream)
+        for k, (seed, first) in enumerate(walks):
+            assert len(results[k]) == count
+            for i, got in enumerate(results[k]):
+                fresh = split_stream(seed, first + i)
                 assert got == [np.asarray(d).tobytes() for d in _draws(fresh)]
 
-    @pytest.mark.parametrize("seed,stream", [(-1, 0), (0, -1), (2**64, 0), (0, 2**64), (True, 0)])
-    def test_rejects_out_of_range_keys(self, seed, stream):
+    def test_no_streams(self):
+        assert list(streams(1, 2**64 - 1, 0)) == []
+
+    @pytest.mark.parametrize("seed, first, count", [
+        (-1, 0, 1), (0, -1, 1), (2**64, 0, 1), (0, 2**64, 1), (True, 0, 1), (0, True, 1),
+        (0, 2**64 - 2, 3), (np.uint64(1), np.uint64(2**64 - 1), 2),
+    ])
+    def test_rejects_stream_ids_past_64_bits_before_any_draw(self, seed, first, count):
+        # The call itself raises: no generator of the walk is handed out.
         with pytest.raises(InvalidArgumentError):
-            rekeyed_generator(seed, stream)
+            streams(seed, first, count)
 
     @pytest.mark.parametrize("seed,stream", [
         (np.uint64(2**64 - 1), 7), (20240501, np.int64(3)), (np.uint32(9), np.uint64(2**63)),
     ])
     def test_numpy_integer_keys_draw_as_ints(self, seed, stream):
-        # Such keys take the checked path, which converts them to ints.
-        self._assert_same_draws(
-            rekeyed_generator(seed, stream), split_stream(int(seed), int(stream))
-        )
+        drawn = [_same_draws(gen, split_stream(int(seed), int(stream) + k))
+                 for k, gen in enumerate(streams(seed, stream, 2))]
+        assert drawn == [True, True]
 
 
 class TestStreamNormals:
     @pytest.mark.parametrize("width", [1, 3, 7])
     def test_rows_are_each_streams_first_normals(self, width):
         for seed, first in [(20240501, 0), (2**64 - 1, 2**64 - 40), (0, 2**63)]:
-            # A stream left mid-buffer must not reach the first row.
-            rekeyed_generator(seed, first).integers(0, 1000, size=3, dtype=np.int32)
             rows = stream_normals(seed, first, 40, width)
             assert rows.shape == (40, width)
             for k, row in enumerate(rows):

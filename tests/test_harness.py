@@ -15,7 +15,7 @@ from pacc._jsonio import dumps
 from pacc.cli import main
 from pacc.core import (
     ConceptSpec, Decision, DegenerateFitError, InvalidArgumentError, Method, ModelChoice,
-    GenerationFailureError, PaccError, WeakInstrumentError, split_stream, stream_normals,
+    GenerationFailureError, PaccError, WeakInstrumentError, split_stream, stream_normals, streams,
 )
 from pacc.harness import (
     AUTO,
@@ -67,6 +67,22 @@ def run_command(tmp_path, command, name, threads, *overrides):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main([*argv, "--out", str(out)]) in (0, 1)
     return read_report(out)
+
+
+def record_walks(monkeypatch, record) -> None:
+    """Call ``record(master_seed, first, count)`` for every stream walk that
+    any method's trials make: SCCS's and propensity's, and IV's through
+    ``stream_normals``."""
+    import pacc.core as core_mod
+    import pacc.propensity as propensity_mod
+    import pacc.sccs as sccs_mod
+
+    def recording_streams(master_seed, first, count):
+        record(master_seed, first, count)
+        return streams(master_seed, first, count)
+
+    for module in (core_mod, propensity_mod, sccs_mod):
+        monkeypatch.setattr(module, "streams", recording_streams)
 
 
 def iv_spec(truth=ModelChoice.M1, **overrides) -> TrialSpec:
@@ -627,30 +643,69 @@ class TestVerify:
         assert tables[0]() is None
 
     @pytest.mark.parametrize("threads", ["1", "2"])
-    def test_every_index_runs_once_with_the_same_trial(self, monkeypatch, tmp_path, threads):
-        # IV's trials are one block: one prepare, and one draw of the
-        # normals of streams 0-8, each once.
+    @pytest.mark.parametrize("command, name", [
+        ("verify", "iv_verify"), ("verify", "sccs_verify"), ("verify", "ps_verify_fast"),
+        ("sweep", "sccs_sweep"),
+    ])
+    def test_every_index_runs_once_with_the_same_trial(self, monkeypatch, tmp_path, threads,
+                                                       command, name):
+        # Each point's trials are one block: one prepare, and stream walks
+        # that tile its streams stream_base .. stream_base + 8 in order, no
+        # stream missed or walked twice. A propensity budget of 4 trials'
+        # design entries runs the 9 in chunks of 4, 4 and 1, a walk each.
         import pacc.harness as harness_mod
+        import pacc.propensity as propensity_mod
 
-        entry = harness_mod.METHODS[Method.IV2SLS]
-        prepared, draws = [], []
+        config = json.loads((CONFIGS / f"{name}.json").read_text())
+        method = Method(config["method"])
+        if method is Method.PROPENSITY:
+            table = propensity_mod._cell_table(PsParams.from_dict(config["generator"]))
+            monkeypatch.setattr(propensity_mod, "_CELL_BUDGET", 4 * table.design.size)
+        entry = harness_mod.METHODS[method]
+        prepared, walks = [], []
 
         def recording_prepare(spec, params, size):
             prepared.append(spec)
             return entry.prepare(spec, params, size)
 
-        def recording_normals(master_seed, first, count, width):
-            draws.append((first, count, width))
-            return stream_normals(master_seed, first, count, width)
-
-        monkeypatch.setitem(harness_mod.METHODS, Method.IV2SLS,
-                            entry._replace(prepare=recording_prepare))
-        monkeypatch.setattr(harness_mod, "stream_normals", recording_normals)
-        report = run_command(tmp_path, "verify", "iv_verify", threads, "trials=9")
-        assert prepared == [report.spec]
-        assert draws == [(0, 9, 3)]
+        monkeypatch.setitem(harness_mod.METHODS, method, entry._replace(prepare=recording_prepare))
+        record_walks(monkeypatch, lambda *walk: walks.append(walk))
+        report = run_command(tmp_path, command, name, threads, "trials=9")
+        points = report.reports if command == "sweep" else (report,)
+        assert len(points) == (3 if command == "sweep" else 1)
+        assert prepared == [point.spec for point in points]
+        assert [(seed, first + i) for seed, first, count in walks for i in range(count)] == [
+            (point.spec.master_seed, point.spec.stream_base + i) for point in points
+            for i in range(9)
+        ]
+        assert len(walks) == (3 if method is Method.PROPENSITY else len(points))
         monkeypatch.undo()
-        assert report.per_trial == tuple(run_trial(report.spec, i) for i in range(9))
+        for point in points:
+            assert point.per_trial == tuple(run_trial(point.spec, i) for i in range(9))
+
+    def test_record_level_propensity_walks_each_stream_once(self, monkeypatch):
+        # Past the enumeration limit, a block is one walk over its streams.
+        # Small sizes keep the record draws short.
+        import pacc.propensity as propensity_mod
+        from pacc.propensity import PsSampleSizes
+
+        sizes = PsSampleSizes(gamma=0.1, n1=4, n3=25, n2=40)
+        monkeypatch.setattr(propensity_mod, "ps_sample_sizes", lambda *args: sizes)
+        spec = TrialSpec(
+            truth=ModelChoice.M2, concept=ConceptSpec(0.3, Method.PROPENSITY),
+            generator_params=PsParams(
+                n_covariates=21, treat_weights=(0.06,) * 21, treat_bias=-0.6,
+                positivity_floor=0.2, outcome_base=0.1, effect=0.0,
+                confound_weights=(0.02,) * 21,
+            ),
+            trials=9, master_seed=2**64 - 1, epsilon=0.2, sample_size=sizes.total,
+            stream_base=2**64 - 9,
+        )
+        walks = []
+        record_walks(monkeypatch, lambda *walk: walks.append(walk))
+        report = verify(spec)
+        assert walks == [(2**64 - 1, 2**64 - 9, 9)]
+        assert [t.seed for t in report.per_trial] == list(range(2**64 - 9, 2**64))
 
     def test_one_table_per_sweep_point(self, monkeypatch, tmp_path):
         # Each point's table is built once, and is gone before the next
@@ -675,21 +730,15 @@ class TestVerify:
         assert all(r.errors == 0 for r in report.reports)
 
     def test_trials_run_on_the_calling_thread(self, monkeypatch, tmp_path):
-        # Every trial of every method keys its stream on the thread's
-        # generator (core._thread_generator): each key is taken on the
-        # calling thread, with no other thread started.
+        # Every trial of every method takes its generator from a stream
+        # walk (core.streams): each walk is made on the calling thread,
+        # with no other thread started.
         import threading
 
-        import pacc.core as core_mod
-
         seen = set()
-        thread_generator = core_mod._thread_generator
-
-        def recording_thread_generator():
-            seen.add((threading.get_ident(), threading.active_count()))
-            return thread_generator()
-
-        monkeypatch.setattr(core_mod, "_thread_generator", recording_thread_generator)
+        record_walks(monkeypatch, lambda *walk: seen.add(
+            (threading.get_ident(), threading.active_count())
+        ))
         caller = (threading.get_ident(), threading.active_count())
         for threads in ("1", "2", "4", "8"):
             for command, name in (("verify", "iv_verify"), ("verify", "ps_verify_fast"),

@@ -45,6 +45,13 @@ REPORT_CASES = (
         *CSV, "--set", "sample_size=1", "--set", "generator.design.total_days=20",
         "--set", "generator.design.exposure_days=10",
     )),
+    # Three cases a trial at a near-zero event rate: two trials halt, out of redraws.
+    ("verify", "sccs_verify", "sccs_verify_halts.report.json", (
+        "--set", "sample_size=3", "--set", "generator.design.total_days=20",
+        "--set", "generator.design.exposure_days=10",
+        "--set", "generator.params.phi_law.value=-16.8",
+        "--set", "generator.params.lambda_floor=1e-9",
+    )),
 )
 # A larger propensity report, pinned by the sha256 of its bytes: (config, trials, fixture).
 DIGEST_CASE = ("ps_verify_fast", 2000, "ps_verify_fast_2000.report.sha256")

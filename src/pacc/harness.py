@@ -181,11 +181,12 @@ class MethodSpec(NamedTuple):
     # array limit for records or for IV's block of normals).
     size: Callable[[TrialSpec], int]
     # Trials: (spec, truth params, sample size) -> trials(master_seed,
-    # first stream, count), which gives whether each trial chose M1, its
-    # statistic (NaN where it halted) and each halt's error by row. The
-    # work that depends only on the spec runs in this call, once per verify;
-    # each stream then draws what its trial reads.
+    # first stream, count), which gives each trial's statistic (NaN where it
+    # halted) and each halt's error by row. Work that depends only on the
+    # spec runs in this call, once per verify; each stream draws the rest.
     prepare: Callable[[TrialSpec, Any, int], Callable[[int, int, int], tuple]]
+    # The rule: (statistics, delta) -> whether each chooses M1 (NaN never does).
+    chooses_m1: Callable[[np.ndarray, float], np.ndarray]
     # `generate`: (params, count, stream) -> a dataset.
     generate: Callable[[Any, int, np.random.Generator], Any]
     # Dataset files: formats (the default first), whether they can carry
@@ -215,9 +216,8 @@ METHODS: dict[Method, MethodSpec] = {
             ),
             lambda spec, size: check_sccs_trial(spec.generator_params.design, size),
         ),
-        prepare=lambda spec, model, size: sccs_trial(
-            model.design, model.params, size, spec.concept.delta
-        ),
+        prepare=lambda spec, model, size: sccs_trial(model.design, model.params, size),
+        chooses_m1=lambda statistic, delta: statistic >= math.log(delta) / 2.0,
         generate=lambda model, count, rng: generate_sccs(
             model.design, model.params, count, rng
         ),
@@ -250,6 +250,7 @@ METHODS: dict[Method, MethodSpec] = {
         prepare=lambda spec, params, size: ps_trial(
             params, size, spec.concept.delta, spec.epsilon
         ),
+        chooses_m1=lambda statistic, delta: statistic >= delta / 2.0,
         generate=lambda params, count, rng: generate_obs(params, count, rng),
         formats=("csv", "json"),
         hidden_column=False,
@@ -276,6 +277,7 @@ METHODS: dict[Method, MethodSpec] = {
         prepare=lambda spec, params, size: lambda master_seed, first, count: iv_block(
             params, size, spec.concept.delta, stream_normals(master_seed, first, count, 3)
         ),
+        chooses_m1=lambda statistic, delta: np.abs(statistic) > delta / 2.0,
         generate=lambda params, count, rng: generate_iv(params, count, rng),
         formats=("csv",),
         hidden_column=True,
@@ -403,9 +405,8 @@ def resolve_sample_size(spec: TrialSpec) -> int:
 
 
 class TrialOutcome(NamedTuple):
-    """One trial: the stream id used, the chosen model (absent on a
-    pipeline halt), whether it matched the generating truth, and why it
-    failed."""
+    """One trial: its stream id, the chosen model (none on a halt), whether
+    that is the generating truth, and why the trial halted."""
 
     seed: int
     decision: ModelChoice | None
@@ -416,16 +417,8 @@ class TrialOutcome(NamedTuple):
     to_dict = record_dict
 
 
-def _report_choice(value: object, name: str) -> ModelChoice | None:
-    try:
-        return None if value is None else ModelChoice(value)
-    except ValueError:
-        raise InvalidArgumentError(f"{name} must be 'M1', 'M2' or null, got {value!r}") from None
-
-
-# A trial record's draw: each field's reader. The spec gives its other fields.
+# A trial record's draw: each field's reader. Its other fields are derived.
 _DRAWS = {
-    "decision": _report_choice,
     # A finite number or a non-finite float's name.
     "statistic": lambda value, name: (
         _jsonio.NON_FINITE[value] if type(value) is str and value in _jsonio.NON_FINITE
@@ -435,32 +428,34 @@ _DRAWS = {
 }
 
 
-# A trial's choice, indexed by whether it chose M1.
-_CHOICES = np.array([ModelChoice.M2, ModelChoice.M1], dtype=object)
-
-
-def _records(
-    spec: TrialSpec, decisions: Sequence, statistics: Sequence, failures: Sequence
-) -> tuple[TrialOutcome, ...]:
-    """The spec's trial records, trial i's from its decision, statistic and
-    failure: its stream id is ``stream_base + i``, and it is correct when
-    its decision is the truth, which a halt's absent decision never is."""
-    base, truth = spec.stream_base, spec.truth
-    # _make takes each row's tuple as is, at about four fifths of the
-    # constructor's cost per record.
-    return tuple(map(TrialOutcome._make, zip(
-        range(base, base + len(decisions)), decisions, statistics,
-        [decision is truth for decision in decisions], failures,
-    )))
+# A trial's choice, indexed by whether it chose M1, or 2 where it halted.
+_CHOICES = np.array([ModelChoice.M2, ModelChoice.M1, None], dtype=object)
 
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """A spec's trial outcomes, certified against its epsilon. Every other
-    field it writes is derived from the two, so it cannot contradict them."""
+    """A spec's trial draws, certified against its epsilon: each trial's
+    statistic, NaN exactly where it halted, and failure, the halt's error
+    text or None. Every other field it writes is derived from the three."""
 
     spec: TrialSpec
-    per_trial: tuple[TrialOutcome, ...]
+    statistics: np.ndarray
+    failures: tuple[str | None, ...]
+
+    @cached_property
+    def per_trial(self) -> tuple[TrialOutcome, ...]:
+        """Trial i's record: stream id ``stream_base + i``, the method's rule
+        on its statistic (none where it halted) and whether that is the truth."""
+        spec, statistics = self.spec, self.statistics
+        m1 = METHODS[spec.method].chooses_m1(statistics, spec.concept.delta)
+        halted = np.isnan(statistics)
+        decisions = _CHOICES[np.where(halted, 2, m1)].tolist()
+        correct = (m1 == (spec.truth is ModelChoice.M1)) & ~halted
+        # _make takes each row's tuple as is, at 4/5 of the constructor's cost.
+        return tuple(map(TrialOutcome._make, zip(
+            range(spec.stream_base, spec.stream_base + len(decisions)), decisions,
+            statistics.tolist(), correct.tolist(), self.failures,
+        )))
 
     @cached_property
     def resolved_sample_size(self) -> int:
@@ -510,19 +505,25 @@ class VerificationReport:
         cls, d: dict, name: str = "per_trial", spec: TrialSpec | None = None
     ) -> "VerificationReport":
         """The report of ``spec`` (by default ``d``'s) whose trials drew
-        what ``d``'s records (at ``name`` in the file) hold: a decision, a
-        statistic and a failure each. The spec gives their number."""
+        what ``d``'s records (at ``name`` in the file) hold, a statistic and
+        a failure each (``_DRAWS``); the spec gives their number."""
         spec = spec or TrialSpec.from_dict(d["spec"])
         draws = []
         for i, record in enumerate(d["per_trial"]):
             where = f"{name}[{i}]"
             check_keys(record, TrialOutcome._fields, where)
-            draws.append([read(record.get(key), f"{where}.{key}") for key, read in _DRAWS.items()])
+            statistic, failure = [_DRAWS[k](record.get(k), f"{where}.{k}") for k in _DRAWS]
+            if math.isnan(statistic) != (failure is not None):
+                raise InvalidArgumentError(
+                    f"{where}.statistic is {statistic!r}; it is nan exactly with a failure"
+                )
+            draws.append((statistic, failure))
         if len(draws) != spec.trials:
             raise InvalidArgumentError(
                 f"len({name}) is {len(draws)}, but the spec gives {spec.trials} trials"
             )
-        return cls(spec, _records(spec, *zip(*draws)))
+        statistics, failures = zip(*draws)
+        return cls(spec, np.array(statistics), failures)
 
 
 def _check_written(value: object, derived: object, name: str = "") -> None:
@@ -554,32 +555,33 @@ def _check_written(value: object, derived: object, name: str = "") -> None:
 def verify(spec: TrialSpec) -> VerificationReport:
     """Run the spec's trials and certify the error rate against epsilon.
 
-    Each trial draws a sample from the truth's model and applies the
-    method's rule, drawing only what the decision reads, with the law of
-    the record-level generators: the three 2SLS sums from three standard
-    normals (IV), the event totals from the model's 1-D trial law (SCCS),
-    the fitting slice's tallies and the tail's survivors and outcome sums
-    per (covariate configuration, arm) cell (propensity). Only propensity
-    trials past the enumeration limit draw records: each is ``ps_decide``
-    on N1 + N2 records from one ``generate_obs`` call. Trial i owns stream
-    (master_seed, stream_base + i). A pipeline halt (too few rejection
-    survivors, generation retry exhaustion, degenerate estimators) counts
-    as an incorrect trial with the failure recorded, preserving the
-    union-bound accounting.
+    Each trial draws a sample from the truth's model and computes the
+    statistic of the method's rule, drawing only what it reads, with the
+    law of the record-level generators: the three 2SLS sums from three
+    standard normals (IV), the event totals from the model's 1-D trial law
+    (SCCS), the fitting slice's tallies and the tail's survivors and
+    outcome sums per (covariate configuration, arm) cell (propensity). Only
+    propensity trials past the enumeration limit draw records: each is the
+    ``ps_pipeline`` ATE of N1 + N2 records from one ``generate_obs`` call.
+    Trial i owns stream (master_seed, stream_base + i). A pipeline halt
+    (too few rejection survivors, generation retry exhaustion, degenerate
+    estimators) has a NaN statistic and counts as an incorrect trial with
+    the failure recorded, preserving the union-bound accounting.
 
     The trials are prepared once (``MethodSpec.prepare``) and run as one
-    block, which every method decides as arrays; nothing prepared outlives
-    the call. They run in index order on the calling thread: they are
-    short and interpreter-bound, so a second thread would not pay for its
-    start-up and hand-offs. Passing means the one-sided Wilson upper bound
-    (at ``CONFIDENCE``) on the error probability does not exceed epsilon.
+    block of statistics, which the report decides with one call of the rule
+    (``MethodSpec.chooses_m1``); nothing prepared outlives the call. They
+    run in index order on the calling thread: they are short and
+    interpreter-bound, so a second thread would not pay for its start-up
+    and hand-offs. Passing means the one-sided Wilson upper bound (at
+    ``CONFIDENCE``) on the error probability does not exceed epsilon.
     """
     trials = METHODS[spec.method].prepare(spec, params_for_truth(spec), resolve_sample_size(spec))
-    m1, statistic, halts = trials(spec.master_seed, spec.stream_base, spec.trials)
-    decisions, failures = _CHOICES[m1.astype(np.intp)].tolist(), [None] * spec.trials
+    statistics, halts = trials(spec.master_seed, spec.stream_base, spec.trials)
+    failures = [None] * spec.trials
     for i, exc in halts.items():
-        decisions[i], failures[i] = None, f"{type(exc).__name__}: {exc}"
-    return VerificationReport(spec, _records(spec, decisions, statistic.tolist(), failures))
+        failures[i] = f"{type(exc).__name__}: {exc}"
+    return VerificationReport(spec, statistics, tuple(failures))
 
 
 @dataclass(frozen=True)
@@ -755,8 +757,8 @@ def write_report(report: Report, path: str | Path, format: str = "json") -> None
 
 def read_report(path: str | Path) -> Report:
     """Read back a JSON report written by write_report. The report is
-    rebuilt from its spec and its draws (each record's decision, statistic
-    and failure), and the file must be what write_report writes for it,
+    rebuilt from its spec and its draws (each record's statistic and
+    failure), and the file must be what write_report writes for it,
     field for field (``_check_written``); any other file raises
     InvalidArgumentError naming the path."""
     try:

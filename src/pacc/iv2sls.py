@@ -171,20 +171,18 @@ def draw_iv_sums(
 
 def iv_block(
     params: IvParams, count: int, delta: float, normals: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, dict[int, PaccError]]:
-    """Decide a block of trials, one a row of ``normals`` (G1, G2, G3 of
-    ``draw_iv_sums``): row i's decision is ``iv_rule(iv_ratio(*sums),
-    delta)`` on the sums those normals give, bit for bit.
+) -> tuple[np.ndarray, dict[int, PaccError]]:
+    """The statistics of a block of trials, one a row of ``normals`` (G1,
+    G2, G3 of ``draw_iv_sums``): row i's is ``iv_ratio(*sums).beta_hat``
+    on the sums those normals give, bit for bit, which ``iv_rule`` decides.
 
-    Returns whether each row chooses M1, each row's beta_hat, and the error
-    of each row whose ratio is undefined, by row index; such a row chooses
-    neither and its beta_hat is NaN. A finite ratio of a nonzero sum(dz)
-    needs finite sums (0 * inf and inf / inf are NaN), so only rows whose
-    array ratio is not finite go through ``iv_ratio``, which raises their
-    WeakInstrumentError or DegenerateFitError.
+    Returns each row's beta_hat, and the error of each row whose ratio is
+    undefined, by row index; such a row's beta_hat is NaN. A finite ratio
+    of a nonzero sum(dz) needs finite sums (0 * inf and inf / inf are NaN),
+    so only rows whose array ratio is not finite go through ``iv_ratio``,
+    which raises their WeakInstrumentError or DegenerateFitError.
     """
     check_iv_trial(count, delta)
-    threshold = delta / 2.0
     # Overflow and 0/0 are the undefined rows, which iv_ratio words.
     with np.errstate(all="ignore"):
         sum_dd, sum_dz, sum_dy = _iv_sums(params, count, *normals.T)
@@ -195,7 +193,7 @@ def iv_block(
             beta_hat[i] = iv_ratio(sum_dd, float(sum_dz[i]), float(sum_dy[i])).beta_hat
         except (WeakInstrumentError, DegenerateFitError) as exc:
             beta_hat[i], halts[i] = math.nan, exc
-    return np.abs(beta_hat) > threshold, beta_hat, halts
+    return beta_hat, halts
 
 
 def check_iv_trial(count: int, delta: float) -> None:

@@ -611,19 +611,18 @@ def ps_decide(
     data: ObsDataset, delta: float, gen: np.random.Generator, epsilon: float
 ) -> Decision:
     """Choose M1 when the adjusted-sample ATE reaches delta / 2 (ties to M1)."""
-    result = ps_pipeline(data, delta, gen, epsilon)
-    return ate_decision(result.ate, delta)
+    return ate_decision(ps_pipeline(data, delta, gen, epsilon).ate, delta)
 
 
 def ps_trial(
     params: PsParams, count: int, delta: float, epsilon: float
-) -> Callable[[int, int, int], tuple[np.ndarray, np.ndarray, dict[int, PaccError]]]:
-    """``ps_decide`` on ``count`` records drawn from ``params``, for a block:
-    (master_seed, first, trials) -> whether each trial chooses M1, its ATE
-    (NaN if it halted) and each halt's error by row, trial i on stream
+) -> Callable[[int, int, int], tuple[np.ndarray, dict[int, PaccError]]]:
+    """The ATE ``ps_decide`` reads, on ``count`` records drawn from
+    ``params``, for a block: (master_seed, first, trials) -> each trial's
+    ATE (NaN if it halted) and each halt's error by row, trial i on stream
     (master_seed, first + i). The sizes and the cell table are made once.
     Trials run through ``_cell_trials`` in chunks of ``_CELL_BUDGET``
-    design entries; past the enumeration limit, each is ``ps_decide`` on
+    design entries; past the enumeration limit, each is ``ps_pipeline`` on
     the N1 + N2 records of one ``generate_obs`` call."""
     sizes = check_ps_trial(params, count, delta, epsilon)
     table = _cell_table(params) if params.n_covariates <= _ENUM_LIMIT else None
@@ -644,7 +643,7 @@ def ps_trial(
                                      min(chunk, count - start))
                 statistic[start : start + chunk] = block.statistic
                 halts.update((start + i, exc) for i, exc in block.halts.items())
-        return statistic >= delta / 2.0, statistic, halts
+        return statistic, halts
 
     return trials
 

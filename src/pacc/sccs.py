@@ -547,14 +547,14 @@ def sccs_trial_law(design: SccsDesign, params: SccsParams, cases: int) -> SccsTr
 
 
 def sccs_trial(
-    design: SccsDesign, params: SccsParams, cases: int, delta: float
-) -> Callable[[int, int, int], tuple[np.ndarray, np.ndarray, dict[int, GenerationFailureError]]]:
-    """``sccs_decide`` on the event totals of a ``cases``-patient case
-    series, for a block: (master_seed, first, trials) -> whether each trial
-    chooses M1, its estimate (NaN if its draw ran out of redraws) and each
+    design: SccsDesign, params: SccsParams, cases: int
+) -> Callable[[int, int, int], tuple[np.ndarray, dict[int, GenerationFailureError]]]:
+    """The statistic ``sccs_decide`` reads, on the event totals of a
+    ``cases``-patient case series, for a block: (master_seed, first, trials)
+    -> each trial's estimate (NaN if its draw ran out of redraws) and each
     such halt's error by row, trial i on stream (master_seed, first + i).
     The trial law is built once."""
-    law, threshold = sccs_trial_law(design, params, cases), math.log(delta) / 2.0
+    law = sccs_trial_law(design, params, cases)
 
     def trials(master_seed: int, first: int, count: int):
         statistic, halts = np.full(count, math.nan), {}
@@ -563,7 +563,7 @@ def sccs_trial(
                 statistic[i] = sccs_mle_closed(law.draw(gen))
             except GenerationFailureError as exc:
                 halts[i] = exc
-        return statistic >= threshold, statistic, halts
+        return statistic, halts
 
     return trials
 

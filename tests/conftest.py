@@ -2,9 +2,9 @@
 
 Every method's trials run through its ``harness.METHODS`` entry: ``prepare``
 builds the ``trials(master_seed, first stream, count)`` function that
-``verify`` calls, which gives whether each trial chose M1, its statistic
-and each halt's error by row. A wrapper there covers each method's trials,
-whatever they draw and however they decide. ``run_trial`` picks out one
+``verify`` calls, which gives each trial's statistic and each halt's
+error by row; the entry's ``chooses_m1`` decides the statistics. A wrapper
+there covers each method's trials, whatever they draw. ``run_trial`` picks out one
 trial of a spec through the same ``verify``.
 """
 
@@ -35,8 +35,9 @@ def wrap_blocks(setitem, wrap) -> None:
 
 
 def no_trials(master_seed, first, count):
-    """Trials that draw nothing: each chooses M2 with statistic 0."""
-    return np.zeros(count, dtype=bool), np.zeros(count), {}
+    """Trials that draw nothing: each has statistic 0, which every method's
+    rule decides as M2."""
+    return np.zeros(count), {}
 
 
 @pytest.fixture

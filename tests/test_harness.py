@@ -15,10 +15,13 @@ from pacc._jsonio import dumps
 from pacc.cli import main
 from pacc.core import (
     ConceptSpec, Decision, DegenerateFitError, InvalidArgumentError, Method, ModelChoice,
-    GenerationFailureError, PaccError, WeakInstrumentError, split_stream, stream_normals, streams,
+    GenerationFailureError, PaccError, WeakInstrumentError, rate_upper_bound, split_stream,
+    stream_normals, streams,
 )
 from pacc.harness import (
     AUTO,
+    CONFIDENCE,
+    METHODS,
     TrialOutcome,
     TrialSpec,
     adversarial_sweep,
@@ -30,9 +33,10 @@ from pacc.harness import (
     write_report,
 )
 from pacc.iv2sls import IvEstimate, IvParams, draw_iv_sums, iv_ratio, iv_rule
-from pacc.propensity import PsParams
+from pacc.propensity import PsParams, ate_decision
 from pacc.sccs import (
     PointLaw,
+    SccsCounts,
     SccsDesign,
     SccsModel,
     SccsParams,
@@ -887,16 +891,16 @@ class TestReports:
 
     def test_csv_rows_are_the_records(self, tmp_path):
         # Null is an empty field, a bool 1 or 0 and a float its 17-digit text.
-        report = replace(verify(iv_spec(trials=5)), per_trial=TestReportJson.CRAFTED)
+        report = replace(verify(iv_spec(trials=5)), **TestReportJson.CRAFTED)
         path = tmp_path / "report.csv"
         write_report(report, path, format="csv")
         assert path.read_text(encoding="utf-8") == (
             "seed,decision,statistic,correct,failure\n"
             '0,,nan,0,"PipelineFailureError: ""N3"" \\ caf\u00e9 \u2603"\n'
             "1,M2,-0,0,\n"
-            "2,M1,0.10000000000000001,1,\n"
+            "2,M1,0.29999999999999999,1,\n"
             '3,,nan,0,"WeakInstrumentError: tab\there\nnewline"\n'
-            "4,M1,4.9406564584124654e-324,1,\n"
+            "4,M2,4.9406564584124654e-324,0,\n"
         )
 
     @pytest.mark.parametrize("call, error, message", [
@@ -1056,11 +1060,13 @@ class TestReports:
 
     @pytest.mark.parametrize("index, edits, field", [
         (2, {"correct": False}, r"per_trial\[2\]\.correct"),
-        (0, {"decision": "M1"}, r"per_trial\[0\]\.correct"),
-        (4, {"decision": None, "failure": "PipelineFailureError: halted"},
+        (0, {"decision": "M1"}, r"per_trial\[0\]\.decision"),
+        # The rule chooses M1 at |0.9| > 0.25, which the record contradicts.
+        (0, {"statistic": 0.9}, r"per_trial\[0\]\.decision"),
+        (4, {"decision": None, "statistic": "nan", "failure": "PipelineFailureError: halted"},
          r"per_trial\[4\]\.correct"),
         (3, {"seed": 7}, r"per_trial\[3\]\.seed"),
-    ], ids=["correct_false", "decision_m1", "halt_marked_correct", "seed"])
+    ], ids=["correct_false", "decision_m1", "statistic_m1", "halt_marked_correct", "seed"])
     def test_contradictory_records_are_rejected(self, tmp_path, index, edits, field):
         payload = verify(iv_spec(ModelChoice.M2, trials=5)).to_dict()
         assert all(t["decision"] == "M2" and t["correct"] for t in payload["per_trial"])
@@ -1068,6 +1074,32 @@ class TestReports:
         tampered = tmp_path / "tampered.json"
         tampered.write_text(json.dumps(payload))
         with pytest.raises(InvalidArgumentError, match=field):
+            read_report(tampered)
+
+    # A statistic is nan exactly when its record has a failure: a nan
+    # without one would be a correct M2 drawn from nan, and a halt keeps no
+    # statistic. Every other field agrees with the record as edited.
+    @pytest.mark.parametrize("sweep", [False, True], ids=["verify", "sweep"])
+    @pytest.mark.parametrize("edits, halted", [
+        ({"statistic": "nan"}, False),
+        ({"decision": None, "failure": "DegenerateFitError: halted", "correct": False}, True),
+    ], ids=["nan_without_failure", "failure_with_statistic"])
+    def test_statistic_is_nan_exactly_with_a_failure(self, tmp_path, sweep, edits, halted):
+        spec = iv_spec(ModelChoice.M2, trials=3)
+        report = adversarial_sweep(spec, [spec.generator_params] * 2) if sweep else verify(spec)
+        payload = report.to_dict()
+        point = payload["reports"][1] if sweep else payload
+        assert point["errors"] == 0
+        point["per_trial"][2].update(edits)
+        if halted:
+            point.update(errors=1, empirical_rate=1 / 3,
+                         upper_bound=rate_upper_bound(1, 3, CONFIDENCE))
+        if halted and sweep:
+            payload["worst"] = 1
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(dumps(payload))
+        field = ("reports[1]." if sweep else "") + "per_trial[2].statistic"
+        with pytest.raises(InvalidArgumentError, match=re.escape(f"{tampered}: {field} is ")):
             read_report(tampered)
 
     def test_missing_or_extra_records_are_rejected(self, tmp_path):
@@ -1134,8 +1166,11 @@ class TestReports:
             read_report(tampered)
 
     def test_non_finite_strings_read_back_as_floats(self, tmp_path):
+        # Under truth M1 either infinity chooses M1; the nan is a halt's.
         report = verify(iv_spec(trials=5))
-        payload = report.to_dict()
+        statistics = np.array([math.nan, math.inf, -math.inf, *report.statistics[3:]])
+        payload = replace(report, statistics=statistics,
+                          failures=("DegenerateFitError: halted", *report.failures[1:])).to_dict()
         for k, text in enumerate(("nan", "inf", "-inf")):
             payload["per_trial"][k]["statistic"] = text
         path = tmp_path / "report.json"
@@ -1241,22 +1276,64 @@ class TestReports:
             assert again_path.read_bytes() == path.read_bytes()
 
 
+def edges(threshold: float) -> list[float]:
+    """A threshold, one ulp either side of it, signed zeros, infinities and nan."""
+    return [threshold, math.nextafter(threshold, -math.inf), math.nextafter(threshold, math.inf),
+            0.0, -0.0, math.inf, -math.inf, math.nan]
+
+
+def table_choices(method: Method, statistics, delta: float) -> list[ModelChoice]:
+    """The ``METHODS`` rule's choice for each statistic, decided as one array."""
+    m1 = METHODS[method].chooses_m1(np.array(statistics, dtype=float), delta)
+    return [ModelChoice.M1 if chose else ModelChoice.M2 for chose in m1.tolist()]
+
+
+class TestRules:
+    """Each ``METHODS`` rule chooses what the module's scalar decision does,
+    at and around its threshold; the two state the rule apart."""
+
+    @pytest.mark.parametrize("delta", [0.8, 0.3, 0.5, 5e-324, 1.0])
+    def test_propensity_rule_is_ate_decision(self, delta):
+        statistics = edges(delta / 2.0)
+        assert table_choices(Method.PROPENSITY, statistics, delta) == [
+            ate_decision(s, delta).chosen for s in statistics
+        ]
+
+    @pytest.mark.parametrize("delta", [0.5, 0.3, 0.9, 1e-300])
+    def test_iv_rule_is_iv_rule(self, delta):
+        statistics = edges(delta / 2.0) + edges(-delta / 2.0)
+        assert table_choices(Method.IV2SLS, statistics, delta) == [
+            iv_rule(IvEstimate(1.0, s), delta).chosen for s in statistics
+        ]
+
+    @pytest.mark.parametrize("design", [SccsDesign(250, 21), SccsDesign(20, 10)])
+    @pytest.mark.parametrize("delta", [2.0, 4.0, 1.5, 9.0])
+    def test_sccs_rule_is_sccs_decide(self, design, delta):
+        # nu1 = 0 and nu2 = 0 give the -inf and +inf sentinels; with 10
+        # control and 10 exposure days, nu1 = 2 * nu2 sits at delta 4's tie.
+        grid = [SccsCounts(design, nu1, nu2)
+                for nu1 in range(31) for nu2 in range(31) if nu1 or nu2]
+        decisions = [sccs_decide(counts, delta) for counts in grid]
+        statistics = [d.statistic for d in decisions]
+        assert {math.inf, -math.inf} <= set(statistics)
+        assert table_choices(Method.SCCS, statistics, delta) == [d.chosen for d in decisions]
+
+
 class TestReportJson:
     """``report_json`` writes exactly ``dumps(report.to_dict())``."""
 
-    # Rows a trial can record: halts with awkward failure text, a -0.0 and
-    # a numpy statistic, and both decisions.
-    CRAFTED = (
-        TrialOutcome(0, None, math.nan, False, 'PipelineFailureError: "N3" \\ caf\u00e9 \u2603'),
-        TrialOutcome(1, ModelChoice.M2, -0.0, False),
-        TrialOutcome(2, ModelChoice.M1, np.float64(0.1), True),
-        TrialOutcome(3, None, math.nan, False, "WeakInstrumentError: tab\there\nnewline"),
-        TrialOutcome(4, ModelChoice.M1, 5e-324, True),
+    # Draws a trial can make, as an IV report's columns under truth M1 at
+    # delta 0.5: halts with awkward failure text, a -0.0 and a subnormal
+    # statistic, and both decisions.
+    CRAFTED = dict(
+        statistics=np.array([math.nan, -0.0, 0.3, math.nan, 5e-324]),
+        failures=('PipelineFailureError: "N3" \\ caf\u00e9 \u2603', None, None,
+                  "WeakInstrumentError: tab\there\nnewline", None),
     )
     SIX_TRIALS = verify(iv_spec(trials=6))
 
     def test_verification_report(self):
-        report = replace(verify(iv_spec(trials=5)), per_trial=self.CRAFTED)
+        report = replace(verify(iv_spec(trials=5)), **self.CRAFTED)
         text = report_json(report)
         assert text == dumps(report.to_dict())
         assert '"statistic": "nan"' in text and '"statistic": -0,' in text
@@ -1285,16 +1362,14 @@ class TestReportJson:
         assert report_json(report) == dumps(report.to_dict())
 
     @settings(derandomize=True, max_examples=200, deadline=None)
-    @given(rows=st.lists(st.builds(
-        TrialOutcome,
-        seed=st.integers(0, 2**64 - 1),
-        decision=st.sampled_from([None, *ModelChoice]),
-        statistic=st.floats(),
-        correct=st.booleans(),
-        failure=st.none() | st.text(),
-    ), max_size=6))
-    def test_any_records(self, rows):
-        report = replace(self.SIX_TRIALS, per_trial=tuple(rows))
+    @given(draws=st.lists(st.tuples(st.floats(), st.none() | st.text()), max_size=6),
+           stream_base=st.integers(0, 2**64 - 7))
+    def test_any_records(self, draws, stream_base):
+        report = replace(
+            self.SIX_TRIALS, spec=replace(self.SIX_TRIALS.spec, stream_base=stream_base),
+            statistics=np.array([s for s, _ in draws], dtype=float),
+            failures=tuple(f for _, f in draws),
+        )
         assert report_json(report) == dumps(report.to_dict())
 
     def test_written_reports_are_the_printed_text(self, tmp_path):

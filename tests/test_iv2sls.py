@@ -10,10 +10,12 @@ from scipy.stats import ks_2samp
 from pacc.core import (
     DegenerateFitError,
     InvalidArgumentError,
+    Method,
     ModelChoice,
     WeakInstrumentError,
     split_stream,
 )
+from pacc.harness import METHODS
 from pacc.iv2sls import (
     IvDataset,
     IvParams,
@@ -206,8 +208,10 @@ def outcome(draw):
 
 
 def block_outcomes(params, count, delta, normals):
-    """``iv_block``'s decision of each row, as ``outcome`` gives it."""
-    m1, beta_hat, halts = iv_block(params, count, delta, np.array(normals, dtype=float))
+    """The decision of each row's ``iv_block`` statistic by the ``METHODS``
+    rule, as ``outcome`` gives it."""
+    beta_hat, halts = iv_block(params, count, delta, np.array(normals, dtype=float))
+    m1 = METHODS[Method.IV2SLS].chooses_m1(beta_hat, delta)
     threshold = (delta / 2.0).hex()
     return [
         (type(halts[i]), str(halts[i])) if i in halts
@@ -217,7 +221,8 @@ def block_outcomes(params, count, delta, normals):
 
 
 class TestPreparedTrial:
-    """``iv_block`` decides each row as ``iv_rule(iv_ratio(*draw_iv_sums(...)))``."""
+    """``iv_block`` and the ``METHODS`` rule decide each row as
+    ``iv_rule(iv_ratio(*draw_iv_sums(...)))``."""
 
     @pytest.mark.parametrize("params, count, delta", [
         (TestDrawnSums.NOISY, 1280, 0.5),

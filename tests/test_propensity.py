@@ -13,11 +13,13 @@ from pacc.core import (
     DegenerateFitError,
     InsufficientDataError,
     InvalidArgumentError,
+    Method,
     ModelChoice,
     PipelineFailureError,
     UndefinedAteError,
     split_stream,
 )
+from pacc.harness import METHODS
 from pacc.propensity import (
     ObsDataset,
     PropensityModel,
@@ -608,10 +610,9 @@ class TestCellBlock:
         whole = ps_trial(params, sizes.total, 0.3, 0.2)(20240503, 0, 60)
         monkeypatch.setattr(propensity, "_CELL_BUDGET", _cell_table(params).design.size)
         chunked = ps_trial(params, sizes.total, 0.3, 0.2)(20240503, 0, 60)
-        assert whole[0].tolist() == chunked[0].tolist()
-        assert whole[1].tobytes() == chunked[1].tobytes()
-        assert [(i, str(e)) for i, e in sorted(whole[2].items())] \
-            == [(i, str(e)) for i, e in sorted(chunked[2].items())]
+        assert whole[0].tobytes() == chunked[0].tobytes()
+        assert [(i, str(e)) for i, e in sorted(whole[1].items())] \
+            == [(i, str(e)) for i, e in sorted(chunked[1].items())]
 
 
 class TestVerifyBlock:
@@ -711,7 +712,8 @@ class TestPreparedTrial:
                 expected.append((False, math.nan, f"{type(exc).__name__}: {exc}"))
             else:
                 expected.append((decision.chosen is ModelChoice.M1, decision.statistic, None))
-        m1, statistic, halts = ps_trial(params, sizes.total, 0.8, 0.2)(2**64 - 1, 2**64 - 40, 40)
+        statistic, halts = ps_trial(params, sizes.total, 0.8, 0.2)(2**64 - 1, 2**64 - 40, 40)
+        m1 = METHODS[Method.PROPENSITY].chooses_m1(statistic, 0.8)
         got = [(bool(m1[i]), float(statistic[i]),
                 f"{type(halts[i]).__name__}: {halts[i]}" if i in halts else None)
                for i in range(40)]
@@ -720,11 +722,12 @@ class TestPreparedTrial:
         assert {None, "DegenerateFitError", "PipelineFailureError"} <= kinds
 
     def test_trials_decide_the_cell_block(self):
-        # The prepared trials are the cell block of their streams,
-        # thresholded at delta / 2.
+        # The prepared trials are the cell block of their streams, which
+        # the METHODS rule thresholds at delta / 2.
         params = confounded_params(effect=0.5)
         sizes = ps_sample_sizes(0.2, 0.8, 5)
-        m1, statistic, halts = ps_trial(params, sizes.total + 7, 0.8, 0.2)(43, 10, 30)
+        statistic, halts = ps_trial(params, sizes.total + 7, 0.8, 0.2)(43, 10, 30)
+        m1 = METHODS[Method.PROPENSITY].chooses_m1(statistic, 0.8)
         block = _cell_trials(_cell_table(params), sizes, 43, 10, 30)
         assert statistic.tobytes() == block.statistic.tobytes() and halts == block.halts == {}
         assert m1.tolist() == [ate_decision(s, 0.8).chosen is ModelChoice.M1
